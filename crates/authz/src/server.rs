@@ -63,8 +63,8 @@ impl AuthzServer {
     ///
     /// Best-effort, like invalidations: epochs are max-merged on receipt,
     /// and a site that misses a push learns the new epoch from the next
-    /// one (or rejects nothing extra in the meantime — legacy verification
-    /// still stands behind it in `Signed` mode).
+    /// one; until then it keeps honouring the tokens the bump revoked,
+    /// bounded by their lifetime.
     fn push_epochs(&self, ep: &Endpoint, epochs: Vec<lwfs_proto::EpochBump>) {
         if epochs.is_empty() {
             return;
@@ -95,6 +95,9 @@ impl AuthzServer {
 
 impl Service for AuthzServer {
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody {
+        if let Some(scrape) = lwfs_portals::telemetry::answer(ep.obs(), &req.body) {
+            return scrape;
+        }
         match &req.body {
             RequestBody::CreateContainer { cred } => match self.service.create_container(cred) {
                 Ok(cid) => ReplyBody::ContainerCreated(cid),
@@ -142,12 +145,6 @@ impl Service for AuthzServer {
                 }
             }
             RequestBody::Ping => ReplyBody::Pong,
-            RequestBody::GetTelemetry { events_from } => {
-                ReplyBody::Telemetry(lwfs_portals::telemetry_snapshot(ep.obs(), *events_from))
-            }
-            RequestBody::GetFlightTraces => {
-                ReplyBody::FlightTraces(lwfs_portals::flight_traces(ep.obs()))
-            }
             other => ReplyBody::Err(lwfs_proto::Error::Malformed(format!(
                 "authorization service cannot handle {other:?}"
             ))),

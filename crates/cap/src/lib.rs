@@ -34,24 +34,22 @@ pub mod verifier;
 
 pub use ed25519::{Keypair, PublicKey, PUBLIC_KEY_LEN, SIGNATURE_LEN};
 pub use sha512::sha512;
-pub use token::{crc32, CapClaims, CapIssuer, CapToken, TokenError, TokenScope, TOKEN_LEN};
+pub use token::{CapClaims, CapIssuer, CapToken, TokenError, TokenScope, TOKEN_LEN};
 pub use verifier::LocalCapVerifier;
 
 /// How the cluster authenticates capabilities, per
 /// `ClusterConfig::cap_mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapMode {
-    /// v4 behavior: opaque MAC caps, verify-through at the authz service
-    /// with per-site caching. No signed tokens are minted or checked.
+    /// The paper's mechanism: opaque MAC caps, verify-through at the authz
+    /// service with per-site caching. No signed tokens are minted or
+    /// checked.
     #[default]
     Legacy,
-    /// Signed tokens are minted and verified locally when present; requests
-    /// without a token fall back to legacy verify-through (rolling
-    /// upgrade: v4 clients keep working).
+    /// Signed tokens are minted with every capability and verified locally
+    /// at storage. They are mandatory: a data operation or replication
+    /// ship without one is denied, with no verify-through fallback.
     Signed,
-    /// Signed tokens are mandatory; token-less requests are denied without
-    /// any verify-through fallback.
-    Require,
 }
 
 impl CapMode {
@@ -60,7 +58,6 @@ impl CapMode {
         match s {
             "legacy" => Some(CapMode::Legacy),
             "signed" => Some(CapMode::Signed),
-            "require" => Some(CapMode::Require),
             _ => None,
         }
     }
@@ -69,13 +66,12 @@ impl CapMode {
         match self {
             CapMode::Legacy => "legacy",
             CapMode::Signed => "signed",
-            CapMode::Require => "require",
         }
     }
 
     /// Does this mode mint and check signed tokens at all?
     pub fn signed(self) -> bool {
-        !matches!(self, CapMode::Legacy)
+        self == CapMode::Signed
     }
 }
 
@@ -91,13 +87,13 @@ mod tests {
 
     #[test]
     fn cap_mode_parse_roundtrip() {
-        for mode in [CapMode::Legacy, CapMode::Signed, CapMode::Require] {
+        for mode in [CapMode::Legacy, CapMode::Signed] {
             assert_eq!(CapMode::parse(mode.as_str()), Some(mode));
         }
         assert_eq!(CapMode::parse("bogus"), None);
+        assert_eq!(CapMode::parse("require"), None, "the third mode is gone");
         assert_eq!(CapMode::default(), CapMode::Legacy);
         assert!(!CapMode::Legacy.signed());
         assert!(CapMode::Signed.signed());
-        assert!(CapMode::Require.signed());
     }
 }

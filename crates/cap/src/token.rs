@@ -15,11 +15,13 @@
 //! [ crc32 u32 ]                                       -- IEEE, over all above
 //! ```
 //!
-//! all little-endian, 129 bytes total. The trailing CRC is the same framing
-//! discipline the WAL and the socket fabric use: a cheap integrity gate so
-//! a corrupted blob is rejected before any curve arithmetic runs.
+//! all little-endian, 129 bytes total. The trailing CRC is the one the WAL
+//! and the socket fabric frame with (`lwfs_proto::frame::crc32`): a cheap
+//! integrity gate so a corrupted blob is rejected before any curve
+//! arithmetic runs.
 
-use lwfs_proto::{ContainerId, Lifetime, OpMask, PrincipalId};
+use lwfs_proto::frame::crc32;
+use lwfs_proto::{ContainerId, Decode, Lifetime, OpMask, PrincipalId};
 
 use crate::ed25519::{Keypair, PublicKey, SIGNATURE_LEN};
 
@@ -185,6 +187,12 @@ pub enum TokenError {
     Malformed,
 }
 
+impl From<lwfs_proto::Error> for TokenError {
+    fn from(_: lwfs_proto::Error) -> Self {
+        TokenError::Malformed
+    }
+}
+
 impl CapToken {
     /// Serialize to the CRC-framed wire blob.
     pub fn encode(&self) -> Vec<u8> {
@@ -202,47 +210,25 @@ impl CapToken {
         if blob.len() != TOKEN_LEN {
             return Err(TokenError::Malformed);
         }
-        let (payload, crc_bytes) = blob.split_at(TOKEN_LEN - 4);
-        let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(payload) != want {
+        let (mut payload, mut trailer) = blob.split_at(TOKEN_LEN - 4);
+        let p = &mut payload;
+        if u32::decode(&mut trailer)? != crc32(p) || u32::decode(p)? != TOKEN_MAGIC {
             return Err(TokenError::Malformed);
         }
-        let mut at = 0usize;
-        let mut take = |n: usize| {
-            at += n;
-            &payload[at - n..at]
+        // Field order is `CapClaims::signing_bytes`'s.
+        let claims = CapClaims {
+            scope: TokenScope::from_tag(u8::decode(p)?).ok_or(TokenError::Malformed)?,
+            scope_id: Decode::decode(p)?,
+            obj_lo: Decode::decode(p)?,
+            obj_hi: Decode::decode(p)?,
+            ops: Decode::decode(p)?,
+            lifetime: Decode::decode(p)?,
+            revocation_epoch: Decode::decode(p)?,
+            holder_nid: Decode::decode(p)?,
+            principal: Decode::decode(p)?,
+            serial: Decode::decode(p)?,
         };
-        let magic = u32::from_le_bytes(take(4).try_into().unwrap());
-        if magic != TOKEN_MAGIC {
-            return Err(TokenError::Malformed);
-        }
-        let scope = TokenScope::from_tag(take(1)[0]).ok_or(TokenError::Malformed)?;
-        let scope_id = u64::from_le_bytes(take(8).try_into().unwrap());
-        let obj_lo = u64::from_le_bytes(take(8).try_into().unwrap());
-        let obj_hi = u64::from_le_bytes(take(8).try_into().unwrap());
-        let ops = OpMask::from_bits_truncate(u32::from_le_bytes(take(4).try_into().unwrap()));
-        let not_before = u64::from_le_bytes(take(8).try_into().unwrap());
-        let not_after = u64::from_le_bytes(take(8).try_into().unwrap());
-        let revocation_epoch = u64::from_le_bytes(take(8).try_into().unwrap());
-        let holder_nid = u32::from_le_bytes(take(4).try_into().unwrap());
-        let principal = PrincipalId(u64::from_le_bytes(take(8).try_into().unwrap()));
-        let serial = u64::from_le_bytes(take(8).try_into().unwrap());
-        let sig: [u8; SIGNATURE_LEN] = payload[at..].try_into().unwrap();
-        Ok(CapToken {
-            claims: CapClaims {
-                scope,
-                scope_id,
-                obj_lo,
-                obj_hi,
-                ops,
-                lifetime: Lifetime { not_before, not_after },
-                revocation_epoch,
-                holder_nid,
-                principal,
-                serial,
-            },
-            sig,
-        })
+        Ok(CapToken { claims, sig: Decode::decode(p)? })
     }
 
     /// Check the signature against `key`.
@@ -285,21 +271,6 @@ impl CapIssuer {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the same
-/// polynomial the WAL and socket-fabric framing use, carried locally so
-/// this crate stays a leaf.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,12 +285,6 @@ mod tests {
             .with_epoch(3)
             .with_principal(PrincipalId(9))
             .with_serial(1234)
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use lwfs_proto::{Capability, ContainerId, Decode as _, Encode as _, Error, OpMas
 
 /// A process's capabilities for one container.
 ///
-/// Since wire v5 each capability may be paired with a *self-certifying
-/// token* — the ed25519-signed blob a storage server can verify locally.
-/// `tokens` is always parallel to `caps`; an empty `Bytes` marks a
-/// capability with no token (legacy clusters mint none at all).
+/// Each capability may be paired with a *self-certifying token* — the
+/// ed25519-signed blob a storage server can verify locally. `tokens` is
+/// always parallel to `caps`; an empty `Bytes` marks a capability with no
+/// token (legacy clusters mint none at all).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CapSet {
     caps: Vec<Capability>,

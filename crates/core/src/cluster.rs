@@ -150,10 +150,9 @@ pub struct ClusterConfig {
     /// transport preserves historical behavior exactly; `Tcp` runs every
     /// cross-node message over loopback sockets.
     pub transport: TransportKind,
-    /// Capability enforcement mode. `Legacy` (the default) is the v4-era
+    /// Capability enforcement mode. `Legacy` (the default) is the paper's
     /// verify-through scheme; `Signed` mints ed25519 tokens that storage
-    /// servers verify locally (falling back to verify-through for unsigned
-    /// requests); `Require` additionally refuses unsigned data operations.
+    /// servers verify locally, and refuses data operations without one.
     pub cap_mode: CapMode,
     /// Clock-skew tolerance for signed-token start times. OS processes of
     /// one deployment start seconds apart; without tolerance a fresh token
@@ -393,12 +392,8 @@ impl LwfsCluster {
                     let group = (i / r) as u32;
                     bytes::Bytes::from(issuer.mint(CapClaims::repl_group(group, sid.nid.0)))
                 });
-                server_config.signed = Some(SignedCapConfig {
-                    mode: config.cap_mode,
-                    public_key,
-                    ship_token,
-                    clock_skew: config.clock_skew,
-                });
+                server_config.signed =
+                    Some(SignedCapConfig { public_key, ship_token, clock_skew: config.clock_skew });
             }
             let verifier = CachedCapVerifier::with_registry(sid, authz_id, net.obs());
             let (h, s) = StorageServer::spawn(

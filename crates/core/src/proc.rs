@@ -69,8 +69,8 @@ pub struct ProcessClusterConfig {
     /// default).
     pub workers: Option<usize>,
     /// Capability mode for every child: `Legacy` verifies through the
-    /// authorization process; `Signed`/`Require` verify ed25519 tokens
-    /// locally at storage (see `lwfs_cap::CapMode`).
+    /// authorization process; `Signed` verifies ed25519 tokens locally at
+    /// storage (see `lwfs_cap::CapMode`).
     pub cap_mode: lwfs_cap::CapMode,
     /// Clock-skew tolerance each storage child grants token lifetimes —
     /// processes started seconds apart must not reject fresh tokens as

@@ -1,55 +1,19 @@
-//! Wire framing: `[len: u32 LE] [crc32: u32 LE] [payload]`.
+//! Wire framing: one [`FabricMsg`] per `lwfs_proto::frame` frame
+//! (`[len: u32 LE] [crc32: u32 LE] [payload]`).
 //!
-//! Each frame carries one [`FabricMsg`], encoded with the same hand-rolled
-//! little-endian codec as every `lwfs_proto` message. The CRC covers the
-//! payload only; a frame whose checksum does not match is *poison* — a
-//! torn write or corrupted stream — and the connection that produced it
-//! must be dropped, because byte alignment can no longer be trusted.
+//! The payload is encoded with the same hand-rolled little-endian codec as
+//! every `lwfs_proto` message. A frame whose checksum does not match is
+//! *poison* — a torn write or corrupted stream — and the connection that
+//! produced it must be dropped, because byte alignment can no longer be
+//! trusted.
 //!
 //! [`FrameReader`] is the incremental decoder: feed it whatever chunks
 //! `read(2)` produces (split frames, coalesced frames, single bytes) and
 //! pull complete messages out as they materialize.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use lwfs_proto::{Decode, Encode, Error, NodeId, ProcessId, Result};
-
-/// Frames longer than this are rejected before buffering: no legitimate
-/// message approaches it (bulk transfers are chunked well below), so a
-/// larger length prefix means a corrupt or hostile stream.
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
-
-/// Bytes of framing overhead per message (length + checksum).
-pub const HEADER_LEN: usize = 8;
-
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same polynomial
-// the WAL uses for its record frames, implemented independently so the
-// transport has no dependency on the storage stack.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+use bytes::{Buf, Bytes, BytesMut};
+use lwfs_proto::frame::{self, Split};
+use lwfs_proto::{impl_codec_enum, Decode, Error, NodeId, ProcessId, Result};
 
 /// One message on a fabric connection.
 ///
@@ -78,110 +42,20 @@ pub enum FabricMsg {
     SetFaults { drop_rate: f64, partitioned: Vec<NodeId>, dead: Vec<ProcessId> },
 }
 
-impl Encode for FabricMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            FabricMsg::Hello { nid } => {
-                buf.put_u8(0);
-                nid.encode(buf);
-            }
-            FabricMsg::Send { from, to, match_bits, data } => {
-                buf.put_u8(1);
-                from.encode(buf);
-                to.encode(buf);
-                match_bits.encode(buf);
-                data.encode(buf);
-            }
-            FabricMsg::Put { token, from, to, match_bits, offset, data } => {
-                buf.put_u8(2);
-                token.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-                match_bits.encode(buf);
-                offset.encode(buf);
-                data.encode(buf);
-            }
-            FabricMsg::Get { token, from, to, match_bits, offset, len } => {
-                buf.put_u8(3);
-                token.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-                match_bits.encode(buf);
-                offset.encode(buf);
-                len.encode(buf);
-            }
-            FabricMsg::PutAck { token, err } => {
-                buf.put_u8(4);
-                token.encode(buf);
-                err.encode(buf);
-            }
-            FabricMsg::GetReply { token, err, data } => {
-                buf.put_u8(5);
-                token.encode(buf);
-                err.encode(buf);
-                data.encode(buf);
-            }
-            FabricMsg::SetFaults { drop_rate, partitioned, dead } => {
-                buf.put_u8(6);
-                drop_rate.encode(buf);
-                partitioned.encode(buf);
-                dead.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for FabricMsg {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => FabricMsg::Hello { nid: Decode::decode(buf)? },
-            1 => FabricMsg::Send {
-                from: Decode::decode(buf)?,
-                to: Decode::decode(buf)?,
-                match_bits: Decode::decode(buf)?,
-                data: Decode::decode(buf)?,
-            },
-            2 => FabricMsg::Put {
-                token: Decode::decode(buf)?,
-                from: Decode::decode(buf)?,
-                to: Decode::decode(buf)?,
-                match_bits: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                data: Decode::decode(buf)?,
-            },
-            3 => FabricMsg::Get {
-                token: Decode::decode(buf)?,
-                from: Decode::decode(buf)?,
-                to: Decode::decode(buf)?,
-                match_bits: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-            },
-            4 => FabricMsg::PutAck { token: Decode::decode(buf)?, err: Decode::decode(buf)? },
-            5 => FabricMsg::GetReply {
-                token: Decode::decode(buf)?,
-                err: Decode::decode(buf)?,
-                data: Decode::decode(buf)?,
-            },
-            6 => FabricMsg::SetFaults {
-                drop_rate: Decode::decode(buf)?,
-                partitioned: Decode::decode(buf)?,
-                dead: Decode::decode(buf)?,
-            },
-            t => return Err(Error::Malformed(format!("unknown fabric frame tag {t}"))),
-        })
-    }
-}
+impl_codec_enum!(FabricMsg {
+    0 => Hello { nid },
+    1 => Send { from, to, match_bits, data },
+    2 => Put { token, from, to, match_bits, offset, data },
+    3 => Get { token, from, to, match_bits, offset, len },
+    4 => PutAck { token, err },
+    5 => GetReply { token, err, data },
+    6 => SetFaults { drop_rate, partitioned, dead },
+});
 
 impl FabricMsg {
     /// Encode into a complete wire frame (header + payload).
     pub fn to_frame(&self) -> Bytes {
-        let payload = self.to_bytes();
-        let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        out.put_u32_le(payload.len() as u32);
-        out.put_u32_le(crc32(&payload));
-        out.put_slice(&payload);
-        out.freeze()
+        frame::encode(self)
     }
 }
 
@@ -213,25 +87,12 @@ impl FrameReader {
     /// mismatch, undecodable payload): the caller must drop the
     /// connection, since frame alignment is unrecoverable.
     pub fn next_msg(&mut self) -> Result<Option<FabricMsg>> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            return Err(Error::Malformed(format!("fabric frame of {len} bytes exceeds limit")));
-        }
-        if self.buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let want_crc = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-        self.buf.advance(HEADER_LEN);
-        let payload = self.buf.split_to(len).freeze();
-        let got_crc = crc32(&payload);
-        if got_crc != want_crc {
-            return Err(Error::Malformed(format!(
-                "fabric frame checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
-            )));
-        }
+        let (payload, consumed) = match frame::split(&self.buf) {
+            Split::Complete { payload, consumed } => (Bytes::copy_from_slice(payload), consumed),
+            Split::Incomplete => return Ok(None),
+            Split::Corrupt(e) => return Err(e),
+        };
+        self.buf.advance(consumed);
         FabricMsg::from_bytes(payload).map(Some)
     }
 }
@@ -239,6 +100,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwfs_proto::frame::{HEADER_LEN, MAX_PAYLOAD};
 
     fn msgs() -> Vec<FabricMsg> {
         vec![
@@ -342,16 +204,36 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_poison() {
         let mut r = FrameReader::new();
-        r.feed(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        r.feed(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
         r.feed(&[0u8; 4]);
         assert!(r.next_msg().is_err());
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The standard check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn reader_frees_what_it_has_consumed() {
+        // A connection that lives for 1000 bulk frames must not retain
+        // them: the buffer stays within a few frames' worth of memory
+        // whether frames arrive whole or in socket-read-sized pieces.
+        let msg = FabricMsg::Put {
+            token: 1,
+            from: ProcessId::new(1100, 0),
+            to: ProcessId::new(3, 0),
+            match_bits: 2,
+            offset: 0,
+            data: Bytes::from(vec![0xAB; 64 * 1024]),
+        };
+        let frame = msg.to_frame();
+        let mut r = FrameReader::new();
+        for round in 0..1000 {
+            let piece = if round % 2 == 0 { frame.len() } else { 16 * 1024 };
+            for chunk in frame.chunks(piece) {
+                r.feed(chunk);
+            }
+            assert_eq!(r.next_msg().unwrap().as_ref(), Some(&msg));
+            assert_eq!(r.next_msg().unwrap(), None);
+            assert!(r.buf.capacity() <= 4 * frame.len(), "round {round}: {}", r.buf.capacity());
+        }
+        assert_eq!(r.buffered(), 0);
     }
 
     proptest::proptest! {

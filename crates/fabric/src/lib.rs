@@ -26,5 +26,5 @@ pub mod frame;
 pub mod manifest;
 
 pub use fabric::{FabricConfig, FrameDropHook, SocketFabric};
-pub use frame::{crc32, FabricMsg, FrameReader, HEADER_LEN, MAX_FRAME};
+pub use frame::{FabricMsg, FrameReader};
 pub use manifest::Manifest;

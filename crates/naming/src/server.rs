@@ -55,11 +55,8 @@ impl Service for NamingServer {
         // Telemetry scrapes answer before the ops counter and trace: a
         // polling monitor must not inflate `naming.ops` or mint latency
         // samples in the series it is reading.
-        if let RequestBody::GetTelemetry { events_from } = &req.body {
-            return ReplyBody::Telemetry(lwfs_portals::telemetry_snapshot(obs, *events_from));
-        }
-        if matches!(req.body, RequestBody::GetFlightTraces) {
-            return ReplyBody::FlightTraces(lwfs_portals::flight_traces(obs));
+        if let Some(scrape) = lwfs_portals::telemetry::answer(obs, &req.body) {
+            return scrape;
         }
         obs.counter("naming.ops").inc();
         // The trace records a span + `naming.<op>.total_ns` latency sample

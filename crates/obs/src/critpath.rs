@@ -184,8 +184,8 @@ pub fn attribute_with_claims(trace: &Trace) -> Option<(Attribution, Vec<u64>)> {
     }
     // Root: the longest TOTAL span; ties break on span content (never
     // on position), so the choice is stable under arrival reordering. A
-    // trace with no TOTAL at all (partially scraped, or a v3 peer) gets
-    // a synthetic root covering the span extent.
+    // trace with no TOTAL at all (a partial scrape) gets a synthetic
+    // root covering the span extent.
     let root_idx = spans
         .iter()
         .enumerate()

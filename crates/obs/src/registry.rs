@@ -234,8 +234,8 @@ impl OpTrace<'_> {
     }
 
     /// Join the distributed trace `trace_id` instead of self-rooting.
-    /// A zero id (untraced v3 peer) keeps the `req_id` self-root, so the
-    /// cluster degrades to per-hop tracing rather than losing spans.
+    /// A zero id (an untraced request) keeps the `req_id` self-root, so
+    /// its spans form a per-hop trace rather than being lost.
     pub fn in_trace(mut self, trace_id: u64) -> Self {
         if trace_id != 0 {
             self.trace_id = trace_id;

@@ -3,9 +3,9 @@
 //! Services decompose an operation into named stages (a storage write
 //! becomes queue-wait → authorize → pull → store-write → reply) and
 //! record one [`SpanRecord`] per stage plus a closing `total` span, all
-//! sharing the `req_id` threaded through `lwfs_proto::Request`. Since
-//! wire v4 every span also carries the *distributed* `trace_id` and the
-//! recording node's `nid`, so one client write correlates across every
+//! sharing the `req_id` threaded through `lwfs_proto::Request`. Every
+//! span also carries the *distributed* `trace_id` and the recording
+//! node's `nid`, so one client write correlates across every
 //! process it touched. The log is a bounded ring so tracing can stay on
 //! permanently.
 
@@ -21,9 +21,9 @@ pub const TOTAL_STAGE: &str = "total";
 pub struct SpanRecord {
     /// Request id from the proto envelope; groups the stages of one op.
     pub req_id: u64,
-    /// Distributed trace id (wire v4): shared by every request in one
-    /// causal chain across nodes. Equals `req_id` for trace roots and
-    /// for per-hop traces from v3 peers.
+    /// Distributed trace id: shared by every request in one causal chain
+    /// across nodes. Equals `req_id` for trace roots and for the per-hop
+    /// traces a partial scrape leaves behind.
     pub trace_id: u64,
     /// Node id of the process that recorded this span.
     pub nid: u32,

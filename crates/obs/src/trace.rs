@@ -42,8 +42,7 @@ impl Trace {
 
     /// The longest [`TOTAL_STAGE`] span — the end-to-end latency as seen
     /// by the outermost participant (normally the client). An orphan
-    /// trace (no `total` arrived — a v3 peer, or a partially scraped
-    /// node) falls back to its span extent so it still sorts and renders
+    /// trace (no `total` arrived — a partial scrape) falls back to its span extent so it still sorts and renders
     /// meaningfully instead of reporting zero.
     pub fn total_ns(&self) -> u64 {
         self.spans
@@ -443,7 +442,7 @@ mod tests {
 
     #[test]
     fn orphan_spans_render_under_synthetic_root() {
-        // Trace 5's parent never arrived (v3 peer / partial scrape):
+        // Trace 5's parent never arrived (partial scrape):
         // only two stage spans on one node, no TOTAL anywhere.
         let mut c = TraceCollector::new();
         c.add_spans(vec![

@@ -13,7 +13,9 @@ use crate::mds::{MdsConfig, MdsServer, MdsStats};
 
 /// PFS configuration.
 pub struct PfsConfig {
-    /// Underlying LWFS cluster (storage servers become OSTs).
+    /// Underlying LWFS cluster (storage servers become OSTs). The baseline
+    /// hands out legacy capabilities only, so leave `cap_mode` at `Legacy`:
+    /// a `Signed` OST refuses its token-less requests.
     pub lwfs: ClusterConfig,
     /// Modeled MDS metadata-transaction time per create.
     pub mds_create_service: Duration,

@@ -47,7 +47,6 @@ pub use retry::RetryPolicy;
 pub use rpc::{RpcClient, RpcConfig, RpcServer};
 pub use service::{spawn_service, Service, ServiceHandle};
 pub use stats::NetStats;
-pub use telemetry::{flight_traces, telemetry_snapshot};
 pub use transport::RemoteFabric;
 
 use lwfs_proto::ProcessId;

@@ -53,11 +53,11 @@ pub struct RpcClient<'a> {
     ep: &'a Endpoint,
     next_opnum: Arc<AtomicU64>,
     resends: AtomicU64,
-    /// Ambient causal context stamped into every outgoing request (v4
-    /// tracing). Two atomics rather than a `Mutex<TraceContext>` so the
-    /// client stays usable from `&self` across worker threads; the pair is
-    /// not read atomically, which is fine — a worker sets it once before a
-    /// burst of child calls and the ids only ever travel together.
+    /// Ambient causal context stamped into every outgoing request. Two
+    /// atomics rather than a `Mutex<TraceContext>` so the client stays
+    /// usable from `&self` across worker threads; the pair is not read
+    /// atomically, which is fine — a worker sets it once before a burst of
+    /// child calls and the ids only ever travel together.
     trace_id: AtomicU64,
     parent_req_id: AtomicU64,
     /// How long to wait for a reply before giving up.
@@ -150,7 +150,7 @@ impl<'a> RpcClient<'a> {
     }
 
     /// [`call`](Self::call) with a self-certifying capability token in the
-    /// request envelope (wire v5). An empty token encodes as absent, so
+    /// request envelope. An empty token encodes as absent, so
     /// this is exactly `call` for legacy traffic.
     pub fn call_with_token(
         &self,

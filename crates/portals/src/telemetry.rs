@@ -1,26 +1,44 @@
 //! Wire side of the telemetry scrape: serialize a fabric's [`Registry`]
 //! into the `GetTelemetry` reply shape.
 //!
-//! Every service that answers `GetTelemetry` (storage, directory, authz,
-//! naming) calls [`telemetry_snapshot`] on its endpoint's registry, so
-//! the reply format has exactly one producer. Histograms go out in sparse
-//! bucket form — the mergeable representation the monitor's windowed
-//! aggregation subtracts and merges exactly (see `lwfs_obs::window`).
-//! Spans are deliberately excluded from the snapshot: they are bulky,
-//! carry interned `&'static str` names that cannot be decoded from the
-//! wire, and already have their own export path through the trace
-//! collector. The *pinned* slow traces of the flight recorder travel on
-//! their own op instead — [`flight_traces`] answers `GetFlightTraces`
-//! with the node's current top-K, names re-encoded as owned strings.
+//! Every service that answers the scrape (storage, directory, authz,
+//! naming) passes each request through [`answer`] first, so the two
+//! monitoring ops have exactly one handler and the reply format exactly
+//! one producer. Histograms go out in sparse bucket form — the mergeable
+//! representation the monitor's windowed aggregation subtracts and merges
+//! exactly (see `lwfs_obs::window`). Spans are deliberately excluded from
+//! the snapshot: they are bulky, carry interned `&'static str` names that
+//! cannot be decoded from the wire, and already have their own export path
+//! through the trace collector. The *pinned* slow traces of the flight
+//! recorder travel on their own op instead — `GetFlightTraces` returns the
+//! node's current top-K, names re-encoded as owned strings.
 
 use lwfs_obs::Registry;
-use lwfs_proto::{FlightSpan, FlightTrace, TelemetryEvent, TelemetryHistogram, TelemetrySnapshot};
+use lwfs_proto::{
+    FlightSpan, FlightTrace, ReplyBody, RequestBody, TelemetryEvent, TelemetryHistogram,
+    TelemetrySnapshot,
+};
+
+/// Answer `body` if it is one of the monitoring plane's scrapes
+/// (`GetTelemetry`, `GetFlightTraces`); `None` means it is the service's
+/// own business. Scrapes are annotation ops: a service calls this before
+/// it counts or traces the request, so a polling monitor never inflates
+/// the series it is reading.
+pub fn answer(reg: &Registry, body: &RequestBody) -> Option<ReplyBody> {
+    match body {
+        RequestBody::GetTelemetry { events_from } => {
+            Some(ReplyBody::Telemetry(telemetry_snapshot(reg, *events_from)))
+        }
+        RequestBody::GetFlightTraces => Some(ReplyBody::FlightTraces(flight_traces(reg))),
+        _ => None,
+    }
+}
 
 /// Serialize `reg` for a `GetTelemetry` reply: cumulative counters and
 /// gauges, bucket-level histograms, and the event-journal tail with
 /// `seq >= events_from` (the scraper's cursor, so a polling monitor
 /// ships the journal incrementally).
-pub fn telemetry_snapshot(reg: &Registry, events_from: u64) -> TelemetrySnapshot {
+fn telemetry_snapshot(reg: &Registry, events_from: u64) -> TelemetrySnapshot {
     let frame = reg.frame(0);
     TelemetrySnapshot {
         counters: frame.counters,
@@ -59,7 +77,7 @@ pub fn telemetry_snapshot(reg: &Registry, events_from: u64) -> TelemetrySnapshot
 /// Span timestamps stay on this node's span-log epoch; the scraper
 /// applies its per-node offset at assembly. Bounded by the recorder's
 /// configured top-K, so the reply stays scrape-sized.
-pub fn flight_traces(reg: &Registry) -> Vec<FlightTrace> {
+fn flight_traces(reg: &Registry) -> Vec<FlightTrace> {
     reg.flight()
         .pinned()
         .into_iter()
@@ -111,6 +129,23 @@ mod tests {
         assert_eq!(tail.events[0].kind, "directory.republish");
         // Metrics are cumulative regardless of the cursor.
         assert_eq!(tail.counters, snap.counters);
+    }
+
+    #[test]
+    fn answer_claims_exactly_the_two_scrapes() {
+        let reg = Registry::new();
+        reg.counter("naming.ops").add(3);
+        let Some(ReplyBody::Telemetry(snap)) =
+            answer(&reg, &RequestBody::GetTelemetry { events_from: 0 })
+        else {
+            panic!("GetTelemetry not answered");
+        };
+        assert!(snap.counters.contains(&("naming.ops".to_string(), 3)));
+        assert_eq!(
+            answer(&reg, &RequestBody::GetFlightTraces),
+            Some(ReplyBody::FlightTraces(vec![]))
+        );
+        assert_eq!(answer(&reg, &RequestBody::Ping), None);
     }
 
     #[test]

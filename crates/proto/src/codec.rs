@@ -88,6 +88,8 @@ impl_codec_int! {
     u32 => put_u32_le, get_u32_le, 4;
     u64 => put_u64_le, get_u64_le, 8;
     i64 => put_i64_le, get_i64_le, 8;
+    f32 => put_f32_le, get_f32_le, 4;
+    f64 => put_f64_le, get_f64_le, 8;
 }
 
 impl Encode for bool {
@@ -106,22 +108,6 @@ impl Decode for bool {
             1 => Ok(true),
             b => Err(Error::Malformed(format!("invalid bool byte {b}"))),
         }
-    }
-}
-
-impl Encode for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_f64_le(*self);
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Decode for f64 {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        need(buf, 8, "f64")?;
-        Ok(buf.get_f64_le())
     }
 }
 
@@ -280,6 +266,62 @@ macro_rules! impl_codec_newtype {
     };
 }
 
+/// Implement `Encode`/`Decode` for an enum from one table: each variant's
+/// discriminant byte and field list are stated once and both directions
+/// are generated from it, so a tag cannot be encoded one way and decoded
+/// another. Variants may be unit, `{ named, fields }` or `(tuple)`; fields
+/// go on the wire in the order listed. `TAGS` lists the discriminants in
+/// table order.
+#[macro_export]
+macro_rules! impl_codec_enum {
+    ($ty:ident {
+        $( $tag:literal => $variant:ident
+            $( { $($field:ident),* $(,)? } )?
+            $( ( $($elem:ident),* ) )?
+        ),+ $(,)?
+    }) => {
+        impl $ty {
+            /// Every discriminant byte of this enum's wire encoding.
+            pub const TAGS: &'static [u8] = &[$($tag),+];
+        }
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                match self {
+                    $(
+                        $ty::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => {
+                            ::bytes::BufMut::put_u8(buf, $tag);
+                            $( $( $crate::codec::Encode::encode($field, buf); )* )?
+                            $( $( $crate::codec::Encode::encode($elem, buf); )* )?
+                        }
+                    )+
+                }
+            }
+        }
+        impl $crate::codec::Decode for $ty {
+            fn decode(buf: &mut impl ::bytes::Buf) -> $crate::error::Result<Self> {
+                let tag: u8 = $crate::codec::Decode::decode(buf)?;
+                ::core::result::Result::Ok(match tag {
+                    $(
+                        $tag => $ty::$variant
+                            $( { $($field: $crate::codec::Decode::decode(buf)?),* } )?
+                            $( ( $({
+                                // One decode per listed element; the name
+                                // only matters on the encode side.
+                                let $elem = $crate::codec::Decode::decode(buf)?;
+                                $elem
+                            }),* ) )?,
+                    )+
+                    t => {
+                        return ::core::result::Result::Err($crate::error::Error::Malformed(
+                            format!("unknown {} tag {t}", stringify!($ty)),
+                        ))
+                    }
+                })
+            }
+        }
+    };
+}
+
 // Codec impls for the identifier types.
 use crate::ids::{ContainerId, Lifetime, NodeId, ObjId, OpNum, Pid, PrincipalId, ProcessId, TxnId};
 use crate::ops::OpMask;
@@ -331,6 +373,7 @@ mod tests {
         roundtrip(true);
         roundtrip(false);
         roundtrip(1.5f64);
+        roundtrip(0.5f32);
     }
 
     #[test]

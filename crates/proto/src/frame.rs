@@ -1,0 +1,151 @@
+//! The one checksum and the one frame: `[u32 len][u32 crc32][payload]`.
+//!
+//! Everything that leaves a process as a byte stream — WAL segments on
+//! disk, replication ships, fabric sockets — is cut into these frames, and
+//! the capability token carries the same CRC as a trailer. Both integers
+//! are little-endian and the CRC covers the payload only. A stream whose
+//! next frame fails the checksum cannot be re-aligned: the socket reader
+//! drops the connection, the log reader stops at the crash scar.
+
+use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::codec::Encode;
+use crate::error::Error;
+
+/// Bytes of framing overhead per payload (length + checksum).
+pub const HEADER_LEN: usize = 8;
+
+/// Payloads longer than this are corrupt by definition: no legitimate
+/// message or log record approaches it (bulk transfers are chunked well
+/// below), so a larger length prefix is refused before anything is
+/// buffered or allocated for it.
+pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+const CRC_TABLE: [u32; 256] = crc_table();
+
+/// CRC-32 (IEEE 802.3: reflected polynomial `0xEDB88320`, init and
+/// xor-out `0xFFFFFFFF`) of `data`.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// Encode `msg` into one complete frame. The payload is encoded in place
+/// behind a blank header that is patched once its length and checksum are
+/// known, so the payload bytes are written exactly once.
+pub fn encode(msg: &impl Encode) -> Bytes {
+    let mut buf = BytesMut::new();
+    buf.put_slice(&[0u8; HEADER_LEN]);
+    msg.encode(&mut buf);
+    let (header, payload) = buf.split_at_mut(HEADER_LEN);
+    let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length prefix");
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    buf.freeze()
+}
+
+/// What the front of a byte buffer holds.
+#[derive(Debug, PartialEq)]
+pub enum Split<'a> {
+    /// One whole frame with a valid checksum occupies the first `consumed`
+    /// bytes of the buffer (header included).
+    Complete { payload: &'a [u8], consumed: usize },
+    /// The buffer ends before the frame does: a stream reader feeds more
+    /// bytes, a log reader has found a torn tail.
+    Incomplete,
+    /// The length prefix exceeds [`MAX_PAYLOAD`] or the checksum does not
+    /// match: frame alignment is lost from here on.
+    Corrupt(Error),
+}
+
+/// Split the first frame off the front of `buf`. Never panics and never
+/// reads or allocates past `buf`, whatever the bytes are.
+pub fn split(buf: &[u8]) -> Split<'_> {
+    let Some((header, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+        return Split::Incomplete;
+    };
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let stored = u32::from_le_bytes([c0, c1, c2, c3]);
+    if len > MAX_PAYLOAD {
+        return Split::Corrupt(Error::Malformed(format!("frame of {len} bytes exceeds limit")));
+    }
+    let Some(payload) = rest.get(..len) else {
+        return Split::Incomplete;
+    };
+    let computed = crc32(payload);
+    if computed != stored {
+        return Split::Corrupt(Error::Malformed(format!(
+            "frame checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
+    }
+    Split::Complete { payload, consumed: HEADER_LEN + len }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Standard check values for CRC-32/ISO-HDLC.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn crc32_detects_single_bit_flips() {
+        let data = b"durable bytes".to_vec();
+        let good = crc32(&data);
+        for i in 0..data.len() {
+            for bit in 0..8 {
+                let mut flipped = data.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(crc32(&flipped), good, "flip at byte {i} bit {bit} undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_then_split_roundtrips() {
+        let frame = encode(&String::from("payload"));
+        assert_eq!(frame.len(), HEADER_LEN + 4 + 7);
+        let whole = Split::Complete { payload: &frame[HEADER_LEN..], consumed: frame.len() };
+        assert_eq!(split(&frame), whole);
+        // Trailing bytes belong to the next frame and are left alone.
+        let mut two = frame.to_vec();
+        two.extend_from_slice(&frame[..5]);
+        assert_eq!(split(&two), whole);
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_corrupt_before_buffering() {
+        let mut header = (MAX_PAYLOAD as u32 + 1).to_le_bytes().to_vec();
+        header.extend_from_slice(&[0u8; 4]);
+        assert!(matches!(split(&header), Split::Corrupt(_)));
+        // At the limit the frame is merely incomplete.
+        let mut header = (MAX_PAYLOAD as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&[0u8; 4]);
+        assert_eq!(split(&header), Split::Incomplete);
+    }
+}

@@ -21,6 +21,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod frame;
 pub mod ids;
 pub mod message;
 pub mod ops;
@@ -41,17 +42,10 @@ pub use security::{
 
 /// Protocol version stamped into every encoded message.
 ///
-/// A decoder that sees a different major version must reject the message.
-/// The exceptions are the additive request-envelope extensions: a v5
-/// decoder accepts a v4 request (no `token` field) with an empty token and
-/// a v3 request (no `trace` field either) with a zero [`TraceContext`], so
-/// a mixed-version cluster degrades — to per-hop tracing, and to
-/// verify-through capability checking — instead of erroring.
+/// A cluster is built from one source tree, so there is exactly one
+/// version on the wire: a decoder that reads any other stamp rejects the
+/// message.
 pub const PROTOCOL_VERSION: u16 = 5;
-
-/// Oldest request version a v5 decoder still accepts (see
-/// [`PROTOCOL_VERSION`]).
-pub const MIN_REQUEST_VERSION: u16 = 3;
 
 /// Maximum payload a single *request* message may carry inline.
 ///
@@ -69,9 +63,8 @@ mod tests {
 
     #[test]
     fn version_is_stable() {
-        // v2 added the req_id trace field; v3 the group-map epoch; v4 the
-        // propagated TraceContext; v5 the signed capability token.
+        // The stamp is part of the wire format (tests/golden_bytes.rs);
+        // it names the envelope layout, not a negotiable range.
         assert_eq!(PROTOCOL_VERSION, 5);
-        assert_eq!(MIN_REQUEST_VERSION, 3);
     }
 }

@@ -7,17 +7,17 @@
 //! data never travels inside a request — the server moves it one-sidedly
 //! through a [`MdHandle`] (paper §3.2, Figure 6).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{Decode, Encode};
 use crate::error::{Error, Result};
 use crate::ids::{ContainerId, ObjId, OpNum, PrincipalId, ProcessId, TxnId};
 use crate::ops::OpMask;
-use crate::security::{Capability, CapabilityKey, Credential, Signature};
-use crate::{impl_codec_struct, MIN_REQUEST_VERSION, PROTOCOL_VERSION};
+use crate::security::{Capability, CapabilityKey, Credential};
+use crate::{impl_codec_enum, impl_codec_struct, PROTOCOL_VERSION};
 
-/// Causal trace context carried in every request (wire v4).
+/// Causal trace context carried in every request.
 ///
 /// `trace_id` names the whole distributed operation: the originator (an
 /// `LwfsClient` mutation or a txn coordinator) mints it once, and every
@@ -28,8 +28,8 @@ use crate::{impl_codec_struct, MIN_REQUEST_VERSION, PROTOCOL_VERSION};
 /// whose handling caused this one (0 at the root), giving the collector
 /// the parent edge for tree assembly.
 ///
-/// A zero `trace_id` means "untraced": decoders fill it in for v3 peers,
-/// and `Request::new` self-roots it at the request's own `req_id`.
+/// A zero `trace_id` means "untraced"; `Request::new` self-roots the
+/// context at the request's own `req_id`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identity of the distributed operation this request belongs to.
@@ -83,25 +83,7 @@ pub struct PfsLayout {
     pub caps: Vec<Capability>,
 }
 
-impl Encode for PfsLayout {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.stripe_size.encode(buf);
-        self.size.encode(buf);
-        self.objects.encode(buf);
-        self.caps.encode(buf);
-    }
-}
-
-impl Decode for PfsLayout {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(PfsLayout {
-            stripe_size: Decode::decode(buf)?,
-            size: Decode::decode(buf)?,
-            objects: Decode::decode(buf)?,
-            caps: Decode::decode(buf)?,
-        })
-    }
-}
+impl_codec_struct!(PfsLayout { stripe_size, size, objects, caps });
 
 /// A server-side filter for `ReadFiltered` — the "remote processing
 /// (e.g., remote filtering)" extension the paper's §6 plans, after the
@@ -120,32 +102,11 @@ pub enum FilterSpec {
     Stats,
 }
 
-impl Encode for FilterSpec {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            FilterSpec::Subsample { stride } => {
-                buf.put_u8(0);
-                stride.encode(buf);
-            }
-            FilterSpec::Threshold { min_abs } => {
-                buf.put_u8(1);
-                buf.put_u32_le(min_abs.to_bits());
-            }
-            FilterSpec::Stats => buf.put_u8(2),
-        }
-    }
-}
-
-impl Decode for FilterSpec {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => FilterSpec::Subsample { stride: Decode::decode(buf)? },
-            1 => FilterSpec::Threshold { min_abs: f32::from_bits(u32::decode(buf)?) },
-            2 => FilterSpec::Stats,
-            t => return Err(Error::Malformed(format!("unknown filter tag {t}"))),
-        })
-    }
-}
+impl_codec_enum!(FilterSpec {
+    0 => Subsample { stride },
+    1 => Threshold { min_abs },
+    2 => Stats,
+});
 
 /// Lock modes for the lock service (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -154,27 +115,10 @@ pub enum LockMode {
     Exclusive,
 }
 
-impl Encode for LockMode {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            LockMode::Shared => 0,
-            LockMode::Exclusive => 1,
-        });
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl Decode for LockMode {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(LockMode::Shared),
-            1 => Ok(LockMode::Exclusive),
-            b => Err(Error::Malformed(format!("invalid lock mode {b}"))),
-        }
-    }
-}
+impl_codec_enum!(LockMode {
+    0 => Shared,
+    1 => Exclusive,
+});
 
 /// What a lock protects: either a whole object or a byte range of one.
 /// Byte-range locks are what a POSIX-semantics file system built *above*
@@ -234,17 +178,7 @@ impl ReplicaGroup {
     }
 }
 
-impl Encode for ReplicaGroup {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.members.encode(buf);
-    }
-}
-
-impl Decode for ReplicaGroup {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(ReplicaGroup { members: Decode::decode(buf)? })
-    }
-}
+impl_codec_struct!(ReplicaGroup { members });
 
 /// The cluster's replication-group directory: which servers form each
 /// group and who currently leads it. `epoch` increments on every
@@ -276,18 +210,7 @@ impl GroupMap {
     }
 }
 
-impl Encode for GroupMap {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.epoch.encode(buf);
-        self.groups.encode(buf);
-    }
-}
-
-impl Decode for GroupMap {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(GroupMap { epoch: Decode::decode(buf)?, groups: Decode::decode(buf)? })
-    }
-}
+impl_codec_struct!(GroupMap { epoch, groups });
 
 /// One histogram in on-wire, *mergeable* form: the sparse nonzero buckets
 /// of the log-linear layout (`lwfs-obs`), not a fixed quantile summary.
@@ -363,7 +286,7 @@ pub struct FlightTrace {
 impl_codec_struct!(FlightTrace { trace_id, total_ns, spans });
 
 /// One container's new revocation epoch, pushed issuer → enforcement point
-/// after a policy change or a bulk bump (v5).
+/// after a policy change or a bulk bump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochBump {
     pub container: ContainerId,
@@ -410,14 +333,14 @@ pub enum RequestBody {
         grant: OpMask,
         revoke: OpMask,
     },
-    /// Bulk-bump the revocation epoch of many containers at once (v5): the
+    /// Bulk-bump the revocation epoch of many containers at once: the
     /// revocation-storm path. Every signed token minted for these
     /// containers before the bump becomes stale at every enforcement point
     /// as soon as the new epochs are pushed — no per-token bookkeeping.
     /// Requires ADMIN on each container, presented as a legacy capability
     /// (revocation is a control-plane op; it stays on the issuer).
     BumpEpochs { cap: Capability, containers: Vec<ContainerId> },
-    /// Issuer → enforcement point (v5): the current revocation epochs for
+    /// Issuer → enforcement point: the current revocation epochs for
     /// recently bumped containers. Fire-and-forget semantics: enforcement
     /// points apply the maximum epoch they have seen, so reordered or
     /// re-sent pushes are harmless.
@@ -551,8 +474,7 @@ pub enum RequestBody {
     },
     /// Ask any node for the traces its flight recorder currently pins.
     ///
-    /// The second scrape of the monitoring plane (protocol-additive,
-    /// v4+): a `ClusterMonitor` sweeps this each window to assemble and
+    /// The second scrape of the monitoring plane: a `ClusterMonitor` sweeps this each window to assemble and
     /// attribute the fleet's slow traces live. Like `GetTelemetry` it is
     /// an annotation op — answered before dispatch, no `total` span, so
     /// scraping never perturbs the tail it measures. The reply is
@@ -572,8 +494,8 @@ pub enum ReplyBody {
     CredRevoked,
     ContainerCreated(ContainerId),
     ContainerRemoved,
-    /// Minted capabilities, one per requested op bit, plus (v5, signed
-    /// modes only) one self-certifying token per cap. `tokens` is empty in
+    /// Minted capabilities, one per requested op bit, plus (signed mode
+    /// only) one self-certifying token per cap. `tokens` is empty in
     /// legacy mode; when present it is parallel to `caps`.
     Caps {
         caps: Vec<Capability>,
@@ -643,8 +565,6 @@ pub enum ReplyBody {
 /// A complete request envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Protocol version; receivers reject mismatches.
-    pub version: u16,
     /// Sender-side sequence number used to pair replies on the
     /// connectionless transport.
     pub opnum: OpNum,
@@ -655,20 +575,20 @@ pub struct Request {
     /// (see `lwfs-obs`). Derived from `(reply_to, opnum)`, which the
     /// transport already guarantees unique per in-flight request.
     pub req_id: u64,
-    /// The group-map epoch the sender routed by (v3). `0` means "no
+    /// The group-map epoch the sender routed by. `0` means "no
     /// replication view" — non-replicated clients and service-to-service
     /// traffic. Servers use it to spot stale routing after a failover.
     pub epoch: u64,
-    /// Causal trace context (v4): which distributed operation this request
-    /// belongs to and which request caused it. Decoded as zero from v3
-    /// peers; `Request::new` self-roots it at `req_id`.
+    /// Causal trace context: which distributed operation this request
+    /// belongs to and which request caused it. `Request::new` self-roots
+    /// it at `req_id`.
     pub trace: TraceContext,
-    /// Self-certifying capability token (v5): an `lwfs-cap` signed blob the
+    /// Self-certifying capability token: an `lwfs-cap` signed blob the
     /// receiver can verify locally against the issuer's public key, instead
     /// of the verify-through RPC the body's opaque `Capability` requires.
-    /// Empty for v3/v4 peers and in `cap_mode = Legacy` clusters; the
-    /// envelope (not the body) carries it so every authorized op — data
-    /// path and replication ships alike — presents authority the same way.
+    /// Empty in `cap_mode = Legacy` clusters; the envelope (not the body)
+    /// carries it so every authorized op — data path and replication ships
+    /// alike — presents authority the same way.
     pub token: Bytes,
     pub body: RequestBody,
 }
@@ -677,16 +597,7 @@ impl Request {
     pub fn new(opnum: OpNum, reply_to: ProcessId, body: RequestBody) -> Self {
         let req_id = derive_req_id(reply_to, opnum);
         let trace = TraceContext { trace_id: req_id, parent_req_id: 0 };
-        Self {
-            version: PROTOCOL_VERSION,
-            opnum,
-            reply_to,
-            req_id,
-            epoch: 0,
-            trace,
-            token: Bytes::new(),
-            body,
-        }
+        Self { opnum, reply_to, req_id, epoch: 0, trace, token: Bytes::new(), body }
     }
 
     /// Stamp the sender's group-map epoch into the header.
@@ -731,7 +642,6 @@ pub fn derive_req_id(reply_to: ProcessId, opnum: OpNum) -> u64 {
 /// A complete reply envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
-    pub version: u16,
     /// Echo of the request's opnum.
     pub opnum: OpNum,
     pub body: ReplyBody,
@@ -739,7 +649,7 @@ pub struct Reply {
 
 impl Reply {
     pub fn new(opnum: OpNum, body: ReplyBody) -> Self {
-        Self { version: PROTOCOL_VERSION, opnum, body }
+        Self { opnum, body }
     }
 
     pub fn err(opnum: OpNum, e: Error) -> Self {
@@ -756,60 +666,50 @@ impl Reply {
 }
 
 // ---------------------------------------------------------------------------
-// Codec for the envelope and both body enums. One discriminant byte each.
+// Codec: the envelopes open with the version stamp; each enum states every
+// variant's discriminant byte and field order exactly once.
 // ---------------------------------------------------------------------------
+
+/// Read an envelope's version stamp, refusing anything but the one
+/// version this build speaks.
+fn decode_version(buf: &mut impl Buf) -> Result<()> {
+    match u16::decode(buf)? {
+        PROTOCOL_VERSION => Ok(()),
+        version => Err(Error::Malformed(format!("unsupported protocol version {version}"))),
+    }
+}
 
 impl Encode for Request {
     fn encode(&self, buf: &mut BytesMut) {
-        self.version.encode(buf);
+        PROTOCOL_VERSION.encode(buf);
         self.opnum.encode(buf);
         self.reply_to.encode(buf);
         self.req_id.encode(buf);
         self.epoch.encode(buf);
-        // Version-gated extensions: a request re-encoded at its decoded
-        // version stays byte-identical for the old wire format.
-        if self.version >= 4 {
-            self.trace.encode(buf);
-        }
-        if self.version >= 5 {
-            self.token.encode(buf);
-        }
+        self.trace.encode(buf);
+        self.token.encode(buf);
         self.body.encode(buf);
     }
 }
 
 impl Decode for Request {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let version = u16::decode(buf)?;
-        if !(MIN_REQUEST_VERSION..=PROTOCOL_VERSION).contains(&version) {
-            return Err(Error::Malformed(format!("unsupported protocol version {version}")));
-        }
-        let opnum = OpNum::decode(buf)?;
-        let reply_to = ProcessId::decode(buf)?;
-        let req_id = u64::decode(buf)?;
-        let epoch = u64::decode(buf)?;
-        // v3 peers don't send a trace: decode a zero context, degrading the
-        // cluster to per-hop tracing rather than rejecting the request.
-        let trace = if version >= 4 { TraceContext::decode(buf)? } else { TraceContext::default() };
-        // Pre-v5 peers carry no signed token; they authenticate through the
-        // legacy verify-through path.
-        let token = if version >= 5 { Bytes::decode(buf)? } else { Bytes::new() };
+        decode_version(buf)?;
         Ok(Request {
-            version,
-            opnum,
-            reply_to,
-            req_id,
-            epoch,
-            trace,
-            token,
-            body: RequestBody::decode(buf)?,
+            opnum: Decode::decode(buf)?,
+            reply_to: Decode::decode(buf)?,
+            req_id: Decode::decode(buf)?,
+            epoch: Decode::decode(buf)?,
+            trace: Decode::decode(buf)?,
+            token: Decode::decode(buf)?,
+            body: Decode::decode(buf)?,
         })
     }
 }
 
 impl Encode for Reply {
     fn encode(&self, buf: &mut BytesMut) {
-        self.version.encode(buf);
+        PROTOCOL_VERSION.encode(buf);
         self.opnum.encode(buf);
         self.body.encode(buf);
     }
@@ -817,369 +717,130 @@ impl Encode for Reply {
 
 impl Decode for Reply {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let version = u16::decode(buf)?;
-        if version != PROTOCOL_VERSION {
-            return Err(Error::Malformed(format!("unsupported protocol version {version}")));
-        }
-        Ok(Reply { version, opnum: OpNum::decode(buf)?, body: ReplyBody::decode(buf)? })
+        decode_version(buf)?;
+        Ok(Reply { opnum: Decode::decode(buf)?, body: Decode::decode(buf)? })
     }
 }
 
-macro_rules! encode_variants {
-    ($self:ident, $buf:ident; $($tag:literal => $pat:pat => { $($e:expr),* $(,)? }),+ $(,)?) => {
-        match $self {
-            $(
-                $pat => {
-                    $buf.put_u8($tag);
-                    $( Encode::encode($e, $buf); )*
-                }
-            )+
-        }
-    };
-}
+impl_codec_enum!(RequestBody {
+    0 => Ping,
+    1 => GetCred { mechanism_token },
+    2 => VerifyCred { cred },
+    3 => RevokeCred { cred },
+    10 => CreateContainer { cred },
+    11 => RemoveContainer { cap },
+    12 => GetCaps { cred, container, ops },
+    13 => VerifyCaps { caps, cache_site },
+    14 => ModPolicy { cap, container, principal, grant, revoke },
+    15 => BumpEpochs { cap, containers },
+    16 => PushEpochs { epochs },
+    20 => CreateObj { txn, cap, obj },
+    21 => RemoveObj { txn, cap, obj },
+    22 => Write { txn, cap, obj, offset, len, md },
+    23 => Read { cap, obj, offset, len, md },
+    28 => ReadFiltered { cap, obj, offset, len, filter, md },
+    24 => GetAttr { cap, obj },
+    25 => Sync { cap, obj },
+    26 => ListObjs { cap },
+    27 => InvalidateCaps { authz_epoch, keys },
+    30 => NameCreate { txn, path, container, obj },
+    31 => NameLookup { path },
+    32 => NameRemove { txn, path },
+    33 => NameList { prefix },
+    35 => PfsCreate { path, stripe_count, stripe_size },
+    36 => PfsOpen { path },
+    37 => PfsSetSize { path, size },
+    38 => PfsUnlink { path },
+    40 => TxnBegin { cred },
+    41 => TxnPrepare { txn },
+    42 => TxnCommit { txn },
+    43 => TxnAbort { txn },
+    44 => LockAcquire { cap, resource, mode, wait },
+    45 => LockRelease { cap, lock },
+    50 => GetGroupMap,
+    51 => ReplShip { group, epoch, seq, origin, origin_opnum, records, reply },
+    52 => ReportDroppedBackup { group, epoch, backup },
+    53 => GetTelemetry { events_from },
+    54 => GetFlightTraces,
+});
 
-impl Encode for RequestBody {
-    fn encode(&self, buf: &mut BytesMut) {
-        use RequestBody::*;
-        encode_variants!(self, buf;
-            0  => Ping => {},
-            1  => GetCred { mechanism_token } => { mechanism_token },
-            2  => VerifyCred { cred } => { cred },
-            3  => RevokeCred { cred } => { cred },
-            10 => CreateContainer { cred } => { cred },
-            11 => RemoveContainer { cap } => { cap },
-            12 => GetCaps { cred, container, ops } => { cred, container, ops },
-            13 => VerifyCaps { caps, cache_site } => { caps, cache_site },
-            14 => ModPolicy { cap, container, principal, grant, revoke } =>
-                { cap, container, principal, grant, revoke },
-            15 => BumpEpochs { cap, containers } => { cap, containers },
-            16 => PushEpochs { epochs } => { epochs },
-            20 => CreateObj { txn, cap, obj } => { txn, cap, obj },
-            21 => RemoveObj { txn, cap, obj } => { txn, cap, obj },
-            22 => Write { txn, cap, obj, offset, len, md } => { txn, cap, obj, offset, len, md },
-            23 => Read { cap, obj, offset, len, md } => { cap, obj, offset, len, md },
-            28 => ReadFiltered { cap, obj, offset, len, filter, md } =>
-                { cap, obj, offset, len, filter, md },
-            24 => GetAttr { cap, obj } => { cap, obj },
-            25 => Sync { cap, obj } => { cap, obj },
-            26 => ListObjs { cap } => { cap },
-            27 => InvalidateCaps { authz_epoch, keys } => { authz_epoch, keys },
-            30 => NameCreate { txn, path, container, obj } => { txn, path, container, obj },
-            31 => NameLookup { path } => { path },
-            32 => NameRemove { txn, path } => { txn, path },
-            33 => NameList { prefix } => { prefix },
-            35 => PfsCreate { path, stripe_count, stripe_size } => { path, stripe_count, stripe_size },
-            36 => PfsOpen { path } => { path },
-            37 => PfsSetSize { path, size } => { path, size },
-            38 => PfsUnlink { path } => { path },
-            40 => TxnBegin { cred } => { cred },
-            41 => TxnPrepare { txn } => { txn },
-            42 => TxnCommit { txn } => { txn },
-            43 => TxnAbort { txn } => { txn },
-            44 => LockAcquire { cap, resource, mode, wait } => { cap, resource, mode, wait },
-            45 => LockRelease { cap, lock } => { cap, lock },
-            50 => GetGroupMap => {},
-            51 => ReplShip { group, epoch, seq, origin, origin_opnum, records, reply } =>
-                { group, epoch, seq, origin, origin_opnum, records, reply },
-            52 => ReportDroppedBackup { group, epoch, backup } => { group, epoch, backup },
-            53 => GetTelemetry { events_from } => { events_from },
-            54 => GetFlightTraces => {},
-        );
-    }
-}
+impl_codec_enum!(ReplyBody {
+    0 => Err(e),
+    1 => Pong,
+    2 => Cred(c),
+    3 => CredOk { principal },
+    4 => CredRevoked,
+    10 => ContainerCreated(c),
+    11 => ContainerRemoved,
+    12 => Caps { caps, tokens },
+    13 => CapsVerified { valid },
+    14 => PolicyChanged { new_caps },
+    15 => EpochsBumped { bumped },
+    16 => EpochsPushed,
+    20 => ObjCreated(o),
+    21 => ObjRemoved,
+    22 => WriteDone { len },
+    23 => ReadDone { len },
+    28 => FilteredDone { len, scanned },
+    24 => Attr(a),
+    25 => Synced,
+    26 => Objs(objs),
+    27 => CapsInvalidated { dropped },
+    30 => NameCreated,
+    31 => NameObj { container, obj },
+    32 => NameRemoved,
+    33 => Names(names),
+    35 => PfsLayoutReply(layout),
+    36 => PfsOk,
+    40 => TxnStarted(t),
+    41 => TxnVote(v),
+    42 => TxnCommitted,
+    43 => TxnAborted,
+    44 => LockGranted(l),
+    45 => LockReleased,
+    50 => GroupMapReply(map),
+    51 => ReplAck { seq },
+    52 => Telemetry(snap),
+    53 => FlightTraces(traces),
+});
 
-impl Decode for RequestBody {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        use RequestBody::*;
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => Ping,
-            1 => GetCred { mechanism_token: Decode::decode(buf)? },
-            2 => VerifyCred { cred: Decode::decode(buf)? },
-            3 => RevokeCred { cred: Decode::decode(buf)? },
-            10 => CreateContainer { cred: Decode::decode(buf)? },
-            11 => RemoveContainer { cap: Decode::decode(buf)? },
-            12 => GetCaps {
-                cred: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                ops: Decode::decode(buf)?,
-            },
-            13 => VerifyCaps { caps: Decode::decode(buf)?, cache_site: Decode::decode(buf)? },
-            14 => ModPolicy {
-                cap: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                principal: Decode::decode(buf)?,
-                grant: Decode::decode(buf)?,
-                revoke: Decode::decode(buf)?,
-            },
-            15 => BumpEpochs { cap: Decode::decode(buf)?, containers: Decode::decode(buf)? },
-            16 => PushEpochs { epochs: Decode::decode(buf)? },
-            20 => CreateObj {
-                txn: Decode::decode(buf)?,
-                cap: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-            },
-            21 => RemoveObj {
-                txn: Decode::decode(buf)?,
-                cap: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-            },
-            22 => Write {
-                txn: Decode::decode(buf)?,
-                cap: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-                md: Decode::decode(buf)?,
-            },
-            23 => Read {
-                cap: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-                md: Decode::decode(buf)?,
-            },
-            28 => ReadFiltered {
-                cap: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                len: Decode::decode(buf)?,
-                filter: Decode::decode(buf)?,
-                md: Decode::decode(buf)?,
-            },
-            24 => GetAttr { cap: Decode::decode(buf)?, obj: Decode::decode(buf)? },
-            25 => Sync { cap: Decode::decode(buf)?, obj: Decode::decode(buf)? },
-            26 => ListObjs { cap: Decode::decode(buf)? },
-            27 => InvalidateCaps { authz_epoch: Decode::decode(buf)?, keys: Decode::decode(buf)? },
-            30 => NameCreate {
-                txn: Decode::decode(buf)?,
-                path: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-            },
-            31 => NameLookup { path: Decode::decode(buf)? },
-            32 => NameRemove { txn: Decode::decode(buf)?, path: Decode::decode(buf)? },
-            33 => NameList { prefix: Decode::decode(buf)? },
-            35 => PfsCreate {
-                path: Decode::decode(buf)?,
-                stripe_count: Decode::decode(buf)?,
-                stripe_size: Decode::decode(buf)?,
-            },
-            36 => PfsOpen { path: Decode::decode(buf)? },
-            37 => PfsSetSize { path: Decode::decode(buf)?, size: Decode::decode(buf)? },
-            38 => PfsUnlink { path: Decode::decode(buf)? },
-            40 => TxnBegin { cred: Decode::decode(buf)? },
-            41 => TxnPrepare { txn: Decode::decode(buf)? },
-            42 => TxnCommit { txn: Decode::decode(buf)? },
-            43 => TxnAbort { txn: Decode::decode(buf)? },
-            44 => LockAcquire {
-                cap: Decode::decode(buf)?,
-                resource: Decode::decode(buf)?,
-                mode: Decode::decode(buf)?,
-                wait: Decode::decode(buf)?,
-            },
-            45 => LockRelease { cap: Decode::decode(buf)?, lock: Decode::decode(buf)? },
-            50 => GetGroupMap,
-            51 => ReplShip {
-                group: Decode::decode(buf)?,
-                epoch: Decode::decode(buf)?,
-                seq: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-                origin_opnum: Decode::decode(buf)?,
-                records: Decode::decode(buf)?,
-                reply: Decode::decode(buf)?,
-            },
-            52 => ReportDroppedBackup {
-                group: Decode::decode(buf)?,
-                epoch: Decode::decode(buf)?,
-                backup: Decode::decode(buf)?,
-            },
-            53 => GetTelemetry { events_from: Decode::decode(buf)? },
-            54 => GetFlightTraces,
-            t => return Err(Error::Malformed(format!("unknown request tag {t}"))),
-        })
-    }
-}
-
-impl Encode for ReplyBody {
-    fn encode(&self, buf: &mut BytesMut) {
-        use ReplyBody::*;
-        encode_variants!(self, buf;
-            0  => Err(e) => { e },
-            1  => Pong => {},
-            2  => Cred(c) => { c },
-            3  => CredOk { principal } => { principal },
-            4  => CredRevoked => {},
-            10 => ContainerCreated(c) => { c },
-            11 => ContainerRemoved => {},
-            12 => Caps { caps, tokens } => { caps, tokens },
-            13 => CapsVerified { valid } => { valid },
-            14 => PolicyChanged { new_caps } => { new_caps },
-            15 => EpochsBumped { bumped } => { bumped },
-            16 => EpochsPushed => {},
-            20 => ObjCreated(o) => { o },
-            21 => ObjRemoved => {},
-            22 => WriteDone { len } => { len },
-            23 => ReadDone { len } => { len },
-            28 => FilteredDone { len, scanned } => { len, scanned },
-            24 => Attr(a) => { a },
-            25 => Synced => {},
-            26 => Objs(objs) => { objs },
-            27 => CapsInvalidated { dropped } => { dropped },
-            30 => NameCreated => {},
-            31 => NameObj { container, obj } => { container, obj },
-            32 => NameRemoved => {},
-            33 => Names(names) => { names },
-            35 => PfsLayoutReply(layout) => { layout },
-            36 => PfsOk => {},
-            40 => TxnStarted(t) => { t },
-            41 => TxnVote(v) => { v },
-            42 => TxnCommitted => {},
-            43 => TxnAborted => {},
-            44 => LockGranted(l) => { l },
-            45 => LockReleased => {},
-            50 => GroupMapReply(map) => { map },
-            51 => ReplAck { seq } => { seq },
-            52 => Telemetry(snap) => { snap },
-            53 => FlightTraces(traces) => { traces },
-        );
-    }
-}
-
-impl Decode for ReplyBody {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        use ReplyBody::*;
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => Err(Decode::decode(buf)?),
-            1 => Pong,
-            2 => Cred(Decode::decode(buf)?),
-            3 => CredOk { principal: Decode::decode(buf)? },
-            4 => CredRevoked,
-            10 => ContainerCreated(Decode::decode(buf)?),
-            11 => ContainerRemoved,
-            12 => Caps { caps: Decode::decode(buf)?, tokens: Decode::decode(buf)? },
-            13 => CapsVerified { valid: Decode::decode(buf)? },
-            14 => PolicyChanged { new_caps: Decode::decode(buf)? },
-            15 => EpochsBumped { bumped: Decode::decode(buf)? },
-            16 => EpochsPushed,
-            20 => ObjCreated(Decode::decode(buf)?),
-            21 => ObjRemoved,
-            22 => WriteDone { len: Decode::decode(buf)? },
-            23 => ReadDone { len: Decode::decode(buf)? },
-            28 => FilteredDone { len: Decode::decode(buf)?, scanned: Decode::decode(buf)? },
-            24 => Attr(Decode::decode(buf)?),
-            25 => Synced,
-            26 => Objs(Decode::decode(buf)?),
-            27 => CapsInvalidated { dropped: Decode::decode(buf)? },
-            30 => NameCreated,
-            31 => NameObj { container: Decode::decode(buf)?, obj: Decode::decode(buf)? },
-            32 => NameRemoved,
-            33 => Names(Decode::decode(buf)?),
-            35 => PfsLayoutReply(Decode::decode(buf)?),
-            36 => PfsOk,
-            40 => TxnStarted(Decode::decode(buf)?),
-            41 => TxnVote(Decode::decode(buf)?),
-            42 => TxnCommitted,
-            43 => TxnAborted,
-            44 => LockGranted(Decode::decode(buf)?),
-            45 => LockReleased,
-            50 => GroupMapReply(Decode::decode(buf)?),
-            51 => ReplAck { seq: Decode::decode(buf)? },
-            52 => Telemetry(Decode::decode(buf)?),
-            53 => FlightTraces(Decode::decode(buf)?),
-            t => {
-                return std::result::Result::Err(Error::Malformed(format!("unknown reply tag {t}")))
-            }
-        })
-    }
-}
-
-// Error codec: discriminant byte + payload where present.
-impl Encode for Error {
-    fn encode(&self, buf: &mut BytesMut) {
-        use Error::*;
-        encode_variants!(self, buf;
-            0 => BadCredential => {},
-            1 => CredentialExpired => {},
-            2 => CredentialRevoked => {},
-            3 => BadCapability => {},
-            4 => CapabilityExpired => {},
-            5 => CapabilityRevoked => {},
-            6 => AccessDenied => {},
-            7 => NoSuchContainer(c) => { c },
-            8 => NoSuchObject(o) => { o },
-            9 => ObjectExists(o) => { o },
-            10 => NoSuchName => {},
-            11 => NameExists => {},
-            12 => ServerBusy => {},
-            13 => NoSuchTxn(t) => { t },
-            14 => TxnAborted(t) => { t },
-            15 => WouldBlock => {},
-            16 => Deadlock => {},
-            17 => ObjectTooLarge => {},
-            18 => Malformed(m) => { m },
-            19 => Unreachable => {},
-            20 => Timeout => {},
-            21 => StorageIo(m) => { m },
-            22 => Internal(m) => { m },
-            23 => RetriesExhausted => {},
-            24 => NotPrimary => {},
-        );
-    }
-}
-
-impl Decode for Error {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        use Error::*;
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => BadCredential,
-            1 => CredentialExpired,
-            2 => CredentialRevoked,
-            3 => BadCapability,
-            4 => CapabilityExpired,
-            5 => CapabilityRevoked,
-            6 => AccessDenied,
-            7 => NoSuchContainer(Decode::decode(buf)?),
-            8 => NoSuchObject(Decode::decode(buf)?),
-            9 => ObjectExists(Decode::decode(buf)?),
-            10 => NoSuchName,
-            11 => NameExists,
-            12 => ServerBusy,
-            13 => NoSuchTxn(Decode::decode(buf)?),
-            14 => TxnAborted(Decode::decode(buf)?),
-            15 => WouldBlock,
-            16 => Deadlock,
-            17 => ObjectTooLarge,
-            18 => Malformed(Decode::decode(buf)?),
-            19 => Unreachable,
-            20 => Timeout,
-            21 => StorageIo(Decode::decode(buf)?),
-            22 => Internal(Decode::decode(buf)?),
-            23 => RetriesExhausted,
-            24 => NotPrimary,
-            t => return std::result::Result::Err(Malformed(format!("unknown error tag {t}"))),
-        })
-    }
-}
+impl_codec_enum!(Error {
+    0 => BadCredential,
+    1 => CredentialExpired,
+    2 => CredentialRevoked,
+    3 => BadCapability,
+    4 => CapabilityExpired,
+    5 => CapabilityRevoked,
+    6 => AccessDenied,
+    7 => NoSuchContainer(c),
+    8 => NoSuchObject(o),
+    9 => ObjectExists(o),
+    10 => NoSuchName,
+    11 => NameExists,
+    12 => ServerBusy,
+    13 => NoSuchTxn(t),
+    14 => TxnAborted(t),
+    15 => WouldBlock,
+    16 => Deadlock,
+    17 => ObjectTooLarge,
+    18 => Malformed(m),
+    19 => Unreachable,
+    20 => Timeout,
+    21 => StorageIo(m),
+    22 => Internal(m),
+    23 => RetriesExhausted,
+    24 => NotPrimary,
+});
 
 // CapabilityKey codec (used by VerifyCaps/InvalidateCaps).
 impl_codec_struct!(CapabilityKey { serial, sig });
-
-// Keep Signature importable from here for downstream codec users.
-#[allow(unused_imports)]
-use crate::security::Signature as _SignatureReexportCheck;
-const _: fn() = || {
-    let _ = std::mem::size_of::<Signature>();
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::Lifetime;
-    use crate::security::{CapabilityBody, CredentialBody};
-    use bytes::Bytes;
+    use crate::security::{CapabilityBody, CredentialBody, Signature};
+    use bytes::BufMut;
 
     fn sample_cred() -> Credential {
         Credential {
@@ -1465,51 +1126,20 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut req = Request::new(OpNum(0), ProcessId::new(0, 0), RequestBody::Ping);
-        req.version = 99;
-        assert!(Request::from_bytes(req.to_bytes()).is_err());
-        req.version = 2;
-        assert!(Request::from_bytes(req.to_bytes()).is_err());
-    }
-
-    #[test]
-    fn v3_request_decodes_with_zero_trace_and_roundtrips() {
-        // A v3 peer encodes no trace field. Setting version=3 before
-        // encoding produces exactly the old wire format (the encoder gates
-        // the trace on version >= 4).
-        let mut req =
-            Request::new(OpNum(7), ProcessId::new(1, 2), RequestBody::GetGroupMap).with_epoch(5);
-        req.version = 3;
-        let v3_bytes = req.to_bytes();
-
-        let back = Request::from_bytes(v3_bytes.clone()).expect("v3 request must decode");
-        assert_eq!(back.version, 3);
-        assert_eq!(back.trace, TraceContext::default(), "v3 decodes with a zero trace");
-        assert_eq!(back.opnum, req.opnum);
-        assert_eq!(back.req_id, req.req_id);
-        assert_eq!(back.epoch, 5);
-        assert_eq!(back.body, req.body);
-        // Round trip: re-encoding the decoded request reproduces the v3
-        // bytes exactly, so mixed-version relays are lossless.
-        assert_eq!(back.to_bytes(), v3_bytes);
-    }
-
-    #[test]
-    fn v4_request_decodes_with_empty_token_and_roundtrips() {
-        // A v4 peer sends a trace but no token. Setting version=4 before
-        // encoding produces exactly the old wire format (the encoder gates
-        // the token on version >= 5).
-        let mut req =
-            Request::new(OpNum(9), ProcessId::new(1, 2), RequestBody::GetGroupMap).with_epoch(2);
-        req.version = 4;
-        let v4_bytes = req.to_bytes();
-
-        let back = Request::from_bytes(v4_bytes.clone()).expect("v4 request must decode");
-        assert_eq!(back.version, 4);
-        assert_eq!(back.trace, req.trace, "v4 still carries its trace");
-        assert!(back.token.is_empty(), "v4 decodes with an empty token");
-        assert_eq!(back.body, req.body);
-        assert_eq!(back.to_bytes(), v4_bytes, "relay is lossless");
+        // One version: every other stamp is refused, older and newer alike.
+        let req = Request::new(OpNum(0), ProcessId::new(0, 0), RequestBody::Ping).to_bytes();
+        let rep = Reply::new(OpNum(0), ReplyBody::Pong).to_bytes();
+        for version in [2u16, 3, 4, 99] {
+            for good in [&req, &rep] {
+                let mut bad = BytesMut::new();
+                bad.put_u16_le(version);
+                bad.put_slice(&good[2..]);
+                assert!(Request::from_bytes(bad.clone().freeze()).is_err(), "v{version}");
+                assert!(Reply::from_bytes(bad.freeze()).is_err(), "v{version}");
+            }
+        }
+        assert!(Request::from_bytes(req).is_ok());
+        assert!(Reply::from_bytes(rep).is_ok());
     }
 
     #[test]
@@ -1590,21 +1220,69 @@ mod tests {
         assert!(!a.overlaps(&other_obj));
     }
 
+    fn all_errors() -> Vec<Error> {
+        use Error::*;
+        vec![
+            BadCredential,
+            CredentialExpired,
+            CredentialRevoked,
+            BadCapability,
+            CapabilityExpired,
+            CapabilityRevoked,
+            AccessDenied,
+            NoSuchContainer(ContainerId(5)),
+            NoSuchObject(ObjId(6)),
+            ObjectExists(ObjId(6)),
+            NoSuchName,
+            NameExists,
+            ServerBusy,
+            NoSuchTxn(TxnId(7)),
+            TxnAborted(TxnId(7)),
+            WouldBlock,
+            Deadlock,
+            ObjectTooLarge,
+            Malformed("x".into()),
+            Unreachable,
+            Timeout,
+            StorageIo("disk on fire".into()),
+            Internal("bug".into()),
+            RetriesExhausted,
+            NotPrimary,
+        ]
+    }
+
     #[test]
     fn errors_roundtrip_through_reply() {
-        for e in [
-            Error::BadCredential,
-            Error::NoSuchContainer(ContainerId(5)),
-            Error::NoSuchObject(ObjId(6)),
-            Error::TxnAborted(TxnId(7)),
-            Error::StorageIo("disk on fire".into()),
-            Error::Internal("bug".into()),
-            Error::RetriesExhausted,
-            Error::NotPrimary,
-        ] {
+        for e in all_errors() {
             let rep = Reply::err(OpNum(1), e.clone());
             let back = Reply::from_bytes(rep.to_bytes()).unwrap();
             assert_eq!(back.into_result().unwrap_err(), e);
+        }
+    }
+
+    /// The generated tables: no discriminant is stated twice, and the
+    /// sample lists the round-trip tests walk reach every one of them.
+    #[test]
+    fn tag_tables_are_unique_and_fully_sampled() {
+        use std::collections::BTreeSet;
+        fn check<T: Encode>(name: &str, tags: &[u8], samples: &[T]) {
+            let unique: BTreeSet<u8> = tags.iter().copied().collect();
+            assert_eq!(unique.len(), tags.len(), "{name} states a tag twice");
+            let sampled: BTreeSet<u8> = samples.iter().map(|s| s.to_bytes()[0]).collect();
+            assert_eq!(sampled, unique, "{name} samples miss a variant");
+        }
+        check("RequestBody", RequestBody::TAGS, &all_request_bodies());
+        check("ReplyBody", ReplyBody::TAGS, &all_reply_bodies());
+        check("Error", Error::TAGS, &all_errors());
+        check("LockMode", LockMode::TAGS, &[LockMode::Shared, LockMode::Exclusive]);
+        let filters = [
+            FilterSpec::Subsample { stride: 4 },
+            FilterSpec::Threshold { min_abs: 0.5 },
+            FilterSpec::Stats,
+        ];
+        check("FilterSpec", FilterSpec::TAGS, &filters);
+        for f in filters {
+            assert_eq!(FilterSpec::from_bytes(f.to_bytes()).unwrap(), f);
         }
     }
 

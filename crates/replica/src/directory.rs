@@ -24,17 +24,14 @@ struct GroupDirectory {
 
 impl Service for GroupDirectory {
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody {
+        if let Some(scrape) = lwfs_portals::telemetry::answer(ep.obs(), &req.body) {
+            return scrape;
+        }
         match &req.body {
             RequestBody::Ping => ReplyBody::Pong,
             RequestBody::GetGroupMap => ReplyBody::GroupMapReply(self.map.read().clone()),
             RequestBody::ReportDroppedBackup { group, epoch: _, backup } => {
                 self.drop_backup(ep, req.reply_to, *group as usize, *backup)
-            }
-            RequestBody::GetTelemetry { events_from } => {
-                ReplyBody::Telemetry(lwfs_portals::telemetry_snapshot(ep.obs(), *events_from))
-            }
-            RequestBody::GetFlightTraces => {
-                ReplyBody::FlightTraces(lwfs_portals::flight_traces(ep.obs()))
             }
             _ => ReplyBody::Err(Error::Malformed(
                 "group directory answers only group-map lookups".into(),

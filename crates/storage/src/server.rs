@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use lwfs_auth::Clock;
 use lwfs_authz::CachedCapVerifier;
-use lwfs_cap::{CapMode, LocalCapVerifier, PublicKey};
+use lwfs_cap::{LocalCapVerifier, PublicKey};
 use lwfs_obs::{Counter, OpTrace, Registry};
 use lwfs_portals::{
     retry, Endpoint, Event, Network, RetryPolicy, RpcClient, RpcConfig, REQUEST_MATCH,
@@ -96,18 +96,15 @@ pub struct StorageConfig {
     /// and rejects client mutations with [`Error::NotPrimary`]. `None`
     /// (the default) is a standalone server.
     pub replica: Option<ReplicaConfig>,
-    /// Self-certifying capability enforcement (wire v5). `None` (the
-    /// default) is the legacy verify-through-only server.
+    /// Self-certifying capability enforcement (`CapMode::Signed`): every
+    /// data operation and every inbound ship must carry a signed token.
+    /// `None` (the default) is the legacy verify-through-only server.
     pub signed: Option<SignedCapConfig>,
 }
 
 /// Configuration of local (signature-based) capability verification.
 #[derive(Debug, Clone)]
 pub struct SignedCapConfig {
-    /// `Signed` accepts tokens and falls back to verify-through for
-    /// unsigned requests; `Require` refuses unsigned data operations.
-    /// (`Legacy` here is equivalent to leaving the whole config `None`.)
-    pub mode: CapMode,
     /// The issuer's ed25519 public key — the *only* secret-free state a
     /// storage server needs to judge any capability in the cluster.
     pub public_key: [u8; 32],
@@ -306,8 +303,8 @@ pub struct StorageServer {
     store: ObjectStore,
     pool: PinnedBufferPool,
     verifier: Option<CachedCapVerifier>,
-    /// Local signature-based capability enforcement (wire v5), when the
-    /// cluster runs a signed cap mode.
+    /// Local signature-based capability enforcement, when the cluster
+    /// runs `CapMode::Signed`.
     signed: Option<SignedCaps>,
     clock: Arc<dyn Clock>,
     journal: JournalStore<UndoOp>,
@@ -322,7 +319,6 @@ pub struct StorageServer {
 
 /// Runtime state for signed-capability enforcement.
 struct SignedCaps {
-    mode: CapMode,
     verifier: LocalCapVerifier,
     /// Token presented on outbound ships (empty = none configured).
     ship_token: Bytes,
@@ -416,21 +412,17 @@ impl StorageServer {
             obs.gauge("storage.repl_epoch").set(repl.epoch() as i64);
             obs.gauge("storage.repl_lag").set(0);
         }
-        let signed = config.signed.as_ref().and_then(|sc| {
-            if !sc.mode.signed() {
-                return None;
-            }
+        let signed = config.signed.as_ref().map(|sc| {
             let public = PublicKey::from_bytes(&sc.public_key)
                 .unwrap_or_else(|| panic!("storage server {id}: invalid issuer public key"));
-            Some(SignedCaps {
-                mode: sc.mode,
+            SignedCaps {
                 verifier: LocalCapVerifier::with_registry(
                     public,
                     sc.clock_skew.as_nanos().min(u128::from(u64::MAX)) as u64,
                     &obs,
                 ),
                 ship_token: sc.ship_token.clone().unwrap_or_default(),
-            })
+            }
         });
         let server = Arc::new(StorageServer {
             site: id,
@@ -740,22 +732,8 @@ impl StorageServer {
                 // its window cadence at the moment the cluster degrades.
                 // Answering here also keeps the scrape out of the trace
                 // and latency series it reads.
-                if let RequestBody::GetTelemetry { events_from } = &req.body {
-                    let body = ReplyBody::Telemetry(lwfs_portals::telemetry_snapshot(
-                        &self.obs,
-                        *events_from,
-                    ));
-                    let rep = Reply::new(req.opnum, body);
-                    let _ = ep.send(
-                        req.reply_to,
-                        lwfs_portals::reply_match(req.opnum.0),
-                        rep.to_bytes(),
-                    );
-                    return;
-                }
-                if matches!(req.body, RequestBody::GetFlightTraces) {
-                    let body = ReplyBody::FlightTraces(lwfs_portals::flight_traces(&self.obs));
-                    let rep = Reply::new(req.opnum, body);
+                if let Some(scrape) = lwfs_portals::telemetry::answer(&self.obs, &req.body) {
+                    let rep = Reply::new(req.opnum, scrape);
                     let _ = ep.send(
                         req.reply_to,
                         lwfs_portals::reply_match(req.opnum.0),
@@ -788,27 +766,15 @@ impl StorageServer {
         obj: u64,
     ) -> Result<()> {
         if let Some(signed) = &self.signed {
-            if !token.is_empty() {
-                // Self-certifying path: the local verdict is final — a
-                // forged, revoked, or expired token is refused here, never
-                // "rescued" by a verify-through round trip (that would put
-                // the authorization service back on the data path exactly
-                // when an attacker controls the traffic).
-                return signed.verifier.check(
-                    token,
-                    need,
-                    cap.container(),
-                    obj,
-                    self.clock.now(),
-                    0,
-                );
-            }
-            if signed.mode == CapMode::Require {
-                // No token, none accepted: v4-era unsigned requests are
-                // shut out once the operator requires signed caps.
+            // Self-certifying path: the local verdict is final — a missing,
+            // forged, revoked, or expired token is refused here, never
+            // "rescued" by a verify-through round trip (that would put the
+            // authorization service back on the data path exactly when an
+            // attacker controls the traffic).
+            if token.is_empty() {
                 return Err(Error::AccessDenied);
             }
-            // `Signed` mode without a token: legacy fallback below.
+            return signed.verifier.check(token, need, cap.container(), obj, self.clock.now(), 0);
         }
         match &self.verifier {
             Some(v) => {
@@ -1081,12 +1047,6 @@ impl StorageServer {
                 ReplyBody::TxnAborted
             }
             RequestBody::Ping => ReplyBody::Pong,
-            RequestBody::GetTelemetry { events_from } => {
-                ReplyBody::Telemetry(lwfs_portals::telemetry_snapshot(&self.obs, *events_from))
-            }
-            RequestBody::GetFlightTraces => {
-                ReplyBody::FlightTraces(lwfs_portals::flight_traces(&self.obs))
-            }
             other => {
                 ReplyBody::Err(Error::Malformed(format!("storage service cannot handle {other:?}")))
             }
@@ -1299,23 +1259,22 @@ impl StorageServer {
         if repl.known_primary() != Some(req.reply_to) {
             return ReplyBody::Err(Error::AccessDenied);
         }
-        // Cryptographic sender authentication (wire v5): the ship must
-        // carry a group-scoped token bound to the sending node. The
-        // known-primary check above pins *which* process may ship; this
-        // one proves the bytes actually come from a holder the issuer
-        // authorized for the group, so a spoofed `reply_to` is not enough.
+        // Cryptographic sender authentication: the ship must carry a
+        // group-scoped token bound to the sending node. The known-primary
+        // check above pins *which* process may ship; this one proves the
+        // bytes actually come from a holder the issuer authorized for the
+        // group, so a spoofed `reply_to` is not enough.
         if let Some(signed) = &self.signed {
-            if !req.token.is_empty() {
-                if let Err(e) = signed.verifier.check_group(
-                    &req.token,
-                    *group,
-                    self.clock.now(),
-                    req.reply_to.nid.0,
-                ) {
-                    return ReplyBody::Err(e);
-                }
-            } else if signed.mode == CapMode::Require {
+            if req.token.is_empty() {
                 return ReplyBody::Err(Error::AccessDenied);
+            }
+            if let Err(e) = signed.verifier.check_group(
+                &req.token,
+                *group,
+                self.clock.now(),
+                req.reply_to.nid.0,
+            ) {
+                return ReplyBody::Err(e);
             }
         }
         repl.observe_epoch(*epoch);

@@ -37,59 +37,34 @@ pub use reader::{read_log, ReadStats, ReplayLog};
 pub use record::WalRecord;
 pub use writer::{AppendTiming, SyncPolicy, Wal, WalConfig};
 
-use bytes::{Bytes, BytesMut};
-use lwfs_proto::{Decode as _, Encode as _, Error, Result};
+use bytes::Bytes;
+use lwfs_proto::frame::{self, Split};
+use lwfs_proto::{Decode as _, Error, Result};
 
-/// Encode `rec` into one complete log frame: `[u32 len][u32 crc32][payload]`.
+/// Encode `rec` into one complete log frame (the `lwfs_proto::frame`
+/// layout: `[u32 len][u32 crc32][payload]`).
 ///
 /// This is byte-identical to what [`Wal::append`] writes to disk — the
 /// replication primary ships these exact frames to its backups, so a
 /// backup verifies the same CRC the disk format carries and its log ends
 /// up byte-compatible with the primary's.
 pub fn frame_record(rec: &WalRecord) -> Bytes {
-    let mut payload = BytesMut::new();
-    rec.encode(&mut payload);
-    let mut frame = BytesMut::with_capacity(payload.len() + 8);
-    (payload.len() as u32).encode(&mut frame);
-    crc32(&payload).encode(&mut frame);
-    frame.extend_from_slice(&payload);
-    frame.freeze()
+    frame::encode(rec)
 }
 
 /// Decode one complete frame produced by [`frame_record`], verifying the
 /// length covers the buffer exactly and the CRC matches.
-pub fn unframe_record(frame: &[u8]) -> Result<WalRecord> {
-    if frame.len() < 8 {
-        return Err(Error::Malformed(format!("wal frame too short: {} bytes", frame.len())));
-    }
-    let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-    if frame.len() != 8 + len {
-        return Err(Error::Malformed(format!(
-            "wal frame length mismatch: header says {len}, buffer holds {}",
-            frame.len() - 8
-        )));
-    }
-    let payload = &frame[8..];
-    if crc32(payload) != crc {
-        return Err(Error::Malformed("wal frame CRC mismatch".into()));
-    }
-    WalRecord::from_bytes(Bytes::copy_from_slice(payload))
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the frame
-/// checksum. Hand-rolled: the build environment has no crc crate, and the
-/// algorithm is ten lines.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+pub fn unframe_record(bytes: &[u8]) -> Result<WalRecord> {
+    match frame::split(bytes) {
+        Split::Complete { payload, consumed } if consumed == bytes.len() => {
+            WalRecord::from_bytes(Bytes::copy_from_slice(payload))
         }
+        Split::Corrupt(e) => Err(e),
+        Split::Complete { .. } | Split::Incomplete => Err(Error::Malformed(format!(
+            "wal frame length mismatch: {} bytes are not exactly one frame",
+            bytes.len()
+        ))),
     }
-    !crc
 }
 
 #[cfg(test)]
@@ -97,15 +72,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_known_vectors() {
-        // Standard check values for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn frame_roundtrip_and_corruption_detection() {
+    fn unframe_takes_exactly_one_frame() {
         let rec = WalRecord::Create {
             txn: None,
             container: lwfs_proto::ContainerId(1),
@@ -115,30 +82,11 @@ mod tests {
         let frame = frame_record(&rec);
         assert_eq!(unframe_record(&frame).unwrap(), rec);
 
-        // Any single corrupt byte is caught by length or CRC checks.
-        for i in 0..frame.len() {
-            let mut bad = frame.to_vec();
-            bad[i] ^= 0xFF;
-            assert!(unframe_record(&bad).is_err(), "corruption at byte {i} undetected");
-        }
-        // Truncation and trailing garbage are both rejected.
-        assert!(unframe_record(&frame[..frame.len() - 1]).is_err());
+        // Bit flips and truncations are enumerated in the workspace's
+        // tests/hostile_input.rs; trailing bytes are this function's own rule.
         let mut extended = frame.to_vec();
         extended.push(0);
         assert!(unframe_record(&extended).is_err());
         assert!(unframe_record(&[]).is_err());
-    }
-
-    #[test]
-    fn crc32_detects_single_bit_flips() {
-        let data = b"durable bytes".to_vec();
-        let good = crc32(&data);
-        for i in 0..data.len() {
-            for bit in 0..8 {
-                let mut flipped = data.clone();
-                flipped[i] ^= 1 << bit;
-                assert_ne!(crc32(&flipped), good, "flip at byte {i} bit {bit} undetected");
-            }
-        }
     }
 }

@@ -11,9 +11,9 @@
 use std::path::Path;
 
 use bytes::Bytes;
+use lwfs_proto::frame::{self, Split};
 use lwfs_proto::{Decode as _, Error, Result};
 
-use crate::crc32;
 use crate::record::WalRecord;
 use crate::writer::{existing_segments, segment_path, SEGMENT_MAGIC};
 
@@ -102,23 +102,13 @@ fn scan_segment(
 }
 
 /// The next complete CRC-valid frame starting at `pos`, if any:
-/// `(payload, end_offset)`.
+/// `(payload, end_offset)`. A short frame and a corrupt one are the same
+/// thing to a log scan — the point where valid history ends.
 fn next_frame(raw: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let header_end = pos.checked_add(8)?;
-    if header_end > raw.len() {
-        return None;
+    match frame::split(raw.get(pos..)?) {
+        Split::Complete { payload, consumed } => Some((payload, pos + consumed)),
+        Split::Incomplete | Split::Corrupt(_) => None,
     }
-    let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(raw[pos + 4..pos + 8].try_into().ok()?);
-    let end = header_end.checked_add(len)?;
-    if end > raw.len() {
-        return None;
-    }
-    let payload = &raw[header_end..end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, end))
 }
 
 /// Length of the longest valid record prefix of a raw segment (used by

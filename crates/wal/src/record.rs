@@ -4,8 +4,8 @@
 //! discriminant byte, then the fields in order), so the log format shares
 //! the wire format's compactness and its hostile-input hardening.
 
-use bytes::{Buf, Bytes, BytesMut};
-use lwfs_proto::{ContainerId, Decode, Encode, Error, ObjId, Result, TxnId};
+use bytes::Bytes;
+use lwfs_proto::{impl_codec_enum, ContainerId, ObjId, TxnId};
 
 /// One durable event in a storage server's history.
 ///
@@ -42,12 +42,14 @@ pub enum WalRecord {
     TxnAbort { txn: TxnId },
 }
 
-const TAG_CREATE: u8 = 1;
-const TAG_WRITE: u8 = 2;
-const TAG_REMOVE: u8 = 3;
-const TAG_PREPARE: u8 = 4;
-const TAG_COMMIT: u8 = 5;
-const TAG_ABORT: u8 = 6;
+impl_codec_enum!(WalRecord {
+    1 => Create { txn, container, obj, now },
+    2 => Write { txn, container, obj, offset, data, now },
+    3 => Remove { txn, container, obj },
+    4 => TxnPrepare { txn },
+    5 => TxnCommit { txn },
+    6 => TxnAbort { txn },
+});
 
 impl WalRecord {
     /// The transaction this record belongs to, if any.
@@ -70,80 +72,10 @@ impl WalRecord {
     }
 }
 
-impl Encode for WalRecord {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WalRecord::Create { txn, container, obj, now } => {
-                TAG_CREATE.encode(buf);
-                txn.encode(buf);
-                container.encode(buf);
-                obj.encode(buf);
-                now.encode(buf);
-            }
-            WalRecord::Write { txn, container, obj, offset, data, now } => {
-                TAG_WRITE.encode(buf);
-                txn.encode(buf);
-                container.encode(buf);
-                obj.encode(buf);
-                offset.encode(buf);
-                data.encode(buf);
-                now.encode(buf);
-            }
-            WalRecord::Remove { txn, container, obj } => {
-                TAG_REMOVE.encode(buf);
-                txn.encode(buf);
-                container.encode(buf);
-                obj.encode(buf);
-            }
-            WalRecord::TxnPrepare { txn } => {
-                TAG_PREPARE.encode(buf);
-                txn.encode(buf);
-            }
-            WalRecord::TxnCommit { txn } => {
-                TAG_COMMIT.encode(buf);
-                txn.encode(buf);
-            }
-            WalRecord::TxnAbort { txn } => {
-                TAG_ABORT.encode(buf);
-                txn.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for WalRecord {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            TAG_CREATE => WalRecord::Create {
-                txn: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-                now: Decode::decode(buf)?,
-            },
-            TAG_WRITE => WalRecord::Write {
-                txn: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-                offset: Decode::decode(buf)?,
-                data: Decode::decode(buf)?,
-                now: Decode::decode(buf)?,
-            },
-            TAG_REMOVE => WalRecord::Remove {
-                txn: Decode::decode(buf)?,
-                container: Decode::decode(buf)?,
-                obj: Decode::decode(buf)?,
-            },
-            TAG_PREPARE => WalRecord::TxnPrepare { txn: Decode::decode(buf)? },
-            TAG_COMMIT => WalRecord::TxnCommit { txn: Decode::decode(buf)? },
-            TAG_ABORT => WalRecord::TxnAbort { txn: Decode::decode(buf)? },
-            tag => return Err(Error::Malformed(format!("unknown wal record tag {tag}"))),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwfs_proto::{Decode, Encode, Error};
 
     fn roundtrip(rec: WalRecord) {
         let bytes = rec.to_bytes();

@@ -35,7 +35,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
+        Self { data: Arc::from(data), start: 0, end: data.len() }
     }
 
     pub fn len(&self) -> usize {
@@ -251,8 +251,22 @@ impl BytesMut {
     pub fn split_to(&mut self, len: usize) -> BytesMut {
         assert!(len <= self.len(), "split_to out of range");
         let out = BytesMut { data: self.data[self.pos..self.pos + len].to_vec(), pos: 0 };
-        self.pos += len;
+        self.consume(len);
         out
+    }
+
+    /// Move the read cursor past `cnt` bytes and give their memory back
+    /// once the consumed prefix is at least as long as the unread rest.
+    /// Compacting then moves no more bytes than were consumed since the
+    /// last compaction, so a long-lived stream buffer (feed, consume,
+    /// feed, …) stays the size of its unread data instead of retaining
+    /// every byte it has ever held.
+    fn consume(&mut self, cnt: usize) {
+        self.pos += cnt;
+        if self.pos >= self.data.len() - self.pos {
+            self.data.drain(..self.pos);
+            self.pos = 0;
+        }
     }
 
     /// Take the full contents, leaving `self` empty (the workspace only
@@ -395,7 +409,7 @@ impl Buf for BytesMut {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end");
-        self.pos += cnt;
+        self.consume(cnt);
     }
 }
 
@@ -527,6 +541,24 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.truncate(0);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn consumed_prefix_is_reclaimed() {
+        // A stream buffer: feed a chunk, consume most of it, repeat. The
+        // backing store must track the unread bytes, not the history.
+        let mut m = BytesMut::new();
+        for round in 0..10_000u32 {
+            m.extend_from_slice(&[round as u8; 1024]);
+            if round % 2 == 0 {
+                m.advance(1000);
+            } else {
+                assert_eq!(m.split_to(1000).len(), 1000);
+            }
+            assert_eq!(m.len(), 24 * (round as usize + 1));
+            assert_eq!(m[m.len() - 1], round as u8);
+        }
+        assert!(m.capacity() < 4 * (m.len() + 1024), "capacity {} retained", m.capacity());
     }
 
     #[test]

@@ -236,7 +236,6 @@ fn run(args: Args) -> Result<(), String> {
                     bytes::Bytes::from(issuer.mint(CapClaims::repl_group(group, sid.nid.0)))
                 });
                 config.signed = Some(SignedCapConfig {
-                    mode: args.cap_mode,
                     public_key: *issuer.public().as_bytes(),
                     ship_token,
                     clock_skew: std::time::Duration::from_millis(args.clock_skew_ms),
@@ -277,7 +276,7 @@ fn main() -> ExitCode {
                 "lwfs-node: {e}\nusage: lwfs-node --role <auth|authz|naming|txnlock|directory|storage|monitor> \
                  --nid N --manifest PATH [--groups G] [--replication R] [--index I] \
                  [--users name:pw:principal,...] [--wal-dir PATH] [--workers N] \
-                 [--cap-mode legacy|signed|require] [--clock-skew-ms MS] \
+                 [--cap-mode legacy|signed] [--clock-skew-ms MS] \
                  [--flight-threshold-us US] [--flight-top-k K]"
             );
             return ExitCode::FAILURE;

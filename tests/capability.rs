@@ -1,12 +1,12 @@
 //! Self-certifying capabilities, end to end (DESIGN §16).
 //!
-//! These tests boot full clusters in `Signed`/`Require` mode and verify
-//! the mode's load-bearing claims: signed writes reach storage without a
-//! single authorization-server message on the data path; tampered and
-//! stale-epoch tokens are refused locally; `Require` closes the unsigned
-//! downgrade path; and replication ships authenticate cryptographically.
-//! The transport-sensitive invariants run over both the in-process
-//! substrate and real sockets.
+//! These tests boot full clusters in `Signed` mode and verify the mode's
+//! load-bearing claims: signed writes reach storage without a single
+//! authorization-server message on the data path; tampered and stale-epoch
+//! tokens are refused locally; a request without a token is refused, never
+//! downgraded to verify-through; and replication ships authenticate
+//! cryptographically. The transport-sensitive invariants run over both
+//! the in-process substrate and real sockets.
 
 use lwfs::cap::CapMode;
 use lwfs::core::TransportKind;
@@ -68,7 +68,7 @@ fn signed_data_path_never_calls_authz_over_sockets() {
 
 #[test]
 fn tampered_token_is_refused_locally() {
-    let cluster = boot(CapMode::Require, TransportKind::InProcess, 1);
+    let cluster = boot(CapMode::Signed, TransportKind::InProcess, 1);
     let mut client = cluster.client(0, 0);
     login(&cluster, &mut client);
     let cid = client.create_container().unwrap();
@@ -96,27 +96,7 @@ fn tampered_token_is_refused_locally() {
 }
 
 #[test]
-fn require_mode_closes_the_unsigned_downgrade() {
-    let cluster = boot(CapMode::Require, TransportKind::InProcess, 1);
-    let mut client = cluster.client(0, 0);
-    login(&cluster, &mut client);
-    let cid = client.create_container().unwrap();
-    let caps = client.get_caps(cid, OpMask::ALL).unwrap();
-    let obj = client.create_obj(0, &caps, None, None).unwrap();
-
-    // A "legacy client" presents valid capabilities but no tokens. Under
-    // `Signed` that falls back to verify-through and succeeds…
-    let unsigned = CapSet::new(caps.iter().copied().collect());
-    assert_eq!(
-        client.write(0, &unsigned, None, obj, 0, b"naked").unwrap_err(),
-        Error::AccessDenied,
-        "…but Require refuses the downgrade outright"
-    );
-    client.write(0, &caps, None, obj, 0, b"signed").unwrap();
-}
-
-#[test]
-fn signed_mode_still_accepts_legacy_clients() {
+fn signed_mode_closes_the_unsigned_downgrade() {
     let cluster = boot(CapMode::Signed, TransportKind::InProcess, 1);
     let mut client = cluster.client(0, 0);
     login(&cluster, &mut client);
@@ -124,11 +104,17 @@ fn signed_mode_still_accepts_legacy_clients() {
     let caps = client.get_caps(cid, OpMask::ALL).unwrap();
     let obj = client.create_obj(0, &caps, None, None).unwrap();
 
-    // Tokenless writes verify through the authz service, as before the
-    // migration: `Signed` is deployable without flag-daying every client.
+    // A client presents valid capabilities but no tokens: there is no
+    // verify-through rescue, on the write path or the read path.
     let unsigned = CapSet::new(caps.iter().copied().collect());
-    client.write(0, &unsigned, None, obj, 0, b"legacy ok").unwrap();
-    assert_eq!(client.read(0, &unsigned, obj, 0, 9).unwrap(), b"legacy ok");
+    assert_eq!(
+        client.write(0, &unsigned, None, obj, 0, b"naked").unwrap_err(),
+        Error::AccessDenied,
+        "a token-less write was downgraded to verify-through"
+    );
+    client.write(0, &caps, None, obj, 0, b"signed").unwrap();
+    assert_eq!(client.read(0, &unsigned, obj, 0, 6).unwrap_err(), Error::AccessDenied);
+    assert_eq!(client.read(0, &caps, obj, 0, 6).unwrap(), b"signed");
 }
 
 /// Revocation stays near-immediate (the paper's §5 claim) in signed mode:
@@ -200,11 +186,11 @@ fn signed_ships_replicate_over_sockets() {
 }
 
 #[test]
-fn rogue_ship_without_token_is_refused_under_require() {
+fn rogue_ship_without_token_is_refused() {
     use lwfs::portals::RpcClient;
     use lwfs::proto::{OpNum, ProcessId, RequestBody};
 
-    let cluster = boot(CapMode::Require, TransportKind::InProcess, 2);
+    let cluster = boot(CapMode::Signed, TransportKind::InProcess, 2);
     let mut client = cluster.client(0, 0);
     login(&cluster, &mut client);
     let cid = client.create_container().unwrap();
@@ -214,8 +200,7 @@ fn rogue_ship_without_token_is_refused_under_require() {
 
     // A rogue endpoint reads the topology and re-plays a plausible ship
     // at the backup — right group, right claimed epoch, no signed token.
-    // Before this PR the nid check alone gated it; now the missing token
-    // is refused before anything is logged or applied.
+    // The missing token is refused before anything is logged or applied.
     let ep = cluster.network().register(ProcessId::new(66, 0));
     let rogue = RpcClient::new(&ep);
     let backup = cluster.addrs().storage[1];
