@@ -585,7 +585,9 @@ impl LwfsClient {
             .ok_or_else(|| Error::Internal("read descriptor vanished during transfer".into()))?;
         match result? {
             ReplyBody::ReadDone { len } => {
-                let mut data = md.snapshot();
+                // Unlinked and the server has replied: the descriptor's
+                // buffer *is* the result, no copy out of it.
+                let mut data = md.into_vec();
                 data.truncate(len as usize);
                 Ok(data)
             }
@@ -627,7 +629,7 @@ impl LwfsClient {
         })?;
         match result? {
             ReplyBody::FilteredDone { len, scanned } => {
-                let mut data = md.snapshot();
+                let mut data = md.into_vec();
                 data.truncate(len as usize);
                 Ok((data, scanned))
             }

@@ -314,16 +314,25 @@ impl RemoteFabric for SocketFabric {
         self.inner.roundtrip(to.nid, msg).map(|_| ())
     }
 
-    fn get(
+    fn get_into(
         &self,
         from: ProcessId,
         to: ProcessId,
         match_bits: u64,
         offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>> {
-        let msg = FabricMsg::Get { token: 0, from, to, match_bits, offset, len: len as u64 };
-        self.inner.roundtrip(to.nid, msg).map(|b| b.to_vec())
+        dst: &mut [u8],
+    ) -> Result<()> {
+        let msg = FabricMsg::Get { token: 0, from, to, match_bits, offset, len: dst.len() as u64 };
+        let data = self.inner.roundtrip(to.nid, msg)?;
+        if data.len() != dst.len() {
+            return Err(Error::Malformed(format!(
+                "get reply carries {} bytes for a {}-byte request",
+                data.len(),
+                dst.len()
+            )));
+        }
+        dst.copy_from_slice(&data);
+        Ok(())
     }
 }
 
@@ -623,6 +632,64 @@ mod tests {
         assert_eq!(&got, b"wire");
         // The remote side saw real one-sided completions.
         assert_eq!(server_holder.recv(Duration::from_secs(1)).unwrap().match_bits(), 0x77);
+        client_fabric.shutdown();
+        server_fabric.shutdown();
+    }
+
+    /// One scripted series of `get_into`s against a one-shot-style
+    /// descriptor; returns what landed and what the counters saw.
+    fn get_into_script(
+        ep: &lwfs_portals::Endpoint,
+        holder: &lwfs_portals::Endpoint,
+        stats: &lwfs_portals::NetStats,
+    ) -> (Vec<Vec<u8>>, u64, u64) {
+        const CHUNK: usize = 256 * 1024;
+        let pattern: Vec<u8> = (0..4 * CHUNK).map(|i| (i % 251) as u8).collect();
+        let opts = MdOptions { unlink_after: Some(5), ..MdOptions::for_remote_get() };
+        holder.post_md(0x51, MemDesc::from_vec(pattern.clone(), opts)).unwrap();
+        let (gets, bytes) = (stats.gets.get(), stats.bytes.get());
+        let mut landed = Vec::new();
+        // Straddling a chunk boundary, a single byte, and a range ending
+        // exactly at the descriptor's end.
+        for (offset, len) in [(CHUNK - 17, CHUNK), (0, 1), (3 * CHUNK - 1, CHUNK + 1)] {
+            let mut dst = vec![0xEEu8; len];
+            ep.get_into(holder.id(), 0x51, offset as u64, &mut dst).unwrap();
+            assert_eq!(dst, pattern[offset..offset + len]);
+            landed.push(dst);
+        }
+        // One byte too far: refused, `dst` untouched, and not counted as
+        // one of the descriptor's five operations.
+        let mut dst = vec![0xEEu8; 100];
+        let err = ep.get_into(holder.id(), 0x51, (4 * CHUNK - 99) as u64, &mut dst).unwrap_err();
+        assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+        assert!(dst.iter().all(|b| *b == 0xEE));
+        // The fifth get is the last: the descriptor unlinks itself.
+        for offset in [7, CHUNK] {
+            assert_eq!(holder.posted_mds(), 1);
+            let mut dst = vec![0u8; 32];
+            ep.get_into(holder.id(), 0x51, offset as u64, &mut dst).unwrap();
+            landed.push(dst);
+        }
+        assert_eq!(holder.posted_mds(), 0);
+        assert!(ep.get_into(holder.id(), 0x51, 0, &mut [0u8; 1]).is_err());
+        (landed, stats.gets.get() - gets, stats.bytes.get() - bytes)
+    }
+
+    #[test]
+    fn get_into_is_the_same_over_the_wire_and_in_process() {
+        let local_net = Network::default();
+        let local_holder = local_net.register(ProcessId::new(1100, 1));
+        let local_ep = local_net.register(ProcessId::new(3, 0));
+        let local = get_into_script(&local_ep, &local_holder, local_net.stats());
+
+        let (client_net, client_fabric, server_net, server_fabric) = linked_pair();
+        let holder = server_net.register(ProcessId::new(1100, 1));
+        let ep = client_net.register(ProcessId::new(3, 0));
+        let wire = get_into_script(&ep, &holder, server_net.stats());
+
+        assert_eq!(wire.0, local.0, "same bytes on both transports");
+        assert_eq!((wire.1, wire.2), (local.1, local.2), "same get and byte counts");
+        assert_eq!(local.1, 5);
         client_fabric.shutdown();
         server_fabric.shutdown();
     }

@@ -102,6 +102,18 @@ impl MemDesc {
         self.inner.data.lock().clone()
     }
 
+    /// Take the buffer out of a descriptor nothing else refers to any more
+    /// (the owner has unlinked it and every remote operation has returned):
+    /// no bytes move. If a clone of the handle is still alive — a put that
+    /// looked the descriptor up before the unlink and has not finished —
+    /// the contents are copied instead, as [`snapshot`](Self::snapshot) does.
+    pub fn into_vec(self) -> Vec<u8> {
+        match Arc::try_unwrap(self.inner) {
+            Ok(inner) => inner.data.into_inner(),
+            Err(shared) => shared.data.lock().clone(),
+        }
+    }
+
     /// Owner-side overwrite of the full buffer.
     pub fn fill_from(&self, src: &[u8]) {
         let mut guard = self.inner.data.lock();
@@ -109,9 +121,16 @@ impl MemDesc {
         guard[..n].copy_from_slice(&src[..n]);
     }
 
-    /// Remote read of `[offset, offset+len)`. Enforced against
+    /// Remote read of `[offset, offset+len)`: `read` sees the range in
+    /// place, after the bounds check, so the caller decides where the one
+    /// copy lands and a bad range costs no allocation. Enforced against
     /// [`MdOptions::allow_get`] by the endpoint, bounds-checked here.
-    pub(crate) fn remote_read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+    pub(crate) fn remote_read<R>(
+        &self,
+        offset: u64,
+        len: usize,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         let guard = self.inner.data.lock();
         let start =
             usize::try_from(offset).map_err(|_| Error::Malformed("md offset overflow".into()))?;
@@ -123,7 +142,7 @@ impl MemDesc {
                 guard.len()
             )));
         }
-        Ok(guard[start..end].to_vec())
+        Ok(read(&guard[start..end]))
     }
 
     /// Remote write of `data` at `offset`.
@@ -171,15 +190,30 @@ mod tests {
     fn remote_write_then_read_roundtrips() {
         let md = MemDesc::zeroed(16, MdOptions::default());
         md.remote_write(4, b"abcd").unwrap();
-        let got = md.remote_read(4, 4).unwrap();
+        let got = md.remote_read(4, 4, <[u8]>::to_vec).unwrap();
         assert_eq!(&got, b"abcd");
     }
 
     #[test]
     fn remote_read_out_of_bounds_rejected() {
         let md = MemDesc::zeroed(8, MdOptions::default());
-        assert!(md.remote_read(4, 8).is_err());
-        assert!(md.remote_read(u64::MAX, 1).is_err());
+        let mut ran = false;
+        assert!(md.remote_read(4, 8, |_| ran = true).is_err());
+        assert!(md.remote_read(u64::MAX, 1, |_| ran = true).is_err());
+        assert!(!ran, "a rejected range must never reach the reader");
+    }
+
+    #[test]
+    fn into_vec_moves_when_unshared_and_copies_when_shared() {
+        let data = vec![7u8; 64];
+        let ptr = data.as_ptr();
+        let md = MemDesc::from_vec(data, MdOptions::default());
+        let held = md.clone();
+        let copied = md.into_vec();
+        assert_eq!(copied, [7u8; 64]);
+        assert_ne!(copied.as_ptr(), ptr, "a still-shared buffer is copied, not stolen");
+        let moved = held.into_vec();
+        assert_eq!(moved.as_ptr(), ptr, "the last handle takes the allocation");
     }
 
     #[test]

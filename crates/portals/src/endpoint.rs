@@ -12,6 +12,7 @@ use lwfs_proto::{Error, ProcessId, Result};
 use crate::buffer::MemDesc;
 use crate::event::Event;
 use crate::network::{EndpointState, NetworkInner};
+use crate::transport::RemoteFabric;
 
 /// Allocator for unique match bits within a namespace (see the `*_SPACE`
 /// constants in the crate root). Backed by a network-wide counter so two
@@ -103,26 +104,47 @@ impl Endpoint {
     // One-sided operations
     // ------------------------------------------------------------------
 
-    /// Write `data` into the descriptor `target` posted under `match_bits`,
-    /// starting at `offset`. Completes without the target thread running.
-    ///
-    /// A target the local registry does not hold is routed through the
-    /// attached [`RemoteFabric`](crate::transport::RemoteFabric) (a
-    /// blocking round trip); with no remote transport it is
+    /// Where a one-sided operation on `target` executes: `None` for this
+    /// network's own registry, else the attached
+    /// [`RemoteFabric`](crate::transport::RemoteFabric) (a blocking round
+    /// trip). With no remote transport an unknown target is
     /// [`Error::Unreachable`], the historical in-process behavior.
-    pub fn put(&self, target: ProcessId, match_bits: u64, offset: u64, data: &[u8]) -> Result<()> {
+    fn route(&self, target: ProcessId) -> Result<Option<Arc<dyn RemoteFabric>>> {
         self.net.check_reachable(self.id, target)?;
         if self.net.endpoints.read().contains_key(&target) {
-            return self.net.local_put(self.id, target, match_bits, offset, data);
+            return Ok(None);
         }
-        match self.net.remote() {
+        self.net.remote().map(Some).ok_or(Error::Unreachable)
+    }
+
+    /// Write `data` into the descriptor `target` posted under `match_bits`,
+    /// starting at `offset`. Completes without the target thread running.
+    pub fn put(&self, target: ProcessId, match_bits: u64, offset: u64, data: &[u8]) -> Result<()> {
+        match self.route(target)? {
+            None => self.net.local_put(self.id, target, match_bits, offset, data),
             Some(fabric) => fabric.put(self.id, target, match_bits, offset, data),
-            None => Err(Error::Unreachable),
         }
     }
 
-    /// Read `len` bytes at `offset` from the descriptor `target` posted
-    /// under `match_bits`. Remote targets as in [`Endpoint::put`].
+    /// Read `dst.len()` bytes at `offset` from the descriptor `target`
+    /// posted under `match_bits` straight into `dst` — the one copy of the
+    /// hop. On any error `dst` is untouched.
+    pub fn get_into(
+        &self,
+        target: ProcessId,
+        match_bits: u64,
+        offset: u64,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        match self.route(target)? {
+            None => self.net.local_get(self.id, target, match_bits, offset, dst.len(), |src| {
+                dst.copy_from_slice(src)
+            }),
+            Some(fabric) => fabric.get_into(self.id, target, match_bits, offset, dst),
+        }
+    }
+
+    /// Like [`get_into`](Self::get_into), into a fresh buffer of `len` bytes.
     pub fn get(
         &self,
         target: ProcessId,
@@ -130,13 +152,13 @@ impl Endpoint {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        self.net.check_reachable(self.id, target)?;
-        if self.net.endpoints.read().contains_key(&target) {
-            return self.net.local_get(self.id, target, match_bits, offset, len);
-        }
-        match self.net.remote() {
-            Some(fabric) => fabric.get(self.id, target, match_bits, offset, len),
-            None => Err(Error::Unreachable),
+        match self.route(target)? {
+            None => self.net.local_get(self.id, target, match_bits, offset, len, <[u8]>::to_vec),
+            Some(fabric) => {
+                let mut data = vec![0u8; len];
+                fabric.get_into(self.id, target, match_bits, offset, &mut data)?;
+                Ok(data)
+            }
         }
     }
 
@@ -260,6 +282,24 @@ mod tests {
         b.post_md(9, md).unwrap();
         let data = a.get(b.id(), 9, 11, 4).unwrap();
         assert_eq!(&data, b"data");
+    }
+
+    #[test]
+    fn get_into_lands_in_the_callers_buffer_or_leaves_it_alone() {
+        let (_net, a, b) = pair();
+        let md = MemDesc::from_vec(b"checkpoint-data".to_vec(), MdOptions::for_remote_get());
+        b.post_md(9, md).unwrap();
+        let mut dst = [0xEEu8; 4];
+        a.get_into(b.id(), 9, 11, &mut dst).unwrap();
+        assert_eq!(&dst, b"data");
+        // One byte past the descriptor, an overflowing offset, a missing
+        // descriptor: Malformed, and not one byte of `dst` written.
+        let mut dst = [0xEEu8; 4];
+        for (mb, offset) in [(9, 12), (9, u64::MAX), (999, 0)] {
+            let err = a.get_into(b.id(), mb, offset, &mut dst).unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+            assert_eq!(dst, [0xEE; 4]);
+        }
     }
 
     #[test]

@@ -182,15 +182,18 @@ impl NetworkInner {
     }
 
     /// Execute a one-sided read against a *local* descriptor (see
-    /// [`NetworkInner::local_put`]).
-    pub fn local_get(
+    /// [`NetworkInner::local_put`]). `read` receives the requested range in
+    /// place: the in-process initiator copies it straight into its own
+    /// buffer, the inbound half of a remote fabric into its reply.
+    pub fn local_get<R>(
         &self,
         from: ProcessId,
         target: ProcessId,
         match_bits: u64,
         offset: u64,
         len: usize,
-    ) -> Result<Vec<u8>> {
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         let state = self.lookup(target)?;
         let md = state
             .mds
@@ -201,16 +204,15 @@ impl NetworkInner {
         if !md.options().allow_get {
             return Err(Error::AccessDenied);
         }
-        let data = md.remote_read(offset, len)?;
+        let out = md.remote_read(offset, len, read)?;
         if md.consume_op() {
             state.mds.lock().remove(&match_bits);
         }
-        self.stats.record_get(from, data.len());
+        self.stats.record_get(from, len);
         if md.options().deliver_events {
-            let _ =
-                state.deliver(Event::GetEnd { from, match_bits, offset, len: data.len() }, || {});
+            let _ = state.deliver(Event::GetEnd { from, match_bits, offset, len }, || {});
         }
-        Ok(data)
+        Ok(out)
     }
 
     /// Deliver an eager message to a *local* endpoint's bounded queue.
@@ -407,7 +409,7 @@ impl Network {
         len: usize,
     ) -> Result<Vec<u8>> {
         self.inner.check_reachable(from, to)?;
-        self.inner.local_get(from, to, match_bits, offset, len)
+        self.inner.local_get(from, to, match_bits, offset, len, <[u8]>::to_vec)
     }
 
     /// Number of registered endpoints.

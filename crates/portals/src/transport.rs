@@ -17,10 +17,10 @@
 //!   [`Error::ServerBusy`]; a full queue on the *remote* side loses the
 //!   message silently, exactly like a NIC event-queue overflow, and the
 //!   sender finds out via its reply timeout.
-//! * [`put`](RemoteFabric::put) / [`get`](RemoteFabric::get) are blocking
-//!   round trips: the remote side executes the one-sided access against
-//!   its posted descriptor and returns the outcome (or the transfer), and
-//!   a lost peer turns into [`Error::Timeout`].
+//! * [`put`](RemoteFabric::put) / [`get_into`](RemoteFabric::get_into) are
+//!   blocking round trips: the remote side executes the one-sided access
+//!   against its posted descriptor and returns the outcome (or the
+//!   transfer), and a lost peer turns into [`Error::Timeout`].
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`Error::ServerBusy`]: lwfs_proto::Error::ServerBusy
@@ -51,13 +51,14 @@ pub trait RemoteFabric: Send + Sync {
         data: &[u8],
     ) -> Result<()>;
 
-    /// One-sided read from a descriptor posted on a remote node.
-    fn get(
+    /// One-sided read of `dst.len()` bytes from a descriptor posted on a
+    /// remote node, delivered into `dst`; on error `dst` is untouched.
+    fn get_into(
         &self,
         from: ProcessId,
         to: ProcessId,
         match_bits: u64,
         offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>>;
+        dst: &mut [u8],
+    ) -> Result<()>;
 }

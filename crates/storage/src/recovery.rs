@@ -31,7 +31,7 @@ use lwfs_proto::{Error, Result};
 use lwfs_txn::{JournalState, JournalStore};
 use lwfs_wal::WalRecord;
 
-use crate::server::UndoOp;
+use crate::server::{remove_staged, write_staged, UndoOp};
 use crate::store::ObjectStore;
 
 /// What a replay pass did, for recovery observability.
@@ -101,17 +101,10 @@ pub(crate) fn apply_records(
                 }
             }
             WalRecord::Write { txn, container, obj, offset, data, now } => {
-                let pre = store.write(*container, *obj, *offset, data, *now)?;
-                if let Some(t) = txn {
-                    journal.stage(*t, UndoOp::UndoWrite(*obj, pre))?;
-                }
+                write_staged(store, journal, *txn, *container, *obj, *offset, data, *now)?;
             }
             WalRecord::Remove { txn, container, obj } => {
-                if let Some(t) = txn {
-                    let data = store.read(*container, *obj, 0, u64::MAX)?;
-                    journal.stage(*t, UndoOp::RestoreObject(*container, *obj, data))?;
-                }
-                store.remove(*container, *obj)?;
+                remove_staged(store, journal, *txn, *container, *obj)?;
             }
             WalRecord::TxnPrepare { txn } => {
                 journal.prepare(*txn);
@@ -136,14 +129,16 @@ pub(crate) fn apply_records(
     Ok(())
 }
 
-/// Mirror of the live server's best-effort undo application.
-fn apply_undo(store: &ObjectStore, undo: UndoOp, now: u64) {
+/// Undo one staged effect — on abort in the live server, and for the
+/// presumed-abort pass here. Best-effort by construction: each entry
+/// restores state that existed when it was staged.
+pub(crate) fn apply_undo(store: &ObjectStore, undo: UndoOp, now: u64) {
     let _ = match undo {
         UndoOp::RemoveObject(container, oid) => store.remove(container, oid),
         UndoOp::UndoWrite(oid, pre) => store.undo_write(oid, &pre),
         UndoOp::RestoreObject(container, oid, data) => store
             .create(container, Some(oid), now)
-            .and_then(|_| store.write(container, oid, 0, &data, now).map(|_| ())),
+            .and_then(|_| store.write_final(container, oid, 0, &data, now)),
     };
 }
 

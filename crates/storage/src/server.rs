@@ -295,6 +295,51 @@ pub(crate) enum UndoOp {
     RestoreObject(ContainerId, ObjId, Vec<u8>),
 }
 
+/// Apply one chunk of a write, keeping its preimage for undo only when it
+/// belongs to a transaction — an untransacted write is final, and copying
+/// out the bytes it overwrites would be a pass nobody reads. Shared by the
+/// live write path and log application (replay, backup apply).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn write_staged(
+    store: &ObjectStore,
+    journal: &JournalStore<UndoOp>,
+    txn: Option<TxnId>,
+    container: ContainerId,
+    oid: ObjId,
+    offset: u64,
+    data: &[u8],
+    now: u64,
+) -> Result<()> {
+    match txn {
+        Some(txn) => {
+            let pre = store.write(container, oid, offset, data, now)?;
+            journal.stage(txn, UndoOp::UndoWrite(oid, pre))
+        }
+        None => store.write_final(container, oid, offset, data, now),
+    }
+}
+
+/// Remove an object; under a transaction its bytes move into the undo
+/// journal instead of being copied there. Shared like [`write_staged`].
+pub(crate) fn remove_staged(
+    store: &ObjectStore,
+    journal: &JournalStore<UndoOp>,
+    txn: Option<TxnId>,
+    container: ContainerId,
+    oid: ObjId,
+) -> Result<()> {
+    let Some(txn) = txn else {
+        return store.remove(container, oid);
+    };
+    // The journal refuses to stage after prepare; refuse first, while the
+    // object is still in the store.
+    if journal.state(txn) == Some(JournalState::Prepared) {
+        return Err(Error::Internal(format!("stage after prepare in {txn}")));
+    }
+    let data = store.take(container, oid)?;
+    journal.stage(txn, UndoOp::RestoreObject(container, oid, data))
+}
+
 /// Shared (inspectable) state of a running storage server.
 pub struct StorageServer {
     site: ProcessId,
@@ -552,6 +597,9 @@ impl StorageServer {
     /// collected into the request's `recs` buffer so the completed
     /// mutation can be shipped to the backups — the same bytes the log
     /// carries — before the client is acked.
+    ///
+    /// Callers whose record carries bulk bytes ask [`logs`](Self::logs)
+    /// first and build nothing when nobody would read it.
     fn log_append(&self, rec: WalRecord, recs: &mut Vec<WalRecord>) -> Result<AppendTiming> {
         let timing = match &self.wal {
             Some(w) => w.append(&rec)?,
@@ -561,6 +609,11 @@ impl StorageServer {
             recs.push(rec);
         }
         Ok(timing)
+    }
+
+    /// Whether a mutation's record goes anywhere — a log, a backup, or both.
+    fn logs(&self) -> bool {
+        self.wal.is_some() || self.replica.is_some()
     }
 
     /// Append a record shipped *to* this backup: log only, no re-ship
@@ -1003,9 +1056,7 @@ impl StorageServer {
                     match self.log_append(WalRecord::TxnPrepare { txn: *txn }, recs) {
                         Ok(timing) => wal_spans(&mut trace, timing),
                         Err(_) => {
-                            for undo in self.journal.abort(*txn).into_iter().rev() {
-                                let _ = self.apply_undo(undo);
-                            }
+                            self.roll_back(*txn);
                             return ReplyBody::TxnVote(false);
                         }
                     }
@@ -1037,12 +1088,7 @@ impl StorageServer {
                 if let Ok(timing) = self.log_append(WalRecord::TxnAbort { txn: *txn }, recs) {
                     wal_spans(&mut trace, timing);
                 }
-                let undos = self.journal.abort(*txn);
-                for undo in undos.into_iter().rev() {
-                    // Undo application is best-effort by construction: each
-                    // entry restores state that existed when it was staged.
-                    let _ = self.apply_undo(undo);
-                }
+                self.roll_back(*txn);
                 self.stats.txn_aborts.inc();
                 ReplyBody::TxnAborted
             }
@@ -1323,16 +1369,12 @@ impl StorageServer {
         ReplyBody::ReplAck { seq: *seq }
     }
 
-    fn apply_undo(&self, undo: UndoOp) -> Result<()> {
-        match undo {
-            UndoOp::RemoveObject(container, oid) => self.store.remove(container, oid),
-            UndoOp::UndoWrite(oid, pre) => self.store.undo_write(oid, &pre),
-            UndoOp::RestoreObject(container, oid, data) => {
-                let now = self.clock.now();
-                self.store.create(container, Some(oid), now)?;
-                self.store.write(container, oid, 0, &data, now)?;
-                Ok(())
-            }
+    /// Abort `txn`'s journal and undo its staged effects, newest first —
+    /// with the same undo application crash replay uses.
+    fn roll_back(&self, txn: TxnId) {
+        let now = self.clock.now();
+        for undo in self.journal.abort(txn).into_iter().rev() {
+            crate::recovery::apply_undo(&self.store, undo, now);
         }
     }
 
@@ -1384,11 +1426,7 @@ impl StorageServer {
         if let Some(t) = trace.as_deref_mut() {
             t.stage("authorize");
         }
-        if let Some(txn) = txn {
-            let data = self.store.read(cap.container(), oid, 0, u64::MAX)?;
-            self.journal.stage(txn, UndoOp::RestoreObject(cap.container(), oid, data))?;
-        }
-        self.store.remove(cap.container(), oid)?;
+        remove_staged(&self.store, &self.journal, txn, cap.container(), oid)?;
         let timing =
             self.log_append(WalRecord::Remove { txn, container: cap.container(), obj: oid }, recs)?;
         wal_spans(&mut trace, timing);
@@ -1427,11 +1465,14 @@ impl StorageServer {
         if let Some(t) = trace.as_deref_mut() {
             t.stage("authorize");
         }
+        // The whole extent is judged before the first byte moves: a length
+        // this server would refuse at the last chunk is refused now.
+        let end = self.store.check_extent(offset, len)?;
         let now = self.clock.now();
         let mut moved: u64 = 0;
         while moved < len {
             let chunk = ((len - moved) as usize).min(self.config.chunk_size);
-            let mut buf = match self.pool.try_acquire() {
+            let mut pinned = match self.pool.try_acquire() {
                 Some(b) => b,
                 None => {
                     // Pool exhausted: reject; the client backs off and
@@ -1440,38 +1481,34 @@ impl StorageServer {
                     return Err(Error::ServerBusy);
                 }
             };
-            // One-sided pull from the client's posted descriptor.
-            let data = ep.get(requester, md.match_bits, moved, chunk)?;
-            buf.as_mut_slice()[..chunk].copy_from_slice(&data);
+            // One-sided pull from the client's posted descriptor, straight
+            // into the pinned buffer.
+            let buf = &mut pinned.as_mut_slice()[..chunk];
+            ep.get_into(requester, md.match_bits, moved, buf)?;
             if let Some(t) = trace.as_deref_mut() {
                 t.stage("pull");
             }
-            let pre = self.store.write(
-                cap.container(),
-                oid,
-                offset + moved,
-                &buf.as_slice()[..chunk],
-                now,
-            )?;
-            if let Some(txn) = txn {
-                self.journal.stage(txn, UndoOp::UndoWrite(oid, pre))?;
+            if moved == 0 {
+                // Room for the request's whole extent, once, now that the
+                // first pull has shown the descriptor is really there.
+                self.store.reserve(container, oid, end)?;
             }
+            let at = offset + moved;
+            write_staged(&self.store, &self.journal, txn, container, oid, at, buf, now)?;
             if let Some(t) = trace.as_deref_mut() {
                 t.stage("store_write");
             }
             // One record per chunk, in pull order: replay reproduces the
-            // exact same sequence of store writes.
-            let timing = self.log_append(
-                WalRecord::Write {
-                    txn,
-                    container: cap.container(),
-                    obj: oid,
-                    offset: offset + moved,
-                    data: Bytes::copy_from_slice(&buf.as_slice()[..chunk]),
-                    now,
-                },
-                recs,
-            )?;
+            // exact same sequence of store writes. Its payload is copied out
+            // of the pinned buffer once, for the log append and the ship to
+            // share — and not at all when there is neither.
+            let timing = if self.logs() {
+                let data = Bytes::copy_from_slice(buf);
+                let rec = WalRecord::Write { txn, container, obj: oid, offset: at, data, now };
+                self.log_append(rec, recs)?
+            } else {
+                AppendTiming::default()
+            };
             if let Some(t) = trace.as_deref_mut() {
                 t.stage("wal_append");
             }
@@ -1501,22 +1538,24 @@ impl StorageServer {
         let mut moved: u64 = 0;
         while moved < len {
             let chunk = ((len - moved) as usize).min(self.config.chunk_size);
-            let mut buf = match self.pool.try_acquire() {
+            let mut pinned = match self.pool.try_acquire() {
                 Some(b) => b,
                 None => {
                     self.stats.busy_rejects.inc();
                     return Err(Error::ServerBusy);
                 }
             };
-            let data = self.store.read(cap.container(), oid, offset + moved, chunk as u64)?;
-            if data.is_empty() {
+            // Object bytes go straight into the pinned buffer, and from
+            // there into the client's descriptor.
+            let buf = &mut pinned.as_mut_slice()[..chunk];
+            let n = self.store.read_into(cap.container(), oid, offset + moved, buf)?;
+            if n == 0 {
                 break; // end of object: short read
             }
-            buf.as_mut_slice()[..data.len()].copy_from_slice(&data);
-            ep.put(requester, md.match_bits, moved, &buf.as_slice()[..data.len()])?;
-            self.stats.bytes_pushed.add(data.len() as u64);
-            moved += data.len() as u64;
-            if data.len() < chunk {
+            ep.put(requester, md.match_bits, moved, &buf[..n])?;
+            self.stats.bytes_pushed.add(n as u64);
+            moved += n as u64;
+            if n < chunk {
                 break;
             }
         }

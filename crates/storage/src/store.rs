@@ -136,25 +136,58 @@ impl ObjectStore {
     /// previous `sync` spilled is deleted too — a removed object's bytes
     /// must not linger on disk and resurrect after a replay or re-sync.
     pub fn remove(&self, container: ContainerId, oid: ObjId) -> Result<()> {
-        let mut shard = self.shard(oid).lock();
-        match shard.get(&oid) {
-            None => Err(Error::NoSuchObject(oid)),
-            Some(o) if o.container != container => Err(Error::AccessDenied),
-            Some(_) => {
-                shard.remove(&oid);
-                if let Some(dir) = &self.config.backing_dir {
-                    // Best-effort: the object may simply never have been
-                    // synced, in which case there is no file to delete.
-                    let _ = std::fs::remove_file(dir.join(format!("obj-{}.dat", oid.0)));
-                }
-                Ok(())
+        self.take(container, oid).map(drop)
+    }
+
+    /// [`remove`](Self::remove) an object and hand back its bytes — moved
+    /// out of the store, not copied — so a transactional removal can keep
+    /// them for undo.
+    pub fn take(&self, container: ContainerId, oid: ObjId) -> Result<Vec<u8>> {
+        let obj = {
+            let mut shard = self.shard(oid).lock();
+            match shard.get(&oid) {
+                None => return Err(Error::NoSuchObject(oid)),
+                Some(o) if o.container != container => return Err(Error::AccessDenied),
+                Some(_) => shard.remove(&oid).expect("entry just seen under the shard lock"),
             }
+        };
+        if let Some(dir) = &self.config.backing_dir {
+            // Best-effort: the object may simply never have been
+            // synced, in which case there is no file to delete.
+            let _ = std::fs::remove_file(dir.join(format!("obj-{}.dat", oid.0)));
         }
+        let data = std::mem::take(&mut obj.state.lock().data);
+        Ok(data)
     }
 
     /// The container an object belongs to.
     pub fn container_of(&self, oid: ObjId) -> Result<ContainerId> {
         Ok(self.lookup(oid)?.container)
+    }
+
+    /// The exclusive end of `[offset, offset + len)`, or `ObjectTooLarge`
+    /// when it overflows or passes [`StoreConfig::max_object_size`]. A
+    /// server checks a whole request with this before it moves any byte.
+    pub fn check_extent(&self, offset: u64, len: u64) -> Result<u64> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.config.max_object_size => Ok(end),
+            _ => Err(Error::ObjectTooLarge),
+        }
+    }
+
+    /// Make room for the object to grow to `end` bytes in one step, so the
+    /// chunked writes of one request append without reallocating. A fresh
+    /// object gets exactly `end`; one that already holds bytes grows
+    /// geometrically, so a stream of small appending requests stays linear.
+    /// Changes no contents and no length.
+    pub fn reserve(&self, container: ContainerId, oid: ObjId, end: u64) -> Result<()> {
+        let end = self.check_extent(0, end)? as usize;
+        let obj = self.lookup_scoped(container, oid)?;
+        let mut st = obj.state.lock();
+        let additional = end.saturating_sub(st.data.len());
+        st.data
+            .try_reserve(additional)
+            .map_err(|e| Error::StorageIo(format!("cannot reserve {end} bytes for {oid}: {e}")))
     }
 
     /// Write `data` at `offset`, extending (zero-filling any gap). Returns
@@ -168,29 +201,61 @@ impl ObjectStore {
         data: &[u8],
         now: u64,
     ) -> Result<WritePreimage> {
-        let end = offset.checked_add(data.len() as u64).ok_or(Error::ObjectTooLarge)?;
-        if end > self.config.max_object_size {
-            return Err(Error::ObjectTooLarge);
-        }
+        self.write_at(container, oid, offset, data, now, true)
+    }
+
+    /// [`write`](Self::write) for a caller that will never undo it: the
+    /// overwritten bytes are not copied out.
+    pub fn write_final(
+        &self,
+        container: ContainerId,
+        oid: ObjId,
+        offset: u64,
+        data: &[u8],
+        now: u64,
+    ) -> Result<()> {
+        self.write_at(container, oid, offset, data, now, false).map(drop)
+    }
+
+    /// Each byte of `data` is copied once: over the bytes already there,
+    /// then appended past the old end. Only a real gap between the old end
+    /// and `offset` is zero-filled. `keep_overlap` is whether the returned
+    /// preimage carries the overwritten bytes.
+    fn write_at(
+        &self,
+        container: ContainerId,
+        oid: ObjId,
+        offset: u64,
+        data: &[u8],
+        now: u64,
+        keep_overlap: bool,
+    ) -> Result<WritePreimage> {
+        self.check_extent(offset, data.len() as u64)?;
         let obj = self.lookup_scoped(container, oid)?;
         let mut st = obj.state.lock();
-        let old_len = st.data.len() as u64;
+        let old_len = st.data.len();
         let off = offset as usize;
-        let end = end as usize;
-        if st.data.len() < end {
-            st.data.resize(end, 0);
+        // How much of `data` lands on existing bytes.
+        let covered = old_len.saturating_sub(off).min(data.len());
+        let mut overlap = Vec::new();
+        if covered > 0 {
+            let existing = &mut st.data[off..off + covered];
+            if keep_overlap {
+                overlap = existing.to_vec();
+            }
+            existing.copy_from_slice(&data[..covered]);
         }
-        let overlap_start = off.min(old_len as usize);
-        let overlap_end = end.min(old_len as usize);
-        let preimage = if overlap_start < overlap_end {
-            st.data[overlap_start..overlap_end].to_vec()
-        } else {
-            Vec::new()
-        };
-        st.data[off..end].copy_from_slice(data);
+        if off > old_len {
+            st.data.resize(off, 0);
+        }
+        st.data.extend_from_slice(&data[covered..]);
         st.modify_time = now;
         st.dirty = true;
-        Ok(WritePreimage { old_len, overlap_offset: overlap_start as u64, overlap: preimage })
+        Ok(WritePreimage {
+            old_len: old_len as u64,
+            overlap_offset: off.min(old_len) as u64,
+            overlap,
+        })
     }
 
     /// Undo a write using its preimage: restore overwritten bytes and
@@ -221,6 +286,23 @@ impl ObjectStore {
         let start = (offset as usize).min(st.data.len());
         let end = (offset.saturating_add(len) as usize).min(st.data.len());
         Ok(st.data[start..end].to_vec())
+    }
+
+    /// [`read`](Self::read) into the caller's buffer: up to `dst.len()`
+    /// bytes at `offset`, returning how many were there to copy.
+    pub fn read_into(
+        &self,
+        container: ContainerId,
+        oid: ObjId,
+        offset: u64,
+        dst: &mut [u8],
+    ) -> Result<usize> {
+        let obj = self.lookup_scoped(container, oid)?;
+        let st = obj.state.lock();
+        let start = (offset as usize).min(st.data.len());
+        let n = dst.len().min(st.data.len() - start);
+        dst[..n].copy_from_slice(&st.data[start..start + n]);
+        Ok(n)
     }
 
     pub fn getattr(&self, container: ContainerId, oid: ObjId) -> Result<ObjAttr> {
@@ -597,7 +679,117 @@ mod tests {
         }
     }
 
+    /// `ObjectStore::write` as it was first written — grow zero-filled, then
+    /// copy over — on a plain `Vec`: the model the store must keep matching.
+    fn model_write(obj: &mut Vec<u8>, offset: usize, data: &[u8]) -> WritePreimage {
+        let old_len = obj.len();
+        let end = offset + data.len();
+        let overlap = obj[offset.min(old_len)..end.min(old_len)].to_vec();
+        if obj.len() < end {
+            obj.resize(end, 0);
+        }
+        obj[offset..end].copy_from_slice(data);
+        WritePreimage {
+            old_len: old_len as u64,
+            overlap_offset: offset.min(old_len) as u64,
+            overlap,
+        }
+    }
+
+    #[test]
+    fn reserve_changes_no_bytes_and_honours_the_size_limit() {
+        let s = ObjectStore::new(StoreConfig { max_object_size: 1 << 20, backing_dir: None });
+        let oid = s.create(C1, None, 0).unwrap();
+        s.write(C1, oid, 0, b"abc", 0).unwrap();
+        s.reserve(C1, oid, 1 << 20).unwrap();
+        s.reserve(C1, oid, 1).unwrap(); // below the current length: nothing to do
+        assert_eq!(s.read(C1, oid, 0, u64::MAX).unwrap(), b"abc");
+        assert_eq!(s.bytes_stored(), 3);
+        assert_eq!(s.reserve(C1, oid, (1 << 20) + 1).unwrap_err(), Error::ObjectTooLarge);
+        assert_eq!(s.reserve(C2, oid, 8).unwrap_err(), Error::AccessDenied);
+        assert_eq!(s.check_extent(1 << 19, 1 << 19).unwrap(), 1 << 20);
+        assert_eq!(s.check_extent(1 << 19, (1 << 19) + 1).unwrap_err(), Error::ObjectTooLarge);
+        assert_eq!(s.check_extent(u64::MAX, 1).unwrap_err(), Error::ObjectTooLarge);
+    }
+
     proptest::proptest! {
+        /// Any sequence of appends, overwrites, partial overlaps and gapped
+        /// writes leaves the same bytes and returns the same preimages as
+        /// the `Vec` model — with or without room reserved first, with or
+        /// without the preimage kept — and undoing them newest-first walks
+        /// back through exactly the model's earlier states.
+        #[test]
+        fn prop_write_matches_the_vec_model(
+            writes in proptest::collection::vec(
+                (0usize..96, proptest::collection::vec(proptest::num::u8::ANY, 0..48), 0u8..2),
+                1..12,
+            ),
+        ) {
+            let s = store();
+            let undoable = s.create(C1, None, 0).unwrap();
+            let fin = s.create(C1, None, 0).unwrap();
+            let mut model = Vec::new();
+            let mut undo = Vec::new();
+            for (offset, data, reserve_first) in &writes {
+                let before = model.clone();
+                let want = model_write(&mut model, *offset, data);
+                if *reserve_first == 1 {
+                    s.reserve(C1, undoable, model.len() as u64).unwrap();
+                }
+                let pre = s.write(C1, undoable, *offset as u64, data, 0).unwrap();
+                s.write_final(C1, fin, *offset as u64, data, 0).unwrap();
+                proptest::prop_assert_eq!(&pre, &want);
+                proptest::prop_assert_eq!(&s.read(C1, undoable, 0, u64::MAX).unwrap(), &model);
+                proptest::prop_assert_eq!(&s.read(C1, fin, 0, u64::MAX).unwrap(), &model);
+                proptest::prop_assert_eq!(s.bytes_stored(), 2 * model.len() as u64);
+                undo.push((pre, before));
+            }
+            for (pre, before) in undo.into_iter().rev() {
+                s.undo_write(undoable, &pre).unwrap();
+                proptest::prop_assert_eq!(s.read(C1, undoable, 0, u64::MAX).unwrap(), before);
+            }
+        }
+
+        /// `read_into` is `read` into the caller's buffer: same bytes, same
+        /// short count, at every offset and length including past the end.
+        #[test]
+        fn prop_read_into_equals_read(
+            contents in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
+            offset in 0u64..96,
+            len in 0usize..96,
+        ) {
+            let s = store();
+            let oid = s.create(C1, None, 0).unwrap();
+            s.write(C1, oid, 0, &contents, 0).unwrap();
+            let want = s.read(C1, oid, offset, len as u64).unwrap();
+            let mut dst = vec![0xEEu8; len];
+            let n = s.read_into(C1, oid, offset, &mut dst).unwrap();
+            proptest::prop_assert_eq!(&dst[..n], &want[..]);
+            proptest::prop_assert!(dst[n..].iter().all(|b| *b == 0xEE), "wrote past the count");
+        }
+
+        /// `take` hands back exactly the object's bytes and leaves nothing
+        /// behind; creating it again and writing them back (the
+        /// `RestoreObject` undo) is byte-exact.
+        #[test]
+        fn prop_take_then_restore_is_identity(
+            contents in proptest::collection::vec(proptest::num::u8::ANY, 0..256),
+        ) {
+            let s = store();
+            let oid = s.create(C1, None, 0).unwrap();
+            let bystander = s.create(C1, None, 0).unwrap();
+            s.write(C1, oid, 0, &contents, 0).unwrap();
+            s.write(C1, bystander, 0, b"stays", 0).unwrap();
+            proptest::prop_assert_eq!(s.take(C2, oid).unwrap_err(), Error::AccessDenied);
+            let taken = s.take(C1, oid).unwrap();
+            proptest::prop_assert_eq!(&taken, &contents);
+            proptest::prop_assert_eq!(s.take(C1, oid).unwrap_err(), Error::NoSuchObject(oid));
+            proptest::prop_assert_eq!(s.bytes_stored(), 5);
+            s.create(C1, Some(oid), 1).unwrap();
+            s.write_final(C1, oid, 0, &taken, 1).unwrap();
+            proptest::prop_assert_eq!(s.read(C1, oid, 0, u64::MAX).unwrap(), contents);
+        }
+
         /// Writes at arbitrary offsets followed by undo restore the exact
         /// prior contents.
         #[test]

@@ -245,6 +245,41 @@ fn txn_abort_rolls_back_create_and_writes() {
 }
 
 #[test]
+fn txn_abort_restores_a_removed_object_byte_exact() {
+    let (net, handle, server) = boot_open();
+    let ep = net.register(ProcessId::new(0, 0));
+    let client = RpcClient::new(&ep);
+    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let srv = handle.id();
+    // Spans several chunks, so the restore is not a one-buffer special case.
+    let contents: Vec<u8> = (0..600 * 1024).map(|i| (i % 251) as u8).collect();
+    let obj = create_obj(&client, srv, cap);
+    write_obj(&client, &ep, srv, cap, obj, 0, &contents, None).unwrap();
+
+    let remove = |txn| client.call(srv, RequestBody::RemoveObj { txn: Some(txn), cap, obj });
+    let aborted = TxnId(7);
+    assert_eq!(remove(aborted).unwrap(), ReplyBody::ObjRemoved);
+    // The bytes left the store for the undo journal…
+    assert_eq!(server.store().bytes_stored(), 0);
+    let err = read_obj(&client, &ep, srv, cap, obj, 0, 8).unwrap_err();
+    assert_eq!(err, Error::NoSuchObject(obj));
+    // …and come back whole on abort.
+    client.call(srv, RequestBody::TxnAbort { txn: aborted }).unwrap();
+    assert_eq!(read_obj(&client, &ep, srv, cap, obj, 0, contents.len()).unwrap(), contents);
+
+    // A removal staged after the transaction prepared is refused while the
+    // object is still in the store, not after its bytes have been taken.
+    let prepared = TxnId(8);
+    assert_eq!(
+        client.call(srv, RequestBody::TxnPrepare { txn: prepared }).unwrap(),
+        ReplyBody::TxnVote(true)
+    );
+    assert!(matches!(remove(prepared).unwrap_err(), Error::Internal(_)));
+    assert_eq!(server.store().bytes_stored(), contents.len() as u64);
+    handle.shutdown();
+}
+
+#[test]
 fn txn_prepare_commit_makes_effects_permanent() {
     let (net, handle, server) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
@@ -489,6 +524,16 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
     let setup_ep = net.register(ProcessId::new(0, 0));
     let setup = RpcClient::new(&setup_ep);
     let oids: Vec<ObjId> = (0..4).map(|_| create_obj(&setup, srv, cap)).collect();
+    // A worker retires its ticket *after* its reply is on the wire, and a
+    // create is a barrier: each create above may have waited for the one
+    // before it, and a write sent the moment the last create was acked
+    // could — correctly — wait for that. Let the creates retire and count
+    // from here, so every deferral counted is a cross-object one.
+    let in_flight = net.obs().gauge("storage.in_flight");
+    while in_flight.get() != 0 {
+        std::thread::yield_now();
+    }
+    let defers_before = server.stats().conflict_defers.get();
 
     const STRIDE: usize = 8 * 1024;
     std::thread::scope(|s| {
@@ -509,6 +554,9 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
         }
     });
 
+    // Taken before the read-back: a whole-object read depends on that
+    // object's last write.
+    let defers = server.stats().conflict_defers.get() - defers_before;
     let ep = net.register(ProcessId::new(90, 0));
     let client = RpcClient::new(&ep);
     for (t, oid) in oids.iter().enumerate() {
@@ -522,11 +570,7 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
         }
     }
     assert_eq!(server.stats().writes.get(), 80);
-    assert_eq!(
-        server.stats().conflict_defers.get(),
-        0,
-        "disjoint objects must never wait on each other"
-    );
+    assert_eq!(defers, 0, "disjoint objects must never wait on each other");
 }
 
 #[test]

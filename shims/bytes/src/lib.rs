@@ -2,9 +2,10 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace patches
 //! `bytes` to this shim. [`Bytes`] is a cheaply cloneable shared view over
-//! an `Arc<[u8]>`; [`BytesMut`] is a growable buffer that freezes into a
-//! [`Bytes`]. The [`Buf`]/[`BufMut`] traits carry the little-endian
-//! accessor set the workspace codec uses. Semantics match the real crate
+//! an `Arc<Vec<u8>>`, so taking ownership of a `Vec` (and therefore
+//! [`BytesMut::freeze`]) is O(1) and keeps the allocation; [`BytesMut`] is
+//! a growable buffer that freezes into a [`Bytes`]. The [`Buf`]/[`BufMut`]
+//! traits carry the little-endian accessor set the workspace codec uses. Semantics match the real crate
 //! for this surface; zero-copy `split_off`-style operations that the
 //! workspace does not use are omitted.
 
@@ -17,7 +18,8 @@ use std::sync::Arc;
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` is the empty buffer, so `Bytes::new()` allocates nothing.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -27,15 +29,15 @@ impl Bytes {
         Self::default()
     }
 
-    /// Unlike the real crate this copies: the shim's backing store is an
-    /// `Arc<[u8]>` with no static variant. Call sites only pass small
-    /// literals, and none require const evaluation.
+    /// Unlike the real crate this copies: the shim's backing store has
+    /// no static variant. Call sites only pass small literals, and none
+    /// require const evaluation.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Self::from(bytes.to_vec())
+        Self::copy_from_slice(bytes)
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self { data: Arc::from(data), start: 0, end: data.len() }
+        Self::from(data.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -47,7 +49,10 @@ impl Bytes {
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// A sub-view sharing the same backing allocation.
@@ -64,7 +69,7 @@ impl Bytes {
             std::ops::Bound::Unbounded => len,
         };
         assert!(lo <= hi && hi <= len, "slice out of range: {lo}..{hi} of {len}");
-        Self { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Self { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
     }
 
     /// Split off and return the first `at` bytes, advancing `self`.
@@ -162,15 +167,16 @@ impl PartialEq<Vec<u8>> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over `v`'s allocation: no bytes move.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Self { data: v.into(), start: 0, end }
+        Self { data: (end > 0).then(|| Arc::new(v)), start: 0, end }
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
-        Self::from(v.to_vec())
+        Self::copy_from_slice(v)
     }
 }
 
@@ -182,7 +188,7 @@ impl From<String> for Bytes {
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Self::from(v.as_bytes().to_vec())
+        Self::copy_from_slice(v.as_bytes())
     }
 }
 
@@ -285,7 +291,7 @@ impl BytesMut {
 
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&Bytes::from(self.as_slice().to_vec()), f)
+        fmt::Debug::fmt(&Bytes::copy_from_slice(self.as_slice()), f)
     }
 }
 
@@ -334,7 +340,7 @@ pub trait Buf {
 
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         assert!(self.remaining() >= len, "copy_to_bytes overrun");
-        let out = Bytes::from(self.chunk()[..len].to_vec());
+        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
         self.advance(len);
         out
     }
@@ -567,6 +573,59 @@ mod tests {
         let head = b.copy_to_bytes(16);
         assert_eq!(head.len(), 16);
         assert_eq!(b.remaining(), 48);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> must not copy");
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.put_slice(&[5u8; 4096]);
+        let ptr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), ptr, "freeze must not copy");
+        assert_eq!(b.len(), 4096);
+
+        // Views share it too: slicing, splitting and advancing only move
+        // the window.
+        let mut rest = b.clone();
+        let head = rest.split_to(16);
+        assert_eq!(head.as_ptr(), ptr);
+        assert_eq!(rest.as_ptr(), ptr.wrapping_add(16));
+        rest.advance(16);
+        assert_eq!(rest.as_ptr(), ptr.wrapping_add(32));
+        assert_eq!(b.slice(100..200).as_ptr(), ptr.wrapping_add(100));
+        assert_eq!((head.len(), rest.len(), b.len()), (16, 4064, 4096));
+    }
+
+    #[test]
+    fn freeze_after_partial_read_keeps_only_the_unread_rest() {
+        let mut m = BytesMut::new();
+        m.put_slice(b"abcdefgh");
+        m.advance(3);
+        assert_eq!(m.freeze(), b"defgh");
+    }
+
+    #[test]
+    fn empty_bytes_behave() {
+        for b in [Bytes::new(), Bytes::from(Vec::new()), Bytes::from_static(b"")] {
+            assert!(b.is_empty());
+            assert_eq!(b.as_slice(), b"");
+            assert!(b.slice(..).is_empty());
+            assert_eq!(b, Bytes::default());
+        }
+    }
+
+    #[test]
+    fn copy_to_bytes_from_a_slice_copies_exactly_the_prefix() {
+        let src = [1u8, 2, 3, 4, 5];
+        let mut s: &[u8] = &src;
+        let head = s.copy_to_bytes(2);
+        assert_eq!(head, [1u8, 2]);
+        assert_eq!(s, &[3, 4, 5]);
     }
 
     #[test]

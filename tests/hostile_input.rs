@@ -3,15 +3,24 @@
 //! point of a valid input (ROADMAP aim 3). The frame splitter, CRC and
 //! enum codecs each exist once (`lwfs_proto::frame`, `impl_codec_enum!`),
 //! so this one suite covers the WAL, the fabric and the token with them.
+//! A request that decodes cleanly can still lie about sizes: the last test
+//! sends a live storage server `Write`s whose `len` it must refuse before
+//! it pulls or reserves a byte.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
+use lwfs::auth::ManualClock;
 use lwfs::cap::{CapClaims, CapIssuer, CapToken};
 use lwfs::obs::Registry;
+use lwfs::portals::{MdOptions, MemDesc, Network, RpcClient, BULK_SPACE};
 use lwfs::proto::frame::{self, Split};
 use lwfs::proto::{
-    ContainerId, Decode as _, Encode as _, Lifetime, ObjId, OpMask, OpNum, ProcessId, Reply,
-    ReplyBody, Request, RequestBody, TraceContext, TxnId,
+    Capability, CapabilityBody, ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle,
+    ObjId, OpMask, OpNum, PrincipalId, ProcessId, Reply, ReplyBody, Request, RequestBody,
+    Signature, TraceContext, TxnId,
 };
+use lwfs::storage::{StorageConfig, StorageServer};
 use lwfs::wal::{frame_record, read_log, unframe_record, Wal, WalConfig, WalRecord};
 use lwfs_fabric::frame::{FabricMsg, FrameReader};
 
@@ -156,6 +165,95 @@ fn wal_torn_tail_at_every_byte_offset_lands_on_the_previous_boundary() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Resident set size in bytes (Linux; `None` elsewhere).
+fn rss_bytes() -> Option<u64> {
+    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+    Some(statm.split_whitespace().nth(1)?.parse::<u64>().ok()? * 4096)
+}
+
+#[test]
+fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
+    const MIB: usize = 1 << 20;
+    let net = Network::default();
+    let srv = ProcessId::new(50, 0);
+    let clock = Arc::new(ManualClock::new());
+    // No verifier: the capability is trusted structurally, so the length
+    // checks are what stands between the request and the store.
+    let (_handle, server) = StorageServer::spawn(&net, srv, StorageConfig::default(), None, clock);
+    let ep = net.register(ProcessId::new(1100, 0));
+    let client = RpcClient::new(&ep);
+    let container = ContainerId(9);
+    let cap = Capability {
+        body: CapabilityBody {
+            container,
+            ops: OpMask::ALL,
+            principal: PrincipalId(1),
+            issuer_epoch: 1,
+            lifetime: Lifetime::UNBOUNDED,
+            serial: 1,
+        },
+        sig: Signature([7; 16]),
+    };
+    let ReplyBody::ObjCreated(obj) =
+        client.call(srv, RequestBody::CreateObj { txn: None, cap, obj: None }).unwrap()
+    else {
+        panic!("create refused");
+    };
+    let original = vec![0x5Au8; 4096];
+    server.store().write(container, obj, 0, &original, 0).unwrap();
+
+    // Each case posts a descriptor of `md_len` bytes (none for 0) and
+    // claims `len` bytes at `offset`.
+    let write = |md_len: usize, offset: u64, len: u64| {
+        let mb = ep.match_bits().alloc(BULK_SPACE);
+        if md_len > 0 {
+            ep.post_md(mb, MemDesc::from_vec(vec![0xEE; md_len], MdOptions::for_remote_get()))
+                .unwrap();
+        }
+        let body = RequestBody::Write {
+            txn: None,
+            cap,
+            obj,
+            offset,
+            len,
+            md: MdHandle { match_bits: mb },
+        };
+        let outcome = client.call(srv, body);
+        ep.unlink_md(mb);
+        outcome.expect_err("a lying write must be refused")
+    };
+    let rss_before = rss_bytes();
+    let gets_before = net.stats().gets.load(std::sync::atomic::Ordering::Relaxed);
+    // Past the object-size limit, with a real megabyte posted: refused
+    // whole, not after the first four chunks have landed.
+    assert_eq!(write(MIB, 0, u64::MAX), Error::ObjectTooLarge);
+    // `offset + len` wraps.
+    assert_eq!(write(MIB, u64::MAX - 10, 100), Error::ObjectTooLarge);
+    assert_eq!(
+        net.stats().gets.load(std::sync::atomic::Ordering::Relaxed),
+        gets_before,
+        "an oversized write must be refused before the first pull"
+    );
+    // Within the limit but far beyond what was posted (or nothing posted):
+    // the first pull fails, and nothing was reserved ahead of it.
+    for md_len in [1024, 0] {
+        let err = write(md_len, original.len() as u64, 1 << 30);
+        assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+    }
+
+    assert_eq!(server.store().read(container, obj, 0, u64::MAX).unwrap(), original);
+    assert_eq!(server.store().bytes_stored(), original.len() as u64);
+    if let (Some(before), Some(after)) = (rss_before, rss_bytes()) {
+        assert!(
+            after.saturating_sub(before) < 64 * MIB as u64,
+            "resident set jumped from {before} to {after} bytes"
+        );
+    }
+    // Still serving, pool intact.
+    assert_eq!(client.call(srv, RequestBody::Ping).unwrap(), ReplyBody::Pong);
+    assert_eq!(server.pool().available(), server.pool().capacity());
 }
 
 proptest::proptest! {
