@@ -98,10 +98,6 @@ impl CachedCapVerifier {
         }
     }
 
-    pub fn cache(&self) -> &CapCache {
-        &self.cache
-    }
-
     pub fn stats(&self) -> CapCacheStats {
         self.cache.stats()
     }

@@ -144,6 +144,10 @@ impl Service for AuthzServer {
                     Err(e) => ReplyBody::Err(e),
                 }
             }
+            RequestBody::RevokeCred { cred } => {
+                self.service.forget_credential(cred);
+                ReplyBody::CredRevoked
+            }
             RequestBody::Ping => ReplyBody::Pong,
             other => ReplyBody::Err(lwfs_proto::Error::Malformed(format!(
                 "authorization service cannot handle {other:?}"

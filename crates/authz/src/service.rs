@@ -201,6 +201,14 @@ impl AuthzService {
         Ok(p)
     }
 
+    /// Drop a credential's cached verification, so its next use is judged
+    /// by the authentication service again — which refuses it if it was
+    /// revoked. Unauthenticated on purpose: evicting can only ever cost a
+    /// re-verification.
+    pub fn forget_credential(&self, cred: &Credential) {
+        self.state.lock().cred_cache.remove(&cred.body.serial);
+    }
+
     /// Create a container on behalf of the credential's principal.
     pub fn create_container(&self, cred: &Credential) -> Result<ContainerId> {
         let principal = self.principal_of(cred)?;

@@ -102,8 +102,8 @@ impl LocalCapVerifier {
             .unwrap_or(0)
     }
 
-    /// Drop all cached signature verdicts (ablation hook: makes every
-    /// subsequent check pay full curve arithmetic).
+    /// Drop all cached signature verdicts, so every subsequent check pays
+    /// full curve arithmetic (how `lwfs-benchmark` times a cold verify).
     pub fn invalidate_all(&self) {
         self.verified.lock().clear();
     }

@@ -20,7 +20,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use lwfs_core::{CapSet, LwfsClient};
 use lwfs_portals::Group;
-use lwfs_proto::{Decode as _, Encode as _, Error, ObjId, ProcessId, Result};
+use lwfs_proto::{Decode as _, Encode as _, Error, ProcessId, Result, TxnId};
 
 use crate::metadata::{CkptEntry, CkptMetadata};
 use crate::CkptReport;
@@ -48,8 +48,31 @@ impl<'a> LwfsCheckpointer<'a> {
         Self { client, group, rank, caps, path_prefix: path_prefix.into(), tag_base: 0x0C11 }
     }
 
-    fn server_for_rank(&self, rank: usize) -> usize {
-        rank % self.client.storage_count()
+    /// Placement: rank `r` dumps to storage target `r mod targets` (a
+    /// replication group on a replicated cluster, a server otherwise).
+    fn server_for_rank(&self, rank: usize) -> Result<usize> {
+        Ok(rank % self.client.storage_targets()?)
+    }
+
+    /// Commit `txn` across the storage targets it touched (plus the naming
+    /// service when it bound or removed a name). Targets become 2PC
+    /// participants only here, after the transaction's own data calls, so
+    /// a failover they rode through names the new primary.
+    fn commit(&self, txn: TxnId, servers: &[usize], naming: bool) -> Result<()> {
+        let mut participants: Vec<ProcessId> = Vec::with_capacity(servers.len() + 1);
+        for &server in servers {
+            let addr = self.client.txn_participant(server)?;
+            if !participants.contains(&addr) {
+                participants.push(addr);
+            }
+        }
+        if naming {
+            participants.push(self.client.addrs().naming);
+        }
+        if !self.client.txn_commit(txn, participants)?.is_committed() {
+            return Err(Error::TxnAborted(txn));
+        }
+        Ok(())
     }
 
     fn path(&self, epoch: u64) -> String {
@@ -61,12 +84,12 @@ impl<'a> LwfsCheckpointer<'a> {
     /// Returns per-phase timings measured on this rank; the caller reduces
     /// max-over-ranks as the paper does.
     pub fn checkpoint(&self, epoch: u64, state: &[u8]) -> Result<CkptReport> {
-        let server = self.server_for_rank(self.rank);
+        let server = self.server_for_rank(self.rank)?;
         let tag = self.tag_base + epoch * 4;
 
         // 1: BEGINTXN — each rank's transaction covers its own tasks.
         let txn = self.client.txn_begin()?;
-        let mut participants: Vec<ProcessId> = vec![self.client.addrs().storage[server]];
+        let mut servers = vec![server];
 
         // 2: CREATEOBJ — independently, in parallel, at the rank's own
         // storage server. No central metadata service involved.
@@ -90,6 +113,7 @@ impl<'a> LwfsCheckpointer<'a> {
         let gathered = self.client.gather(&self.group, self.rank, 0, tag, entry.to_bytes())?;
 
         // 4–6, 8–10 (rank 0 only): metadata object + CREATENAME.
+        let names = gathered.is_some();
         if let Some(blobs) = gathered {
             let mut entries = Vec::with_capacity(blobs.len());
             for blob in blobs {
@@ -99,23 +123,17 @@ impl<'a> LwfsCheckpointer<'a> {
             if !metadata.is_complete(self.group.size() as u32) {
                 return Err(Error::Internal("incomplete metadata gather".into()));
             }
-            let md_server = self.server_for_rank(0);
+            let md_server = self.server_for_rank(0)?;
             let mdobj = self.client.create_obj(md_server, &self.caps, Some(txn), None)?;
             self.client.write(md_server, &self.caps, Some(txn), mdobj, 0, &metadata.to_bytes())?;
             self.client.sync(md_server, &self.caps, Some(mdobj))?;
             // 9: CREATENAME — bind the dataset name to the metadata object.
             self.client.name_create(Some(txn), &self.path(epoch), self.caps.container()?, mdobj)?;
-            if md_server != server {
-                participants.push(self.client.addrs().storage[md_server]);
-            }
-            participants.push(self.client.addrs().naming);
+            servers.push(md_server);
         }
 
         // 11: ENDTXN — two-phase commit across this rank's participants.
-        let outcome = self.client.txn_commit(txn, participants)?;
-        if !outcome.is_committed() {
-            return Err(Error::TxnAborted(txn));
-        }
+        self.commit(txn, &servers, names)?;
         let dump_secs = t1.elapsed().as_secs_f64();
 
         Ok(CkptReport { create_secs, dump_secs, bytes: state.len() as u64 })
@@ -129,7 +147,7 @@ impl<'a> LwfsCheckpointer<'a> {
         let tag = self.tag_base + epoch * 4 + 2;
         let metadata = if self.rank == 0 {
             let (_cid, mdobj) = self.client.name_lookup(&self.path(epoch))?;
-            let md_server = self.server_for_rank(0);
+            let md_server = self.server_for_rank(0)?;
             let attr = self.client.getattr(md_server, &self.caps, mdobj)?;
             let raw = self.client.read(md_server, &self.caps, mdobj, 0, attr.size as usize)?;
             let md = CkptMetadata::from_bytes(Bytes::from(raw))?;
@@ -157,12 +175,6 @@ impl<'a> LwfsCheckpointer<'a> {
         self.client.name_list(&self.path_prefix)
     }
 
-    /// The metadata object id for an epoch (diagnostics).
-    pub fn metadata_object(&self, epoch: u64) -> Result<ObjId> {
-        let (_, obj) = self.client.name_lookup(&self.path(epoch))?;
-        Ok(obj)
-    }
-
     /// The newest committed checkpoint epoch, if any — what a restarting
     /// application restores from. Epoch numbers are zero-padded in the
     /// namespace, so lexicographic order is numeric order.
@@ -188,31 +200,21 @@ impl<'a> LwfsCheckpointer<'a> {
         for &epoch in &doomed {
             let path = self.path(epoch);
             let (_cid, mdobj) = self.client.name_lookup(&path)?;
-            let md_server = self.server_for_rank(0);
+            let md_server = self.server_for_rank(0)?;
             let attr = self.client.getattr(md_server, &self.caps, mdobj)?;
             let raw = self.client.read(md_server, &self.caps, mdobj, 0, attr.size as usize)?;
             let metadata = CkptMetadata::from_bytes(Bytes::from(raw))?;
 
             let txn = self.client.txn_begin()?;
-            let mut participants: Vec<ProcessId> = vec![self.client.addrs().naming];
+            let mut servers = vec![md_server];
             self.client.name_remove(Some(txn), &path)?;
             for entry in &metadata.entries {
                 let server = entry.server as usize;
                 self.client.remove_obj(server, &self.caps, Some(txn), entry.obj)?;
-                let addr = self.client.addrs().storage[server];
-                if !participants.contains(&addr) {
-                    participants.push(addr);
-                }
+                servers.push(server);
             }
             self.client.remove_obj(md_server, &self.caps, Some(txn), mdobj)?;
-            let md_addr = self.client.addrs().storage[md_server];
-            if !participants.contains(&md_addr) {
-                participants.push(md_addr);
-            }
-            let outcome = self.client.txn_commit(txn, participants)?;
-            if !outcome.is_committed() {
-                return Err(Error::TxnAborted(txn));
-            }
+            self.commit(txn, &servers, true)?;
         }
         Ok(doomed)
     }

@@ -5,10 +5,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lwfs_checkpoint::{CkptReport, LwfsCheckpointer, PfsCheckpointer, PfsStyle};
-use lwfs_core::{CapSet, ClusterConfig, LwfsCluster};
+use lwfs_core::{CapSet, ClusterConfig, LwfsClient, LwfsCluster};
 use lwfs_pfs::{PfsCluster, PfsConfig};
 use lwfs_portals::Group;
-use lwfs_proto::{OpMask, ProcessId};
+use lwfs_proto::{ContainerId, OpMask, ProcessId};
 
 fn rank_state(rank: usize, epoch: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i as u64 * 31 + rank as u64 * 7 + epoch * 13) % 251) as u8).collect()
@@ -16,6 +16,28 @@ fn rank_state(rank: usize, epoch: u64, len: usize) -> Vec<u8> {
 
 fn spmd_group(n: usize) -> Group {
     Group::new((0..n as u32).map(|i| ProcessId::new(i, 0)).collect())
+}
+
+/// MAIN() line 3 plus the scatter: rank 0 (already authenticated) acquires
+/// the capabilities and shares them, and its credential, with every rank.
+/// Credentials are fully transferable (§3.1.2), so every rank can BEGINTXN.
+fn share_cred_and_caps(
+    client: &mut LwfsClient,
+    group: &Group,
+    rank: usize,
+    cid: ContainerId,
+) -> CapSet {
+    use lwfs_proto::{Credential, Decode as _, Encode as _};
+    if rank == 0 {
+        let caps = client.get_caps(cid, OpMask::CHECKPOINT | OpMask::READ).unwrap();
+        let cred = client.current_cred().unwrap();
+        client.broadcast(group, 0, 0, 2, Some(cred.to_bytes())).unwrap();
+        client.scatter_caps(group, 0, 0, 1, Some(&caps)).unwrap()
+    } else {
+        let wire = client.broadcast(group, rank, 0, 2, None).unwrap();
+        client.adopt_cred(Credential::from_bytes(wire).unwrap());
+        client.scatter_caps(group, rank, 0, 1, None).unwrap()
+    }
 }
 
 /// Run the Figure 8 flow across `n` rank threads on a fresh LWFS cluster.
@@ -47,19 +69,7 @@ fn run_lwfs_checkpoint(
         .map(|(rank, mut client)| {
             let group = group.clone();
             std::thread::spawn(move || {
-                // Credentials are fully transferable (§3.1.2): rank 0
-                // broadcasts its credential so every rank can BEGINTXN.
-                use lwfs_proto::{Credential, Decode as _, Encode as _};
-                let caps = if rank == 0 {
-                    let caps = client.get_caps(cid, OpMask::CHECKPOINT | OpMask::READ).unwrap();
-                    let cred = client.current_cred().unwrap();
-                    client.broadcast(&group, 0, 0, 2, Some(cred.to_bytes())).unwrap();
-                    client.scatter_caps(&group, 0, 0, 1, Some(&caps)).unwrap()
-                } else {
-                    let wire = client.broadcast(&group, rank, 0, 2, None).unwrap();
-                    client.adopt_cred(Credential::from_bytes(wire).unwrap());
-                    client.scatter_caps(&group, rank, 0, 1, None).unwrap()
-                };
+                let caps = share_cred_and_caps(&mut client, &group, rank, cid);
                 let ck = LwfsCheckpointer::new(&client, group.clone(), rank, caps, "/ckpt/job");
                 let state = rank_state(rank, 1, state_len);
                 let report = ck.checkpoint(1, &state).unwrap();
@@ -124,6 +134,62 @@ fn lwfs_multiple_epochs_coexist() {
     for epoch in 1..=3u64 {
         assert_eq!(ck.restore(epoch).unwrap(), rank_state(0, epoch, 8 * 1024));
     }
+}
+
+/// Run `f(rank, t)` on one thread per rank and hand the results back in
+/// rank order; a rank that panics fails the caller at the join.
+fn per_rank<T: Send, U: Send>(ranks: Vec<T>, f: impl Fn(usize, T) -> U + Sync) -> Vec<U> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> =
+            ranks.into_iter().enumerate().map(|(rank, t)| s.spawn(move || f(rank, t))).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+#[test]
+fn replicated_epochs_commit_before_and_after_a_primary_crash() {
+    // Two groups of two: `server` arguments name groups, and a 2PC must
+    // name each group's *current primary* — not `storage[rank % 4]`, which
+    // is a backup for rank 1 and, after the crash below, a dead process
+    // for rank 0.
+    const RANKS: usize = 2;
+    const LEN: usize = 96 * 1024;
+    let mut cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 2,
+        replication: 2,
+        ..Default::default()
+    });
+    let mut rank0 = cluster.client(0, 0);
+    rank0.get_cred(cluster.kdc().kinit("app", "secret").unwrap()).unwrap();
+    let cid = rank0.create_container().unwrap();
+    let mut clients = vec![rank0];
+    clients.extend((1..RANKS).map(|r| cluster.client(r as u32, 0)));
+
+    let group = spmd_group(RANKS);
+    let ranks = per_rank(clients, |rank, mut client| {
+        let caps = share_cred_and_caps(&mut client, &group, rank, cid);
+        (client, caps)
+    });
+    // One epoch on every rank, then every epoch so far restored byte-exact.
+    // The rank threads are joined between epochs so the crash lands
+    // strictly between two of them.
+    let run_epoch = |ranks: Vec<(LwfsClient, CapSet)>, epoch: u64| {
+        per_rank(ranks, |rank, (client, caps)| {
+            let ck = LwfsCheckpointer::new(&client, group.clone(), rank, caps.clone(), "/ckpt/r");
+            ck.checkpoint(epoch, &rank_state(rank, epoch, LEN)).unwrap();
+            for e in 1..=epoch {
+                assert_eq!(ck.restore(e).unwrap(), rank_state(rank, e, LEN), "rank {rank} @{e}");
+            }
+            (client, caps)
+        })
+    };
+    let ranks = run_epoch(ranks, 1);
+    // Kill group 0's primary. The next epoch's own writes fail over and
+    // refresh the map, so its commit names the promoted backup.
+    cluster.crash_storage(0);
+    run_epoch(ranks, 2);
+    assert_eq!(cluster.namespace().len(), 2, "both epochs are named");
 }
 
 fn boot_pfs(osts: usize) -> PfsCluster {

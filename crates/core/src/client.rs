@@ -23,8 +23,8 @@ use lwfs_portals::{
 };
 use lwfs_proto::{
     ContainerId, Credential, Decode, Encode, Error, GroupMap, LockId, LockMode, LockResource,
-    MdHandle, ObjAttr, ObjId, OpMask, OpNum, ProcessId, Reply, ReplyBody, Request, RequestBody,
-    Result, TxnId,
+    MdHandle, ObjAttr, ObjId, OpMask, OpNum, ProcessId, ReplicaGroup, Reply, ReplyBody, Request,
+    RequestBody, Result, TxnId,
 };
 use lwfs_txn::{Coordinator, TxnOutcome};
 use parking_lot::Mutex;
@@ -42,9 +42,17 @@ pub struct LwfsClient {
     /// Cached replication group map (clusters with a directory only);
     /// refreshed whenever a data operation suggests stale routing.
     groups: Mutex<Option<GroupMap>>,
-    /// Total time a data operation keeps re-targeting across timeouts,
-    /// `NotPrimary` redirects, and map refreshes before giving up.
-    failover_deadline: Duration,
+}
+
+/// Total time a data operation on a replicated cluster keeps re-targeting
+/// across timeouts, `NotPrimary` redirects, and map refreshes before
+/// giving up.
+const FAILOVER_DEADLINE: Duration = Duration::from_secs(15);
+
+/// Group `server` of `map`: what a data call's `server` argument names on
+/// a replicated cluster.
+fn group(map: &GroupMap, server: usize) -> Result<&ReplicaGroup> {
+    map.groups.get(server).ok_or_else(|| Error::Internal(format!("no storage group {server}")))
 }
 
 impl LwfsClient {
@@ -56,7 +64,6 @@ impl LwfsClient {
             cred: None,
             rpc_timeout: std::time::Duration::from_secs(5),
             groups: Mutex::new(None),
-            failover_deadline: Duration::from_secs(15),
         }
     }
 
@@ -64,12 +71,6 @@ impl LwfsClient {
     /// that inject message loss lower this so retries converge quickly.
     pub fn set_rpc_timeout(&mut self, timeout: std::time::Duration) {
         self.rpc_timeout = timeout;
-    }
-
-    /// Change the total re-targeting budget for data operations on a
-    /// replicated cluster (default 15 s).
-    pub fn set_failover_deadline(&mut self, deadline: Duration) {
-        self.failover_deadline = deadline;
     }
 
     pub fn id(&self) -> ProcessId {
@@ -126,16 +127,20 @@ impl LwfsClient {
         self.cred
     }
 
-    /// Revoke this process's credential (application shutdown).
+    /// Revoke this process's credential (application shutdown): at the
+    /// authentication service, which is the source of truth, and then at
+    /// the authorization service, whose first-contact cache (Figure 4-a)
+    /// would otherwise keep honouring every copy it has already seen.
     pub fn revoke_cred(&mut self) -> Result<()> {
         let cred = self.cred()?;
-        match self.rpc().call(self.addrs.auth, RequestBody::RevokeCred { cred })? {
-            ReplyBody::CredRevoked => {
-                self.cred = None;
-                Ok(())
+        for service in [self.addrs.auth, self.addrs.authz] {
+            match self.rpc().call(service, RequestBody::RevokeCred { cred })? {
+                ReplyBody::CredRevoked => {}
+                other => return Err(unexpected(other)),
             }
-            other => Err(unexpected(other)),
         }
+        self.cred = None;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -322,6 +327,27 @@ impl LwfsClient {
         }
     }
 
+    /// How many storage targets the `server` argument of a data call can
+    /// name: replication groups on a cluster with a directory, physical
+    /// servers otherwise. Placement (`rank % targets`) belongs here, not
+    /// on [`storage_count`](Self::storage_count).
+    pub fn storage_targets(&self) -> Result<usize> {
+        Ok(match self.group_map()? {
+            Some(map) => map.groups.len(),
+            None => self.addrs.storage.len(),
+        })
+    }
+
+    /// The process a two-phase commit names for work done on storage
+    /// target `server` — 2PC addresses processes, not groups, so on a
+    /// replicated cluster this is the group's current primary per the
+    /// cached map. Resolve it after the transaction's own data calls: a
+    /// failover they rode through has refreshed the map by then.
+    pub fn txn_participant(&self, server: usize) -> Result<ProcessId> {
+        let Some(map) = self.group_map()? else { return self.storage_addr(server) };
+        group(&map, server)?.primary().ok_or(Error::Unreachable)
+    }
+
     /// Route a mutation to the primary of group `server`, transparently
     /// failing over: on a timeout, an unreachable primary, or a
     /// `NotPrimary` rejection the map is refreshed and the *same request*
@@ -349,11 +375,7 @@ impl LwfsClient {
         let started = Instant::now();
         let mut backoff = Duration::from_micros(200);
         loop {
-            let primary = map
-                .groups
-                .get(server)
-                .ok_or_else(|| Error::Internal(format!("no storage group {server}")))?
-                .primary();
+            let primary = group(&map, server)?.primary();
             let outcome = match primary {
                 // An empty group (every member dead) is a transient state
                 // from the client's perspective: keep polling the map.
@@ -372,7 +394,7 @@ impl LwfsClient {
                     | Error::NotPrimary
                     | Error::ServerBusy),
                 ) => {
-                    if started.elapsed() >= self.failover_deadline {
+                    if started.elapsed() >= FAILOVER_DEADLINE {
                         return Err(Error::RetriesExhausted);
                     }
                     std::thread::sleep(backoff);
@@ -451,12 +473,7 @@ impl LwfsClient {
         let started = Instant::now();
         let mut backoff = Duration::from_micros(200);
         loop {
-            let members = map
-                .groups
-                .get(server)
-                .ok_or_else(|| Error::Internal(format!("no storage group {server}")))?
-                .members
-                .clone();
+            let members = group(&map, server)?.members.clone();
             for member in members {
                 let opnum = OpNum(self.opnum.fetch_add(1, Ordering::Relaxed));
                 let outcome = self.send_once(member, opnum, &body, map.epoch, &token);
@@ -471,7 +488,7 @@ impl LwfsClient {
                     }
                 }
             }
-            if started.elapsed() >= self.failover_deadline {
+            if started.elapsed() >= FAILOVER_DEADLINE {
                 return Err(Error::RetriesExhausted);
             }
             std::thread::sleep(backoff);

@@ -65,8 +65,6 @@ pub enum Condition {
     /// Gauge level at window end above a threshold (e.g. `repl_lag`
     /// watermark, WAL fsync backlog, queue depth).
     GaugeAbove { gauge: String, threshold: i64 },
-    /// Counter increments per second over the window above a threshold.
-    RateAbove { counter: String, per_sec: f64 },
     /// Window-interval p99 of a latency histogram above an SLO.
     P99AboveNs { histogram: String, threshold_ns: u64 },
 }
@@ -78,10 +76,6 @@ impl Condition {
             Condition::GaugeAbove { gauge, threshold } => {
                 let v = w.gauge(gauge)?;
                 (v > *threshold).then(|| format!("{gauge}={v} > {threshold}"))
-            }
-            Condition::RateAbove { counter, per_sec } => {
-                let rate = w.rate_per_sec(counter);
-                (rate > *per_sec).then(|| format!("{counter}={rate:.1}/s > {per_sec:.1}/s"))
             }
             Condition::P99AboveNs { histogram, threshold_ns } => {
                 let h = w.histogram(histogram)?;
@@ -115,14 +109,6 @@ impl HealthRule {
         Self {
             name: name.into(),
             condition: Condition::GaugeAbove { gauge: gauge.into(), threshold },
-            for_windows: for_windows.max(1),
-        }
-    }
-
-    pub fn rate_above(name: &str, counter: &str, per_sec: f64, for_windows: usize) -> Self {
-        Self {
-            name: name.into(),
-            condition: Condition::RateAbove { counter: counter.into(), per_sec },
             for_windows: for_windows.max(1),
         }
     }
@@ -598,30 +584,12 @@ impl ClusterMonitor {
         self.inner.state.lock().jsonl.clone()
     }
 
-    /// Write the retained JSONL lines to `path` (parent directories are
-    /// created).
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut out = self.inner.state.lock().jsonl.join("\n");
-        out.push('\n');
-        std::fs::write(path, out)
-    }
-
     /// Prometheus text exposition of the latest scraped cluster view
     /// (empty string before the first successful scrape).
     pub fn prometheus(&self) -> String {
         let state = self.inner.state.lock();
         let Some(snap) = &state.last_scrape else { return String::new() };
         lwfs_obs::export::to_prometheus(&wire_to_obs_snapshot(snap))
-    }
-
-    /// The most recently completed window.
-    pub fn latest_window(&self) -> Option<WindowDelta> {
-        self.inner.state.lock().tracker.latest().cloned()
     }
 
     /// Critical-path attributions of the latest flight scrape's traces,

@@ -256,11 +256,6 @@ impl<'a> CachedObject<'a> {
         self.last_block = None;
     }
 
-    /// Number of resident blocks (diagnostics).
-    pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Number of dirty blocks awaiting flush.
     pub fn dirty_blocks(&self) -> usize {
         self.blocks.values().filter(|b| b.dirty).count()

@@ -11,8 +11,8 @@
 //!   request id threaded through `lwfs_proto::Request`, decomposing an
 //!   operation into its stages (queue-wait → authorize → pull →
 //!   store-write → reply);
-//! - [`Snapshot`] export as a fixed-width text table or JSON, written
-//!   next to the bench `results/` output via `--metrics-out`.
+//! - [`Snapshot`] export as a fixed-width text table or JSON (what
+//!   `lwfs-repro probe metrics --out` writes).
 //!
 //! Histograms observe dimensionless `u64`s, so they work equally over
 //! wall-clock nanoseconds (`record_duration`) and simulated-time

@@ -263,13 +263,6 @@ impl OpTrace<'_> {
         dur
     }
 
-    /// Close a stage whose duration was measured externally (e.g. the
-    /// queue wait computed from the request's arrival timestamp). Does
-    /// not move the running checkpoint.
-    pub fn stage_with_duration(&mut self, stage: &'static str, dur_ns: u64) {
-        self.record(stage, self.last_ns, dur_ns);
-    }
-
     /// Record a sub-span under a *different* op name (e.g. `wal.append`
     /// inside a `storage.write`) covering the wall interval that ended
     /// just now. Feeds no histogram — subsystems like the WAL already
@@ -444,23 +437,13 @@ impl Snapshot {
     }
 
     /// JSON export with a leading `"meta"` object. `meta` must be a
-    /// complete JSON value (the bench layer builds it with run timestamp,
+    /// complete JSON value (`lwfs-repro` builds it with run timestamp,
     /// protocol version, and node census — things this dependency-free
     /// crate cannot know itself).
     pub fn to_json_with_meta(&self, meta: &str) -> String {
         let body = self.to_json();
         debug_assert!(body.starts_with("{\n"));
         body.replacen("{\n", &format!("{{\n  \"meta\": {meta},\n"), 1)
-    }
-
-    /// Like [`Snapshot::write_json`] but stamped with a `meta` object.
-    pub fn write_json_with_meta(&self, path: &std::path::Path, meta: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json_with_meta(meta))
     }
 
     /// JSON export (hand-rolled: the workspace has no JSON dependency).
@@ -525,16 +508,6 @@ impl Snapshot {
         }
         out.push_str("\n  ]\n}\n");
         out
-    }
-
-    /// Write the JSON export to `path`, creating parent directories.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 

@@ -343,11 +343,6 @@ impl WindowTracker {
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
-
-    /// The cumulative frame the next window will be measured against.
-    pub fn last_frame(&self) -> Option<&MetricFrame> {
-        self.last.as_ref()
-    }
 }
 
 #[cfg(test)]

@@ -311,11 +311,6 @@ impl Network {
         *self.inner.remote.write() = None;
     }
 
-    /// Whether `id` is registered on *this* network instance.
-    pub fn has_local(&self, id: ProcessId) -> bool {
-        self.inner.endpoints.read().contains_key(&id)
-    }
-
     /// Register a process and obtain its endpoint.
     ///
     /// # Panics

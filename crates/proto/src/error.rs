@@ -5,12 +5,10 @@
 //! capability, queue full, …) without either side holding connection state.
 //! The variants therefore carry only small, encodable payloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ContainerId, ObjId, TxnId};
 
 /// The protocol error type shared by all LWFS services.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// The credential could not be verified by the authentication service.
     BadCredential,

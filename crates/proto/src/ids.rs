@@ -6,24 +6,22 @@
 //! where a [`ContainerId`] is expected — a class of bug that matters in a
 //! security protocol where the container is the unit of access control.
 
-use serde::{Deserialize, Serialize};
-
 /// A physical node in the machine (compute node, I/O node, or service node).
 ///
 /// Mirrors a Portals *nid*. Nodes are the unit of allocation in the
 /// space-shared MPP model (paper §1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// A process on a node. Mirrors a Portals *pid*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pid(pub u32);
 
 /// Fully-qualified process address: `(nid, pid)`.
 ///
 /// This is the only addressing the connectionless transport needs — there is
 /// no connection handle, per design rule 2 of paper §2.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId {
     pub nid: NodeId,
     pub pid: Pid,
@@ -44,29 +42,29 @@ impl std::fmt::Display for ProcessId {
 /// A container of objects — the unit of coarse-grained access control
 /// (paper §3.1.1). Every object belongs to exactly one container and all
 /// objects in a container share one access-control policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContainerId(pub u64);
 
 /// A storage object within a container.
 ///
 /// LWFS knows nothing about the organization of objects inside a container;
 /// higher layers (naming service, file-system libraries) impose structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u64);
 
 /// An authenticated principal (user identity) as established by the external
 /// authentication mechanism (e.g. Kerberos).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrincipalId(pub u64);
 
 /// A distributed transaction identifier (paper §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnId(pub u64);
 
 /// Monotonic per-sender operation sequence number, used to match replies to
 /// requests on the connectionless transport and to make server-side request
 /// reordering observable in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpNum(pub u64);
 
 impl OpNum {
@@ -81,7 +79,7 @@ impl OpNum {
 /// Credentials carry a lifetime modifier limiting how long they remain valid
 /// (paper §3.1.2); capabilities are bounded by the issuing instance of the
 /// authorization service *and* by the credential that obtained them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lifetime {
     /// Inclusive start of validity.
     pub not_before: u64,

@@ -8,7 +8,6 @@
 //! through a [`MdHandle`] (paper §3.2, Figure 6).
 
 use bytes::{Buf, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{Decode, Encode};
 use crate::error::{Error, Result};
@@ -30,7 +29,7 @@ use crate::{impl_codec_enum, impl_codec_struct, PROTOCOL_VERSION};
 ///
 /// A zero `trace_id` means "untraced"; `Request::new` self-roots the
 /// context at the request's own `req_id`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// Identity of the distributed operation this request belongs to.
     pub trace_id: u64,
@@ -46,7 +45,7 @@ impl_codec_struct!(TraceContext { trace_id, parent_req_id });
 /// handle to pull the data; for a read it issues a `put` to push data into
 /// it. The handle is just Portals match bits — no connection, no shared
 /// state beyond the posted buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MdHandle {
     /// Match bits the target posted for this transfer.
     pub match_bits: u64,
@@ -55,7 +54,7 @@ pub struct MdHandle {
 impl_codec_struct!(MdHandle { match_bits });
 
 /// Object attributes returned by `GetAttr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjAttr {
     pub size: u64,
     /// Creation time (protocol nanoseconds).
@@ -72,7 +71,7 @@ impl_codec_struct!(ObjAttr { size, create_time, modify_time });
 /// design the paper criticizes (§5): "Lustre and PVFS extend the trust
 /// domain all the way to the client". The MDS simply hands its own LWFS
 /// capabilities to any client that opens the file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PfsLayout {
     pub stripe_size: u64,
     /// File size as known by the MDS.
@@ -92,7 +91,7 @@ impl_codec_struct!(PfsLayout { stripe_size, size, objects, caps });
 /// Object bytes are interpreted as a little-endian `f32` array (the
 /// dominant scientific-data element type of the era); the filter runs on
 /// the storage server and only the *result* crosses the network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FilterSpec {
     /// Every `stride`-th element (decimation for visualization).
     Subsample { stride: u32 },
@@ -109,7 +108,7 @@ impl_codec_enum!(FilterSpec {
 });
 
 /// Lock modes for the lock service (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     Shared,
     Exclusive,
@@ -123,7 +122,7 @@ impl_codec_enum!(LockMode {
 /// What a lock protects: either a whole object or a byte range of one.
 /// Byte-range locks are what a POSIX-semantics file system built *above*
 /// the LWFS-core uses to implement shared-file writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LockResource {
     pub container: ContainerId,
     pub obj: ObjId,
@@ -154,14 +153,14 @@ impl LockResource {
 impl_codec_struct!(LockResource { container, obj, start, end });
 
 /// An opaque identifier for a granted lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LockId(pub u64);
 
 crate::impl_codec_newtype!(LockId);
 
 /// One replication group: `members[0]` is the current primary, the rest
 /// are backups in seniority order (promotion takes `members[1]`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaGroup {
     pub members: Vec<ProcessId>,
 }
@@ -184,7 +183,7 @@ impl_codec_struct!(ReplicaGroup { members });
 /// group and who currently leads it. `epoch` increments on every
 /// membership change (promotion, backup loss); clients stamp it into
 /// requests so stale routing is observable end to end.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupMap {
     pub epoch: u64,
     pub groups: Vec<ReplicaGroup>,
@@ -217,7 +216,7 @@ impl_codec_struct!(GroupMap { epoch, groups });
 /// Carrying buckets means a monitor can subtract two scrapes to get an
 /// exact per-window interval and merge intervals across nodes without
 /// quantile drift beyond the layout's own resolution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryHistogram {
     pub count: u64,
     pub sum: u64,
@@ -231,7 +230,7 @@ impl_codec_struct!(TelemetryHistogram { count, sum, max, buckets });
 /// One sequenced journal entry in on-wire form. Unlike the in-process
 /// [`lwfs-obs` `Event`], `kind` is an owned string: static-str interning
 /// doesn't survive the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryEvent {
     pub seq: u64,
     pub ts_ns: u64,
@@ -245,7 +244,7 @@ impl_codec_struct!(TelemetryEvent { seq, ts_ns, nid, kind, detail });
 /// A node's answer to `GetTelemetry`: cumulative counters/gauges/histograms
 /// plus the tail of the sequenced event journal. Span logs are deliberately
 /// excluded — they are bulky and served by the trace-export path instead.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, i64)>,
@@ -261,7 +260,7 @@ impl_codec_struct!(TelemetrySnapshot { counters, gauges, histograms, events });
 /// wire. `start_ns` stays on the *serving node's* span-log epoch; the
 /// scraper applies its measured per-node offset at assembly
 /// (`TraceCollector::add_node_spans`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSpan {
     pub req_id: u64,
     pub nid: u32,
@@ -275,7 +274,7 @@ impl_codec_struct!(FlightSpan { req_id, nid, op, stage, start_ns, dur_ns });
 
 /// One trace pinned by a node's flight recorder, in on-wire form: the
 /// answer to `GetFlightTraces` is the node's current top-K of these.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightTrace {
     pub trace_id: u64,
     /// Largest end-to-end duration the recorder observed for the trace.

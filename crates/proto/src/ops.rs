@@ -6,10 +6,8 @@
 //! revoke* rights (e.g. revoke write while read stays valid, the `chmod`
 //! example of §3.1.4) with cheap bit arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A set of operations on a container of objects.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct OpMask(u32);
 
 impl OpMask {

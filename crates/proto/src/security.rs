@@ -19,8 +19,6 @@
 //! as a stand-in for a production MAC (the paper's implementation likewise
 //! used an opaque "sufficiently hard to guess" bit string).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ContainerId, Lifetime, PrincipalId};
 use crate::ops::OpMask;
 
@@ -30,7 +28,7 @@ pub mod siphash;
 ///
 /// Contents are meaningless to every component except the service that
 /// minted it. Equality is all a holder can do with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(pub [u8; 16]);
 
 impl Signature {
@@ -38,7 +36,7 @@ impl Signature {
 }
 
 /// The signed portion of a credential.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CredentialBody {
     /// The authenticated principal.
     pub principal: PrincipalId,
@@ -53,7 +51,7 @@ pub struct CredentialBody {
 }
 
 /// Proof of authentication (paper §3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Credential {
     pub body: CredentialBody,
     /// MAC over `body`, verifiable only by the authentication service.
@@ -71,7 +69,7 @@ impl Credential {
 }
 
 /// The signed portion of a capability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CapabilityBody {
     /// The container this capability governs — the *coarse-grained* unit of
     /// access control (§3.1.1). There is deliberately no per-object or
@@ -95,7 +93,7 @@ pub struct CapabilityBody {
 ///
 /// `Capability` is `Copy` and 64 bytes: cheap to scatter to ten thousand
 /// compute processes and to store in server-side verification caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capability {
     pub body: CapabilityBody,
     /// MAC over `body`, verifiable only by the authorization service.
@@ -131,7 +129,7 @@ impl Capability {
 }
 
 /// Identity of a capability in caches and revocation tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CapabilityKey {
     pub serial: u64,
     pub sig: Signature,

@@ -1,0 +1,216 @@
+//! Ablation studies attributing the paper's results to the design choices
+//! DESIGN.md calls out.
+//!
+//! 1. **Capability cache** (§3.1.2): disable the storage-server cache so
+//!    every chunk pays a verify-through round trip at the single
+//!    authorization server, at Red Storm scale in the DES.
+//! 2. **Shared-file penalty attribution** (§4 / Figure 9): zero the lock
+//!    hand-off and the disk-locality penalty separately to show which
+//!    mechanism produces the "roughly half" throughput.
+//! 3. **Pinned-buffer pipeline depth** (§3.2 / Figure 6).
+//! 4. **Transfer chunk size**.
+//! 6. **Amortized verify-through cost** (§3.1.2), from a real storage
+//!    server's cache counters.
+//!
+//! What each layer of the functional plane costs (WAL policies, recovery,
+//! replication, capability modes) is measured by `lwfs-benchmark`'s
+//! per-layer rows, not here.
+//!
+//! ```text
+//! cargo run --release -p lwfs-repro -- ablation
+//! ```
+
+use lwfs_models::{Calibration, CkptImpl, DumpSim, Machine};
+
+use crate::{finish, CsvOut, ShapeCheck, Table};
+
+fn run_dev(calib: Calibration, impl_kind: CkptImpl, clients: usize, servers: usize) -> f64 {
+    DumpSim {
+        machine: Machine::dev_cluster(),
+        calib,
+        impl_kind,
+        clients,
+        servers,
+        bytes_per_client: 512_000_000,
+    }
+    .run(1)
+    .throughput_mbps
+}
+
+/// Red Storm-scale run: this is where a centralized per-operation
+/// authorization step stops being a latency tax and becomes a ceiling.
+fn run_red_storm(calib: Calibration, clients: usize) -> f64 {
+    DumpSim {
+        machine: Machine::red_storm(),
+        calib,
+        impl_kind: CkptImpl::LwfsObjPerProc,
+        clients,
+        servers: 256,
+        bytes_per_client: 500_000_000,
+    }
+    .run(1)
+    .throughput_mbps
+}
+
+pub fn run() -> bool {
+    let mut csv = CsvOut::new("ablation", &["study", "variant", "clients", "value"]);
+    let mut shapes = ShapeCheck::new();
+
+    // ------------------------------------------------------------------
+    // 1. Capability cache on/off (DES).
+    // ------------------------------------------------------------------
+    println!(
+        "== ablation 1: storage-server capability cache (LWFS dump, Red Storm, 256 servers) =="
+    );
+    println!("   (at dev-cluster scale the authz server absorbs the un-cached load;");
+    println!("    the ceiling appears at MPP scale — which is the paper's §2.4 point)");
+    let mut t = Table::new(&["clients", "cache on (MB/s)", "cache off (MB/s)", "loss"]);
+    let mut collapse = (0.0, 0.0);
+    for &clients in &[256usize, 1024, 4096] {
+        let on = run_red_storm(Calibration::default(), clients);
+        let off =
+            run_red_storm(Calibration { cap_cache: false, ..Calibration::default() }, clients);
+        t.row(&[
+            clients.to_string(),
+            format!("{on:.0}"),
+            format!("{off:.0}"),
+            format!("{:.0}%", 100.0 * (1.0 - off / on)),
+        ]);
+        csv.row(&["cap_cache".into(), "on".into(), clients.to_string(), format!("{on:.1}")]);
+        csv.row(&["cap_cache".into(), "off".into(), clients.to_string(), format!("{off:.1}")]);
+        if clients == 4096 {
+            collapse = (on, off);
+        }
+    }
+    t.print();
+    shapes.check(
+        format!(
+            "without the cache the authz server throttles the dump ({:.0} -> {:.0} MB/s at 4096 clients)",
+            collapse.0, collapse.1
+        ),
+        collapse.1 < 0.8 * collapse.0,
+    );
+
+    // ------------------------------------------------------------------
+    // 2. Shared-file penalty attribution.
+    // ------------------------------------------------------------------
+    println!("\n== ablation 2: what halves the shared file? (64 clients, 8 servers) ==");
+    let base = Calibration::default();
+    let fpp = run_dev(base.clone(), CkptImpl::LustreFilePerProc, 64, 8);
+    let variants: Vec<(&str, Calibration)> = vec![
+        ("full penalties (as measured)", base.clone()),
+        ("no lock hand-off", Calibration { lock_handoff_ns: 0, ..base.clone() }),
+        ("no disk-locality penalty", Calibration { writer_switch_ns: 0, ..base.clone() }),
+        (
+            "neither (LWFS-like semantics)",
+            Calibration { lock_handoff_ns: 0, writer_switch_ns: 0, ..base.clone() },
+        ),
+    ];
+    let mut t = Table::new(&["variant", "shared (MB/s)", "vs file-per-process"]);
+    let mut neither_ratio = 0.0;
+    let mut full_ratio = 0.0;
+    for (name, calib) in variants {
+        let shared = run_dev(calib, CkptImpl::LustreShared, 64, 8);
+        let ratio = shared / fpp;
+        t.row(&[name.to_string(), format!("{shared:.0}"), format!("{ratio:.2}x")]);
+        csv.row(&["shared_penalty".into(), name.into(), "64".into(), format!("{shared:.1}")]);
+        if name.starts_with("neither") {
+            neither_ratio = ratio;
+        }
+        if name.starts_with("full") {
+            full_ratio = ratio;
+        }
+    }
+    t.print();
+    shapes.check_range("full penalties reproduce the ~0.5x of Figure 9", full_ratio, 0.35, 0.65);
+    shapes.check_range(
+        "removing the imposed consistency recovers file-per-process throughput",
+        neither_ratio,
+        0.9,
+        1.1,
+    );
+
+    // ------------------------------------------------------------------
+    // 3. Pipeline depth (pinned buffers).
+    // ------------------------------------------------------------------
+    println!("\n== ablation 3: pinned-buffer pipeline depth (LWFS, 8 clients, 8 servers) ==");
+    let mut t = Table::new(&["depth", "throughput (MB/s)"]);
+    let mut depth_results = Vec::new();
+    for depth in [1u32, 2, 4, 8] {
+        let v = run_dev(
+            Calibration { pipeline_depth: depth, ..Calibration::default() },
+            CkptImpl::LwfsObjPerProc,
+            8,
+            8,
+        );
+        t.row(&[depth.to_string(), format!("{v:.0}")]);
+        csv.row(&["pipeline_depth".into(), depth.to_string(), "8".into(), format!("{v:.1}")]);
+        depth_results.push(v);
+    }
+    t.print();
+    shapes.check(
+        "deeper pipelines never hurt (monotone non-decreasing)",
+        depth_results.windows(2).all(|w| w[1] >= w[0] * 0.999),
+    );
+
+    // ------------------------------------------------------------------
+    // 4. Chunk size.
+    // ------------------------------------------------------------------
+    println!("\n== ablation 4: transfer chunk size (shared file, 64 clients, 8 servers) ==");
+    let mut t = Table::new(&["chunk", "shared (MB/s)", "vs fpp"]);
+    for chunk in [250_000u64, 1_000_000, 4_000_000] {
+        let calib = Calibration { chunk_bytes: chunk, ..Calibration::default() };
+        let shared = run_dev(calib.clone(), CkptImpl::LustreShared, 64, 8);
+        let fpp_c = run_dev(calib, CkptImpl::LustreFilePerProc, 64, 8);
+        t.row(&[
+            format!("{} KB", chunk / 1000),
+            format!("{shared:.0}"),
+            format!("{:.2}x", shared / fpp_c),
+        ]);
+        csv.row(&["chunk_size".into(), chunk.to_string(), "64".into(), format!("{shared:.1}")]);
+    }
+    t.print();
+    println!("  (larger chunks amortize the per-switch penalty — the knob a");
+    println!("   PFS admin would turn, at the cost of client memory)");
+
+    // ------------------------------------------------------------------
+    // 6. The §3.1.2 amortized analysis, with real counters.
+    // ------------------------------------------------------------------
+    println!("\n== ablation 6: amortized cost of verify-through caching (§3.1.2) ==");
+    let report = amortized_report();
+    println!("  {report}");
+    println!("  (the paper: 'the amortized impact of this additional");
+    println!("   communication is minimal' — threshold 0.01 extra msgs/op)");
+    shapes.check(
+        format!(
+            "verify-through overhead is minimal ({:.5} extra msgs/op)",
+            report.extra_messages_per_op()
+        ),
+        report.is_minimal(0.01),
+    );
+
+    finish(&shapes, csv)
+}
+
+/// Run a checkpoint-like workload on the functional plane and build the
+/// §3.1.2 amortized report from the storage server's real cache counters.
+fn amortized_report() -> lwfs_authz::AmortizedReport {
+    use lwfs_core::{ClusterConfig, LwfsCluster};
+    use lwfs_proto::OpMask;
+
+    let cluster = LwfsCluster::boot(ClusterConfig { storage_servers: 1, ..Default::default() });
+    let mut client = cluster.client(0, 0);
+    let ticket = cluster.kdc().kinit("app", "secret").unwrap();
+    client.get_cred(ticket).unwrap();
+    let cid = client.create_container().unwrap();
+    let caps = client.get_caps(cid, OpMask::ALL).unwrap();
+    let obj = client.create_obj(0, &caps, None, None).unwrap();
+    // A checkpoint-like run: thousands of chunk writes under one capability.
+    for i in 0..2000u64 {
+        client.write(0, &caps, None, obj, i * 64, &[7u8; 64]).unwrap();
+    }
+    let server = cluster.storage_server(0);
+    let stats = server.cap_cache_stats().unwrap();
+    // Verify RTT: 2 × one-hop latency (Table 2: 2 µs) + authz service time.
+    lwfs_authz::AmortizedReport::new(stats, server.stats().data_ops(), 34_000)
+}

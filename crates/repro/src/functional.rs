@@ -9,18 +9,19 @@
 //! MDS, shared-file dumps pay for locking.
 //!
 //! ```text
-//! cargo run --release -p lwfs-bench --bin functional
+//! cargo run --release -p lwfs-repro -- functional
 //! ```
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use lwfs_bench::{CsvOut, ShapeCheck, Table};
 use lwfs_checkpoint::{CkptReport, LwfsCheckpointer, PfsCheckpointer, PfsStyle};
 use lwfs_core::{ClusterConfig, LwfsCluster};
 use lwfs_pfs::{PfsCluster, PfsConfig};
 use lwfs_portals::Group;
 use lwfs_proto::{Credential, Decode as _, Encode as _, OpMask, ProcessId};
+
+use crate::{finish, CsvOut, ShapeCheck, Table};
 
 const STATE_BYTES: usize = 4 * 1024 * 1024;
 const SERVERS: usize = 4;
@@ -97,7 +98,7 @@ fn run_pfs(style: PfsStyle, n: usize) -> CkptReport {
     handles.into_iter().map(|h| h.join().unwrap()).fold(CkptReport::default(), CkptReport::max)
 }
 
-fn main() {
+pub fn run() -> bool {
     println!(
         "Functional-plane cross-validation: {} MB/rank, {SERVERS} storage servers\n",
         STATE_BYTES / (1024 * 1024)
@@ -165,10 +166,5 @@ fn main() {
         fpp8.create_secs > fpp4.create_secs,
     );
 
-    let ok = shapes.report();
-    match csv.finish() {
-        Ok(path) => println!("\nCSV written to {}", path.display()),
-        Err(e) => eprintln!("CSV write failed: {e}"),
-    }
-    std::process::exit(if ok { 0 } else { 1 });
+    finish(&shapes, csv)
 }

@@ -1,52 +1,32 @@
-//! Shared helpers for the evaluation harness: aligned table printing,
-//! CSV emission, and paper-shape checks.
+//! The paper, regenerated: every table, figure and attribution study of
+//! the evaluation behind the one `lwfs-repro` binary, plus the two
+//! observability acceptance probes.
 //!
-//! Every figure/table binary follows the same protocol:
+//! Every study follows the same protocol:
 //!
 //! 1. run the model (or the functional plane) over the experiment grid,
 //! 2. print the series in the same rows/columns the paper reports,
-//! 3. write a CSV under `results/` (and, with `--metrics-out <path>` /
-//!    `--trace-out <path>`, a metric-registry JSON and a Chrome
-//!    `trace_event` JSON dumped by the functional probe in [`metrics`]),
+//! 3. write a CSV under `results/`,
 //! 4. print explicit **shape checks** comparing the measured curve
 //!    features (plateaus, ceilings, ratios, crossovers) against what the
-//!    paper's figures show, each marked `ok` / `MISMATCH`.
+//!    paper's figures show, each marked `ok` / `MISMATCH`,
+//!
+//! and returns whether every shape check passed. `main` is the only place
+//! that reads argv; everything below it takes plain values.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+pub mod ablation;
+pub mod figures;
+pub mod functional;
 mod metrics;
+pub mod petaflop;
+pub mod tables;
 mod telemetry;
 
-pub use metrics::{
-    append_trajectory, bench_meta, check_regression, check_regression_arg, maybe_dump_metrics,
-    metrics_out_arg, run_metrics_probe, trace_out_arg,
-};
-pub use telemetry::{
-    run_telemetry_probe, telemetry_out_arg, TelemetryReport, LAG_RULE, WRITE_P99_RULE,
-};
-
-/// Parse `--transport <kind>` (or `--transport=<kind>`) from argv: which
-/// fabric the functional-plane runs and probes boot over. Defaults to the
-/// in-process transport; `tcp` routes every cross-node message through
-/// loopback sockets (and, where a binary supports it, real OS processes).
-///
-/// # Panics
-/// Panics on an unknown transport name — a silently-ignored flag would
-/// report in-process numbers as socket numbers.
-pub fn transport_arg() -> lwfs_core::TransportKind {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--transport")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| args.iter().find_map(|a| a.strip_prefix("--transport=").map(str::to_string)));
-    match raw {
-        Some(name) => lwfs_core::TransportKind::parse(&name)
-            .unwrap_or_else(|| panic!("unknown --transport {name:?} (try: inprocess, tcp)")),
-        None => lwfs_core::TransportKind::default(),
-    }
-}
+pub use metrics::run_metrics_probe;
+pub use telemetry::{run_telemetry_probe, TelemetryReport, LAG_RULE, WRITE_P99_RULE};
 
 /// A simple aligned-column table printer.
 #[derive(Debug, Default)]
@@ -98,6 +78,16 @@ impl Table {
     }
 }
 
+/// Write an output file, creating its directory first.
+pub(crate) fn write_file(path: &Path, body: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    std::fs::write(path, body)
+}
+
 /// CSV writer for experiment output.
 pub struct CsvOut {
     path: PathBuf,
@@ -105,11 +95,9 @@ pub struct CsvOut {
 }
 
 impl CsvOut {
-    /// Create `results/<name>.csv` (relative to the workspace root when
-    /// run via `cargo run`, else the current directory).
+    /// Create `results/<name>.csv`, relative to the current directory.
     pub fn new(name: &str, header: &[&str]) -> Self {
-        let dir = Path::new("results");
-        let path = dir.join(format!("{name}.csv"));
+        let path = Path::new("results").join(format!("{name}.csv"));
         Self { path, lines: vec![header.join(",")] }
     }
 
@@ -119,22 +107,20 @@ impl CsvOut {
 
     /// Write the file; returns the path written.
     pub fn finish(self) -> std::io::Result<PathBuf> {
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(&self.path, self.lines.join("\n") + "\n")?;
+        write_file(&self.path, &(self.lines.join("\n") + "\n"))?;
         Ok(self.path)
     }
 }
 
 /// A paper-shape check with pass/fail display.
+#[derive(Default)]
 pub struct ShapeCheck {
     checks: Vec<(String, bool)>,
 }
 
 impl ShapeCheck {
     pub fn new() -> Self {
-        Self { checks: Vec::new() }
+        Self::default()
     }
 
     /// Record a check: `description` should state both the paper's claim
@@ -161,15 +147,21 @@ impl ShapeCheck {
         }
         all
     }
-
-    pub fn all_passed(&self) -> bool {
-        self.checks.iter().all(|(_, p)| *p)
-    }
 }
 
-impl Default for ShapeCheck {
-    fn default() -> Self {
-        Self::new()
+/// Close a study: print the shape checks and write the CSV. `true` when
+/// every check passed and the file landed.
+pub fn finish(shapes: &ShapeCheck, csv: CsvOut) -> bool {
+    let ok = shapes.report();
+    match csv.finish() {
+        Ok(path) => {
+            println!("\nCSV written to {}", path.display());
+            ok
+        }
+        Err(e) => {
+            eprintln!("CSV write failed: {e}");
+            false
+        }
     }
 }
 
@@ -206,10 +198,10 @@ mod tests {
         let mut sc = ShapeCheck::new();
         sc.check_range("x", 5.0, 4.0, 6.0);
         sc.check_range("y", 10.0, 0.0, 5.0);
-        assert!(!sc.all_passed());
+        assert!(!sc.report());
         let mut sc2 = ShapeCheck::new();
         sc2.check_range("x", 5.0, 4.0, 6.0);
-        assert!(sc2.all_passed());
+        assert!(sc2.report());
     }
 
     #[test]

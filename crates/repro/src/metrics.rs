@@ -1,19 +1,16 @@
-//! The `--metrics-out` / `--trace-out` probe shared by the figure and
-//! ablation binaries.
+//! The metrics probe (`lwfs-repro probe metrics`).
 //!
-//! The model-driven binaries (figure9, figure10, ablation) predict
-//! performance analytically — they never boot the functional plane, so
-//! they have no live metric registry of their own. When asked for
-//! metrics or traces, they run this probe instead: boot a small
-//! in-process LWFS cluster, drive a representative mix through every
+//! The paper's figures come from the simulator, which has no live metric
+//! registry. This probe boots a small replicated LWFS cluster on the
+//! functional plane, drives a representative mix through every
 //! instrumented subsystem (server-directed writes and reads, a committed
 //! and an aborted two-phase commit, naming ops, capability verification,
-//! a ship-deadline eviction, a primary failover), and dump the fabric
+//! a ship-deadline eviction, a primary failover), and dumps the fabric
 //! registry — counters, gauges, latency histograms, per-request stage
-//! spans, and the control-plane event journal — as JSON next to the CSV
-//! results. With `--trace-out` the probe additionally assembles the
-//! span log into distributed traces and writes Chrome `trace_event`
-//! JSON loadable in Perfetto / `about:tracing`.
+//! spans, and the control-plane event journal — as JSON. With a trace
+//! path it additionally assembles the span log into distributed traces
+//! and writes Chrome `trace_event` JSON loadable in Perfetto /
+//! `about:tracing`.
 //!
 //! The probe is also the acceptance harness for the tracing pipeline:
 //! it asserts that one replicated write produced spans from the client,
@@ -21,45 +18,23 @@
 //! (apply) under a single propagated `trace_id`, and that the induced
 //! eviction was journaled *before* the directory republished the map.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lwfs_core::{ClusterConfig, LwfsCluster};
+use lwfs_core::{ClusterConfig, LwfsCluster, TransportKind};
 use lwfs_obs::{Snapshot, TraceCollector, TOTAL_STAGE};
 use lwfs_portals::FaultPlan;
 use lwfs_proto::OpMask;
 use lwfs_storage::StorageConfig;
 use lwfs_wal::WalConfig;
 
-/// Parse `--metrics-out <path>` (or `--metrics-out=<path>`) from argv.
-pub fn metrics_out_arg() -> Option<PathBuf> {
-    path_arg("--metrics-out")
-}
+use crate::write_file;
 
-/// Parse `--trace-out <path>` (or `--trace-out=<path>`) from argv.
-pub fn trace_out_arg() -> Option<PathBuf> {
-    path_arg("--trace-out")
-}
-
-pub(crate) fn path_arg(flag: &str) -> Option<PathBuf> {
-    let prefixed = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix(&prefixed) {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
-}
-
-/// The JSON `meta` object stamped onto every bench output: wall-clock
+/// The JSON `meta` object stamped onto every probe artifact: wall-clock
 /// run timestamp, wire protocol version, and whatever census pairs the
-/// caller adds (storage-server count, endpoint count, model scale) —
-/// enough to tell two archived artifacts apart without external context.
-pub fn bench_meta(census: &[(&str, u64)]) -> String {
+/// caller adds (storage-server count, endpoint count) — enough to tell
+/// two archived artifacts apart without external context.
+pub(crate) fn artifact_meta(census: &[(&str, u64)]) -> String {
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -73,89 +48,17 @@ pub fn bench_meta(census: &[(&str, u64)]) -> String {
     meta
 }
 
-/// Parse `--check-regression` from argv: compare this run's headline
-/// numbers against the last recorded trajectory entry (warn-only).
-pub fn check_regression_arg() -> bool {
-    std::env::args().any(|a| a == "--check-regression")
-}
-
-/// Path of the append-only headline journal.
-fn trajectory_path() -> PathBuf {
-    Path::new("results").join("trajectory.jsonl")
-}
-
-/// Append one line to `results/trajectory.jsonl` recording this run's
-/// headline numbers for `bench`:
-/// `{"meta": {…}, "bench": "…", "headline": {"key": value, …}}`.
-/// The file is an append-only journal across commits — the performance
-/// trajectory of the repo itself — so entries are never rewritten.
-pub fn append_trajectory(bench: &str, headline: &[(&str, f64)]) -> std::io::Result<PathBuf> {
-    use std::io::Write as _;
-    let path = trajectory_path();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut line =
-        format!("{{\"meta\": {}, \"bench\": \"{bench}\", \"headline\": {{", bench_meta(&[]));
-    for (i, (k, v)) in headline.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        line.push_str(&format!("{sep}\"{k}\": {v:.3}"));
-    }
-    line.push_str("}}\n");
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?
-        .write_all(line.as_bytes())?;
-    Ok(path)
-}
-
-/// Warn-only regression check: compare `headline` against the **last**
-/// trajectory entry for `bench` and print a `REGRESSION?` line for every
-/// key that dropped by more than 20%. Never fails the run — wall-clock
-/// benches on shared CI hosts are too noisy for a hard gate, but the
-/// warning makes a real cliff visible in the run log. Call this *before*
-/// [`append_trajectory`], or the run compares against itself.
-pub fn check_regression(bench: &str, headline: &[(&str, f64)]) {
-    let Ok(body) = std::fs::read_to_string(trajectory_path()) else {
-        println!("  (no trajectory yet at {}; nothing to compare)", trajectory_path().display());
-        return;
-    };
-    let tag = format!("\"bench\": \"{bench}\"");
-    let Some(prev) = body.lines().rev().find(|l| l.contains(&tag)) else {
-        println!("  (no prior {bench} entry in the trajectory; nothing to compare)");
-        return;
-    };
-    for (k, now) in headline {
-        let needle = format!("\"{k}\": ");
-        let Some(pos) = prev.rfind(&needle) else { continue };
-        let num: String = prev[pos + needle.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-'))
-            .collect();
-        let Ok(before) = num.parse::<f64>() else { continue };
-        if *now < 0.8 * before {
-            println!(
-                "  REGRESSION? {bench}.{k}: {now:.3} vs {before:.3} last recorded \
-                 ({:.0}% drop)",
-                100.0 * (1.0 - now / before)
-            );
-        } else {
-            println!("  trajectory ok: {bench}.{k}: {now:.3} (last {before:.3})");
-        }
-    }
-}
-
 /// Boot a two-group replicated cluster, exercise every instrumented
 /// subsystem, and return the registry snapshot — written to `metrics` as
 /// registry JSON and to `trace` as Chrome `trace_event` JSON when given.
 ///
 /// # Panics
 /// Panics when any driven operation fails or when the tracing pipeline's
-/// acceptance invariants do not hold: the probe runs entirely on the
-/// in-process functional plane, so a failure is a bug, not an
-/// environmental condition.
+/// acceptance invariants do not hold: the probe cluster lives entirely
+/// inside this process (over loopback sockets under `Tcp`), so a failure
+/// is a bug, not an environmental condition.
 pub fn run_metrics_probe(
+    transport: TransportKind,
     metrics: Option<&Path>,
     trace: Option<&Path>,
 ) -> std::io::Result<Snapshot> {
@@ -187,7 +90,7 @@ pub fn run_metrics_probe(
         replication: 2,
         ship_deadline: Some(std::time::Duration::from_millis(1000)),
         storage: StorageConfig { wal: Some(WalConfig::new(&wal_root)), ..Default::default() },
-        transport: crate::transport_arg(),
+        transport,
         ..Default::default()
     });
     let mut client = cluster.client(0, 0);
@@ -211,19 +114,16 @@ pub fn run_metrics_probe(
     // A committed two-phase commit spanning both storage servers and the
     // naming service (the Figure 8 checkpoint pattern).
     let txn = client.txn_begin().expect("txn_begin");
-    let map = cluster.group_map().expect("replicated probe cluster has a group map");
     let mut participants = Vec::new();
     for server in 0..SERVERS {
         let obj = client.create_obj(server, &caps, Some(txn), None).expect("txn create_obj");
         if server == 0 {
             client.name_create(Some(txn), "/probe/ckpt", cid, obj).expect("name_create");
         }
-        // 2PC names processes, not groups: the participants are the
-        // current group primaries.
-        participants.push(map.groups[server].primary().expect("group has a primary"));
+        participants.push(client.txn_participant(server).expect("group has a primary"));
     }
     participants.push(cluster.addrs().naming);
-    let outcome = client.txn_commit(txn, participants.clone()).expect("txn_commit");
+    let outcome = client.txn_commit(txn, participants).expect("txn_commit");
     assert!(outcome.is_committed(), "probe txn must commit: {outcome:?}");
 
     // An aborted transaction, so abort metrics are populated too.
@@ -281,21 +181,16 @@ pub fn run_metrics_probe(
     assert_eviction_journaled(&snap);
 
     if let Some(path) = metrics {
-        let meta = bench_meta(&[
+        let meta = artifact_meta(&[
             ("storage_servers", (SERVERS * 2) as u64),
             ("endpoints", cluster.network().endpoint_count() as u64),
         ]);
-        snap.write_json_with_meta(path, &meta)?;
+        write_file(path, &snap.to_json_with_meta(&meta))?;
     }
     if let Some(path) = trace {
         let mut collector = TraceCollector::new();
         collector.add_spans(snap.spans.iter().cloned());
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, collector.to_chrome_json())?;
+        write_file(path, &collector.to_chrome_json())?;
     }
     drop(cluster);
     let _ = std::fs::remove_dir_all(&wal_root);
@@ -344,44 +239,4 @@ fn assert_eviction_journaled(snap: &Snapshot) {
         !snap.events_of_kind("failover.promote").is_empty(),
         "primary failover missing from the event journal"
     );
-}
-
-/// When `--metrics-out`, `--trace-out`, or `--telemetry-out` was passed,
-/// run the corresponding probe and report the written files. Called by
-/// the figure/ablation binaries after their model runs.
-pub fn maybe_dump_metrics() {
-    let metrics = metrics_out_arg();
-    let trace = trace_out_arg();
-    if metrics.is_some() || trace.is_some() {
-        match run_metrics_probe(metrics.as_deref(), trace.as_deref()) {
-            Ok(_) => {
-                if let Some(path) = &metrics {
-                    println!("metrics written to {}", path.display());
-                }
-                if let Some(path) = &trace {
-                    println!("trace written to {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("probe output failed: {e}"),
-        }
-    }
-    if let Some(path) = crate::telemetry::telemetry_out_arg() {
-        // When both probes run, the telemetry storm's scraped slow traces
-        // overwrite the metrics probe's trace at `--trace-out` — the storm
-        // trace is the one `lwfs-inspect` attributes offline.
-        match crate::telemetry::run_telemetry_probe(Some(&path), trace.as_deref()) {
-            Ok(report) => {
-                println!(
-                    "telemetry written to {} ({} windows) and {}",
-                    path.display(),
-                    report.windows,
-                    path.with_extension("prom").display()
-                );
-                if let Some(trace) = &trace {
-                    println!("scraped slow traces written to {}", trace.display());
-                }
-            }
-            Err(e) => eprintln!("telemetry probe failed: {e}"),
-        }
-    }
 }

@@ -3,14 +3,15 @@
 //! I/O nodes".
 //!
 //! ```text
-//! cargo run --release -p lwfs-bench --bin petaflop
+//! cargo run --release -p lwfs-repro -- petaflop
 //! ```
 
-use lwfs_bench::{CsvOut, ShapeCheck, Table};
 use lwfs_models::petaflop::DEFAULT_BYTES_PER_NODE;
 use lwfs_models::{petaflop_report, CkptImpl, Machine};
 
-fn main() {
+use crate::{finish, CsvOut, ShapeCheck, Table};
+
+pub fn run() -> bool {
     let m = Machine::petaflop();
     println!(
         "Petaflop extrapolation: {} compute nodes, {} I/O nodes, {} GB/node\n",
@@ -68,10 +69,5 @@ fn main() {
         lwfs.create_fraction < 0.01,
     );
 
-    let ok = shapes.report();
-    match csv.finish() {
-        Ok(path) => println!("\nCSV written to {}", path.display()),
-        Err(e) => eprintln!("CSV write failed: {e}"),
-    }
-    std::process::exit(if ok { 0 } else { 1 });
+    finish(&shapes, csv)
 }

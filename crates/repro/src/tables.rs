@@ -1,16 +1,66 @@
-//! Regenerate **Table 2**: Red Storm communication and I/O performance —
-//! and *validate* that the simulation substrate reproduces those rates
-//! when exercised, rather than merely echoing configuration.
+//! Regenerate **Tables 1 and 2**.
 //!
 //! ```text
-//! cargo run -p lwfs-bench --bin table2
+//! cargo run --release -p lwfs-repro -- tables
 //! ```
 
-use lwfs_bench::{CsvOut, ShapeCheck, Table};
 use lwfs_models::Machine;
 use lwfs_sim::{FcfsResource, SimDuration, SimTime};
 
-fn main() {
+use crate::{finish, CsvOut, ShapeCheck, Table};
+
+/// Both tables; `true` when every shape check of both passed.
+pub fn run() -> bool {
+    let ok1 = table1();
+    println!();
+    let ok2 = table2();
+    ok1 && ok2
+}
+
+/// **Table 1**: compute and I/O nodes for MPPs at the DOE laboratories,
+/// with the compute:I/O ratio.
+fn table1() -> bool {
+    println!("Table 1: Compute and I/O nodes for MPPs at the DOE laboratories\n");
+
+    let paper_ratios = [58.0, 62.0, 41.0, 64.0];
+    let mut table = Table::new(&["Computer", "Compute Nodes", "I/O Nodes", "Ratio"]);
+    let mut csv = CsvOut::new("table1", &["machine", "compute_nodes", "io_nodes", "ratio"]);
+    let mut shapes = ShapeCheck::new();
+
+    for (machine, paper) in Machine::table1().iter().zip(paper_ratios) {
+        let ratio = machine.ratio();
+        table.row(&[
+            machine.name.to_string(),
+            machine.compute_nodes.to_string(),
+            machine.io_nodes.to_string(),
+            format!("{:.0}:1", ratio),
+        ]);
+        csv.row(&[
+            machine.name.to_string(),
+            machine.compute_nodes.to_string(),
+            machine.io_nodes.to_string(),
+            format!("{ratio:.2}"),
+        ]);
+        shapes.check_range(
+            &format!("{} ratio vs paper {paper:.0}:1", machine.name),
+            ratio,
+            paper - 1.0,
+            paper + 1.0,
+        );
+    }
+    table.print();
+    shapes.check(
+        "compute nodes outnumber I/O nodes by 1–2 orders of magnitude (§2.1)",
+        Machine::table1().iter().all(|m| m.ratio() >= 10.0 && m.ratio() <= 100.0),
+    );
+
+    finish(&shapes, csv)
+}
+
+/// **Table 2**: Red Storm communication and I/O performance — and
+/// *validate* that the simulation substrate reproduces those rates when
+/// exercised, rather than merely echoing configuration.
+fn table2() -> bool {
     let rs = Machine::red_storm();
     println!("Table 2: Red Storm Communication and I/O Performance\n");
 
@@ -22,8 +72,8 @@ fn main() {
     // work and measure the achieved rate.
     let mut disk = FcfsResource::with_bandwidth("raid", rs.server_disk_mbps);
     let bytes = 4_000_000_000u64;
-    let (_, finish) = disk.reserve(SimTime::ZERO, bytes);
-    let disk_mbps = bytes as f64 / 1e6 / finish.as_secs_f64();
+    let (_, done) = disk.reserve(SimTime::ZERO, bytes);
+    let disk_mbps = bytes as f64 / 1e6 / done.as_secs_f64();
     table.row(&[
         "I/O node B/W (to RAID)".into(),
         "400 MB/s".into(),
@@ -76,10 +126,5 @@ fn main() {
     shapes.check_range("network:RAID imbalance (×)", imbalance, 14.0, 16.0);
 
     table.print();
-    let ok = shapes.report();
-    match csv.finish() {
-        Ok(path) => println!("\nCSV written to {}", path.display()),
-        Err(e) => eprintln!("CSV write failed: {e}"),
-    }
-    std::process::exit(if ok { 0 } else { 1 });
+    finish(&shapes, csv)
 }

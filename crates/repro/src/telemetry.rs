@@ -1,4 +1,5 @@
-//! The `--telemetry-out` probe: a live run of the whole telemetry plane.
+//! The telemetry probe (`lwfs-repro probe telemetry`): a live run of the
+//! whole telemetry plane.
 //!
 //! Boots a WAL-backed, R=2 replicated cluster, attaches a
 //! [`ClusterMonitor`] polling every node over the wire (`GetTelemetry`),
@@ -22,26 +23,24 @@
 //! path the scraped slow traces land as Chrome `trace_event` JSON, so
 //! `lwfs-inspect` can reproduce the attribution offline.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use lwfs_core::{ClusterConfig, HealthRule, LwfsCluster, MonitorConfig};
+use lwfs_core::{ClusterConfig, HealthRule, LwfsCluster, MonitorConfig, TransportKind};
 use lwfs_portals::FaultPlan;
 use lwfs_proto::OpMask;
 use lwfs_storage::StorageConfig;
 use lwfs_wal::WalConfig;
 
-/// Parse `--telemetry-out <path>` (or `--telemetry-out=<path>`) from argv.
-pub fn telemetry_out_arg() -> Option<PathBuf> {
-    crate::metrics::path_arg("--telemetry-out")
-}
+use crate::metrics::artifact_meta;
+use crate::write_file;
 
 /// What [`run_telemetry_probe`] observed, for callers that assert more.
 pub struct TelemetryReport {
     /// Completed aggregation windows.
     pub windows: u64,
-    /// One line per window (the `--telemetry-out` payload).
+    /// One line per window (the `--out` payload).
     pub jsonl: Vec<String>,
     /// Prometheus text exposition of the final scrape.
     pub prometheus: String,
@@ -68,9 +67,11 @@ pub const WRITE_P99_RULE: &str = "write_p99_slo";
 ///
 /// # Panics
 /// Panics when the monitoring pipeline's acceptance invariants do not
-/// hold — the probe runs entirely in-process, so a failure is a bug,
-/// not an environmental condition.
+/// hold — the probe cluster lives entirely inside this process (over
+/// loopback sockets under `Tcp`), so a failure is a bug, not an
+/// environmental condition.
 pub fn run_telemetry_probe(
+    transport: TransportKind,
     out: Option<&Path>,
     trace_out: Option<&Path>,
 ) -> std::io::Result<TelemetryReport> {
@@ -91,7 +92,7 @@ pub fn run_telemetry_probe(
         replication: 2,
         ship_deadline: Some(Duration::from_millis(100)),
         storage: StorageConfig { wal: Some(WalConfig::new(&wal_root)), ..Default::default() },
-        transport: crate::transport_arg(),
+        transport,
         ..Default::default()
     });
     // The p99 SLO sits above warm-up jitter (64 KiB writes with WAL
@@ -217,34 +218,17 @@ pub fn run_telemetry_probe(
     };
 
     if let Some(path) = out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
         // First JSONL line is the run's meta stamp; every later line is
         // one aggregation window.
-        let mut body = format!(
-            "{{\"meta\": {}}}\n",
-            crate::metrics::bench_meta(&[("storage_servers", (SERVERS * 2) as u64)])
-        );
-        body.push_str(&report.jsonl.join("\n"));
-        body.push('\n');
-        std::fs::write(path, body)?;
-        let mut prom = format!(
-            "# meta: {}\n",
-            crate::metrics::bench_meta(&[("storage_servers", (SERVERS * 2) as u64)])
-        );
-        prom.push_str(&report.prometheus);
-        std::fs::write(path.with_extension("prom"), prom)?;
+        let meta = artifact_meta(&[("storage_servers", (SERVERS * 2) as u64)]);
+        write_file(path, &format!("{{\"meta\": {meta}}}\n{}\n", report.jsonl.join("\n")))?;
+        write_file(
+            &path.with_extension("prom"),
+            &format!("# meta: {meta}\n{}", report.prometheus),
+        )?;
     }
     if let Some(path) = trace_out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, &report.trace_json)?;
+        write_file(path, &report.trace_json)?;
     }
 
     monitor.shutdown();

@@ -1,4 +1,4 @@
-//! Integration test for the `--metrics-out` / `--trace-out` probe: the
+//! Integration test for the metrics probe (`lwfs-repro probe metrics`): the
 //! registry snapshot must carry every instrumented subsystem, the stage
 //! decomposition of each traced request must account for no more than
 //! its end-to-end latency, and the trace export must assemble a
@@ -6,8 +6,9 @@
 
 use std::collections::BTreeMap;
 
-use lwfs_bench::run_metrics_probe;
+use lwfs_core::TransportKind;
 use lwfs_obs::{TraceCollector, TOTAL_STAGE};
+use lwfs_repro::run_metrics_probe;
 
 /// Ops recorded as *annotations inside* another op's stage intervals
 /// (`wal.append` under `storage.write.wal_append`, `repl.ship` around
@@ -18,7 +19,7 @@ const ANNOTATION_OPS: &[&str] = &["wal", "repl", "authz"];
 
 #[test]
 fn snapshot_covers_every_instrumented_subsystem() {
-    let snap = run_metrics_probe(None, None).unwrap();
+    let snap = run_metrics_probe(TransportKind::InProcess, None, None).unwrap();
 
     // Storage: queue/buffer gauges exist (drained back to zero by the
     // time we sample) and the data-path counters moved.
@@ -75,7 +76,7 @@ fn snapshot_covers_every_instrumented_subsystem() {
 
 #[test]
 fn stage_latencies_sum_to_at_most_end_to_end() {
-    let snap = run_metrics_probe(None, None).unwrap();
+    let snap = run_metrics_probe(TransportKind::InProcess, None, None).unwrap();
     assert!(!snap.spans.is_empty());
 
     // Group the span log by traced request; compare the sum of its stage
@@ -142,7 +143,7 @@ fn trace_export_assembles_a_replicated_write() {
     let dir = std::env::temp_dir().join(format!("lwfs-trace-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let trace_path = dir.join("probe_trace.json");
-    let snap = run_metrics_probe(None, Some(&trace_path)).unwrap();
+    let snap = run_metrics_probe(TransportKind::InProcess, None, Some(&trace_path)).unwrap();
 
     // The exported file is the Chrome trace_event envelope with spans
     // from the client and both storage roles.

@@ -3,7 +3,8 @@
 //! Prometheus exposition-format checker (the exporter must not be the
 //! only judge of its own output).
 
-use lwfs_bench::{run_telemetry_probe, LAG_RULE, WRITE_P99_RULE};
+use lwfs_core::TransportKind;
+use lwfs_repro::{run_telemetry_probe, LAG_RULE, WRITE_P99_RULE};
 
 /// Validate Prometheus text exposition format: every `# TYPE` line names
 /// a legal metric with a legal type, every sample line is
@@ -124,7 +125,8 @@ fn telemetry_probe_monitors_degrading_cluster() {
     let dir = std::env::temp_dir().join(format!("lwfs-telemetry-test-{}", std::process::id()));
     let out = dir.join("telemetry.jsonl");
     let trace_out = dir.join("trace.json");
-    let report = run_telemetry_probe(Some(&out), Some(&trace_out)).expect("telemetry probe");
+    let report = run_telemetry_probe(TransportKind::InProcess, Some(&out), Some(&trace_out))
+        .expect("telemetry probe");
 
     // The probe already asserted the core invariants (nonzero lag window,
     // alert-before-eviction); re-check the ordering from the report and

@@ -155,10 +155,6 @@ impl FcfsPool {
         &self.stations[idx]
     }
 
-    pub fn station_mut(&mut self, idx: usize) -> &mut FcfsResource {
-        &mut self.stations[idx]
-    }
-
     pub fn reset(&mut self) {
         for s in &mut self.stations {
             s.reset();

@@ -19,10 +19,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     pub fn saturating_sub(self, other: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }

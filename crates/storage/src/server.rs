@@ -69,10 +69,6 @@ pub struct StorageConfig {
     pub pool_buffers: usize,
     /// Maximum requests drained into one elevator batch.
     pub batch_limit: usize,
-    /// Ablation knob: bypass the capability cache and verify every
-    /// operation through the authorization service. Quantifies what the
-    /// §3.1.2 caching scheme buys (see the `ablation` harness).
-    pub verify_every_op: bool,
     /// Worker threads running the authorize → transfer → store → reply
     /// path. `1` reproduces the serial paper-faithful loop exactly;
     /// the default matches the host's available parallelism.
@@ -122,7 +118,6 @@ impl Default for StorageConfig {
             chunk_size: 256 * 1024,
             pool_buffers: 8,
             batch_limit: 64,
-            verify_every_op: false,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             store: StoreConfig::default(),
             wal: None,
@@ -520,13 +515,6 @@ impl StorageServer {
         &self.pool
     }
 
-    /// This participant's journal state for `txn` (`None` once committed,
-    /// aborted, or never seen). Crash tests use it to watch a restarted
-    /// server re-enter `Prepared`.
-    pub fn journal_state(&self, txn: TxnId) -> Option<JournalState> {
-        self.journal.state(txn)
-    }
-
     /// Prepared transactions held **in doubt**, sorted by id — after a
     /// restart, the set a coordinator must resolve.
     pub fn in_doubt_txns(&self) -> Vec<TxnId> {
@@ -830,14 +818,7 @@ impl StorageServer {
             return signed.verifier.check(token, need, cap.container(), obj, self.clock.now(), 0);
         }
         match &self.verifier {
-            Some(v) => {
-                if self.config.verify_every_op {
-                    // Ablation mode: behave as if there were no cache —
-                    // every operation pays the verify-through round trip.
-                    v.cache().invalidate(&[cap.cache_key()]);
-                }
-                v.check(client, cap, need, self.clock.now())
-            }
+            Some(v) => v.check(client, cap, need, self.clock.now()),
             None => {
                 if cap.grants(need) {
                     Ok(())
@@ -846,12 +827,6 @@ impl StorageServer {
                 }
             }
         }
-    }
-
-    /// The local token verifier, when signed-capability enforcement is on
-    /// (benchmarks read its observed epochs and flush its verdict cache).
-    pub fn cap_verifier(&self) -> Option<&LocalCapVerifier> {
-        self.signed.as_ref().map(|s| &s.verifier)
     }
 
     // ------------------------------------------------------------------

@@ -14,13 +14,11 @@
 //! the server's conflict tracker already serializes when they overlap)
 //! ever share a lock. Id allocation is a single atomic counter.
 //!
-//! `sync` optionally spills object contents to a backing directory, giving
-//! the functional plane a real `open/write/sync/close` cost profile (the
-//! quantity timed in §4's experiments).
+//! The store is memory-only: durability is the write-ahead log's job
+//! (`lwfs-wal`, driven by the server above), so `sync` only settles the
+//! dirty-object accounting.
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,13 +35,11 @@ const SHARD_COUNT: usize = 16;
 pub struct StoreConfig {
     /// Largest object the server accepts, in bytes.
     pub max_object_size: u64,
-    /// Optional directory where `sync` persists object contents.
-    pub backing_dir: Option<PathBuf>,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self { max_object_size: 4 << 30, backing_dir: None }
+        Self { max_object_size: 4 << 30 }
     }
 }
 
@@ -66,8 +62,8 @@ struct StoredObject {
 
 type ObjRef = Arc<StoredObject>;
 
-/// An in-memory (optionally file-sync-backed) object store with a sharded
-/// object map, per-object locking, and atomic id allocation.
+/// An in-memory object store with a sharded object map, per-object
+/// locking, and atomic id allocation.
 pub struct ObjectStore {
     config: StoreConfig,
     shards: Vec<Mutex<HashMap<ObjId, ObjRef>>>,
@@ -132,9 +128,7 @@ impl ObjectStore {
         Ok(oid)
     }
 
-    /// Remove an object, enforcing container scoping. Any backing file a
-    /// previous `sync` spilled is deleted too — a removed object's bytes
-    /// must not linger on disk and resurrect after a replay or re-sync.
+    /// Remove an object, enforcing container scoping.
     pub fn remove(&self, container: ContainerId, oid: ObjId) -> Result<()> {
         self.take(container, oid).map(drop)
     }
@@ -151,11 +145,6 @@ impl ObjectStore {
                 Some(_) => shard.remove(&oid).expect("entry just seen under the shard lock"),
             }
         };
-        if let Some(dir) = &self.config.backing_dir {
-            // Best-effort: the object may simply never have been
-            // synced, in which case there is no file to delete.
-            let _ = std::fs::remove_file(dir.join(format!("obj-{}.dat", oid.0)));
-        }
         let data = std::mem::take(&mut obj.state.lock().data);
         Ok(data)
     }
@@ -326,56 +315,22 @@ impl ObjectStore {
         objs
     }
 
-    /// Flush one object (or all) to the backing directory, clearing dirty
-    /// bits. Returns the number of objects flushed.
-    ///
-    /// The full sweep (`oid: None`) is **best-effort**: an object whose
-    /// flush fails keeps its dirty bit (a later sync retries it) and the
-    /// sweep continues, so one bad object cannot leave every later one
-    /// dirty. Failures are aggregated into a single error reporting how
-    /// many objects did flush.
+    /// Settle one object (or all): clear dirty bits and return how many
+    /// objects had been written since their last sync.
     pub fn sync(&self, oid: Option<ObjId>) -> Result<u64> {
         let targets: Vec<(ObjId, ObjRef)> = match oid {
             Some(o) => vec![(o, self.lookup(o)?)],
             None => self.all_objects(),
         };
-        let total = targets.len();
         let mut flushed = 0u64;
-        let mut failures: Vec<(ObjId, Error)> = Vec::new();
-        for (id, obj) in targets {
+        for (_, obj) in targets {
             let mut st = obj.state.lock();
-            if !st.dirty {
-                continue;
+            if st.dirty {
+                st.dirty = false;
+                flushed += 1;
             }
-            if let Err(e) = self.flush_object(id, &st.data) {
-                failures.push((id, e));
-                continue; // dirty bit stays set: retried by the next sync
-            }
-            st.dirty = false;
-            flushed += 1;
         }
-        match failures.as_slice() {
-            [] => Ok(flushed),
-            [(id, e), rest @ ..] => Err(Error::StorageIo(format!(
-                "sync flushed {flushed}/{total} objects; {} failed (first: obj {} — {e}){}",
-                failures.len(),
-                id.0,
-                if rest.is_empty() { "" } else { ", more elided" },
-            ))),
-        }
-    }
-
-    /// Write one object's bytes to its backing file (no-op without a
-    /// backing directory).
-    fn flush_object(&self, id: ObjId, data: &[u8]) -> Result<()> {
-        let Some(dir) = &self.config.backing_dir else {
-            return Ok(());
-        };
-        std::fs::create_dir_all(dir).map_err(|e| Error::StorageIo(e.to_string()))?;
-        let path = dir.join(format!("obj-{}.dat", id.0));
-        let mut f = std::fs::File::create(&path).map_err(|e| Error::StorageIo(e.to_string()))?;
-        f.write_all(data).map_err(|e| Error::StorageIo(e.to_string()))?;
-        f.sync_all().map_err(|e| Error::StorageIo(e.to_string()))
+        Ok(flushed)
     }
 
     /// Objects in a container, sorted for deterministic listings.
@@ -482,7 +437,7 @@ mod tests {
 
     #[test]
     fn size_limit_enforced() {
-        let s = ObjectStore::new(StoreConfig { max_object_size: 8, backing_dir: None });
+        let s = ObjectStore::new(StoreConfig { max_object_size: 8 });
         let oid = s.create(C1, None, 0).unwrap();
         assert!(s.write(C1, oid, 0, &[0u8; 8], 0).is_ok());
         assert_eq!(s.write(C1, oid, 1, &[0u8; 8], 0).unwrap_err(), Error::ObjectTooLarge);
@@ -546,74 +501,6 @@ mod tests {
         s.write(C1, a, 0, b"z", 0).unwrap();
         assert_eq!(s.sync(Some(a)).unwrap(), 1);
         assert!(s.sync(Some(ObjId(999))).is_err());
-    }
-
-    #[test]
-    fn file_backed_sync_writes_files() {
-        let dir = std::env::temp_dir().join(format!("lwfs-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = ObjectStore::new(StoreConfig {
-            max_object_size: 1 << 20,
-            backing_dir: Some(dir.clone()),
-        });
-        let oid = s.create(C1, None, 0).unwrap();
-        s.write(C1, oid, 0, b"persisted bytes", 0).unwrap();
-        s.sync(Some(oid)).unwrap();
-        let read_back = std::fs::read(dir.join(format!("obj-{}.dat", oid.0))).unwrap();
-        assert_eq!(read_back, b"persisted bytes");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn remove_deletes_spilled_backing_file() {
-        // Regression: `remove` used to leave the spilled file behind, so a
-        // removed object's bytes could resurrect from the backing dir.
-        let dir = std::env::temp_dir().join(format!("lwfs-store-rm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = ObjectStore::new(StoreConfig {
-            max_object_size: 1 << 20,
-            backing_dir: Some(dir.clone()),
-        });
-        let oid = s.create(C1, None, 0).unwrap();
-        s.write(C1, oid, 0, b"soon gone", 0).unwrap();
-        s.sync(Some(oid)).unwrap();
-        let path = dir.join(format!("obj-{}.dat", oid.0));
-        assert!(path.exists());
-        s.remove(C1, oid).unwrap();
-        assert!(!path.exists(), "backing file must die with the object");
-        // Removing a never-synced object must not trip over the missing file.
-        let other = s.create(C1, None, 0).unwrap();
-        s.remove(C1, other).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sync_sweep_is_best_effort_across_objects() {
-        // Point the backing dir at a path whose parent is a regular file:
-        // every flush fails, but the sweep must still visit every object,
-        // keep all dirty bits, and report the aggregate.
-        let blocker = std::env::temp_dir().join(format!("lwfs-store-blk-{}", std::process::id()));
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let s = ObjectStore::new(StoreConfig {
-            max_object_size: 1 << 20,
-            backing_dir: Some(blocker.join("sub")),
-        });
-        let a = s.create(C1, None, 0).unwrap();
-        let b = s.create(C1, None, 0).unwrap();
-        s.write(C1, a, 0, b"x", 0).unwrap();
-        s.write(C1, b, 0, b"y", 0).unwrap();
-        let err = s.sync(None).unwrap_err();
-        match &err {
-            Error::StorageIo(msg) => {
-                assert!(msg.contains("flushed 0/2"), "aggregate count missing: {msg}");
-                assert!(msg.contains("2 failed"), "failure count missing: {msg}");
-            }
-            other => panic!("expected StorageIo, got {other:?}"),
-        }
-        // Dirty bits survived: a sync after repairing the path flushes both.
-        std::fs::remove_file(&blocker).unwrap();
-        assert_eq!(s.sync(None).unwrap(), 2);
-        let _ = std::fs::remove_dir_all(&blocker);
     }
 
     #[test]
@@ -698,7 +585,7 @@ mod tests {
 
     #[test]
     fn reserve_changes_no_bytes_and_honours_the_size_limit() {
-        let s = ObjectStore::new(StoreConfig { max_object_size: 1 << 20, backing_dir: None });
+        let s = ObjectStore::new(StoreConfig { max_object_size: 1 << 20 });
         let oid = s.create(C1, None, 0).unwrap();
         s.write(C1, oid, 0, b"abc", 0).unwrap();
         s.reserve(C1, oid, 1 << 20).unwrap();

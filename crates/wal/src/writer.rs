@@ -37,18 +37,6 @@ pub enum SyncPolicy {
     Os,
 }
 
-impl SyncPolicy {
-    /// Parse the ablation-harness flag spelling: `always`, `os`, or
-    /// `every<N>` (e.g. `every32`).
-    pub fn parse(s: &str) -> Option<SyncPolicy> {
-        match s {
-            "always" => Some(SyncPolicy::Always),
-            "os" => Some(SyncPolicy::Os),
-            _ => s.strip_prefix("every").and_then(|n| n.parse().ok()).map(SyncPolicy::EveryN),
-        }
-    }
-}
-
 impl std::fmt::Display for SyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -481,11 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_policy_parses_flag_spellings() {
-        assert_eq!(SyncPolicy::parse("always"), Some(SyncPolicy::Always));
-        assert_eq!(SyncPolicy::parse("os"), Some(SyncPolicy::Os));
-        assert_eq!(SyncPolicy::parse("every32"), Some(SyncPolicy::EveryN(32)));
-        assert_eq!(SyncPolicy::parse("sometimes"), None);
+    fn sync_policy_displays_its_short_name() {
+        assert_eq!(SyncPolicy::Always.to_string(), "always");
         assert_eq!(SyncPolicy::EveryN(8).to_string(), "every8");
+        assert_eq!(SyncPolicy::Os.to_string(), "os");
     }
 }

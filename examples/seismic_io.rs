@@ -16,7 +16,6 @@
 use std::sync::Arc;
 
 use lwfs::prelude::*;
-use lwfs::workload::AccessPattern;
 
 const WRITERS: usize = 4;
 const TRACES_PER_GATHER: u64 = 64;
@@ -55,16 +54,8 @@ fn main() {
 
                 // Traces are written in acquisition order: a strided
                 // pattern within the gather object.
-                let pattern = AccessPattern::Strided {
-                    base: 0,
-                    record: TRACE_BYTES,
-                    stride: TRACE_BYTES,
-                    count: TRACES_PER_GATHER,
-                };
-                for (t, op) in pattern.generate(0).into_iter().enumerate() {
-                    client
-                        .write(w, &caps, None, obj, op.offset, &trace_bytes(w, t as u64))
-                        .unwrap();
+                for t in 0..TRACES_PER_GATHER {
+                    client.write(w, &caps, None, obj, t * TRACE_BYTES, &trace_bytes(w, t)).unwrap();
                 }
                 client.sync(w, &caps, Some(obj)).unwrap();
                 // Register the gather under a survey path.

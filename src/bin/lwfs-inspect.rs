@@ -7,7 +7,7 @@
 //!
 //! Reads the Chrome `trace_event` export of scraped slow traces
 //! (`--trace-out`) and/or the monitor's windowed JSONL series
-//! (`--telemetry-out`), reruns the critical-path attribution, and prints
+//! (`lwfs-repro probe telemetry --out`), reruns the critical-path attribution, and prints
 //! the fleet tail decomposition, the slowest-K trace trees with per-span
 //! critical-path claims, the alert firings, and a warn-only Little's-law
 //! queue sanity check. No cluster required: the point is that a

@@ -3,7 +3,7 @@
 //! A post-mortem starts from two artifacts the monitoring pipeline
 //! already exports — the Chrome `trace_event` JSON of scraped slow
 //! traces (`--trace-out`) and the monitor's windowed JSONL time series
-//! (`--telemetry-out`) — and must reproduce the live pipeline's blame
+//! (`lwfs-repro probe telemetry --out`) — and must reproduce the live pipeline's blame
 //! verdict **without** a running cluster. This module re-ingests both
 //! artifacts, reassembles the traces, reruns the critical-path
 //! attribution from [`lwfs_obs::critpath`], and renders:
@@ -303,7 +303,7 @@ pub struct MonitorLog {
     pub windows: Vec<Json>,
 }
 
-/// Parse a `--telemetry-out` JSONL file (meta line first, then windows).
+/// Parse a `probe telemetry --out` JSONL file (meta line first, then windows).
 pub fn parse_monitor_jsonl(text: &str) -> Result<MonitorLog, String> {
     let mut meta = None;
     let mut windows = Vec::new();

@@ -33,7 +33,10 @@
 //! | [`models`] | `lwfs-models` | queueing models for Figures 9/10 |
 //! | [`sciio`] | `lwfs-sciio` | PnetCDF-like library on the core (§6) |
 //! | [`iolib`] | `lwfs-iolib` | caching/prefetching layer (Figure 2) |
-//! | [`workload`] | `lwfs-workload` | workload generators, sweep grids |
+//!
+//! Two harnesses sit outside the facade: `lwfs-repro` (`crates/repro`)
+//! regenerates the paper's tables and figures and runs the observability
+//! probes; `lwfs-benchmark` (`crates/benchmark`) measures the real stack.
 //!
 //! ## Quickstart
 //!
@@ -80,7 +83,6 @@ pub use lwfs_sim as sim;
 pub use lwfs_storage as storage;
 pub use lwfs_txn as txn;
 pub use lwfs_wal as wal;
-pub use lwfs_workload as workload;
 
 /// One-stop imports for applications.
 pub mod prelude {

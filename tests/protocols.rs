@@ -167,3 +167,25 @@ fn rule3_revocation_is_the_only_om_broadcast_and_it_is_bounded_by_m() {
     // Note: the create capability also lives at those two servers but was
     // not revoked, so exactly the write-cap entries are invalidated.
 }
+
+#[test]
+fn revoked_credential_acquires_no_more_capabilities() {
+    // §3.1: a credential is revocable at the authentication service, and
+    // the revocation binds everyone it was transferred to — the copy a
+    // second rank adopted dies with the original.
+    let cluster = boot(1);
+    let mut client = cluster.client(0, 0);
+    let ticket = cluster.kdc().kinit("app", "secret").unwrap();
+    let cred = client.get_cred(ticket).unwrap();
+    let cid = client.create_container().unwrap();
+    client.get_caps(cid, OpMask::ALL).unwrap();
+    let mut peer = cluster.client(1, 0);
+    peer.adopt_cred(cred);
+    peer.get_caps(cid, OpMask::READ).unwrap();
+
+    client.revoke_cred().unwrap();
+
+    assert_eq!(client.current_cred(), None, "the revoker keeps no credential");
+    assert_eq!(client.get_caps(cid, OpMask::ALL).unwrap_err(), Error::BadCredential);
+    assert_eq!(peer.get_caps(cid, OpMask::READ).unwrap_err(), Error::CredentialRevoked);
+}
