@@ -22,6 +22,8 @@
 //!
 //! [`Credential`]: lwfs_proto::Credential
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod mechanism;
 pub mod server;

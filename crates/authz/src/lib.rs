@@ -24,6 +24,8 @@
 //!   lives here; every subsequent data access is authorized at the storage
 //!   server from its cache without contacting this service.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cache;
 pub mod policy;

@@ -27,6 +27,8 @@
 //! research reproduction, noted here so nobody mistakes it for production
 //! key hygiene.
 
+#![forbid(unsafe_code)]
+
 pub mod ed25519;
 pub mod sha512;
 pub mod token;

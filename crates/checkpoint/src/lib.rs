@@ -21,6 +21,8 @@
 //! Every implementation reports per-phase timings (`create` vs `dump`)
 //! because the paper's two figures split exactly there.
 
+#![forbid(unsafe_code)]
+
 pub mod lwfs;
 pub mod metadata;
 pub mod pfs;

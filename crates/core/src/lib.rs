@@ -24,6 +24,8 @@
 //! application-specific I/O libraries) uses only this public API — the
 //! "open architecture" layering of Figure 2.
 
+#![forbid(unsafe_code)]
+
 pub mod caps;
 pub mod client;
 pub mod cluster;

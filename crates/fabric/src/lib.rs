@@ -21,6 +21,8 @@
 //! verify-through, trace propagation, telemetry scrapes — runs unchanged
 //! over either transport, because the seam is below the RPC layer.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod frame;
 pub mod manifest;

@@ -23,6 +23,8 @@
 //! the application-controlled consistency the paper advocates instead of
 //! server-side locking.
 
+#![forbid(unsafe_code)]
+
 pub mod cached;
 pub mod lru;
 

@@ -30,6 +30,8 @@
 //!   chunk switch, cutting effective disk bandwidth roughly in half;
 //! * **dump bandwidth plateaus** at `min(Σ client NIC, Σ server disk)`.
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod create;
 pub mod dump;

@@ -15,6 +15,8 @@
 //! distributed namespaces — the "future work" of §6) can replace it without
 //! touching the core.
 
+#![forbid(unsafe_code)]
+
 pub mod namespace;
 pub mod server;
 

@@ -18,6 +18,8 @@
 //! wall-clock nanoseconds (`record_duration`) and simulated-time
 //! nanoseconds (`record` with a `SimDuration`'s nanosecond count).
 
+#![forbid(unsafe_code)]
+
 pub mod critpath;
 mod event;
 pub mod export;

@@ -21,6 +21,8 @@
 //!   the client" (§5). The MDS hands its own capabilities to every client
 //!   that opens a file.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 pub mod layout;

@@ -27,6 +27,8 @@
 //! Fault injection (message drop, partitions) is built in so the test suite
 //! can exercise timeout and retry paths deterministically.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod collective;
 pub mod endpoint;

@@ -1,4 +1,6 @@
 //! The one checksum and the one frame: `[u32 len][u32 crc32][payload]`.
+//! ([`crc32`] is the workspace's single checksum entry point; its kernel
+//! lives in the private `crc` module.)
 //!
 //! Everything that leaves a process as a byte stream — WAL segments on
 //! disk, replication ships, fabric sockets — is cut into these frames, and
@@ -21,33 +23,7 @@ pub const HEADER_LEN: usize = 8;
 /// buffered or allocated for it.
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE 802.3: reflected polynomial `0xEDB88320`, init and
-/// xor-out `0xFFFFFFFF`) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+pub use crate::crc::crc32;
 
 /// Encode `msg` into one complete frame. The payload is encoded in place
 /// behind a blank header that is patched once its length and checksum are
@@ -104,27 +80,6 @@ pub fn split(buf: &[u8]) -> Split<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check values for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn crc32_detects_single_bit_flips() {
-        let data = b"durable bytes".to_vec();
-        let good = crc32(&data);
-        for i in 0..data.len() {
-            for bit in 0..8 {
-                let mut flipped = data.clone();
-                flipped[i] ^= 1 << bit;
-                assert_ne!(crc32(&flipped), good, "flip at byte {i} bit {bit} undetected");
-            }
-        }
-    }
 
     #[test]
     fn encode_then_split_roundtrips() {

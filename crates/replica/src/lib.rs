@@ -24,6 +24,8 @@
 //! The storage server owns the data path (what to ship, when to ack);
 //! this crate owns membership, roles, epochs, and dedup.
 
+#![forbid(unsafe_code)]
+
 pub mod directory;
 pub mod reply_cache;
 

@@ -94,7 +94,13 @@ impl ReplyCache {
     /// Record the reply for `(origin, opnum)`, evicting that origin's
     /// oldest entry at capacity. Re-inserting an existing key refreshes
     /// the value only.
+    ///
+    /// The cache owns what it keeps: `reply` is copied out of whatever
+    /// buffer it is a view of. A decoded `Bytes` field shares its whole
+    /// wire message, so storing the view would pin a 256 KiB+ `ReplShip`
+    /// per entry for the sake of a reply of a few dozen bytes.
     pub fn put(&self, origin: ProcessId, opnum: OpNum, reply: Bytes) {
+        let reply = Bytes::copy_from_slice(&reply);
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;

@@ -14,6 +14,8 @@
 //! and returns whether every shape check passed. `main` is the only place
 //! that reads argv; everything below it takes plain values.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

@@ -2,6 +2,8 @@
 //! acceptance probes, from one entry point. Argv is read here, once;
 //! anything not in [`USAGE`] exits 2 before any study runs.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -31,6 +31,8 @@
 //! layout: temp rows [t0..t1) -> server s, object o_s   (block by time)
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod dataset;
 pub mod schema;

@@ -22,6 +22,8 @@
 //!   trials".
 //! * [`SimRng`] — a seeded ChaCha8 RNG so every trial is reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod resource;
 pub mod rng;

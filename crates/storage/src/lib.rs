@@ -26,6 +26,8 @@
 //! * [`StorageServer`] — the service: the RPC surface, the capability
 //!   cache, transaction participation (undo journals + 2PC votes).
 
+#![forbid(unsafe_code)]
+
 pub mod buffers;
 pub mod dispatch;
 pub mod filter;

@@ -20,6 +20,8 @@
 //! * [`TxnLockServer`] — a service that allocates transaction ids and
 //!   serves the lock protocol.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod journal;
 pub mod locks;

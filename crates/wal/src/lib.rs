@@ -29,6 +29,8 @@
 //! The storage server owns the wiring (what to log, when to replay); this
 //! crate owns the bytes on disk.
 
+#![forbid(unsafe_code)]
+
 pub mod reader;
 pub mod record;
 pub mod writer;
@@ -53,16 +55,17 @@ pub fn frame_record(rec: &WalRecord) -> Bytes {
 }
 
 /// Decode one complete frame produced by [`frame_record`], verifying the
-/// length covers the buffer exactly and the CRC matches.
-pub fn unframe_record(bytes: &[u8]) -> Result<WalRecord> {
-    match frame::split(bytes) {
-        Split::Complete { payload, consumed } if consumed == bytes.len() => {
-            WalRecord::from_bytes(Bytes::copy_from_slice(payload))
+/// length covers the buffer exactly and the CRC matches. The record is
+/// decoded in place: its `Bytes` fields are views of `frame`, not copies.
+pub fn unframe_record(frame: &Bytes) -> Result<WalRecord> {
+    match frame::split(frame) {
+        Split::Complete { consumed, .. } if consumed == frame.len() => {
+            WalRecord::from_bytes(frame.slice(frame::HEADER_LEN..))
         }
         Split::Corrupt(e) => Err(e),
         Split::Complete { .. } | Split::Incomplete => Err(Error::Malformed(format!(
             "wal frame length mismatch: {} bytes are not exactly one frame",
-            bytes.len()
+            frame.len()
         ))),
     }
 }
@@ -86,7 +89,7 @@ mod tests {
         // tests/hostile_input.rs; trailing bytes are this function's own rule.
         let mut extended = frame.to_vec();
         extended.push(0);
-        assert!(unframe_record(&extended).is_err());
-        assert!(unframe_record(&[]).is_err());
+        assert!(unframe_record(&extended.into()).is_err());
+        assert!(unframe_record(&Bytes::new()).is_err());
     }
 }

@@ -8,6 +8,7 @@
 //! before the next segment opened) — corruption there means the disk lied,
 //! and replay refuses rather than silently dropping history.
 
+use std::ops::Range;
 use std::path::Path;
 
 use bytes::Bytes;
@@ -46,8 +47,10 @@ pub fn read_log(dir: &Path) -> Result<ReplayLog> {
     let last = seqs.last().copied();
     for seq in &seqs {
         let path = segment_path(dir, *seq);
-        let raw = std::fs::read(&path)
-            .map_err(|e| Error::StorageIo(format!("wal read {}: {e}", path.display())))?;
+        // One buffer per segment; each record decoded below is a view of it.
+        let raw: Bytes = std::fs::read(&path)
+            .map_err(|e| Error::StorageIo(format!("wal read {}: {e}", path.display())))?
+            .into();
         let is_last = Some(*seq) == last;
         let consumed = scan_segment(&raw, &path, &mut records, &mut stats)?;
         if consumed < raw.len() {
@@ -68,7 +71,7 @@ pub fn read_log(dir: &Path) -> Result<ReplayLog> {
 /// Decode whole valid frames from `raw` into `out`; returns how many bytes
 /// formed complete, CRC-valid records (including the magic header).
 fn scan_segment(
-    raw: &[u8],
+    raw: &Bytes,
     path: &Path,
     out: &mut Vec<WalRecord>,
     stats: &mut ReadStats,
@@ -80,33 +83,32 @@ fn scan_segment(
         )));
     }
     let mut pos = SEGMENT_MAGIC.len();
-    loop {
-        match next_frame(raw, pos) {
-            Some((payload, end)) => {
-                // A CRC-valid frame that fails to decode is a version-skew
-                // bug, not a torn write: surface it.
-                let rec = WalRecord::from_bytes(Bytes::copy_from_slice(payload)).map_err(|e| {
-                    Error::StorageIo(format!(
-                        "wal segment {} record at byte {pos} undecodable: {e}",
-                        path.display()
-                    ))
-                })?;
-                stats.records += 1;
-                stats.bytes += payload.len() as u64;
-                out.push(rec);
-                pos = end;
-            }
-            None => return Ok(pos),
-        }
+    while let Some(payload) = next_frame(raw, pos) {
+        // A CRC-valid frame that fails to decode is a version-skew bug, not
+        // a torn write: surface it.
+        let rec = WalRecord::from_bytes(raw.slice(payload.clone())).map_err(|e| {
+            Error::StorageIo(format!(
+                "wal segment {} record at byte {pos} undecodable: {e}",
+                path.display()
+            ))
+        })?;
+        stats.records += 1;
+        stats.bytes += payload.len() as u64;
+        out.push(rec);
+        pos = payload.end;
     }
+    Ok(pos)
 }
 
-/// The next complete CRC-valid frame starting at `pos`, if any:
-/// `(payload, end_offset)`. A short frame and a corrupt one are the same
-/// thing to a log scan — the point where valid history ends.
-fn next_frame(raw: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+/// The payload range of the next complete CRC-valid frame starting at
+/// `pos`, if any; the frame ends where its payload does. A short frame and
+/// a corrupt one are the same thing to a log scan — the point where valid
+/// history ends.
+fn next_frame(raw: &[u8], pos: usize) -> Option<Range<usize>> {
     match frame::split(raw.get(pos..)?) {
-        Split::Complete { payload, consumed } => Some((payload, pos + consumed)),
+        Split::Complete { payload, consumed } => {
+            Some(pos + consumed - payload.len()..pos + consumed)
+        }
         Split::Incomplete | Split::Corrupt(_) => None,
     }
 }
@@ -121,8 +123,8 @@ pub(crate) fn valid_prefix_len(raw: &[u8], path: &Path) -> Result<usize> {
         )));
     }
     let mut pos = SEGMENT_MAGIC.len();
-    while let Some((_, end)) = next_frame(raw, pos) {
-        pos = end;
+    while let Some(payload) = next_frame(raw, pos) {
+        pos = payload.end;
     }
     Ok(pos)
 }

@@ -83,6 +83,34 @@ struct Segment {
     bytes: u64,
     /// Records appended since the last fsync (group-commit accounting).
     unsynced: u32,
+    /// A failed append could not be rolled back, so the file may end in
+    /// part of a frame: nothing more may be written or acknowledged.
+    poisoned: bool,
+}
+
+impl Segment {
+    fn check_live(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(Error::StorageIo(
+                "wal poisoned: a failed append could not be rolled back".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Cut the file back to its last whole record after a failed write, so
+    /// the next record cannot land behind torn bytes — replay stops at
+    /// those, and would drop every acknowledged record after them. If the
+    /// cut fails too, the log is poisoned.
+    fn roll_back(&mut self) {
+        let cut = self
+            .file
+            .set_len(self.bytes)
+            .and_then(|()| self.file.seek(SeekFrom::Start(self.bytes)));
+        if cut.is_err() {
+            self.poisoned = true;
+        }
+    }
 }
 
 /// Wall-clock cost of one [`Wal::append`], returned to the caller so the
@@ -157,7 +185,11 @@ impl Wal {
         let mut fsync_ns = 0u64;
 
         let mut seg = self.seg.lock();
-        seg.file.write_all(&frame).map_err(|e| io_err("append", e))?;
+        seg.check_live()?;
+        if let Err(e) = seg.file.write_all(&frame) {
+            seg.roll_back();
+            return Err(io_err("append", e));
+        }
         seg.bytes += frame.len() as u64;
         seg.unsynced += 1;
         let must_sync = rec.forces_sync()
@@ -187,6 +219,7 @@ impl Wal {
     /// Force everything appended so far to stable storage.
     pub fn sync(&self) -> Result<()> {
         let mut seg = self.seg.lock();
+        seg.check_live()?;
         if seg.unsynced > 0 {
             self.fsync(&mut seg)?;
         }
@@ -255,7 +288,7 @@ fn open_segment(dir: &Path, seq: u64) -> Result<Segment> {
         .open(&path)
         .map_err(|e| io_err("create segment", e))?;
     file.write_all(&SEGMENT_MAGIC).map_err(|e| io_err("write magic", e))?;
-    Ok(Segment { file, seq, bytes: SEGMENT_MAGIC.len() as u64, unsynced: 0 })
+    Ok(Segment { file, seq, bytes: SEGMENT_MAGIC.len() as u64, unsynced: 0, poisoned: false })
 }
 
 /// Truncate `path` to its longest valid record prefix, discarding a torn
@@ -402,6 +435,53 @@ mod tests {
         drop(wal);
         let log = read_log(&dir).unwrap();
         assert_eq!(log.records, vec![write_rec(0), write_rec(2)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Three acknowledged records, then a write that died half-way through
+    /// the fourth frame (what `write_all` leaves behind on ENOSPC).
+    fn three_records_and_half_a_frame(dir: &Path) -> Wal {
+        let wal = Wal::open(WalConfig::new(dir), &Registry::new()).unwrap();
+        for i in 0..3 {
+            wal.append(&write_rec(i)).unwrap();
+        }
+        let frame = crate::frame_record(&write_rec(3));
+        wal.seg.lock().file.write_all(&frame[..frame.len() / 2]).unwrap();
+        wal
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_away_before_the_next_record_lands() {
+        let dir = tmp_dir("rollback");
+        let wal = three_records_and_half_a_frame(&dir);
+        wal.seg.lock().roll_back();
+        wal.append(&write_rec(4)).unwrap();
+        drop(wal);
+        let log = read_log(&dir).unwrap();
+        assert_eq!(log.records, [0, 1, 2, 4].map(write_rec));
+        assert!(!log.stats.torn_tail);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_whose_rollback_failed_refuses_appends_and_syncs() {
+        let dir = tmp_dir("poison");
+        let wal = three_records_and_half_a_frame(&dir);
+        {
+            // A handle that cannot truncate stands in for the failing disk.
+            let mut seg = wal.seg.lock();
+            let read_only = File::open(segment_path(&dir, 0)).unwrap();
+            let writable = std::mem::replace(&mut seg.file, read_only);
+            seg.roll_back();
+            seg.file = writable;
+        }
+        // The handle works again, but the torn bytes are still in the file.
+        assert!(matches!(wal.append(&write_rec(4)), Err(Error::StorageIo(_))));
+        assert!(matches!(wal.sync(), Err(Error::StorageIo(_))));
+        drop(wal);
+        let log = read_log(&dir).unwrap();
+        assert_eq!(log.records, [0, 1, 2].map(write_rec));
+        assert!(log.stats.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,6 +9,8 @@
 //! for this surface; zero-copy `split_off`-style operations that the
 //! workspace does not use are omitted.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -8,6 +8,8 @@
 //! matching parking_lot's semantics of not propagating panics as
 //! poison errors.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

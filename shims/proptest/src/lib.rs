@@ -16,6 +16,8 @@
 //! payload's context via the deterministic per-test seed, so a failure
 //! reproduces exactly on re-run.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Number of cases each property runs. Kept moderate so `cargo test`

@@ -8,6 +8,8 @@
 //! [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`], and
 //! `distributions::{Distribution, Uniform, Standard}`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// The core of a random number generator.

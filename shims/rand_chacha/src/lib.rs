@@ -7,6 +7,8 @@
 //! the same `next_u64` stream as the real crate. The workspace's DES
 //! model calibration depends on seeded streams staying stable.
 
+#![forbid(unsafe_code)]
+
 use rand::{RngCore, SeedableRng};
 
 const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];

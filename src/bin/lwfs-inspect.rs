@@ -14,6 +14,8 @@
 //! post-mortem reproduces the live pipeline's blame verdict from the
 //! artifacts alone.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

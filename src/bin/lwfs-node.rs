@@ -18,6 +18,8 @@
 //! by the launcher verify at the authentication node without any key
 //! distribution.
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;

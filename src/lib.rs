@@ -63,6 +63,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod inspect;
 
 pub use lwfs_auth as auth;

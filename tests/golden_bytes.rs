@@ -91,7 +91,7 @@ fn wal_write_frame() {
         now: 12,
     };
     assert_eq!(hex(&frame_record(&rec)), WAL_WRITE);
-    assert_eq!(unframe_record(&unhex(WAL_WRITE)).unwrap(), rec);
+    assert_eq!(unframe_record(&unhex(WAL_WRITE).into()).unwrap(), rec);
 }
 
 #[test]

@@ -23,6 +23,8 @@ use lwfs::proto::{
 use lwfs::storage::{StorageConfig, StorageServer};
 use lwfs::wal::{frame_record, read_log, unframe_record, Wal, WalConfig, WalRecord};
 use lwfs_fabric::frame::{FabricMsg, FrameReader};
+use rand::{Rng as _, RngCore as _, SeedableRng as _};
+use rand_chacha::ChaCha8Rng;
 
 /// Feed `bytes` to every untrusted-bytes decoder; reaching the end of
 /// this function without a panic is the property.
@@ -30,7 +32,7 @@ fn feed_all(bytes: &[u8]) {
     let _ = frame::split(bytes);
     let _ = Request::from_bytes(Bytes::copy_from_slice(bytes));
     let _ = Reply::from_bytes(Bytes::copy_from_slice(bytes));
-    let _ = unframe_record(bytes);
+    let _ = unframe_record(&Bytes::copy_from_slice(bytes));
     let _ = CapToken::decode(bytes);
     let mut reader = FrameReader::new();
     reader.feed(bytes);
@@ -103,7 +105,7 @@ fn a_damaged_frame_never_decodes() {
     // flip and no truncation of a frame yields a message or a record.
     let wal = frame_record(&write_record(2));
     let fabric = put_msg().to_frame();
-    for bad in mutations(&wal) {
+    for bad in mutations(&wal).map(Bytes::from) {
         assert!(unframe_record(&bad).is_err());
         assert!(!matches!(frame::split(&bad), Split::Complete { .. }));
     }
@@ -117,6 +119,54 @@ fn a_damaged_frame_never_decodes() {
         // A flip inside the claims or signature fails the trailer CRC; a
         // flip inside the trailer fails it too; no cut has the right length.
         assert!(CapToken::decode(&bad).is_err());
+    }
+}
+
+#[test]
+fn a_damaged_bulk_frame_never_splits() {
+    // The frames above are tens of bytes; the bulk path ships 64 KiB and
+    // 256 KiB chunks, which the CRC takes 64 bytes at a time. A block or a
+    // tail dropped there would leave bytes no checksum covers.
+    for len in [64 * 1024, 256 * 1024] {
+        let mut rng = ChaCha8Rng::seed_from_u64(len as u64);
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        let rec = WalRecord::Write {
+            txn: None,
+            container: ContainerId(1),
+            obj: ObjId(2),
+            offset: 0,
+            data: data.into(),
+            now: 3,
+        };
+        let mut wire = frame_record(&rec).to_vec();
+        let whole = wire.len();
+        assert!(
+            matches!(frame::split(&wire), Split::Complete { consumed, .. } if consumed == whole)
+        );
+
+        // Every bit of the header and of the first and last 64 payload
+        // bytes, and a seeded sample of the bits between.
+        let header = frame::HEADER_LEN * 8;
+        let (first, last) = (header..header + 512, whole * 8 - 512..whole * 8);
+        let interior: Vec<usize> =
+            (0..4096).map(|_| rng.gen_range(first.end..last.start)).collect();
+        for bit in (0..header).chain(first).chain(last).chain(interior) {
+            wire[bit / 8] ^= 1 << (bit % 8);
+            match frame::split(&wire) {
+                Split::Complete { .. } => panic!("{len}-byte frame split with bit {bit} flipped"),
+                // Only a flipped length can leave the frame looking short.
+                Split::Incomplete => assert!(bit < 32, "bit {bit}"),
+                Split::Corrupt(_) => {}
+            }
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+
+        let edges = [0, 1, frame::HEADER_LEN - 1, frame::HEADER_LEN, whole - 1];
+        let sample = (0..256).map(|_| rng.gen_range(0..whole));
+        for keep in edges.into_iter().chain(sample) {
+            assert_eq!(frame::split(&wire[..keep]), Split::Incomplete, "cut to {keep} bytes");
+        }
     }
 }
 
