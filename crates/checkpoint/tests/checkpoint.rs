@@ -108,8 +108,7 @@ fn lwfs_checkpoint_creates_never_touch_a_central_metadata_server() {
     let n = 8;
     let (cluster, _) = run_lwfs_checkpoint(n, 4, 4096);
     for i in 0..4 {
-        let creates =
-            cluster.storage_server(i).stats().creates.load(std::sync::atomic::Ordering::Relaxed);
+        let creates = cluster.storage_server(i).stats().creates.get();
         assert!(creates >= 2, "server {i} created {creates} objects; creates must be distributed");
     }
 }

@@ -24,10 +24,10 @@
 //!    that journals `alert.clear`. Because the journal is globally
 //!    sequenced, a test can assert the lag alert fired *before* the
 //!    eviction it predicts.
-//! 4. **Exports.** Every completed window appends one JSONL line
-//!    (`lwfs_obs::export::window_to_jsonl`), and the latest scrape
-//!    renders on demand as a Prometheus text exposition
-//!    ([`MonitorHandle::prometheus`]).
+//! 4. **Exports.** Every completed window appends one JSONL value
+//!    (`lwfs_obs::export::window_json`, carrying the scraped journal
+//!    tail), and the latest scrape renders on demand as a Prometheus
+//!    text exposition ([`ClusterMonitor::prometheus`]).
 //!
 //! ### One registry, many endpoints
 //!
@@ -48,6 +48,8 @@ use std::time::{Duration, Instant};
 
 use std::collections::HashSet;
 
+use lwfs_obs::export::{event_json, window_json};
+use lwfs_obs::json::Json;
 use lwfs_obs::{
     Attribution, HistogramInterval, MetricFrame, SpanRecord, TailReport, TraceCollector,
     WindowDelta, WindowTracker,
@@ -205,7 +207,7 @@ struct MonitorState {
     /// Journal cursor: next event seq the monitor has not yet scraped.
     events_cursor: u64,
     last_scrape: Option<TelemetrySnapshot>,
-    jsonl: Vec<String>,
+    jsonl: Vec<Json>,
     ticks: u64,
     windows: u64,
     /// Slow-trace spans assembled from the latest flight scrape, deduped
@@ -280,10 +282,11 @@ impl MonitorInner {
         }
         // Borrow dance: evaluate rules on a clone-free reference, then
         // mutate the JSONL buffer.
-        let line = state
-            .tracker
-            .observe(frame)
-            .map(|w| jsonl_with_events(lwfs_obs::export::window_to_jsonl(w), &snap.events));
+        let line = state.tracker.observe(frame).map(|w| {
+            let events =
+                snap.events.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, &e.kind, &e.detail));
+            window_json(w, events.collect())
+        });
         let window_done = if let Some(line) = line {
             state.jsonl.push(line);
             let limit = self.config.window_limit.max(1);
@@ -449,36 +452,6 @@ fn frame_from_snapshot(snap: &TelemetrySnapshot, ts_ns: u64) -> MetricFrame {
     )
 }
 
-/// Splice the tick's scraped journal tail into the window's JSONL line:
-/// the exported time series then carries the causal story (alert
-/// firings, evictions, failovers) next to the metric deltas that explain
-/// them, and a post-mortem needs only the one artifact.
-fn jsonl_with_events(line: String, events: &[lwfs_proto::TelemetryEvent]) -> String {
-    use std::fmt::Write as _;
-    if events.is_empty() {
-        return line;
-    }
-    let mut out = line;
-    out.truncate(out.len().saturating_sub(1)); // re-open the window object
-    out.push_str(", \"events\": [");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"seq\": {}, \"ts_ns\": {}, \"nid\": {}, \"kind\": {}, \"detail\": {}}}",
-            e.seq,
-            e.ts_ns,
-            e.nid,
-            lwfs_obs::export::json_string(&e.kind),
-            lwfs_obs::export::json_string(&e.detail)
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
 /// A running [`ClusterMonitor`]'s control handle. Dropping it stops the
 /// scrape thread and unregisters the monitor endpoint.
 pub struct ClusterMonitor {
@@ -578,9 +551,10 @@ impl ClusterMonitor {
         self.inner.state.lock().ticks
     }
 
-    /// The retained JSONL time-series lines (one per completed window,
-    /// oldest first, bounded by [`MonitorConfig::window_limit`]).
-    pub fn jsonl(&self) -> Vec<String> {
+    /// The retained JSONL time series: one value per completed window,
+    /// oldest first, bounded by [`MonitorConfig::window_limit`]; each
+    /// `Display`s as one line.
+    pub fn jsonl(&self) -> Vec<Json> {
         self.inner.state.lock().jsonl.clone()
     }
 
@@ -612,7 +586,7 @@ impl ClusterMonitor {
     /// Chrome `trace_event` JSON of the latest scraped slow traces — the
     /// on-wire counterpart of the in-process trace export, ready for
     /// `--trace-out` artifacts and `lwfs-inspect`.
-    pub fn trace_chrome_json(&self) -> String {
+    pub fn trace_chrome_json(&self) -> Json {
         let mut collector = TraceCollector::new();
         collector.add_spans(self.inner.state.lock().flight_spans.iter().cloned());
         collector.to_chrome_json()
@@ -698,7 +672,7 @@ mod tests {
         assert!(prom.contains("# TYPE"), "{prom}");
         let jsonl = monitor.jsonl();
         assert!(!jsonl.is_empty());
-        assert!(jsonl[0].contains("\"ts_ns\""));
+        assert!(jsonl[0].get("ts_ns").and_then(Json::as_u64).is_some(), "{}", jsonl[0]);
         monitor.shutdown();
     }
 
@@ -761,7 +735,7 @@ mod tests {
             .all(|a| { a.blames.iter().map(|(_, ns)| ns).sum::<u64>() == a.total_ns }));
         let tail = monitor.tail_report().expect("attributions imply a tail report");
         assert!(tail.dominant().is_some());
-        let json = monitor.trace_chrome_json();
+        let json = monitor.trace_chrome_json().to_string();
         assert!(json.contains("storage.write"), "{json}");
 
         // A firing alert now carries the blame field.

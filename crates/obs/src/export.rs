@@ -9,7 +9,9 @@
 //! the same keys in every view and a dashboard query written against one
 //! export works against the others.
 
-use crate::registry::{json_str, Snapshot};
+use crate::json::Json;
+use crate::metrics::HistogramSnapshot;
+use crate::registry::Snapshot;
 use crate::window::WindowDelta;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -99,13 +101,6 @@ fn sanitize_segment(segment: &str) -> String {
         .collect()
 }
 
-/// Render `s` as a JSON string literal (quoted and escaped) — exporters
-/// that splice extra fields into a JSONL line use the same escaping as
-/// the line itself.
-pub fn json_string(s: &str) -> String {
-    json_str(s)
-}
-
 /// Escape a label value per the Prometheus text exposition format:
 /// backslash, double quote, and newline.
 pub fn prometheus_escape_label(v: &str) -> String {
@@ -154,8 +149,7 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         }
     }
 
-    let mut summaries: BTreeMap<String, Vec<(MetricKey, &crate::HistogramSnapshot)>> =
-        BTreeMap::new();
+    let mut summaries: BTreeMap<String, Vec<(MetricKey, &HistogramSnapshot)>> = BTreeMap::new();
     for (raw, h) in &snap.histograms {
         let key = metric_key(raw);
         summaries.entry(key.name.clone()).or_default().push((key, h));
@@ -182,52 +176,61 @@ fn suffix_labels(key: &MetricKey) -> String {
     }
 }
 
-/// Render one completed window as a single JSONL line: end timestamp,
-/// window length, counter deltas and per-second rates, gauge levels, and
-/// histogram interval summaries — all keyed by the same [`metric_key`]
-/// rendering the Prometheus exposition uses.
-pub fn window_to_jsonl(w: &WindowDelta) -> String {
-    let mut out = format!("{{\"ts_ns\": {}, \"dur_ns\": {}", w.ts_ns, w.dur_ns);
-    out.push_str(", \"counters\": {");
-    for (i, (raw, delta)) in w.counters.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let rate = w.rate_per_sec(raw);
-        let _ = write!(
-            out,
-            "{sep}{}: {{\"delta\": {delta}, \"rate\": {rate:.3}}}",
-            json_str(&metric_key(raw).render())
-        );
+/// One journal event, as the registry snapshot and the JSONL window both
+/// carry it (the window's events arrive as wire structs, hence fields).
+pub fn event_json(seq: u64, ts_ns: u64, nid: u32, kind: &str, detail: &str) -> Json {
+    Json::obj([
+        ("seq", seq.into()),
+        ("ts_ns", ts_ns.into()),
+        ("nid", u64::from(nid).into()),
+        ("kind", Json::str(kind)),
+        ("detail", Json::str(detail)),
+    ])
+}
+
+/// One histogram summary, as the registry snapshot and the JSONL window
+/// both carry it.
+pub(crate) fn histogram_json(h: &HistogramSnapshot) -> Json {
+    Json::obj([
+        ("count", h.count.into()),
+        ("sum", h.sum.into()),
+        ("mean", h.mean.into()),
+        ("p50", h.p50.into()),
+        ("p95", h.p95.into()),
+        ("p99", h.p99.into()),
+        ("max", h.max.into()),
+    ])
+}
+
+/// One completed window as one JSONL value: end timestamp, window length,
+/// counter deltas and per-second rates, gauge levels, and histogram
+/// interval summaries — all keyed by the same [`metric_key`] rendering the
+/// Prometheus exposition uses — plus, when the scrape brought any, the
+/// journal `events` ([`event_json`]), so the series carries the causal
+/// story (alerts, evictions, failovers) next to the deltas that explain it.
+pub fn window_json(w: &WindowDelta, events: Vec<Json>) -> Json {
+    let key = |raw: &str| metric_key(raw).render();
+    let counters = w.counters.iter().map(|(raw, delta)| {
+        (key(raw), Json::obj([("delta", (*delta).into()), ("rate", w.rate_per_sec(raw).into())]))
+    });
+    let gauges = w.gauges.iter().map(|(raw, v)| (key(raw), Json::from(*v)));
+    // Quiet histograms would dominate every line.
+    let histograms = w
+        .histograms
+        .iter()
+        .filter(|(_, iv)| !iv.is_empty())
+        .map(|(raw, iv)| (key(raw), histogram_json(&iv.summary())));
+    let mut line = vec![
+        ("ts_ns", w.ts_ns.into()),
+        ("dur_ns", w.dur_ns.into()),
+        ("counters", Json::obj(counters)),
+        ("gauges", Json::obj(gauges)),
+        ("histograms", Json::obj(histograms)),
+    ];
+    if !events.is_empty() {
+        line.push(("events", Json::Arr(events)));
     }
-    out.push_str("}, \"gauges\": {");
-    for (i, (raw, v)) in w.gauges.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(out, "{sep}{}: {v}", json_str(&metric_key(raw).render()));
-    }
-    out.push_str("}, \"histograms\": {");
-    let mut first = true;
-    for (raw, iv) in &w.histograms {
-        if iv.is_empty() {
-            continue; // quiet histograms would dominate every line
-        }
-        let s = iv.summary();
-        let sep = if first { "" } else { ", " };
-        let _ = write!(
-            out,
-            "{sep}{}: {{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \
-             \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-            json_str(&metric_key(raw).render()),
-            s.count,
-            s.sum,
-            s.mean,
-            s.p50,
-            s.p95,
-            s.p99,
-            s.max
-        );
-        first = false;
-    }
-    out.push_str("}}");
-    out
+    Json::obj(line)
 }
 
 #[cfg(test)]
@@ -305,18 +308,31 @@ mod tests {
         let mut tracker = WindowTracker::new(4);
         tracker.observe(MetricFrame::default());
         let w = tracker.observe(reg.frame(1_000_000)).unwrap();
-        let line = window_to_jsonl(w);
+        let event = event_json(7, 5, 1100, "alert.fire", "rule=x: \"p99\"\nhigh");
+        let line = window_json(w, vec![event.clone()]).to_string();
         let prom = to_prometheus(&reg.snapshot());
+        assert!(!line.contains('\n'), "{line}");
+        assert!(window_json(w, Vec::new()).get("events").is_none());
 
-        // The same sanitized rendering appears in both exports.
-        for key in ["storage_writes{nid=\"1100\"}", "storage_repl_lag"] {
-            assert!(line.contains(&format!("\"{}\"", key.replace('"', "\\\""))), "{line}");
+        // The line reads back field by field, under the keys Prometheus uses.
+        let back = Json::parse(&line).unwrap();
+        assert_eq!(back.get("ts_ns").and_then(Json::as_u64), Some(w.ts_ns));
+        assert_eq!(back.get("dur_ns").and_then(Json::as_u64), Some(w.dur_ns));
+        let writes = back.get("counters").and_then(|c| c.get("storage_writes{nid=\"1100\"}"));
+        assert_eq!(writes.and_then(|c| c.get("delta")).and_then(Json::as_u64), Some(7));
+        assert_eq!(
+            writes.and_then(|c| c.get("rate")).and_then(Json::as_f64),
+            Some(w.rate_per_sec("storage.srv1100.writes"))
+        );
+        let lag = back.get("gauges").and_then(|g| g.get("storage_repl_lag"));
+        assert_eq!(lag.and_then(Json::as_i64), Some(2));
+        let summary = w.histogram("wal.append_ns").unwrap().summary();
+        let hist = back.get("histograms").and_then(|h| h.get("wal_append_ns"));
+        assert_eq!(hist, Some(&histogram_json(&summary)));
+        assert_eq!(back.get("events").map(Json::as_arr), Some(&[event][..]));
+        for key in ["storage_writes{nid=\"1100\"}", "storage_repl_lag", "wal_append_ns"] {
             assert!(prom.contains(key), "{prom}");
         }
-        assert!(line.contains("\"wal_append_ns\""));
         assert!(prom.contains("# TYPE wal_append_ns summary"));
-        // One line, valid JSON shape.
-        assert!(!line.contains('\n'));
-        assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 }

@@ -12,7 +12,8 @@
 //!   operation into its stages (queue-wait → authorize → pull →
 //!   store-write → reply);
 //! - [`Snapshot`] export as a fixed-width text table or JSON (what
-//!   `lwfs-repro probe metrics --out` writes).
+//!   `lwfs-repro probe metrics --out` writes), every JSON artifact built
+//!   and read back through the one [`json::Json`].
 //!
 //! Histograms observe dimensionless `u64`s, so they work equally over
 //! wall-clock nanoseconds (`record_duration`) and simulated-time
@@ -23,6 +24,7 @@
 pub mod critpath;
 mod event;
 pub mod export;
+pub mod json;
 mod metrics;
 mod registry;
 mod span;
@@ -35,5 +37,5 @@ pub use export::{metric_key, prometheus_escape_label, MetricKey};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{ObsConfig, OpTrace, Registry, Snapshot};
 pub use span::{intern, SpanLog, SpanRecord, TOTAL_STAGE};
-pub use trace::{FlightRecorder, PinnedTrace, Trace, TraceCollector};
+pub use trace::{parse_chrome_spans, FlightRecorder, PinnedTrace, Trace, TraceCollector};
 pub use window::{HistogramInterval, MetricFrame, WindowDelta, WindowTracker};

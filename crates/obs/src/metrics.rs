@@ -37,24 +37,6 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Atomic-field compatibility: existing call sites read the portals
-    /// `NetStats` fields as `AtomicU64`s; keeping `load`/`fetch_add`/
-    /// `store` lets those sites compile unchanged against `Counter`.
-    #[inline]
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.value.load(order)
-    }
-
-    #[inline]
-    pub fn fetch_add(&self, n: u64, order: Ordering) -> u64 {
-        self.value.fetch_add(n, order)
-    }
-
-    #[inline]
-    pub fn store(&self, n: u64, order: Ordering) {
-        self.value.store(n, order)
-    }
-
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
@@ -309,7 +291,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.load(Ordering::Relaxed), 5);
         c.reset();
         assert_eq!(c.get(), 0);
 

@@ -7,6 +7,8 @@
 //! lexicographically, so related metrics group together in exports.
 
 use crate::event::{Event, EventLog};
+use crate::export::{event_json, histogram_json};
+use crate::json::Json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::span::{SpanLog, SpanRecord, TOTAL_STAGE};
 use crate::trace::FlightRecorder;
@@ -436,99 +438,35 @@ impl Snapshot {
         out
     }
 
-    /// JSON export with a leading `"meta"` object. `meta` must be a
-    /// complete JSON value (`lwfs-repro` builds it with run timestamp,
-    /// protocol version, and node census — things this dependency-free
-    /// crate cannot know itself).
-    pub fn to_json_with_meta(&self, meta: &str) -> String {
-        let body = self.to_json();
-        debug_assert!(body.starts_with("{\n"));
-        body.replacen("{\n", &format!("{{\n  \"meta\": {meta},\n"), 1)
+    /// The JSON export, led by `meta`: `lwfs-repro` stamps run timestamp,
+    /// protocol version and node census there — things this
+    /// dependency-free crate cannot know itself.
+    pub fn to_json(&self, meta: Json) -> Json {
+        let span = |s: &SpanRecord| {
+            Json::obj([
+                ("req_id", s.req_id.into()),
+                ("trace_id", s.trace_id.into()),
+                ("nid", u64::from(s.nid).into()),
+                ("op", Json::str(s.op)),
+                ("stage", Json::str(s.stage)),
+                ("start_ns", s.start_ns.into()),
+                ("dur_ns", s.dur_ns.into()),
+            ])
+        };
+        let events =
+            self.events.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail));
+        Json::obj([
+            ("meta", meta),
+            ("counters", Json::obj(self.counters.iter().map(|(k, v)| (k.as_str(), (*v).into())))),
+            ("gauges", Json::obj(self.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into())))),
+            (
+                "histograms",
+                Json::obj(self.histograms.iter().map(|(k, h)| (k.as_str(), histogram_json(h)))),
+            ),
+            ("spans", Json::Arr(self.spans.iter().map(span).collect())),
+            ("events", Json::Arr(events.collect())),
+        ])
     }
-
-    /// JSON export (hand-rolled: the workspace has no JSON dependency).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_str(name));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_str(name));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {}: {{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                json_str(name),
-                h.count,
-                h.sum,
-                h.mean,
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max
-            );
-        }
-        out.push_str("\n  },\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"req_id\": {}, \"trace_id\": {}, \"nid\": {}, \"op\": {}, \
-                 \"stage\": {}, \"start_ns\": {}, \"dur_ns\": {}}}",
-                s.req_id,
-                s.trace_id,
-                s.nid,
-                json_str(s.op),
-                json_str(s.stage),
-                s.start_ns,
-                s.dur_ns
-            );
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"seq\": {}, \"ts_ns\": {}, \"nid\": {}, \"kind\": {}, \
-                 \"detail\": {}}}",
-                e.seq,
-                e.ts_ns,
-                e.nid,
-                json_str(e.kind),
-                json_str(&e.detail)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -588,15 +526,73 @@ mod tests {
 
         let text = snap.to_text();
         assert!(text.contains("authz.cache.hits"));
-        let json = snap.to_json();
-        assert!(json.contains("\"authz.cache.hits\": 5"));
-        assert!(json.contains("\"storage.queue.depth\": 3"));
-        assert!(json.contains("\"txn.prepare.latency_ns\""));
-        // Shape: balanced braces/brackets, key sections present.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"spans\""] {
-            assert!(json.contains(key), "missing {key}");
+    }
+
+    #[test]
+    fn snapshot_json_reads_back_field_by_field() {
+        let r = Registry::new();
+        r.counter("authz.cache.hits").add(u64::MAX);
+        r.gauge("storage.queue.depth").set(i64::MIN);
+        r.histogram("txn.prepare.latency_ns").record(1500);
+        r.histogram("txn.prepare.latency_ns").record(1);
+        r.trace(0x9e37_79b9_7f4a_7c15, "storage.write").on_node(1100).stage("pull");
+        r.events().record(1004, "directory.republish", "epoch 1 -> 2 \"quoted\"\n\u{1}");
+        let snap = r.snapshot();
+        let meta = Json::obj([("unix_ts", Json::from(7u64))]);
+        let back = Json::parse(&snap.to_json(meta.clone()).to_string()).unwrap();
+
+        let names: Vec<&str> = back.members().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["meta", "counters", "gauges", "histograms", "spans", "events"]);
+        assert_eq!(back.get("meta"), Some(&meta));
+        for (name, v) in &snap.counters {
+            assert_eq!(
+                back.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64),
+                Some(*v)
+            );
         }
+        for (name, v) in &snap.gauges {
+            assert_eq!(
+                back.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_i64),
+                Some(*v)
+            );
+        }
+        for (name, h) in &snap.histograms {
+            let read = back.get("histograms").and_then(|hs| hs.get(name)).unwrap();
+            let field = |k: &str| read.get(k).and_then(Json::as_u64);
+            assert_eq!(
+                [
+                    field("count"),
+                    field("sum"),
+                    field("p50"),
+                    field("p95"),
+                    field("p99"),
+                    field("max")
+                ],
+                [h.count, h.sum, h.p50, h.p95, h.p99, h.max].map(Some)
+            );
+            assert_eq!(read.get("mean").and_then(Json::as_f64), Some(h.mean));
+        }
+        let spans = back.get("spans").map(Json::as_arr).unwrap();
+        assert_eq!(spans.len(), snap.spans.len());
+        for (read, s) in spans.iter().zip(&snap.spans) {
+            let field = |k: &str| read.get(k).and_then(Json::as_u64);
+            assert_eq!(
+                [
+                    field("req_id"),
+                    field("trace_id"),
+                    field("nid"),
+                    field("start_ns"),
+                    field("dur_ns")
+                ],
+                [s.req_id, s.trace_id, u64::from(s.nid), s.start_ns, s.dur_ns].map(Some)
+            );
+            let names = [read.get("op"), read.get("stage")].map(|v| v.and_then(Json::as_str));
+            assert_eq!(names, [Some(s.op), Some(s.stage)]);
+        }
+        let events = back.get("events").map(Json::as_arr).unwrap();
+        let e = &snap.events[0];
+        assert_eq!(events, [event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail)]);
+        assert_eq!(events[0].get("detail").and_then(Json::as_str), Some(e.detail.as_str()));
     }
 
     #[test]
@@ -608,11 +604,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("portals.puts"), Some(0));
         assert_eq!(snap.histogram("naming.lookup.latency_ns").unwrap().count, 0);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

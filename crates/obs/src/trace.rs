@@ -3,9 +3,9 @@
 //! [`TraceCollector`] harvests span logs, normalizes per-process epochs
 //! onto one shared timeline, groups spans by their wire-propagated
 //! `trace_id`, and exports either Chrome `trace_event` JSON (loadable in
-//! `about:tracing` / Perfetto) or a compact text tree. The
-//! [`FlightRecorder`] pins complete traces of outlier operations so they
-//! survive the bounded span ring.
+//! `about:tracing` / Perfetto, read back by [`parse_chrome_spans`]) or a
+//! compact text tree. The [`FlightRecorder`] pins complete traces of
+//! outlier operations so they survive the bounded span ring.
 //!
 //! **Epoch normalization caveat:** every `SpanLog` timestamps spans
 //! relative to its own creation instant. In this workspace all nodes of
@@ -18,8 +18,8 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Mutex;
 
-use crate::registry::json_str;
-use crate::span::{SpanLog, SpanRecord, TOTAL_STAGE};
+use crate::json::Json;
+use crate::span::{intern, SpanLog, SpanRecord, TOTAL_STAGE};
 
 /// One assembled distributed trace: every retained span, on every node,
 /// that carried this `trace_id`.
@@ -128,50 +128,40 @@ impl TraceCollector {
         self.traces().into_iter().find(|t| t.trace_id == trace_id)
     }
 
-    /// Export every assembled trace as Chrome `trace_event` JSON.
+    /// Export every assembled trace as Chrome `trace_event` JSON; read it
+    /// back with [`parse_chrome_spans`].
     ///
     /// Complete events (`ph: "X"`), microsecond timestamps; `pid` is the
     /// recording node, `tid` a per-request lane within it, so Perfetto
     /// renders one process track per node with the request's stages
     /// nested under its `total` span. Full-width ids travel as hex
-    /// strings in `args` (JSON numbers lose u64 precision).
-    pub fn to_chrome_json(&self) -> String {
-        use std::fmt::Write as _;
+    /// strings in `args`: viewers read numbers as doubles.
+    pub fn to_chrome_json(&self) -> Json {
         let mut lanes: HashMap<(u32, u64), u64> = HashMap::new();
-        let mut out = String::from("{\"traceEvents\": [");
-        let mut first = true;
-        let mut emit = |out: &mut String,
-                        tid: u64,
-                        name: &str,
-                        nid: u32,
-                        trace_id: u64,
-                        req_id: u64,
-                        start_ns: u64,
-                        dur_ns: u64| {
-            let sep = if first { "" } else { "," };
-            first = false;
-            let _ = write!(
-                out,
-                "{sep}\n  {{\"name\": {}, \"cat\": \"lwfs\", \"ph\": \"X\", \
-                 \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"pid\": {}, \"tid\": {}, \
-                 \"args\": {{\"trace_id\": \"{:#x}\", \"req_id\": \"{:#x}\"}}}}",
-                json_str(name),
-                start_ns / 1000,
-                start_ns % 1000,
-                dur_ns / 1000,
-                dur_ns % 1000,
-                nid,
-                tid,
-                trace_id,
-                req_id,
-            );
+        let mut events = Vec::new();
+        let event = |name: String, tid: u64, s: &SpanRecord, start_ns: u64, dur_ns: u64| {
+            Json::obj([
+                ("name", Json::Str(name)),
+                ("cat", Json::str("lwfs")),
+                ("ph", Json::str("X")),
+                ("ts", Json::Num(start_ns as f64 / 1e3)),
+                ("dur", Json::Num(dur_ns as f64 / 1e3)),
+                ("pid", u64::from(s.nid).into()),
+                ("tid", tid.into()),
+                (
+                    "args",
+                    Json::obj([
+                        ("trace_id", Json::Str(format!("{:#x}", s.trace_id))),
+                        ("req_id", Json::Str(format!("{:#x}", s.req_id))),
+                    ]),
+                ),
+            ])
         };
         for t in self.traces() {
             // Orphan participants (no `total` arrived) get a synthetic
-            // root covering their span extent, so viewers still nest
-            // their stages under a parent bar instead of dropping them
-            // onto a bare lane. `lwfs-inspect` skips the `orphan` stage
-            // when re-ingesting.
+            // `<op>.orphan` root covering their span extent, so viewers
+            // still nest their stages under a parent bar instead of
+            // dropping them onto a bare lane.
             let mut rooted: HashSet<(u32, u64)> = HashSet::new();
             for s in t.spans.iter().filter(|s| s.stage == TOTAL_STAGE) {
                 rooted.insert((s.nid, s.req_id));
@@ -184,15 +174,12 @@ impl TraceCollector {
                     let start = mine.clone().map(|o| o.start_ns).min().unwrap_or(0);
                     let end =
                         mine.map(|o| o.start_ns.saturating_add(o.dur_ns)).max().unwrap_or(start);
-                    let name = format!("{}.orphan", s.op);
-                    emit(&mut out, tid, &name, s.nid, s.trace_id, s.req_id, start, end - start);
+                    events.push(event(format!("{}.orphan", s.op), tid, s, start, end - start));
                 }
-                let name = format!("{}.{}", s.op, s.stage);
-                emit(&mut out, tid, &name, s.nid, s.trace_id, s.req_id, s.start_ns, s.dur_ns);
+                events.push(event(format!("{}.{}", s.op, s.stage), tid, s, s.start_ns, s.dur_ns));
             }
         }
-        out.push_str("\n], \"displayTimeUnit\": \"ns\"}\n");
-        out
+        Json::obj([("traceEvents", Json::Arr(events)), ("displayTimeUnit", Json::str("ns"))])
     }
 
     /// Compact text rendering of one trace: one block per `(nid, req_id)`
@@ -260,6 +247,46 @@ impl TraceCollector {
         }
         out
     }
+}
+
+/// Re-ingest a [`TraceCollector::to_chrome_json`] export as span records
+/// on the shared timeline. The synthetic `*.orphan` roots are skipped —
+/// they are a rendering aid, not recorded spans, and re-ingesting them
+/// would double-count orphan extents. Span names are interned (bounded,
+/// see [`intern`]): the artifact is outside input.
+pub fn parse_chrome_spans(text: &str) -> Result<Vec<SpanRecord>, String> {
+    let doc = Json::parse(text)?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err("no traceEvents array — not a Chrome trace export".into());
+    };
+    let mut spans = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        let name = e.get("name").and_then(Json::as_str).ok_or(format!("event {i}: no name"))?;
+        let (op, stage) =
+            name.rsplit_once('.').ok_or(format!("event {i}: name {name:?} is not op.stage"))?;
+        if stage == "orphan" {
+            continue;
+        }
+        let hex_id = |key: &str| {
+            let hex = e.get("args").and_then(|a| a.get(key)).and_then(Json::as_str);
+            hex.and_then(|h| u64::from_str_radix(h.strip_prefix("0x")?, 16).ok())
+                .ok_or(format!("event {i}: bad {key}"))
+        };
+        let us_to_ns = |key: &str| {
+            e.get(key).and_then(Json::as_f64).map_or(0, |us| (us * 1e3).round().max(0.0) as u64)
+        };
+        let nid = e.get("pid").and_then(Json::as_u64).and_then(|pid| pid.try_into().ok());
+        spans.push(SpanRecord {
+            req_id: hex_id("req_id")?,
+            trace_id: hex_id("trace_id")?,
+            nid: nid.unwrap_or(0),
+            op: intern(op),
+            stage: intern(stage),
+            start_ns: us_to_ns("ts"),
+            dur_ns: us_to_ns("dur"),
+        });
+    }
+    Ok(spans)
 }
 
 /// One trace pinned by the [`FlightRecorder`].
@@ -413,19 +440,24 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_shape() {
+    fn chrome_export_reads_back_field_by_field() {
+        let mut recorded = replicated_write();
+        recorded.push(span(u64::MAX, 0x9e37_79b9_7f4a_7c15, u32::MAX, "x.y", "z", 1, 999_999));
         let mut c = TraceCollector::new();
-        c.add_spans(replicated_write());
-        let json = c.to_chrome_json();
+        c.add_spans(recorded.clone());
+        let json = c.to_chrome_json().to_string();
         assert!(json.starts_with("{\"traceEvents\": ["));
         assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"pid\": 1101"));
-        assert!(json.contains("\"name\": \"storage.repl_ship.apply\""));
         assert!(json.contains("\"trace_id\": \"0x1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // Microsecond scale: 450ns -> 0.450us.
-        assert!(json.contains("\"ts\": 0.450"));
+        // Microsecond scale: 450ns -> 0.45us.
+        assert!(json.contains("\"ts\": 0.45,"));
+
+        // The orphan `x.y` gained a synthetic root, which does not read back.
+        let mut back = parse_chrome_spans(&json).unwrap();
+        let key = |s: &SpanRecord| (s.trace_id, s.req_id, s.nid, s.op, s.stage, s.start_ns);
+        back.sort_by_key(key);
+        recorded.sort_by_key(key);
+        assert_eq!(back, recorded);
     }
 
     #[test]
@@ -460,12 +492,11 @@ mod tests {
         assert!(tree.contains("0.600 ms"), "{tree}");
         assert!(tree.contains("storage.write.pull"), "{tree}");
         // Chrome export nests the stages under a synthetic root span.
-        let json = c.to_chrome_json();
+        let json = c.to_chrome_json().to_string();
         assert!(json.contains("\"name\": \"storage.write.orphan\""), "{json}");
-        assert!(json.contains("\"dur\": 600.000"), "{json}");
+        assert!(json.contains("\"dur\": 600.0"), "{json}");
         // Rooted participants get no synthetic span.
         assert_eq!(json.matches(".orphan").count(), 1, "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -284,7 +284,7 @@ mod tests {
             let data = (rank == 0).then(|| Bytes::from_static(b"x"));
             broadcast(ep, group, rank, 0, 3, data).unwrap()
         });
-        assert_eq!(net.stats().messages.load(std::sync::atomic::Ordering::Relaxed), (n - 1) as u64);
+        assert_eq!(net.stats().messages.get(), (n - 1) as u64);
     }
 
     #[test]

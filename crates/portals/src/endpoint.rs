@@ -375,7 +375,7 @@ mod tests {
         // Draining frees space again.
         b.recv(TICK).unwrap();
         a.send(b.id(), 1, Bytes::new()).unwrap();
-        assert_eq!(net.stats().messages_rejected.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(net.stats().messages_rejected.get(), 1);
     }
 
     #[test]
@@ -396,7 +396,7 @@ mod tests {
         net.set_faults(FaultPlan { drop_rate: 1.0, ..Default::default() });
         a.send(b.id(), 1, Bytes::from_static(b"lost")).unwrap();
         assert_eq!(b.recv(Duration::from_millis(50)).unwrap_err(), Error::Timeout);
-        assert_eq!(net.stats().messages_dropped.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(net.stats().messages_dropped.get(), 1);
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
         a.put(b.id(), 1, 0, &[0u8; 100]).unwrap();
         let got = a.get(b.id(), 1, 0, 50).unwrap();
         assert_eq!(got.len(), 50);
-        assert_eq!(net.stats().bytes.load(std::sync::atomic::Ordering::Relaxed), 150);
+        assert_eq!(net.stats().bytes.get(), 150);
         assert_eq!(net.stats().sent_by(a.id()), 2);
     }
 }

@@ -284,7 +284,7 @@ mod tests {
         s.record_reject();
         s.record_drop();
         assert_eq!(s.total_ops(), 3);
-        assert_eq!(s.bytes.load(Ordering::Relaxed), 60);
+        assert_eq!(s.bytes.get(), 60);
         assert_eq!(s.sent_by(p), 3);
         assert_eq!(s.sent_by(ProcessId::new(2, 0)), 0);
         s.reset();

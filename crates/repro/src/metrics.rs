@@ -22,6 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lwfs_core::{ClusterConfig, LwfsCluster, TransportKind};
+use lwfs_obs::json::Json;
 use lwfs_obs::{Snapshot, TraceCollector, TOTAL_STAGE};
 use lwfs_portals::FaultPlan;
 use lwfs_proto::OpMask;
@@ -34,18 +35,15 @@ use crate::write_file;
 /// run timestamp, wire protocol version, and whatever census pairs the
 /// caller adds (storage-server count, endpoint count) — enough to tell
 /// two archived artifacts apart without external context.
-pub(crate) fn artifact_meta(census: &[(&str, u64)]) -> String {
+pub(crate) fn artifact_meta(census: &[(&str, u64)]) -> Json {
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let mut meta =
-        format!("{{\"unix_ts\": {unix_ts}, \"protocol_version\": {}", lwfs_proto::PROTOCOL_VERSION);
-    for (k, v) in census {
-        meta.push_str(&format!(", \"{k}\": {v}"));
-    }
-    meta.push('}');
-    meta
+    let version = u64::from(lwfs_proto::PROTOCOL_VERSION);
+    let mut meta = vec![("unix_ts", unix_ts.into()), ("protocol_version", version.into())];
+    meta.extend(census.iter().map(|&(k, v)| (k, v.into())));
+    Json::obj(meta)
 }
 
 /// Boot a two-group replicated cluster, exercise every instrumented
@@ -185,12 +183,12 @@ pub fn run_metrics_probe(
             ("storage_servers", (SERVERS * 2) as u64),
             ("endpoints", cluster.network().endpoint_count() as u64),
         ]);
-        write_file(path, &snap.to_json_with_meta(&meta))?;
+        write_file(path, &format!("{}\n", snap.to_json(meta)))?;
     }
     if let Some(path) = trace {
         let mut collector = TraceCollector::new();
         collector.add_spans(snap.spans.iter().cloned());
-        write_file(path, &collector.to_chrome_json())?;
+        write_file(path, &format!("{}\n", collector.to_chrome_json()))?;
     }
     drop(cluster);
     let _ = std::fs::remove_dir_all(&wal_root);

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use lwfs_core::{ClusterConfig, HealthRule, LwfsCluster, MonitorConfig, TransportKind};
+use lwfs_obs::json::Json;
 use lwfs_portals::FaultPlan;
 use lwfs_proto::OpMask;
 use lwfs_storage::StorageConfig;
@@ -40,8 +41,8 @@ use crate::write_file;
 pub struct TelemetryReport {
     /// Completed aggregation windows.
     pub windows: u64,
-    /// One line per window (the `--out` payload).
-    pub jsonl: Vec<String>,
+    /// One value per window (the `--out` payload, one line each).
+    pub jsonl: Vec<Json>,
     /// Prometheus text exposition of the final scrape.
     pub prometheus: String,
     /// Journal seq of the lag rule's `alert.fire`.
@@ -53,7 +54,7 @@ pub struct TelemetryReport {
     /// Full detail of that alert (contains `blame=ship_rtt`).
     pub p99_alert_detail: String,
     /// Chrome trace JSON of the monitor's scraped slow traces.
-    pub trace_json: String,
+    pub trace_json: Json,
 }
 
 /// Name of the replication-lag rule the probe installs.
@@ -187,7 +188,7 @@ pub fn run_telemetry_probe(
     );
     let trace_json = monitor.trace_chrome_json();
     assert!(
-        trace_json.contains("repl.ship"),
+        trace_json.to_string().contains("repl.ship"),
         "scraped trace export lost the ship spans: {trace_json}"
     );
     assert!(
@@ -198,8 +199,9 @@ pub fn run_telemetry_probe(
     );
 
     let jsonl = monitor.jsonl();
+    let lag = |w: &Json| w.get("gauges")?.get("storage_repl_lag")?.as_i64();
     assert!(
-        jsonl.iter().any(|l| jsonl_gauge_positive(l, "storage_repl_lag")),
+        jsonl.iter().any(|w| lag(w) > Some(0)),
         "no window recorded nonzero storage.repl_lag; lines: {}",
         jsonl.len()
     );
@@ -221,29 +223,22 @@ pub fn run_telemetry_probe(
         // First JSONL line is the run's meta stamp; every later line is
         // one aggregation window.
         let meta = artifact_meta(&[("storage_servers", (SERVERS * 2) as u64)]);
-        write_file(path, &format!("{{\"meta\": {meta}}}\n{}\n", report.jsonl.join("\n")))?;
         write_file(
             &path.with_extension("prom"),
             &format!("# meta: {meta}\n{}", report.prometheus),
         )?;
+        let meta = Json::obj([("meta", meta)]);
+        let lines = std::iter::once(&meta).chain(&report.jsonl);
+        write_file(path, &lines.map(|line| format!("{line}\n")).collect::<String>())?;
     }
     if let Some(path) = trace_out {
-        write_file(path, &report.trace_json)?;
+        write_file(path, &format!("{}\n", report.trace_json))?;
     }
 
     monitor.shutdown();
     drop(cluster);
     let _ = std::fs::remove_dir_all(&wal_root);
     Ok(report)
-}
-
-/// Does this JSONL window line report gauge `key` above zero?
-fn jsonl_gauge_positive(line: &str, key: &str) -> bool {
-    let needle = format!("\"{key}\": ");
-    let Some(pos) = line.find(&needle) else { return false };
-    let rest = &line[pos + needle.len()..];
-    let num: String = rest.chars().take_while(|c| c.is_ascii_digit() || *c == '-').collect();
-    num.parse::<i64>().map(|v| v > 0).unwrap_or(false)
 }
 
 fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {

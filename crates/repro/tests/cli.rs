@@ -5,7 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use lwfs::inspect::{parse_chrome_spans, Json};
+use lwfs_obs::json::Json;
+use lwfs_obs::parse_chrome_spans;
 
 /// A fresh working directory per invocation: studies write `results/`
 /// relative to where they run, and tests run in parallel.
@@ -78,8 +79,8 @@ fn metrics_probe_writes_parseable_artifacts() {
     let metrics = Json::parse(&std::fs::read_to_string(cwd.join("m/metrics.json")).unwrap())
         .expect("metrics artifact is JSON");
     let meta = metrics.get("meta").expect("metrics artifact carries its meta stamp");
-    assert_eq!(meta.get("storage_servers").and_then(Json::as_f64), Some(4.0));
-    assert!(meta.get("protocol_version").and_then(Json::as_f64).unwrap() >= 4.0);
+    assert_eq!(meta.get("storage_servers").and_then(Json::as_u64), Some(4));
+    assert!(meta.get("protocol_version").and_then(Json::as_u64).unwrap() >= 4);
     assert!(!metrics.get("counters").expect("counters").members().is_empty());
 
     let spans = parse_chrome_spans(&std::fs::read_to_string(cwd.join("t.json")).unwrap())

@@ -7,7 +7,8 @@
 use std::collections::BTreeMap;
 
 use lwfs_core::TransportKind;
-use lwfs_obs::{TraceCollector, TOTAL_STAGE};
+use lwfs_obs::json::Json;
+use lwfs_obs::{parse_chrome_spans, SpanRecord, TraceCollector, TOTAL_STAGE};
 use lwfs_repro::run_metrics_probe;
 
 /// Ops recorded as *annotations inside* another op's stage intervals
@@ -66,12 +67,21 @@ fn snapshot_covers_every_instrumented_subsystem() {
     assert!(!snap.events_of_kind("repl.evict_backup").is_empty());
     assert!(!snap.events_of_kind("failover.promote").is_empty());
 
-    // JSON export round-trips the same names, plus the journal.
-    let json = snap.to_json();
-    for key in ["storage.queue_depth", "authz.cache.hits", "txn.prepare_ns", "portals.messages"] {
-        assert!(json.contains(key), "JSON export missing {key}");
+    // The JSON export reads back the same values, plus the journal.
+    let json = Json::parse(&snap.to_json(Json::Null).to_string()).unwrap();
+    let section = |name: &str, key: &str| json.get(name)?.get(key);
+    for key in ["authz.cache.hits", "portals.messages"] {
+        assert_eq!(section("counters", key).and_then(Json::as_u64), snap.counter(key));
     }
-    assert!(json.contains("failover.promote"), "JSON export missing the event journal");
+    let depth = section("gauges", "storage.queue_depth");
+    assert_eq!(depth.and_then(Json::as_i64), snap.gauge("storage.queue_depth"));
+    let prepare = section("histograms", "txn.prepare_ns");
+    assert_eq!(prepare.and_then(|h| h.get("count")).and_then(Json::as_u64), Some(1));
+    let events = json.get("events").map(Json::as_arr).unwrap_or_default();
+    assert!(
+        events.iter().any(|e| e.get("kind").and_then(Json::as_str) == Some("failover.promote")),
+        "JSON export missing the event journal"
+    );
 }
 
 #[test]
@@ -158,7 +168,13 @@ fn trace_export_assembles_a_replicated_write() {
     ] {
         assert!(json.contains(&format!("\"name\": \"{name}\"")), "export missing {name}");
     }
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    // The file reads back span for span.
+    let mut back = parse_chrome_spans(&json).unwrap();
+    let mut recorded = snap.spans.clone();
+    let key = |s: &SpanRecord| (s.trace_id, s.req_id, s.nid, s.op, s.stage, s.start_ns, s.dur_ns);
+    back.sort_by_key(key);
+    recorded.sort_by_key(key);
+    assert_eq!(back, recorded);
 
     // Reassemble from the snapshot: some trace must span the client and
     // at least two storage nodes (primary + backup) under one trace_id,

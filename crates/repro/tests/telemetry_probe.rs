@@ -4,6 +4,8 @@
 //! only judge of its own output).
 
 use lwfs_core::TransportKind;
+use lwfs_obs::json::Json;
+use lwfs_obs::parse_chrome_spans;
 use lwfs_repro::{run_telemetry_probe, LAG_RULE, WRITE_P99_RULE};
 
 /// Validate Prometheus text exposition format: every `# TYPE` line names
@@ -144,14 +146,20 @@ fn telemetry_probe_monitors_degrading_cluster() {
     // The window lines carry the scraped journal tail: the causal story
     // (alert before eviction) must be reconstructible from the JSONL
     // artifact alone — CI asserts exactly this on the exported file.
-    assert!(
-        report.jsonl.iter().any(|l| l.contains("\"kind\": \"alert.fire\"") && l.contains(LAG_RULE)),
-        "lag alert missing from the JSONL event stream"
-    );
-    assert!(
-        report.jsonl.iter().any(|l| l.contains("\"kind\": \"repl.evict_backup\"")),
-        "eviction missing from the JSONL event stream"
-    );
+    let events: Vec<&Json> = report
+        .jsonl
+        .iter()
+        .flat_map(|w| w.get("events").map(Json::as_arr).unwrap_or_default())
+        .collect();
+    let journaled = |kind: &str, needles: &[&str]| {
+        events.iter().any(|e| {
+            let detail = e.get("detail").and_then(Json::as_str).unwrap_or_default();
+            e.get("kind").and_then(Json::as_str) == Some(kind)
+                && needles.iter().all(|n| detail.contains(n))
+        })
+    };
+    assert!(journaled("alert.fire", &[LAG_RULE]), "lag alert missing from the JSONL event stream");
+    assert!(journaled("repl.evict_backup", &[]), "eviction missing from the JSONL event stream");
 
     // Per-node attribution: the per-server series must carry a nid label.
     assert!(
@@ -160,20 +168,17 @@ fn telemetry_probe_monitors_degrading_cluster() {
         report.prometheus
     );
 
-    // The JSONL artifact: meta stamp first, then one object per window.
+    // The JSONL artifact: meta stamp first, then the windows, which read
+    // back value for value.
     let body = std::fs::read_to_string(&out).expect("telemetry jsonl written");
-    let mut lines = body.lines();
+    let mut lines = body.lines().map(|l| Json::parse(l).expect("every line is one JSON value"));
     let meta = lines.next().expect("meta line");
-    assert!(meta.contains("\"unix_ts\""), "meta line missing timestamp: {meta}");
-    assert!(meta.contains("\"protocol_version\""), "meta line missing protocol: {meta}");
-    assert!(meta.contains("\"storage_servers\""), "meta line missing census: {meta}");
-    assert!(lines.clone().count() >= 5, "jsonl has too few windows");
-    for line in lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "window line is not a JSON object: {line}"
-        );
+    for key in ["unix_ts", "protocol_version", "storage_servers"] {
+        let field = meta.get("meta").and_then(|m| m.get(key)).and_then(Json::as_u64);
+        assert!(field.is_some_and(|v| v > 0), "meta line missing {key}: {meta}");
     }
+    assert!(report.jsonl.len() >= 5, "jsonl has too few windows");
+    assert_eq!(lines.collect::<Vec<_>>(), report.jsonl);
     let prom = std::fs::read_to_string(out.with_extension("prom")).expect("prom written");
     assert!(prom.starts_with("# meta: "), "prom file missing meta comment");
 
@@ -186,14 +191,13 @@ fn telemetry_probe_monitors_degrading_cluster() {
         report.p99_alert_detail
     );
     assert!(
-        report.jsonl.iter().any(|l| l.contains(WRITE_P99_RULE) && l.contains("blame=ship_rtt")),
+        journaled("alert.fire", &[WRITE_P99_RULE, "blame=ship_rtt"]),
         "blame-carrying p99 alert missing from the JSONL event stream"
     );
-    // The trace artifact: valid-looking Chrome trace JSON carrying the
-    // storm's ship spans.
+    // The trace artifact: Chrome trace JSON carrying the storm's ship spans.
     let trace = std::fs::read_to_string(&trace_out).expect("trace json written");
-    assert!(trace.contains("\"traceEvents\""), "trace artifact is not Chrome trace JSON");
-    assert!(trace.contains("repl.ship"), "trace artifact lost the ship spans");
+    let spans = parse_chrome_spans(&trace).expect("trace artifact is Chrome trace JSON");
+    assert!(spans.iter().any(|s| s.op == "repl" && s.stage == "ship"), "lost the ship spans");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -304,8 +304,7 @@ fn naive_orthogonal_writes_are_many_small_ops() {
 
     // Storage counters are fabric-level aggregates (shared by every server
     // on the network), so reading any one server's stats sees all writes.
-    let writes =
-        || cluster.storage_server(0).stats().writes.load(std::sync::atomic::Ordering::Relaxed);
+    let writes = || cluster.storage_server(0).stats().writes.get();
     let before = writes();
     let column: Vec<f32> = (0..ROWS).map(|row| row as f32).collect();
     ds.put_slab("field", &Slab::new(vec![0, 1], vec![ROWS, 1]), &f32s(&column)).unwrap();

@@ -125,12 +125,9 @@ fn write_then_read_roundtrip_server_directed() {
 
     // Data moved one-sidedly: the server performed gets (pull) and puts
     // (push), not inline request payloads.
-    assert!(net.stats().gets.load(std::sync::atomic::Ordering::Relaxed) >= 3);
-    assert!(net.stats().puts.load(std::sync::atomic::Ordering::Relaxed) >= 3);
-    assert_eq!(
-        server.stats().bytes_pulled.load(std::sync::atomic::Ordering::Relaxed),
-        payload.len() as u64
-    );
+    assert!(net.stats().gets.get() >= 3);
+    assert!(net.stats().puts.get() >= 3);
+    assert_eq!(server.stats().bytes_pulled.get(), payload.len() as u64);
     handle.shutdown();
 }
 
@@ -240,7 +237,7 @@ fn txn_abort_rolls_back_create_and_writes() {
     assert_eq!(err, Error::NoSuchObject(fresh));
     let back = read_obj(&client, &ep, handle.id(), cap, base, 0, 6).unwrap();
     assert_eq!(back, b"stable");
-    assert_eq!(server.stats().txn_aborts.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(server.stats().txn_aborts.get(), 1);
     handle.shutdown();
 }
 
@@ -306,7 +303,7 @@ fn txn_prepare_commit_makes_effects_permanent() {
     );
     let back = read_obj(&client, &ep, handle.id(), cap, oid, 0, 7).unwrap();
     assert_eq!(back, b"durable");
-    assert_eq!(server.stats().txn_commits.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(server.stats().txn_commits.get(), 1);
     handle.shutdown();
 }
 

@@ -70,7 +70,7 @@ fn main() -> Result<(), Error> {
             .filter(|v| v.abs() >= 1.0)
             .count();
     }
-    let shipped_full = stats.bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let shipped_full = stats.bytes.get();
 
     // --- server-side analysis: ship only the events ---------------------
     stats.reset();
@@ -87,7 +87,7 @@ fn main() -> Result<(), Error> {
         assert_eq!(scanned as usize, trace_bytes);
         server_side_events += events.len() / 4;
     }
-    let shipped_filtered = stats.bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let shipped_filtered = stats.bytes.get();
 
     assert_eq!(client_side_events, server_side_events);
     println!("events detected: {server_side_events} (both methods agree)");

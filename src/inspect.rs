@@ -16,285 +16,15 @@
 //! * a warn-only Little's-law sanity check: mean queue depth vs
 //!   arrival rate × mean service time from the same windows.
 //!
-//! Parsing is a small recursive-descent JSON reader over the artifact
-//! grammar — the workspace deliberately has no external JSON dependency,
-//! and the artifacts are produced by our own hand-rolled writers, so the
-//! reader only needs honest JSON, not every escape-sequence corner.
+//! Both artifacts are read with the workspace's one JSON reader
+//! ([`lwfs_obs::json`], depth-capped, integers exact); the Chrome export is
+//! re-ingested by [`lwfs_obs::parse_chrome_spans`] beside its writer, so
+//! this module keeps only the window queries and the report.
 
 use std::collections::BTreeMap;
 
-use lwfs_obs::{attribute, attribute_with_claims, intern, SpanRecord, TailReport, TraceCollector};
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one JSON document; trailing whitespace is allowed, trailing
-    /// garbage is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn members(&self) -> &[(String, Json)] {
-        match self {
-            Json::Obj(members) => members,
-            _ => &[],
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF-8 string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected , or ] got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let v = self.value()?;
-            members.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => return Err(format!("expected , or }} got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Parse a `0x…` hex id as written by the Chrome exporter.
-fn parse_hex_id(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-/// Re-ingest a Chrome `trace_event` export into span records on the
-/// shared timeline. The exporter's synthetic `*.orphan` roots are
-/// skipped — they are a rendering aid, not recorded spans, and
-/// re-ingesting them would double-count orphan extents.
-pub fn parse_chrome_spans(text: &str) -> Result<Vec<SpanRecord>, String> {
-    let doc = Json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_arr())
-        .ok_or("no traceEvents array — not a Chrome trace export")?;
-    let mut spans = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        let name = e.get("name").and_then(|v| v.as_str()).ok_or(format!("event {i}: no name"))?;
-        let (op, stage) =
-            name.rsplit_once('.').ok_or(format!("event {i}: name {name:?} is not op.stage"))?;
-        if stage == "orphan" {
-            continue;
-        }
-        let us_to_ns = |v: &Json| (v.as_f64().unwrap_or(0.0) * 1000.0).round().max(0.0) as u64;
-        let args = e.get("args").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let trace_id = args
-            .get("trace_id")
-            .and_then(|v| v.as_str())
-            .and_then(parse_hex_id)
-            .ok_or(format!("event {i}: bad trace_id"))?;
-        let req_id = args
-            .get("req_id")
-            .and_then(|v| v.as_str())
-            .and_then(parse_hex_id)
-            .ok_or(format!("event {i}: bad req_id"))?;
-        spans.push(SpanRecord {
-            req_id,
-            trace_id,
-            nid: e.get("pid").and_then(|v| v.as_f64()).unwrap_or(0.0) as u32,
-            op: intern(op),
-            stage: intern(stage),
-            start_ns: e.get("ts").map(&us_to_ns).unwrap_or(0),
-            dur_ns: e.get("dur").map(&us_to_ns).unwrap_or(0),
-        });
-    }
-    Ok(spans)
-}
+use lwfs_obs::json::Json;
+use lwfs_obs::{attribute, attribute_with_claims, parse_chrome_spans, TailReport, TraceCollector};
 
 /// The monitor's parsed JSONL artifact: the leading meta stamp and one
 /// parsed object per aggregation window.
@@ -337,20 +67,24 @@ impl MonitorLog {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for w in &self.windows {
-            for e in w.get("events").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-                let kind = e.get("kind").and_then(|v| v.as_str()).unwrap_or("");
+            for e in w.get("events").map(Json::as_arr).unwrap_or_default() {
+                let kind = e.get("kind").and_then(Json::as_str).unwrap_or("");
                 if !kind.starts_with("alert.") {
                     continue;
                 }
-                let seq = e.get("seq").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+                let seq = e.get("seq").and_then(Json::as_u64).unwrap_or(0);
                 if !seen.insert(seq) {
                     continue;
                 }
                 out.push(AlertEvent {
                     seq,
-                    nid: e.get("nid").and_then(|v| v.as_f64()).unwrap_or(0.0) as u32,
+                    nid: e
+                        .get("nid")
+                        .and_then(Json::as_u64)
+                        .and_then(|n| n.try_into().ok())
+                        .unwrap_or(0),
                     kind: kind.to_string(),
-                    detail: e.get("detail").and_then(|v| v.as_str()).unwrap_or("").to_string(),
+                    detail: e.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
                 });
             }
         }
@@ -362,7 +96,7 @@ impl MonitorLog {
         let mut sum = 0.0;
         let mut n = 0usize;
         for w in &self.windows {
-            if let Some(v) = w.get("gauges").and_then(|g| g.get(name)).and_then(|v| v.as_f64()) {
+            if let Some(v) = w.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_f64) {
                 sum += v;
                 n += 1;
             }
@@ -379,10 +113,10 @@ impl MonitorLog {
                 .get("counters")
                 .and_then(|c| c.get(name))
                 .and_then(|e| e.get("delta"))
-                .and_then(|v| v.as_f64())
+                .and_then(Json::as_f64)
             {
                 delta += d;
-                secs += w.get("dur_ns").and_then(|v| v.as_f64()).unwrap_or(0.0) / 1e9;
+                secs += w.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0) / 1e9;
             }
         }
         (delta, secs)
@@ -394,8 +128,8 @@ impl MonitorLog {
         let mut count = 0.0;
         for w in &self.windows {
             if let Some(h) = w.get("histograms").and_then(|hs| hs.get(name)) {
-                sum += h.get("sum").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                count += h.get("count").and_then(|v| v.as_f64()).unwrap_or(0.0);
+                sum += h.get("sum").and_then(Json::as_f64).unwrap_or(0.0);
+                count += h.get("count").and_then(Json::as_f64).unwrap_or(0.0);
             }
         }
         (count > 0.0).then(|| sum / count)
@@ -440,23 +174,15 @@ pub fn render_report(
 
     let log = jsonl_text.map(parse_monitor_jsonl).transpose()?;
     if let Some(log) = &log {
-        if let Some(meta) = &log.meta {
-            if let Some(obj) = meta.get("meta") {
-                let mut fields: BTreeMap<&str, String> = BTreeMap::new();
-                for (k, v) in obj.members() {
-                    let rendered = match v {
-                        Json::Num(n) => format!("{n}"),
-                        Json::Str(s) => s.clone(),
-                        other => format!("{other:?}"),
-                    };
-                    fields.insert(k.as_str(), rendered);
-                }
-                let _ = writeln!(
-                    out,
-                    "run: {}",
-                    fields.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
-                );
-            }
+        if let Some(meta) = log.meta.as_ref().and_then(|m| m.get("meta")) {
+            // By key; strings bare, anything else as written.
+            let fields: BTreeMap<&str, String> = meta
+                .members()
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str().map_or_else(|| v.to_string(), String::from)))
+                .collect();
+            let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let _ = writeln!(out, "run: {}", fields.join(" "));
         }
         let _ = writeln!(out, "windows: {}", log.windows.len());
     }
@@ -522,7 +248,7 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwfs_obs::{BlameStage, TOTAL_STAGE};
+    use lwfs_obs::{BlameStage, SpanRecord, TOTAL_STAGE};
 
     fn span(
         req_id: u64,
@@ -552,8 +278,8 @@ mod tests {
         let v =
             Json::parse("{\"a\": [1, -2.5, \"x\\n\\u0041\"], \"b\": {\"c\": true, \"d\": null}}")
                 .unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(-2.5));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("x\nA"));
+        assert_eq!(v.get("a").unwrap().as_arr()[1].as_f64(), Some(-2.5));
+        assert_eq!(v.get("a").unwrap().as_arr()[2].as_str(), Some("x\nA"));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("{\"a\": }").is_err());
@@ -564,7 +290,7 @@ mod tests {
     fn chrome_roundtrip_reproduces_the_attribution() {
         let mut live = TraceCollector::new();
         live.add_spans(stalled_write());
-        let json = live.to_chrome_json();
+        let json = live.to_chrome_json().to_string();
 
         let spans = parse_chrome_spans(&json).unwrap();
         let mut offline = TraceCollector::new();
@@ -585,7 +311,7 @@ mod tests {
             span(4, 5, 1100, "storage.write", "pull", 1_000_000, 400_000),
             span(4, 5, 1100, "storage.write", "store_write", 1_400_000, 200_000),
         ]);
-        let json = live.to_chrome_json();
+        let json = live.to_chrome_json().to_string();
         assert!(json.contains(".orphan"), "exporter roots the orphans: {json}");
         let spans = parse_chrome_spans(&json).unwrap();
         assert_eq!(spans.len(), 2, "synthetic root must not re-ingest");
@@ -626,7 +352,7 @@ mod tests {
     fn report_renders_blame_lines_ci_can_grep() {
         let mut live = TraceCollector::new();
         live.add_spans(stalled_write());
-        let json = live.to_chrome_json();
+        let json = live.to_chrome_json().to_string();
         let report = render_report(Some(&json), None, 2).unwrap();
         assert!(report.contains("blame ship_rtt share=0."), "{report}");
         assert!(report.contains("dominant: ship_rtt"), "{report}");

@@ -49,13 +49,13 @@ fn filtering_moves_less_than_a_full_read() {
 
     stats.reset();
     let full = client.read(0, &caps, obj, 0, trace.len() * 4).unwrap();
-    let full_bytes = stats.bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let full_bytes = stats.bytes.get();
     assert_eq!(full.len(), 400_000);
 
     stats.reset();
     let (result, scanned) =
         client.read_filtered(0, &caps, obj, 0, trace.len() * 4, FilterSpec::Stats).unwrap();
-    let filtered_bytes = stats.bytes.load(std::sync::atomic::Ordering::Relaxed);
+    let filtered_bytes = stats.bytes.get();
     assert_eq!(result.len(), 16);
     assert_eq!(scanned, 400_000);
 

@@ -3,18 +3,24 @@
 //! point of a valid input (ROADMAP aim 3). The frame splitter, CRC and
 //! enum codecs each exist once (`lwfs_proto::frame`, `impl_codec_enum!`),
 //! so this one suite covers the WAL, the fabric and the token with them.
-//! A request that decodes cleanly can still lie about sizes: the last test
-//! sends a live storage server `Write`s whose `len` it must refuse before
-//! it pulls or reserves a byte.
+//! A request that decodes cleanly can still lie about sizes: the
+//! `a_write_that_lies…` test sends a live storage server `Write`s whose
+//! `len` it must refuse before it pulls or reserves a byte. The artifacts
+//! a post-mortem re-ingests go through the one JSON reader
+//! (`lwfs::obs::json`), which gets the same treatment, plus exactness.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use lwfs::auth::ManualClock;
 use lwfs::cap::{CapClaims, CapIssuer, CapToken};
-use lwfs::obs::Registry;
+use lwfs::obs::export::{event_json, window_json};
+use lwfs::obs::json::{Json, MAX_DEPTH};
+use lwfs::obs::window::{MetricFrame, WindowTracker};
+use lwfs::obs::{parse_chrome_spans, Registry, SpanRecord, TraceCollector};
 use lwfs::portals::{MdOptions, MemDesc, Network, RpcClient, BULK_SPACE};
 use lwfs::proto::frame::{self, Split};
+use lwfs::proto::message::derive_req_id;
 use lwfs::proto::{
     Capability, CapabilityBody, ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle,
     ObjId, OpMask, OpNum, PrincipalId, ProcessId, Reply, ReplyBody, Request, RequestBody,
@@ -275,14 +281,14 @@ fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
         outcome.expect_err("a lying write must be refused")
     };
     let rss_before = rss_bytes();
-    let gets_before = net.stats().gets.load(std::sync::atomic::Ordering::Relaxed);
+    let gets_before = net.stats().gets.get();
     // Past the object-size limit, with a real megabyte posted: refused
     // whole, not after the first four chunks have landed.
     assert_eq!(write(MIB, 0, u64::MAX), Error::ObjectTooLarge);
     // `offset + len` wraps.
     assert_eq!(write(MIB, u64::MAX - 10, 100), Error::ObjectTooLarge);
     assert_eq!(
-        net.stats().gets.load(std::sync::atomic::Ordering::Relaxed),
+        net.stats().gets.get(),
         gets_before,
         "an oversized write must be refused before the first pull"
     );
@@ -304,6 +310,124 @@ fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
     // Still serving, pool intact.
     assert_eq!(client.call(srv, RequestBody::Ping).unwrap(), ReplyBody::Pong);
     assert_eq!(server.pool().available(), server.pool().capacity());
+}
+
+/// A request id as the RPC layer mints them, too wide for an `f64`.
+fn wide_req_id() -> u64 {
+    (0..)
+        .map(|op| derive_req_id(ProcessId::new(1100, 3), OpNum(op)))
+        .find(|&id| id as f64 as u64 != id)
+        .unwrap()
+}
+
+/// The three JSON artifacts as their writers emit them, small but with
+/// every value kind and an escaped string: a Chrome trace export with an
+/// orphan root, a JSONL window carrying events, a registry snapshot.
+fn json_artifacts() -> [String; 3] {
+    let obs = Registry::new();
+    obs.counter("storage.srv1100.writes").add(3);
+    obs.gauge("storage.repl_lag").set(-2);
+    obs.histogram("wal.append_ns").record(1500);
+    let id = wide_req_id();
+    let span = |req_id, nid, op, stage| SpanRecord {
+        req_id,
+        trace_id: req_id,
+        nid,
+        op,
+        stage,
+        start_ns: 14_123,
+        dur_ns: 7,
+    };
+    obs.spans().record(span(id, 1100, "storage.write", "total"));
+    obs.spans().record(span(9, 1101, "repl", "ship"));
+    obs.events().record(1005, "alert.fire", "rule=x: \"p99\"\n\u{1}é");
+    let mut windows = WindowTracker::new(2);
+    windows.observe(MetricFrame::default());
+    let window = windows.observe(obs.frame(1_000_000)).unwrap();
+    let snap = obs.snapshot();
+    let events = snap.events.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail));
+    let mut traces = TraceCollector::new();
+    traces.add_spans(snap.spans.iter().cloned());
+    [
+        traces.to_chrome_json().to_string(),
+        window_json(window, events.collect()).to_string(),
+        snap.to_json(Json::obj([("unix_ts", Json::from(1u64))])).to_string(),
+    ]
+}
+
+#[test]
+fn json_nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+    assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+    for open in ["[", "{\"a\": ", "[{\"k\":"] {
+        assert!(Json::parse(&open.repeat(100_000)).is_err(), "{open}");
+    }
+}
+
+#[test]
+fn every_truncation_and_byte_substitution_of_a_json_artifact_is_survived() {
+    for (i, artifact) in json_artifacts().iter().enumerate() {
+        assert!(Json::parse(artifact).is_ok(), "artifact {i} does not parse: {artifact}");
+        let read = |bad: &[u8]| {
+            let text = String::from_utf8_lossy(bad);
+            if i == 0 {
+                let _ = parse_chrome_spans(&text);
+            } else {
+                let _ = Json::parse(&text);
+            }
+        };
+        let mut bad = artifact.as_bytes().to_vec();
+        for at in 0..bad.len() {
+            read(&bad[..at]);
+            let original = bad[at];
+            // Every ASCII byte, and 0x80 for the rest: to a `&str` reader
+            // every byte that breaks UTF-8 arrives as the same U+FFFD.
+            for b in 0..=0x80 {
+                bad[at] = b;
+                read(&bad);
+            }
+            bad[at] = original;
+        }
+    }
+}
+
+#[test]
+fn bad_unicode_escapes_are_errors_or_replacement_characters() {
+    for bad in [r#""\u""#, r#""\u12""#, r#""\uZZZZ""#, r#""\u+123""#, r#""\ud800\u12""#] {
+        assert!(Json::parse(bad).is_err(), "{bad}");
+    }
+    for (escaped, want) in [
+        (r#""\ud800""#, "\u{fffd}"),
+        (r#""\udfff x""#, "\u{fffd} x"),
+        (r#""\ud800A""#, "\u{fffd}A"),
+        (r#""\ud800\ud800""#, "\u{fffd}\u{fffd}"),
+        (r#""\ud83d\ude00""#, "\u{1f600}"),
+    ] {
+        assert_eq!(Json::parse(escaped).unwrap().as_str(), Some(want), "{escaped}");
+    }
+}
+
+#[test]
+fn json_integers_round_trip_exactly_and_non_finite_floats_write_null() {
+    let id = wide_req_id();
+    for v in [Json::from(u64::MAX), Json::from(i64::MIN), Json::from(id)] {
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+    assert_eq!(Json::parse(&u64::MAX.to_string()).unwrap().as_u64(), Some(u64::MAX));
+    assert_eq!(Json::parse(&i64::MIN.to_string()).unwrap().as_i64(), Some(i64::MIN));
+
+    // Through the registry snapshot, as `probe metrics --out` writes it.
+    let obs = Registry::new();
+    obs.trace(id, "storage.write").finish();
+    let back = Json::parse(&obs.snapshot().to_json(Json::Null).to_string()).unwrap();
+    let span = &back.get("spans").map(Json::as_arr).unwrap()[0];
+    assert_eq!(span.get("req_id").and_then(Json::as_u64), Some(id));
+    assert_eq!(span.get("trace_id").and_then(Json::as_u64), Some(id));
+
+    for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::from(n).to_string(), "null");
+    }
 }
 
 proptest::proptest! {

@@ -61,7 +61,7 @@ fn figure4a_one_getcaps_rpc_plus_log_tree_scatter() {
         assert!(sent <= log_n + 1, "rank {rank} sent {sent} messages (> log2(n)+1)");
     }
     // Total scatter traffic is exactly n-1 deliveries + 1 RPC exchange.
-    assert_eq!(stats.messages.load(std::sync::atomic::Ordering::Relaxed), (n - 1) as u64 + 2);
+    assert_eq!(stats.messages.get(), (n - 1) as u64 + 2);
 }
 
 #[test]
