@@ -28,18 +28,6 @@ pub struct CapCacheStats {
     pub expired: u64,
 }
 
-impl CapCacheStats {
-    /// Fraction of authorization checks answered locally.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     /// Protocol time after which the entry must not be used.
@@ -204,7 +192,6 @@ mod tests {
         assert!(cache.check(&c, 10));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(s.hit_rate(), 0.5);
     }
 
     #[test]

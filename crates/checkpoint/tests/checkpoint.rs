@@ -263,6 +263,32 @@ fn pfs_shared_file_roundtrip_and_lock_contention() {
 }
 
 #[test]
+fn lwfs_object_per_process_takes_no_locks() {
+    // The other side of Figure 9: each rank writes its own object, so no
+    // epoch ever asks the lock service for anything.
+    const RANKS: usize = 4;
+    const LEN: usize = 16 * 1024;
+    let cluster = LwfsCluster::boot(ClusterConfig { storage_servers: 2, ..Default::default() });
+    let mut rank0 = cluster.client(0, 0);
+    rank0.get_cred(cluster.kdc().kinit("app", "secret").unwrap()).unwrap();
+    let cid = rank0.create_container().unwrap();
+    let mut clients = vec![rank0];
+    clients.extend((1..RANKS).map(|r| cluster.client(r as u32, 0)));
+
+    let group = spmd_group(RANKS);
+    per_rank(clients, |rank, mut client| {
+        let caps = share_cred_and_caps(&mut client, &group, rank, cid);
+        let ck = LwfsCheckpointer::new(&client, group.clone(), rank, caps, "/ckpt/nolock");
+        for epoch in 1..=3u64 {
+            ck.checkpoint(epoch, &rank_state(rank, epoch, LEN)).unwrap();
+        }
+        assert_eq!(ck.restore(3).unwrap(), rank_state(rank, 3, LEN), "rank {rank}");
+    });
+    assert_eq!(cluster.lock_table().contention(), (0, 0), "(granted, refused)");
+    assert_eq!(cluster.lock_table().held_count(), 0);
+}
+
+#[test]
 fn all_three_implementations_produce_identical_restores() {
     // The correctness baseline behind the performance comparison: same
     // state in, same state out, for every implementation.

@@ -243,19 +243,6 @@ impl LwfsClient {
         collective::broadcast(&self.ep, group, rank, root, tag, data)
     }
 
-    /// Personalized all-to-all across an SPMD group: element `j` of `data`
-    /// goes to rank `j`; the result is indexed by source rank. The shuffle
-    /// step of two-phase collective I/O.
-    pub fn exchange(
-        &self,
-        group: &Group,
-        rank: usize,
-        tag: u64,
-        data: Vec<Bytes>,
-    ) -> Result<Vec<Bytes>> {
-        collective::all_to_all(&self.ep, group, rank, tag, data)
-    }
-
     /// Barrier across an SPMD group (checkpoint epochs use this).
     pub fn barrier(&self, group: &Group, rank: usize, tag: u64) -> Result<()> {
         collective::barrier(&self.ep, group, rank, tag)

@@ -11,7 +11,7 @@
 //!   request id threaded through `lwfs_proto::Request`, decomposing an
 //!   operation into its stages (queue-wait → authorize → pull →
 //!   store-write → reply);
-//! - [`Snapshot`] export as a fixed-width text table or JSON (what
+//! - [`Snapshot`] export as JSON (what
 //!   `lwfs-repro probe metrics --out` writes), every JSON artifact built
 //!   and read back through the one [`json::Json`].
 //!

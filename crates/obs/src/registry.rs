@@ -1,6 +1,5 @@
 //! The metric registry: named counters, gauges, and histograms plus the
-//! span log, with point-in-time snapshots exportable as a text table or
-//! JSON.
+//! span log, with point-in-time snapshots exportable as JSON.
 //!
 //! Names follow the `component.op.stat` convention (`portals.messages`,
 //! `storage.write.pull_ns`, `txn.prepare.latency_ns`); snapshots sort
@@ -393,51 +392,6 @@ impl Snapshot {
         self.events.sort_by_key(|e| (e.ts_ns, e.seq));
     }
 
-    /// Human-readable fixed-width table.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "{:<44} {:>16}", "counter", "value");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "{name:<44} {v:>16}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "{:<44} {:>16}", "gauge", "value");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "{name:<44} {v:>16}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<44} {:>10} {:>12} {:>12} {:>12} {:>12}",
-                "histogram", "count", "p50", "p95", "p99", "max"
-            );
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{:<44} {:>10} {:>12} {:>12} {:>12} {:>12}",
-                    name, h.count, h.p50, h.p95, h.p99, h.max
-                );
-            }
-        }
-        let _ = writeln!(out, "spans retained: {}", self.spans.len());
-        if !self.events.is_empty() {
-            let _ =
-                writeln!(out, "{:<6} {:>14} {:>6}  {:<24} detail", "event", "ts_ns", "nid", "kind");
-            for e in &self.events {
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:>14} {:>6}  {:<24} {}",
-                    e.seq, e.ts_ns, e.nid, e.kind, e.detail
-                );
-            }
-        }
-        out
-    }
-
     /// The JSON export, led by `meta`: `lwfs-repro` stamps run timestamp,
     /// protocol version and node census there — things this
     /// dependency-free crate cannot know itself.
@@ -523,9 +477,6 @@ mod tests {
         assert_eq!(snap.counter("authz.cache.hits"), Some(5));
         assert_eq!(snap.gauge("storage.queue.depth"), Some(3));
         assert_eq!(snap.histogram("txn.prepare.latency_ns").unwrap().count, 1);
-
-        let text = snap.to_text();
-        assert!(text.contains("authz.cache.hits"));
     }
 
     #[test]

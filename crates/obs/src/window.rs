@@ -330,12 +330,6 @@ impl WindowTracker {
         self.windows.iter()
     }
 
-    /// The last `n` windows, newest first — the shape health rules
-    /// consume ("lag above threshold in each of the last 2 windows").
-    pub fn last_n(&self, n: usize) -> impl Iterator<Item = &WindowDelta> {
-        self.windows.iter().rev().take(n)
-    }
-
     pub fn len(&self) -> usize {
         self.windows.len()
     }
@@ -435,7 +429,7 @@ mod tests {
         assert_eq!(w.counter_delta("storage.writes"), Some(0));
         assert_eq!(w.gauge("storage.repl_lag"), Some(3));
         assert_eq!(tracker.len(), 2);
-        assert_eq!(tracker.last_n(1).next().unwrap().ts_ns, 2_000_000_000);
+        assert_eq!(tracker.latest().unwrap().ts_ns, 2_000_000_000);
     }
 
     #[test]

@@ -114,13 +114,6 @@ impl MemDesc {
         }
     }
 
-    /// Owner-side overwrite of the full buffer.
-    pub fn fill_from(&self, src: &[u8]) {
-        let mut guard = self.inner.data.lock();
-        let n = guard.len().min(src.len());
-        guard[..n].copy_from_slice(&src[..n]);
-    }
-
     /// Remote read of `[offset, offset+len)`: `read` sees the range in
     /// place, after the bounds check, so the caller decides where the one
     /// copy lands and a bad range costs no allocation. Enforced against
@@ -237,13 +230,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!md.consume_op());
         }
-    }
-
-    #[test]
-    fn fill_from_truncates_to_buffer() {
-        let md = MemDesc::zeroed(4, MdOptions::default());
-        md.fill_from(b"abcdefgh");
-        assert_eq!(md.snapshot(), b"abcd");
     }
 
     #[test]

@@ -157,44 +157,6 @@ pub fn gather(
         .map(Some)
 }
 
-/// Personalized all-to-all exchange: rank `i` sends `data[j]` to rank `j`
-/// and receives one blob from every rank (its own entry is returned
-/// untouched). The returned vector is indexed by source rank.
-///
-/// This is an *application-side* collective (two-phase I/O's shuffle step,
-/// del Rosario et al., ref. 12, in the paper's references): each rank performs
-/// O(n) sends of its own data — allowed, because the §2.3 rules constrain
-/// *system-imposed* operations, not what the application does with its own
-/// processors.
-pub fn all_to_all(
-    ep: &Endpoint,
-    group: &Group,
-    rank: usize,
-    tag: u64,
-    mut data: Vec<Bytes>,
-) -> Result<Vec<Bytes>> {
-    let n = group.size();
-    assert_eq!(data.len(), n, "all_to_all needs one blob per destination rank");
-    assert!(n <= 0xFFFF, "rank encoded in the 16-bit round field");
-
-    // Send to peers in a rotated order (rank+1, rank+2, …) so that no
-    // single destination absorbs everyone's first message at once.
-    for k in 1..n {
-        let dest = (rank + k) % n;
-        send_retry(ep, group.member(dest), coll_match(tag, rank as u32), data[dest].clone())?;
-    }
-    let mine = std::mem::take(&mut data[rank]);
-    let mut out: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-    out[rank] = Some(mine);
-    for k in 1..n {
-        let src = (rank + n - k) % n;
-        let blob =
-            recv_from(ep, group.member(src), coll_match(tag, src as u32), COLLECTIVE_TIMEOUT)?;
-        out[src] = Some(blob);
-    }
-    Ok(out.into_iter().map(|b| b.expect("all sources received")).collect())
-}
-
 /// Dissemination barrier: ⌈log₂ n⌉ rounds, each rank sends one message and
 /// receives one message per round.
 pub fn barrier(ep: &Endpoint, group: &Group, rank: usize, tag: u64) -> Result<()> {
@@ -316,24 +278,6 @@ mod tests {
             assert_eq!(root_result.len(), n);
             for (rank, v) in root_result.iter().enumerate() {
                 assert_eq!(v.as_ref(), format!("rank-{rank}").as_bytes(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_to_all_exchanges_personalized_blobs() {
-        for n in [1usize, 2, 3, 5, 8] {
-            let (_net, eps, group) = spawn_group(n);
-            let results = run_all(eps, group, move |ep, group, rank| {
-                let outgoing: Vec<Bytes> =
-                    (0..n).map(|dest| Bytes::from(format!("{rank}->{dest}"))).collect();
-                all_to_all(ep, group, rank, 40, outgoing).unwrap()
-            });
-            for (rank, incoming) in results.into_iter().enumerate() {
-                assert_eq!(incoming.len(), n);
-                for (src, blob) in incoming.iter().enumerate() {
-                    assert_eq!(blob.as_ref(), format!("{src}->{rank}").as_bytes(), "n={n}");
-                }
             }
         }
     }

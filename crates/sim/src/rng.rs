@@ -1,8 +1,7 @@
 //! Seeded randomness for reproducible trials.
 //!
-//! Every experiment point runs ≥5 trials; each trial derives its RNG from
-//! `(experiment seed, trial index)` so that re-running any single trial in
-//! isolation reproduces it exactly.
+//! Every experiment point runs ≥5 trials; each trial seeds its own RNG so
+//! that re-running any single trial in isolation reproduces it exactly.
 
 use rand::distributions::{Distribution, Uniform};
 use rand::{Rng, SeedableRng};
@@ -18,12 +17,6 @@ pub struct SimRng {
 impl SimRng {
     pub fn new(seed: u64) -> Self {
         Self { inner: ChaCha8Rng::seed_from_u64(seed) }
-    }
-
-    /// Derive a trial-specific RNG from an experiment seed.
-    pub fn for_trial(experiment_seed: u64, trial: u64) -> Self {
-        // Mix with a large odd constant so adjacent trials diverge fully.
-        Self::new(experiment_seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Uniform jitter in `[lo, hi)` nanoseconds — used for compute-phase
@@ -72,15 +65,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.bits(), b.bits());
         }
-    }
-
-    #[test]
-    fn different_trials_diverge() {
-        let mut a = SimRng::for_trial(1, 0);
-        let mut b = SimRng::for_trial(1, 1);
-        let av: Vec<u64> = (0..8).map(|_| a.bits()).collect();
-        let bv: Vec<u64> = (0..8).map(|_| b.bits()).collect();
-        assert_ne!(av, bv);
     }
 
     #[test]

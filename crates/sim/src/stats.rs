@@ -76,16 +76,6 @@ impl Summary {
         self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Relative spread (stddev / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m
-        }
-    }
-
     pub fn values(&self) -> &[f64] {
         &self.values
     }
@@ -135,7 +125,6 @@ mod tests {
     fn constant_series_has_zero_spread() {
         let s = Summary::from_values(std::iter::repeat_n(7.0, 5));
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

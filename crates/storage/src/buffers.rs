@@ -6,7 +6,6 @@
 //! that cannot get a buffer wait in the queue or are rejected, and the
 //! *server* decides when each transfer proceeds (server-directed I/O).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lwfs_obs::Gauge;
@@ -17,10 +16,6 @@ pub struct PinnedBufferPool {
     buffer_size: usize,
     free: Mutex<Vec<Vec<u8>>>,
     total: usize,
-    /// Times a caller found the pool empty (a flow-control event). A pure
-    /// counter on the hot acquire path shared by every worker — atomic,
-    /// not a lock.
-    exhausted: AtomicU64,
     /// Optional occupancy gauge (buffers checked out), updated on every
     /// acquire and release. Updates are additive (inc/dec, never set) so
     /// several pools sharing one fabric-level gauge aggregate correctly.
@@ -41,7 +36,6 @@ impl PinnedBufferPool {
             buffer_size,
             free: Mutex::new((0..count).map(|_| vec![0u8; buffer_size]).collect()),
             total: count,
-            exhausted: AtomicU64::new(0),
             gauge,
         }
     }
@@ -58,26 +52,14 @@ impl PinnedBufferPool {
         self.free.lock().len()
     }
 
-    /// Times acquisition failed because the pool was empty.
-    pub fn exhaustion_count(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Try to take a buffer; `None` when the pool is exhausted.
+    /// Try to take a buffer; `None` when the pool is exhausted (the
+    /// server counts that as `storage.busy_rejects`).
     pub fn try_acquire(&self) -> Option<PooledBuffer<'_>> {
-        let buf = self.free.lock().pop();
-        match buf {
-            Some(data) => {
-                if let Some(g) = &self.gauge {
-                    g.inc();
-                }
-                Some(PooledBuffer { pool: self, data: Some(data) })
-            }
-            None => {
-                self.exhausted.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let data = self.free.lock().pop()?;
+        if let Some(g) = &self.gauge {
+            g.inc();
         }
+        Some(PooledBuffer { pool: self, data: Some(data) })
     }
 }
 
@@ -120,7 +102,6 @@ mod tests {
         let b2 = pool.try_acquire().unwrap();
         assert_eq!(pool.available(), 0);
         assert!(pool.try_acquire().is_none());
-        assert_eq!(pool.exhaustion_count(), 1);
         drop(b1);
         assert_eq!(pool.available(), 1);
         let b3 = pool.try_acquire().unwrap();

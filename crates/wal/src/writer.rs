@@ -169,10 +169,6 @@ impl Wal {
         &self.config.dir
     }
 
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.config.sync
-    }
-
     /// Append one record, making it durable according to the sync policy
     /// (records with [`WalRecord::forces_sync`] are always synced before
     /// this returns). The record is fully framed before the reply that

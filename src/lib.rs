@@ -31,8 +31,6 @@
 //! | [`checkpoint`] | `lwfs-checkpoint` | the §4 case study |
 //! | [`sim`] | `lwfs-sim` | discrete-event simulation engine |
 //! | [`models`] | `lwfs-models` | queueing models for Figures 9/10 |
-//! | [`sciio`] | `lwfs-sciio` | PnetCDF-like library on the core (§6) |
-//! | [`iolib`] | `lwfs-iolib` | caching/prefetching layer (Figure 2) |
 //!
 //! Two harnesses sit outside the facade: `lwfs-repro` (`crates/repro`)
 //! regenerates the paper's tables and figures and runs the observability
@@ -72,7 +70,6 @@ pub use lwfs_authz as authz;
 pub use lwfs_cap as cap;
 pub use lwfs_checkpoint as checkpoint;
 pub use lwfs_core as core;
-pub use lwfs_iolib as iolib;
 pub use lwfs_models as models;
 pub use lwfs_naming as naming;
 pub use lwfs_obs as obs;
@@ -80,7 +77,6 @@ pub use lwfs_pfs as pfs;
 pub use lwfs_portals as portals;
 pub use lwfs_proto as proto;
 pub use lwfs_replica as replica;
-pub use lwfs_sciio as sciio;
 pub use lwfs_sim as sim;
 pub use lwfs_storage as storage;
 pub use lwfs_txn as txn;
