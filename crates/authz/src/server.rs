@@ -95,9 +95,6 @@ impl AuthzServer {
 
 impl Service for AuthzServer {
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody {
-        if let Some(scrape) = lwfs_portals::telemetry::answer(ep.obs(), &req.body) {
-            return scrape;
-        }
         match &req.body {
             RequestBody::CreateContainer { cred } => match self.service.create_container(cred) {
                 Ok(cid) => ReplyBody::ContainerCreated(cid),

@@ -55,31 +55,9 @@ pub enum CapMode {
 }
 
 impl CapMode {
-    /// Parse the `--cap-mode` CLI value.
-    pub fn parse(s: &str) -> Option<CapMode> {
-        match s {
-            "legacy" => Some(CapMode::Legacy),
-            "signed" => Some(CapMode::Signed),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CapMode::Legacy => "legacy",
-            CapMode::Signed => "signed",
-        }
-    }
-
     /// Does this mode mint and check signed tokens at all?
     pub fn signed(self) -> bool {
         self == CapMode::Signed
-    }
-}
-
-impl std::fmt::Display for CapMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -88,12 +66,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cap_mode_parse_roundtrip() {
-        for mode in [CapMode::Legacy, CapMode::Signed] {
-            assert_eq!(CapMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(CapMode::parse("bogus"), None);
-        assert_eq!(CapMode::parse("require"), None, "the third mode is gone");
+    fn cap_mode_defaults_to_legacy() {
         assert_eq!(CapMode::default(), CapMode::Legacy);
         assert!(!CapMode::Legacy.signed());
         assert!(CapMode::Signed.signed());

@@ -1,4 +1,5 @@
-//! In-process cluster bootstrap — Figures 1 and 3 as code.
+//! Cluster bootstrap — Figures 1 and 3 as code, and the one deployment
+//! recipe every cluster flavor boots from.
 //!
 //! Node-id layout mirrors the partitioned architecture:
 //!
@@ -11,40 +12,63 @@
 //! | 1003       | transaction-id / lock server (client extension)    |
 //! | 1004       | replication group directory (replication > 1 only) |
 //! | 1100..     | storage servers (one per simulated I/O node)       |
+//!
+//! The recipe is a set of functions of [`ClusterConfig`]: the node table
+//! ([`ClusterConfig::service_nodes`], [`ClusterConfig::addrs`]), each
+//! storage server ([`ClusterConfig::spawn_storage`]), the authorization
+//! service, the KDC and the directory's group map.
+//! [`LwfsCluster::boot`] (both transports), [`ProcessCluster`] and the
+//! `lwfs-node` binary all build their services from it, so the three
+//! flavors cannot drift apart.
+//!
+//! [`ProcessCluster`]: crate::ProcessCluster
 
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::Duration;
 
 use lwfs_auth::{AuthConfig, AuthServer, AuthService, Clock, ManualClock, MockKerberos, WallClock};
 use lwfs_authz::{AuthzConfig, AuthzServer, AuthzService, CachedCapVerifier, CredVerifier};
 use lwfs_cap::{CapClaims, CapIssuer, CapMode};
 use lwfs_fabric::{FabricConfig, Manifest, SocketFabric};
 use lwfs_naming::{Namespace, NamingServer};
-use lwfs_portals::{Network, NetworkConfig, RpcConfig, ServiceHandle};
-use lwfs_proto::{GroupMap, NodeId, PrincipalId, ProcessId};
+use lwfs_portals::{Network, NetworkConfig, ServiceHandle};
+use lwfs_proto::{GroupMap, NodeId, PrincipalId, ProcessId, Result};
 use lwfs_replica::{DirectoryHandle, ReplicaConfig};
-use lwfs_storage::{server::StorageHandle, SignedCapConfig, StorageConfig, StorageServer};
+use lwfs_storage::{SignedCapConfig, StorageConfig, StorageServer};
 use lwfs_txn::{LockTable, TxnLockServer};
 
 use crate::client::LwfsClient;
 
-/// Realm of the deterministic mock KDC every cluster flavor boots.
-///
-/// Public because process-mode deployments re-create the KDC in each
-/// process: the same realm + [`KDC_SEED`] + user set yields the same MAC
-/// key, so a ticket minted by the launcher's KDC copy verifies at the
-/// authentication node's copy without any key exchange.
-pub const KDC_REALM: &str = "LWFS.LOCAL";
-
-/// Key seed of the deterministic mock KDC (see [`KDC_REALM`]).
-pub const KDC_SEED: u64 = 0xFEED_F00D;
+/// Realm and key seed of the deterministic mock KDC: the same realm, seed
+/// and user set yield the same MAC key, so every process of a deployment
+/// builds an identical KDC and a ticket minted by one copy verifies at
+/// another without any key exchange.
+const KDC_REALM: &str = "LWFS.LOCAL";
+const KDC_SEED: u64 = 0xFEED_F00D;
 
 /// Seed of the cluster's capability signing key (KDC-style determinism:
 /// every process of a deployment derives the same ed25519 keypair, so the
 /// authorization node signs and every storage node — holding only the
 /// *public* half — verifies, with no key-exchange step at boot).
-pub const CAP_SEED: u64 = 0xCAB1_51D5;
+const CAP_SEED: u64 = 0xCAB1_51D5;
+
+/// Clock-skew tolerance for signed-token start times. OS processes of one
+/// deployment start seconds apart; without tolerance a fresh token minted
+/// on a slightly-ahead clock is rejected as not-yet-valid. Widens
+/// `not_before` only — expiry is never extended.
+const CLOCK_SKEW: Duration = Duration::from_secs(1);
+
+/// The compute side's fabric identity under tcp: the top of the compute
+/// partition, used only for the connection handshake.
+const COMPUTE_NID: u32 = 999;
+const AUTH_NID: u32 = 1000;
+const AUTHZ_NID: u32 = 1001;
+const NAMING_NID: u32 = 1002;
+const TXNLOCK_NID: u32 = 1003;
+const DIRECTORY_NID: u32 = 1004;
+const STORAGE_NID: u32 = 1100;
 
 /// Well-known service addresses for a booted cluster.
 #[derive(Debug, Clone)]
@@ -66,7 +90,9 @@ impl ClusterAddrs {
     /// Scrape targets for a [`ClusterMonitor`](crate::ClusterMonitor):
     /// every storage server, the naming and authorization services, and
     /// the group directory when present. (The authentication and
-    /// txn-lock services do not answer `GetTelemetry`.)
+    /// txn-lock services answer `GetTelemetry` too, but every service of
+    /// a cluster shares one registry, so the list stays the set the
+    /// monitor's output has always reported on.)
     pub fn monitor_targets(&self) -> Vec<ProcessId> {
         let mut targets = self.storage.clone();
         targets.push(self.naming);
@@ -74,6 +100,19 @@ impl ClusterAddrs {
         targets.extend(self.directory);
         targets
     }
+}
+
+/// What a service node runs, as the node table assigns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    Auth,
+    Authz,
+    Naming,
+    TxnLock,
+    /// The replication group directory (replication > 1 only).
+    Directory,
+    /// Physical storage server `i`, a member of group `i / R`.
+    Storage(usize),
 }
 
 /// Which fabric carries cross-node traffic.
@@ -104,8 +143,8 @@ impl TransportKind {
     /// Parse a `--transport` CLI value.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "inprocess" | "in-process" | "local" => Some(Self::InProcess),
-            "tcp" | "socket" => Some(Self::Tcp),
+            "inprocess" => Some(Self::InProcess),
+            "tcp" => Some(Self::Tcp),
             _ => None,
         }
     }
@@ -125,16 +164,10 @@ pub struct ClusterConfig {
     /// [`LwfsCluster::crash_storage`] promotes the senior backup when a
     /// primary dies.
     pub replication: usize,
-    /// RPC knobs (reply timeout, resend budget) applied to clients built
-    /// by [`LwfsCluster::client`] and to the storage servers' outbound
-    /// calls, instead of per-call-site constants.
-    pub rpc: RpcConfig,
     /// Per-storage-server configuration.
     pub storage: StorageConfig,
     /// Use a hand-advanced clock (tests) instead of wall time.
     pub manual_clock: bool,
-    /// Transport configuration.
-    pub network: NetworkConfig,
     /// Override the authorization service's capability lifetime (protocol
     /// nanoseconds). `None` keeps the 8-hour default. Tests drive expiry
     /// with a manual clock and a short TTL.
@@ -143,7 +176,7 @@ pub struct ClusterConfig {
     /// the backup and reporting it to the directory. `None` keeps the
     /// replica default (2s); fault tests shorten it so a partitioned
     /// backup is evicted quickly.
-    pub ship_deadline: Option<std::time::Duration>,
+    pub ship_deadline: Option<Duration>,
     /// Users to pre-register with the mock KDC: (name, password, principal).
     pub users: Vec<(String, String, PrincipalId)>,
     /// Which fabric carries cross-node traffic. The default in-process
@@ -154,17 +187,6 @@ pub struct ClusterConfig {
     /// verify-through scheme; `Signed` mints ed25519 tokens that storage
     /// servers verify locally, and refuses data operations without one.
     pub cap_mode: CapMode,
-    /// Clock-skew tolerance for signed-token start times. OS processes of
-    /// one deployment start seconds apart; without tolerance a fresh token
-    /// minted on a slightly-ahead clock is rejected as not-yet-valid.
-    /// Widens `not_before` only — expiry is never extended.
-    pub clock_skew: std::time::Duration,
-}
-
-/// Default clock-skew tolerance for signed-token start times, shared by
-/// every deployment flavor (in-process, tcp, and process mode).
-pub fn default_clock_skew() -> std::time::Duration {
-    std::time::Duration::from_secs(1)
 }
 
 impl Default for ClusterConfig {
@@ -172,18 +194,186 @@ impl Default for ClusterConfig {
         Self {
             storage_servers: 4,
             replication: 1,
-            rpc: RpcConfig::default(),
             storage: StorageConfig::default(),
             manual_clock: false,
-            network: NetworkConfig::default(),
             capability_ttl_ns: None,
             ship_deadline: None,
             users: vec![("app".into(), "secret".into(), PrincipalId(1))],
             transport: TransportKind::default(),
             cap_mode: CapMode::default(),
-            clock_skew: default_clock_skew(),
         }
     }
+}
+
+/// The deployment recipe.
+impl ClusterConfig {
+    fn group_size(&self) -> usize {
+        self.replication.max(1)
+    }
+
+    /// Every service address: the fixed services, the directory when
+    /// `R > 1`, and `groups × R` storage servers, group-major.
+    pub fn addrs(&self) -> ClusterAddrs {
+        let id = |nid: u32| ProcessId::new(nid, 0);
+        let physical = self.storage_servers * self.group_size();
+        ClusterAddrs {
+            auth: id(AUTH_NID),
+            authz: id(AUTHZ_NID),
+            naming: id(NAMING_NID),
+            txnlock: id(TXNLOCK_NID),
+            storage: (0..physical).map(|i| id(STORAGE_NID + i as u32)).collect(),
+            directory: (self.group_size() > 1).then(|| id(DIRECTORY_NID)),
+        }
+    }
+
+    /// The node table: every service node's nid and role, in boot order.
+    /// A deployment's manifest lists exactly these nids.
+    pub fn service_nodes(&self) -> Vec<(u32, Role)> {
+        let a = self.addrs();
+        let mut nodes = vec![
+            (a.auth.nid.0, Role::Auth),
+            (a.authz.nid.0, Role::Authz),
+            (a.naming.nid.0, Role::Naming),
+            (a.txnlock.nid.0, Role::TxnLock),
+        ];
+        nodes.extend(a.directory.map(|d| (d.nid.0, Role::Directory)));
+        nodes.extend(a.storage.iter().enumerate().map(|(i, s)| (s.nid.0, Role::Storage(i))));
+        nodes
+    }
+
+    /// Storage server `i`'s configuration: the shared [`StorageConfig`]
+    /// logging to its own WAL subdirectory (`srv<i>`), so a restart
+    /// replays exactly that server's history; under replication, its
+    /// place in group `i / R` (the first member leads, the rest back it
+    /// up); under signed caps, the issuer's public key and, replicated, a
+    /// ship token bound to its own nid.
+    fn storage_config(&self, i: usize) -> StorageConfig {
+        let r = self.group_size();
+        let addrs = self.addrs();
+        let group = (i / r) as u32;
+        let mut config = self.storage.clone();
+        if let Some(wal) = &mut config.wal {
+            wal.dir = wal.dir.join(format!("srv{i}"));
+        }
+        if r > 1 {
+            let head = i - i % r;
+            let members = &addrs.storage[head..head + r];
+            let replica = if i == head {
+                ReplicaConfig::primary(group, members[1..].to_vec())
+            } else {
+                // A backup accepts ships only from its group's head.
+                ReplicaConfig::backup(group, members[0])
+            }
+            .with_directory(ProcessId::new(DIRECTORY_NID, 0));
+            config.replica = Some(match self.ship_deadline {
+                Some(deadline) => replica.with_ship_deadline(deadline),
+                None => replica,
+            });
+        }
+        if self.cap_mode.signed() {
+            let issuer = CapIssuer::from_cluster_seed(CAP_SEED);
+            // Each replicated member gets a group-scoped token bound to
+            // its own node id: whichever member is (or becomes) primary
+            // ships under its own identity, and a backup's token is
+            // useless anywhere but on its own sends.
+            let ship_token = (r > 1).then(|| {
+                let claims = CapClaims::repl_group(group, addrs.storage[i].nid.0);
+                bytes::Bytes::from(issuer.mint(claims))
+            });
+            config.signed = Some(SignedCapConfig {
+                public_key: *issuer.public().as_bytes(),
+                ship_token,
+                clock_skew: CLOCK_SKEW,
+            });
+        }
+        config
+    }
+
+    /// Spawn storage server `i` on `net`, enforcing policy through its
+    /// own verify-through cache bound to the authorization service.
+    pub fn spawn_storage(
+        &self,
+        i: usize,
+        net: &Network,
+        clock: Arc<dyn Clock>,
+    ) -> (ServiceHandle, Arc<StorageServer>) {
+        let addrs = self.addrs();
+        let sid = addrs.storage[i];
+        let verifier = CachedCapVerifier::with_registry(sid, addrs.authz, net.obs());
+        StorageServer::spawn(net, sid, self.storage_config(i), Some(verifier), clock)
+    }
+
+    /// The authorization service, trusting `creds` for first-contact
+    /// credentials (Figure 5's trust arrow: the authentication service
+    /// itself in one process, a `RemoteCredVerifier` across processes).
+    /// Under signed caps it is the cluster's token issuer and pushes
+    /// revocation epochs to every storage server; only the public half of
+    /// its key ever reaches storage.
+    pub fn authz_service(
+        &self,
+        creds: Arc<dyn CredVerifier>,
+        clock: Arc<dyn Clock>,
+    ) -> AuthzService {
+        let defaults = AuthzConfig::default();
+        let ttl = self.capability_ttl_ns.unwrap_or(defaults.capability_ttl);
+        let service =
+            AuthzService::new(AuthzConfig { capability_ttl: ttl, ..defaults }, creds, clock);
+        if !self.cap_mode.signed() {
+            return service;
+        }
+        service.set_enforcement_sites(self.addrs().storage);
+        service.with_issuer(CapIssuer::from_cluster_seed(CAP_SEED), self.cap_mode)
+    }
+
+    /// The deterministic mock KDC with this deployment's users.
+    pub fn kdc(&self) -> Arc<MockKerberos> {
+        let kdc = MockKerberos::new(KDC_REALM, KDC_SEED);
+        for (name, pw, principal) in &self.users {
+            kdc.add_user(name, pw, *principal);
+        }
+        Arc::new(kdc)
+    }
+
+    /// The directory's initial map: each group's members, head first.
+    pub fn group_map(&self) -> GroupMap {
+        GroupMap::grouped(&self.addrs().storage, self.group_size())
+    }
+}
+
+/// Bind a loopback listener per service node and record each address in a
+/// manifest. Every port is allocated before any node attaches, so the
+/// first cross-node call — whenever it happens — finds its peer dialable.
+pub(crate) fn bind_manifest(
+    config: &ClusterConfig,
+) -> std::io::Result<(Manifest, Vec<(u32, TcpListener)>)> {
+    let mut manifest = Manifest::new();
+    let mut listeners = Vec::new();
+    for (nid, _) in config.service_nodes() {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        manifest.insert(NodeId(nid), listener.local_addr()?);
+        listeners.push((nid, listener));
+    }
+    Ok((manifest, listeners))
+}
+
+/// Attach the compute side's fabric to `net`: clients and the monitor
+/// live there and dial services via the manifest; services answer over
+/// learned routes, never dialing back, so the compute side needs no
+/// manifest entry.
+pub(crate) fn attach_compute(net: &Network, manifest: Manifest) -> Result<Arc<SocketFabric>> {
+    SocketFabric::attach(net, NodeId(COMPUTE_NID), manifest, FabricConfig::default())
+}
+
+/// Register an application process on compute node `nid` of `net` and
+/// build its client handle.
+pub(crate) fn compute_client(
+    net: &Network,
+    addrs: &ClusterAddrs,
+    nid: u32,
+    pid: u32,
+) -> LwfsClient {
+    assert!(nid < AUTH_NID, "compute nids are 0..1000; {nid} is in the service partition");
+    LwfsClient::new(net.register(ProcessId::new(nid, pid)), addrs.clone())
 }
 
 /// A running in-process LWFS deployment.
@@ -198,7 +388,9 @@ pub struct LwfsCluster {
     /// Per-service-node sibling networks (tcp transport only): nid → net.
     /// Empty under the in-process transport, where `net` hosts everything.
     node_nets: HashMap<u32, Network>,
-    transport: TransportKind,
+    /// The recipe this cluster was booted from; a restarted server is
+    /// rebuilt from it.
+    config: ClusterConfig,
     addrs: ClusterAddrs,
     kdc: Arc<MockKerberos>,
     clock: Arc<dyn Clock>,
@@ -208,61 +400,34 @@ pub struct LwfsCluster {
     namespace: Arc<Namespace>,
     locks: Arc<LockTable>,
     storage_servers: Vec<Option<Arc<StorageServer>>>,
-    /// Per-server configs, kept so a crashed slot can be respawned.
-    storage_configs: Vec<StorageConfig>,
     /// Control-plane handle on the group directory (replication > 1).
     directory: Option<DirectoryHandle>,
-    rpc: RpcConfig,
     // Handles last: dropped (and joined) after the shared state above.
     _auth: ServiceHandle,
     _authz: ServiceHandle,
     _naming: ServiceHandle,
     _txnlock: ServiceHandle,
     _directory: Option<ServiceHandle>,
-    _storage: Vec<Option<StorageHandle>>,
+    _storage: Vec<Option<ServiceHandle>>,
     /// Socket fabrics (tcp transport only), shut down explicitly on drop:
     /// a fabric and its network hold each other, so waiting for refcounts
     /// would leak the acceptor and connection threads.
     fabrics: Vec<Arc<SocketFabric>>,
 }
 
-/// Specialize the shared storage config for server `i`: each server logs
-/// to its own subdirectory of the configured WAL root.
-fn per_server_config(base: &StorageConfig, i: usize) -> StorageConfig {
-    let mut config = base.clone();
-    if let Some(wal) = &mut config.wal {
-        wal.dir = wal.dir.join(format!("srv{i}"));
-    }
-    config
-}
-
 impl LwfsCluster {
     /// Boot every service of Figure 3.
     pub fn boot(config: ClusterConfig) -> Self {
-        let net = Network::new(config.network.clone());
+        let net = Network::new(NetworkConfig::default());
+        let addrs = config.addrs();
 
         // Under the tcp transport each service node gets its own sibling
-        // network behind a socket fabric. Ports are allocated (and the
-        // manifest completed) before any fabric attaches, so the first
-        // cross-node call — whenever it happens — finds its peer dialable.
-        let r0 = config.replication.max(1);
-        let physical0 = config.storage_servers * r0;
-        let mut service_nids: Vec<u32> = vec![1000, 1001, 1002, 1003];
-        if r0 > 1 {
-            service_nids.push(1004);
-        }
-        service_nids.extend((0..physical0).map(|i| 1100 + i as u32));
+        // network behind a socket fabric.
         let (node_nets, fabrics) = match config.transport {
             TransportKind::InProcess => (HashMap::new(), Vec::new()),
             TransportKind::Tcp => {
-                let mut listeners = Vec::with_capacity(service_nids.len());
-                let mut manifest = Manifest::new();
-                for &nid in &service_nids {
-                    let listener =
-                        TcpListener::bind("127.0.0.1:0").expect("binding service listener");
-                    manifest.insert(NodeId(nid), listener.local_addr().unwrap());
-                    listeners.push((nid, listener));
-                }
+                let (manifest, listeners) =
+                    bind_manifest(&config).expect("binding service listeners");
                 let mut nets = HashMap::new();
                 let mut fabrics = Vec::with_capacity(listeners.len() + 1);
                 for (nid, listener) in listeners {
@@ -278,21 +443,13 @@ impl LwfsCluster {
                     nets.insert(nid, node_net);
                     fabrics.push(fabric);
                 }
-                // The compute-side fabric: clients and the monitor live on
-                // the root network and dial services via the manifest;
-                // services answer over learned routes, never dialing back,
-                // so this node needs no manifest entry. Nid 999 is the top
-                // of the compute partition and is only used for the
-                // connection handshake.
-                let compute =
-                    SocketFabric::attach(&net, NodeId(999), manifest, FabricConfig::default())
-                        .expect("attaching compute fabric");
-                fabrics.push(compute);
+                fabrics.push(attach_compute(&net, manifest).expect("attaching compute fabric"));
                 (nets, fabrics)
             }
         };
-        let net_for =
-            |nid: u32| -> Network { node_nets.get(&nid).cloned().unwrap_or_else(|| net.clone()) };
+        let net_for = |id: ProcessId| -> Network {
+            node_nets.get(&id.nid.0).cloned().unwrap_or_else(|| net.clone())
+        };
 
         let manual = config.manual_clock.then(ManualClock::new);
         let clock: Arc<dyn Clock> = match &manual {
@@ -300,144 +457,42 @@ impl LwfsCluster {
             None => Arc::new(WallClock::new()),
         };
 
-        // External authentication mechanism + authentication service.
-        let kdc = Arc::new(MockKerberos::new(KDC_REALM, KDC_SEED));
-        for (name, pw, principal) in &config.users {
-            kdc.add_user(name, pw, *principal);
-        }
-        let auth_id = ProcessId::new(1000, 0);
+        let kdc = config.kdc();
         let (auth_handle, auth_svc) = AuthServer::spawn(
-            &net_for(1000),
-            auth_id,
-            AuthService::new(
-                AuthConfig::default(),
-                Arc::clone(&kdc) as Arc<dyn lwfs_auth::AuthMechanism>,
-                Arc::clone(&clock),
-            ),
+            &net_for(addrs.auth),
+            addrs.auth,
+            AuthService::new(AuthConfig::default(), kdc.clone(), Arc::clone(&clock)),
         );
-
-        // Authorization service, trusting the authentication service
-        // (Figure 5's trust arrow).
-        let authz_id = ProcessId::new(1001, 0);
-        let mut authz_service = AuthzService::new(
-            AuthzConfig {
-                capability_ttl: config
-                    .capability_ttl_ns
-                    .unwrap_or(AuthzConfig::default().capability_ttl),
-                ..Default::default()
-            },
-            Arc::new(Arc::clone(&auth_svc)) as Arc<dyn CredVerifier>,
-            Arc::clone(&clock),
+        let creds = Arc::new(Arc::clone(&auth_svc)) as Arc<dyn CredVerifier>;
+        let (authz_handle, authz_svc) = AuthzServer::spawn(
+            &net_for(addrs.authz),
+            addrs.authz,
+            config.authz_service(creds, Arc::clone(&clock)),
         );
-        // Signed modes: the authorization service becomes the cluster's
-        // token issuer. The keypair is seed-derived (like the KDC key), so
-        // process-mode nodes reconstruct it without a key exchange; only
-        // the public half ever reaches storage.
-        let issuer_public = if config.cap_mode.signed() {
-            let issuer = CapIssuer::from_cluster_seed(CAP_SEED);
-            let public = *issuer.public().as_bytes();
-            authz_service = authz_service.with_issuer(issuer, config.cap_mode);
-            Some(public)
-        } else {
-            None
-        };
-        let (authz_handle, authz_svc) = AuthzServer::spawn(&net_for(1001), authz_id, authz_service);
-
-        // Client-extension services.
-        let naming_id = ProcessId::new(1002, 0);
-        let (naming_handle, namespace) = NamingServer::spawn(&net_for(1002), naming_id);
-        let txnlock_id = ProcessId::new(1003, 0);
-        let (txnlock_handle, locks) = TxnLockServer::spawn(&net_for(1003), txnlock_id, None);
-
-        // Storage partition: every server enforces policy through its own
-        // verify-through cache bound to the authorization service. With
-        // replication, each logical group is `r` consecutive physical
-        // servers; the first is the initial primary.
-        let r = config.replication.max(1);
-        let physical = config.storage_servers * r;
-        let storage_addrs: Vec<ProcessId> =
-            (0..physical).map(|i| ProcessId::new(1100 + i as u32, 0)).collect();
-        // The directory's address is baked into every replicated server's
-        // config (drop reports go there), so it is fixed before the spawn
-        // loop even though the service itself comes up after.
-        let directory_id = ProcessId::new(1004, 0);
-        let mut storage_handles = Vec::with_capacity(physical);
-        let mut storage_servers = Vec::with_capacity(physical);
-        let mut storage_configs = Vec::with_capacity(physical);
-        for (i, &sid) in storage_addrs.iter().enumerate() {
-            let mut server_config = per_server_config(&config.storage, i);
-            server_config.rpc = config.rpc.clone();
-            if r > 1 {
-                let group = (i / r) as u32;
-                let mut replica = if i % r == 0 {
-                    let backups = storage_addrs[i + 1..(i / r + 1) * r].to_vec();
-                    ReplicaConfig::primary(group, backups)
-                } else {
-                    // A backup accepts ships only from its group's head.
-                    ReplicaConfig::backup(group, storage_addrs[(i / r) * r])
-                }
-                .with_directory(directory_id);
-                if let Some(deadline) = config.ship_deadline {
-                    replica = replica.with_ship_deadline(deadline);
-                }
-                server_config.replica = Some(replica);
-            }
-            if let Some(public_key) = issuer_public {
-                // Each replicated member gets a group-scoped token bound
-                // to its own node id: whichever member is (or becomes)
-                // primary ships under its own identity, and a backup's
-                // token is useless anywhere but on its own sends.
-                let ship_token = (r > 1).then(|| {
-                    let issuer = CapIssuer::from_cluster_seed(CAP_SEED);
-                    let group = (i / r) as u32;
-                    bytes::Bytes::from(issuer.mint(CapClaims::repl_group(group, sid.nid.0)))
-                });
-                server_config.signed =
-                    Some(SignedCapConfig { public_key, ship_token, clock_skew: config.clock_skew });
-            }
-            let verifier = CachedCapVerifier::with_registry(sid, authz_id, net.obs());
-            let (h, s) = StorageServer::spawn(
-                &net_for(sid.nid.0),
-                sid,
-                server_config.clone(),
-                Some(verifier),
-                Arc::clone(&clock),
-            );
-            storage_handles.push(Some(h));
-            storage_servers.push(Some(s));
-            storage_configs.push(server_config);
-        }
-
-        // Revocation-epoch pushes fan out to every storage server.
-        if issuer_public.is_some() {
-            authz_svc.set_enforcement_sites(storage_addrs.clone());
-        }
-
-        // Group directory: spawned only under replication, so a plain
-        // cluster keeps exactly its historical endpoint census.
-        let (directory_handle, directory) = if r > 1 {
-            let (h, d) = lwfs_replica::spawn_directory(
-                &net_for(1004),
-                directory_id,
-                GroupMap::grouped(&storage_addrs, r),
-            );
-            (Some(h), Some(d))
-        } else {
-            (None, None)
-        };
+        let (naming_handle, namespace) = NamingServer::spawn(&net_for(addrs.naming), addrs.naming);
+        let (txnlock_handle, locks) =
+            TxnLockServer::spawn(&net_for(addrs.txnlock), addrs.txnlock, None);
+        let (storage_handles, storage_servers) = addrs
+            .storage
+            .iter()
+            .enumerate()
+            .map(|(i, &sid)| {
+                let (h, s) = config.spawn_storage(i, &net_for(sid), Arc::clone(&clock));
+                (Some(h), Some(s))
+            })
+            .unzip();
+        // Spawned only under replication, so a plain cluster keeps exactly
+        // its historical endpoint census.
+        let (directory_handle, directory) = addrs
+            .directory
+            .map(|id| lwfs_replica::spawn_directory(&net_for(id), id, config.group_map()))
+            .unzip();
 
         LwfsCluster {
             net,
             node_nets,
-            transport: config.transport,
-            addrs: ClusterAddrs {
-                auth: auth_id,
-                authz: authz_id,
-                naming: naming_id,
-                txnlock: txnlock_id,
-                storage: storage_addrs,
-                directory: directory_handle.as_ref().map(|h| h.id()),
-            },
+            config,
+            addrs,
             kdc,
             clock,
             manual_clock: manual,
@@ -446,9 +501,7 @@ impl LwfsCluster {
             namespace,
             locks,
             storage_servers,
-            storage_configs,
             directory,
-            rpc: config.rpc,
             _auth: auth_handle,
             _authz: authz_handle,
             _naming: naming_handle,
@@ -469,7 +522,7 @@ impl LwfsCluster {
 
     /// The transport this cluster was booted with.
     pub fn transport(&self) -> TransportKind {
-        self.transport
+        self.config.transport
     }
 
     /// The network hosting node `nid`'s endpoints (the root network under
@@ -661,7 +714,7 @@ impl LwfsCluster {
     }
 
     /// Restart a crashed storage server in the same network slot, with the
-    /// same per-server configuration. With a WAL configured the new
+    /// per-server configuration the recipe gives it. With a WAL configured the new
     /// instance recovers its predecessor's acknowledged state before it
     /// starts serving; without one it comes back empty.
     ///
@@ -678,16 +731,8 @@ impl LwfsCluster {
             self.storage_servers[idx].is_none(),
             "storage server {idx} is still running; crash_storage({idx}) first"
         );
-        let sid = self.addrs.storage[idx];
-        let verifier = CachedCapVerifier::with_registry(sid, self.addrs.authz, self.net.obs());
-        let net = self.node_net(sid.nid.0).clone();
-        let (h, s) = StorageServer::spawn(
-            &net,
-            sid,
-            self.storage_configs[idx].clone(),
-            Some(verifier),
-            Arc::clone(&self.clock),
-        );
+        let net = self.node_net(self.addrs.storage[idx].nid.0);
+        let (h, s) = self.config.spawn_storage(idx, net, Arc::clone(&self.clock));
         self._storage[idx] = Some(h);
         self.storage_servers[idx] = Some(s);
         self.storage_servers[idx].as_ref().unwrap()
@@ -706,11 +751,7 @@ impl LwfsCluster {
     /// # Panics
     /// Panics if `nid` collides with the service partition (≥1000).
     pub fn client(&self, nid: u32, pid: u32) -> LwfsClient {
-        assert!(nid < 1000, "compute nids are 0..1000; {nid} is in the service partition");
-        let ep = self.net.register(ProcessId::new(nid, pid));
-        let mut client = LwfsClient::new(ep, self.addrs.clone());
-        client.set_rpc_timeout(self.rpc.reply_timeout);
-        client
+        compute_client(&self.net, &self.addrs, nid, pid)
     }
 }
 
@@ -816,6 +857,75 @@ mod tests {
         // Kill the primary; the promoted backup serves the read.
         cluster.crash_storage(0);
         assert_eq!(client.read(0, &caps, obj, 0, 10).unwrap(), b"replicated");
+    }
+
+    #[test]
+    fn recipe_lays_out_groups_logs_and_holder_bound_ship_tokens() {
+        use lwfs_cap::{LocalCapVerifier, PublicKey};
+        use lwfs_replica::ReplicaRole;
+
+        for (groups, r) in [(1, 1), (3, 1), (1, 2), (2, 3)] {
+            for cap_mode in [CapMode::Legacy, CapMode::Signed] {
+                let config = ClusterConfig {
+                    storage_servers: groups,
+                    replication: r,
+                    cap_mode,
+                    storage: StorageConfig {
+                        wal: Some(lwfs_wal::WalConfig::new("wal")),
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let case = format!("{groups} groups x R={r}, {cap_mode:?}");
+                let storage: Vec<ProcessId> =
+                    (0..groups * r).map(|i| ProcessId::new(1100 + i as u32, 0)).collect();
+                let directory = ProcessId::new(1004, 0);
+                let addrs = config.addrs();
+                assert_eq!(addrs.storage, storage, "{case}: group-major from nid 1100");
+                assert_eq!(addrs.directory, (r > 1).then_some(directory), "{case}");
+                let nodes = config.service_nodes();
+                assert_eq!(nodes.contains(&(1004, Role::Directory)), r > 1, "{case}");
+
+                for (i, &sid) in storage.iter().enumerate() {
+                    assert!(nodes.contains(&(sid.nid.0, Role::Storage(i))), "{case}: node {i}");
+                    let sc = config.storage_config(i);
+                    let wal_dir = &sc.wal.as_ref().unwrap().dir;
+                    assert_eq!(*wal_dir, std::path::Path::new("wal").join(format!("srv{i}")));
+
+                    let group = &storage[i - i % r..i - i % r + r];
+                    match &sc.replica {
+                        None => assert_eq!(r, 1, "{case}: member {i} has no replica role"),
+                        Some(rc) => {
+                            assert_eq!(rc.group as usize, i / r, "{case}: member {i}");
+                            assert_eq!(rc.directory, Some(directory), "{case}: member {i}");
+                            if i % r == 0 {
+                                let want = ReplicaRole::Primary { backups: group[1..].to_vec() };
+                                assert_eq!(rc.role, want, "{case}: member {i}");
+                            } else {
+                                assert_eq!(rc.role, ReplicaRole::Backup, "{case}: member {i}");
+                                assert_eq!(rc.primary, Some(group[0]), "{case}: member {i}");
+                            }
+                        }
+                    }
+
+                    assert_eq!(sc.signed.is_some(), cap_mode.signed(), "{case}: member {i}");
+                    let Some(signed) = &sc.signed else { continue };
+                    assert_eq!(signed.ship_token.is_some(), r > 1, "{case}: member {i}");
+                    let Some(token) = &signed.ship_token else { continue };
+                    let public = PublicKey::from_bytes(&signed.public_key).unwrap();
+                    let verifier = LocalCapVerifier::new(public, 0);
+                    let g = (i / r) as u32;
+                    assert_eq!(verifier.check_group(token, g, 0, sid.nid.0), Ok(()), "{case}");
+                    for other in group.iter().filter(|&&m| m != sid) {
+                        assert_eq!(
+                            verifier.check_group(token, g, 0, other.nid.0),
+                            Err(lwfs_proto::Error::AccessDenied),
+                            "{case}: member {i}'s token must not ship for {other}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use monitor::{
     default_rules, AlertState, ClusterMonitor, Condition, HealthRule, MonitorConfig, TargetHealth,
     MONITOR_NID,
 };
-pub use proc::{ProcessCluster, ProcessClusterConfig};
+pub use proc::ProcessCluster;

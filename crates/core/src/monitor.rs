@@ -149,12 +149,6 @@ pub struct MonitorConfig {
     /// Consecutive missed scrapes before a target is declared stale.
     pub stale_after: u32,
     pub rules: Vec<HealthRule>,
-    /// Per-node span-log epoch offsets `(nid, offset_ns)` applied when
-    /// assembling scraped flight traces (`TraceCollector::add_node_spans`
-    /// skew correction). Empty in-process: one fabric, one epoch. A
-    /// multi-process deployment measures each node's skew out of band
-    /// and lists it here; unlisted nids get offset 0.
-    pub node_epoch_offsets: Vec<(u32, i64)>,
 }
 
 impl Default for MonitorConfig {
@@ -164,7 +158,6 @@ impl Default for MonitorConfig {
             window_limit: 128,
             stale_after: 3,
             rules: default_rules(),
-            node_epoch_offsets: Vec::new(),
         }
     }
 }
@@ -211,7 +204,7 @@ struct MonitorState {
     ticks: u64,
     windows: u64,
     /// Slow-trace spans assembled from the latest flight scrape, deduped
-    /// and skew-corrected onto the monitor's timeline.
+    /// onto the monitor's timeline.
     flight_spans: Vec<SpanRecord>,
     /// Critical-path attribution of each assembled trace, slowest first.
     attributions: Vec<Attribution>,
@@ -324,13 +317,6 @@ impl MonitorInner {
         let mut collector = TraceCollector::new();
         let mut seen: HashSet<(u64, u64, u32, &'static str, &'static str, u64)> = HashSet::new();
         for (target, traces) in flights {
-            let offset = self
-                .config
-                .node_epoch_offsets
-                .iter()
-                .find(|(nid, _)| *nid == target.nid.0)
-                .map(|(_, off)| *off)
-                .unwrap_or(0);
             let mut spans: Vec<SpanRecord> = Vec::new();
             for t in traces {
                 for s in &t.spans {
@@ -351,7 +337,9 @@ impl MonitorInner {
                     }
                 }
             }
-            collector.add_node_spans(target.nid.0, offset, spans);
+            // Every scrape target shares the monitor's span-log epoch (one
+            // fabric, one timeline), so no node needs a skew offset.
+            collector.add_node_spans(target.nid.0, 0, spans);
         }
         let traces = collector.traces();
         let attributions: Vec<Attribution> =

@@ -52,12 +52,6 @@ fn op_label(body: &RequestBody) -> &'static str {
 impl Service for NamingServer {
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody {
         let obs = ep.obs();
-        // Telemetry scrapes answer before the ops counter and trace: a
-        // polling monitor must not inflate `naming.ops` or mint latency
-        // samples in the series it is reading.
-        if let Some(scrape) = lwfs_portals::telemetry::answer(obs, &req.body) {
-            return scrape;
-        }
         obs.counter("naming.ops").inc();
         // The trace records a span + `naming.<op>.total_ns` latency sample
         // on drop, keyed by the request id threaded through the wire.

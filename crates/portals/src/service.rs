@@ -5,6 +5,11 @@
 //! loop: implement [`Service::handle`] and call [`spawn_service`]; the
 //! handler also receives the endpoint so it can perform one-sided bulk
 //! transfers (the storage server's pull/push) while processing a request.
+//! The loop answers the monitoring plane's scrapes itself
+//! ([`telemetry::answer`](crate::telemetry::answer)), so every service
+//! serves `GetTelemetry`/`GetFlightTraces` and no handler sees them.
+//! Servers with their own loop (the storage dispatcher) run it on a
+//! thread from [`ServiceHandle::spawn`], the same handle type.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,13 +30,6 @@ pub trait Service: Send + 'static {
     /// The endpoint is available for one-sided operations against the
     /// client (server-directed data movement).
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody;
-
-    /// Called between requests when the queue is idle; services use this
-    /// for background work (e.g. expiring cache entries). Default: nothing.
-    fn idle(&mut self, _ep: &Endpoint) {}
-
-    /// Called once before the service stops serving (drain hooks).
-    fn on_shutdown(&mut self, _ep: &Endpoint) {}
 }
 
 /// Handle to a running service thread.
@@ -42,6 +40,22 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
+    /// Run `body` on a thread named `name` serving `id`; `body` must
+    /// return once the stop flag it is handed is raised.
+    pub fn spawn(
+        id: ProcessId,
+        name: String,
+        body: impl FnOnce(&AtomicBool) + Send + 'static,
+    ) -> ServiceHandle {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(&flag))
+            .expect("spawn service thread");
+        ServiceHandle { id, stop, thread: Some(thread) }
+    }
+
     pub fn id(&self) -> ProcessId {
         self.id
     }
@@ -67,43 +81,33 @@ impl Drop for ServiceHandle {
 /// Register `id` on the network and run `svc` on a dedicated thread.
 pub fn spawn_service(net: &Network, id: ProcessId, mut svc: impl Service) -> ServiceHandle {
     let ep = net.register(id);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name(format!("lwfs-svc-{id}"))
-        .spawn(move || {
-            let poll = Duration::from_millis(5);
-            while !stop2.load(Ordering::SeqCst) {
-                let ev = ep.recv_match(poll, |e| {
-                    matches!(e, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH)
-                });
-                match ev {
-                    Ok(ev) => {
-                        let data = ev.message_data().expect("message event").clone();
-                        match Request::from_bytes(data) {
-                            Ok(req) => {
-                                let body = svc.handle(&ep, &req);
-                                let rep = Reply::new(req.opnum, body);
-                                // A vanished client is not the server's
-                                // problem; drop the reply.
-                                let _ =
-                                    ep.send(req.reply_to, reply_match(req.opnum.0), rep.to_bytes());
-                            }
-                            Err(e) => {
-                                // Malformed request with no decodable reply
-                                // address: nothing to do but count it.
-                                let _ = e;
-                            }
-                        }
-                    }
-                    Err(Error::Timeout) => svc.idle(&ep),
-                    Err(_) => break,
+    ServiceHandle::spawn(id, format!("lwfs-svc-{id}"), move |stop| {
+        let poll = Duration::from_millis(5);
+        while !stop.load(Ordering::SeqCst) {
+            let ev = ep.recv_match(
+                poll,
+                |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH),
+            );
+            match ev {
+                Ok(ev) => {
+                    let data = ev.message_data().expect("message event").clone();
+                    // A malformed request has no decodable reply address:
+                    // nothing to do but drop it.
+                    let Ok(req) = Request::from_bytes(data) else { continue };
+                    // Scrapes answer before the handler, so a polling
+                    // monitor never inflates the series it is reading.
+                    let body = crate::telemetry::answer(ep.obs(), &req.body)
+                        .unwrap_or_else(|| svc.handle(&ep, &req));
+                    let rep = Reply::new(req.opnum, body);
+                    // A vanished client is not the server's problem; drop
+                    // the reply.
+                    let _ = ep.send(req.reply_to, reply_match(req.opnum.0), rep.to_bytes());
                 }
+                Err(Error::Timeout) => {}
+                Err(_) => break,
             }
-            svc.on_shutdown(&ep);
-        })
-        .expect("spawn service thread");
-    ServiceHandle { id, stop, thread: Some(thread) }
+        }
+    })
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Wire side of the telemetry scrape: serialize a fabric's [`Registry`]
 //! into the `GetTelemetry` reply shape.
 //!
-//! Every service that answers the scrape (storage, directory, authz,
-//! naming) passes each request through [`answer`] first, so the two
-//! monitoring ops have exactly one handler and the reply format exactly
-//! one producer. Histograms go out in sparse bucket form — the mergeable
-//! representation the monitor's windowed aggregation subtracts and merges
-//! exactly (see `lwfs_obs::window`). Spans are deliberately excluded from
+//! [`spawn_service`](crate::spawn_service)'s loop and the storage
+//! dispatcher pass each request through [`answer`] first, so every
+//! service answers the scrape, the two monitoring ops have exactly one
+//! handler and the reply format exactly one producer. Histograms go out
+//! in sparse bucket form — the mergeable representation the monitor's
+//! windowed aggregation subtracts and merges exactly (see
+//! `lwfs_obs::window`). Spans are deliberately excluded from
 //! the snapshot: they are bulky, carry interned `&'static str` names that
 //! cannot be decoded from the wire, and already have their own export path
 //! through the trace collector. The *pinned* slow traces of the flight

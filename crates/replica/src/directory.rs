@@ -24,9 +24,6 @@ struct GroupDirectory {
 
 impl Service for GroupDirectory {
     fn handle(&mut self, ep: &Endpoint, req: &Request) -> ReplyBody {
-        if let Some(scrape) = lwfs_portals::telemetry::answer(ep.obs(), &req.body) {
-            return scrape;
-        }
         match &req.body {
             RequestBody::Ping => ReplyBody::Pong,
             RequestBody::GetGroupMap => ReplyBody::GroupMapReply(self.map.read().clone()),

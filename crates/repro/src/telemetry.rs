@@ -114,7 +114,6 @@ pub fn run_telemetry_probe(
                 1,
             ),
         ],
-        ..Default::default()
     });
 
     let mut client = cluster.client(0, 0);

@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
@@ -44,7 +43,8 @@ use lwfs_authz::CachedCapVerifier;
 use lwfs_cap::{LocalCapVerifier, PublicKey};
 use lwfs_obs::{Counter, OpTrace, Registry};
 use lwfs_portals::{
-    retry, Endpoint, Event, Network, RetryPolicy, RpcClient, RpcConfig, REQUEST_MATCH,
+    retry, Endpoint, Event, Network, RetryPolicy, RpcClient, RpcConfig, ServiceHandle,
+    REQUEST_MATCH,
 };
 use lwfs_proto::{
     Capability, ContainerId, Decode as _, Encode as _, Error, FilterSpec, MdHandle, ObjId, OpMask,
@@ -364,35 +364,6 @@ struct SignedCaps {
     ship_token: Bytes,
 }
 
-/// Handle to a running storage server thread.
-pub struct StorageHandle {
-    id: ProcessId,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl StorageHandle {
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for StorageHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 impl StorageServer {
     /// Spawn a storage server at `id`.
     ///
@@ -417,7 +388,7 @@ impl StorageServer {
         config: StorageConfig,
         verifier: Option<CachedCapVerifier>,
         clock: Arc<dyn Clock>,
-    ) -> (StorageHandle, Arc<StorageServer>) {
+    ) -> (ServiceHandle, Arc<StorageServer>) {
         let obs = Arc::clone(net.obs());
         let store = ObjectStore::new(config.store.clone());
         let journal = JournalStore::new();
@@ -483,14 +454,10 @@ impl StorageServer {
             config,
         });
         let ep = net.register(id);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let srv = Arc::clone(&server);
-        let thread = std::thread::Builder::new()
-            .name(format!("lwfs-storage-{id}"))
-            .spawn(move || srv.run(ep, stop2))
-            .expect("spawn storage server");
-        (StorageHandle { id, stop, thread: Some(thread) }, server)
+        let handle =
+            ServiceHandle::spawn(id, format!("lwfs-storage-{id}"), move |stop| srv.run(ep, stop));
+        (handle, server)
     }
 
     /// The server's own process address (its back-pointer identity at the
@@ -617,7 +584,7 @@ impl StorageServer {
     // Main loop: pipelined dispatcher + worker pool
     // ------------------------------------------------------------------
 
-    fn run(&self, ep: Endpoint, stop: Arc<AtomicBool>) {
+    fn run(&self, ep: Endpoint, stop: &AtomicBool) {
         let workers = self.config.workers.max(1);
         // Bounded hand-off: when workers fall behind, the dispatcher blocks
         // here, the transport's eager queue fills, and clients see
@@ -630,7 +597,7 @@ impl StorageServer {
                 let (ep, queue, tracker) = (&ep, &queue, &tracker);
                 s.spawn(move || self.worker_loop(idx, ep, queue, tracker));
             }
-            self.dispatch_loop(&ep, &queue, &tracker, &stop);
+            self.dispatch_loop(&ep, &queue, &tracker, stop);
             // Stop: let the workers drain what was already dispatched.
             queue.close();
         });

@@ -32,7 +32,7 @@ fn open_cap(container: ContainerId, ops: OpMask) -> Capability {
 }
 
 /// Boot a storage server with no verifier (structural trust).
-fn boot_open() -> (Network, lwfs_storage::server::StorageHandle, Arc<StorageServer>) {
+fn boot_open() -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>) {
     let net = Network::default();
     let clock = Arc::new(ManualClock::new());
     let (handle, server) =
@@ -416,9 +416,7 @@ fn enforcement_with_live_authorization_service() {
 // ----------------------------------------------------------------------
 
 /// Boot a storage server with an explicit worker count (no verifier).
-fn boot_workers(
-    workers: usize,
-) -> (Network, lwfs_storage::server::StorageHandle, Arc<StorageServer>) {
+fn boot_workers(workers: usize) -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>) {
     let net = Network::default();
     let clock = Arc::new(ManualClock::new());
     let config = StorageConfig { workers, pool_buffers: 16, ..StorageConfig::default() };

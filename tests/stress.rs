@@ -259,15 +259,10 @@ fn cross_process_replication_write_storm() {
     // fabric. Every op below — kinit verification, capability issue,
     // verify-through, create, replicated writes with WAL ships, reads —
     // crosses process boundaries over TCP.
-    use lwfs::core::{ProcessCluster, ProcessClusterConfig};
+    use lwfs::core::ProcessCluster;
 
-    let mut cluster = ProcessCluster::launch(ProcessClusterConfig {
-        node_bin: env!("CARGO_BIN_EXE_lwfs-node").into(),
-        storage_servers: 1,
-        replication: 2,
-        ..Default::default()
-    })
-    .expect("launching process cluster");
+    let node_bin = std::path::Path::new(env!("CARGO_BIN_EXE_lwfs-node"));
+    let mut cluster = ProcessCluster::launch(node_bin, 1, 2).expect("launching process cluster");
     // 7 service processes (auth, authz, naming, txnlock, directory, two
     // storage servers) plus this launcher: real OS-level parallelism.
     assert_eq!(cluster.host_parallelism(), 8);
@@ -308,6 +303,22 @@ fn cross_process_replication_write_storm() {
     assert_eq!(client.read(0, &caps, obj, 0, CHUNK).unwrap(), payload);
     assert_eq!(cluster.host_parallelism(), 7, "exactly the killed backup should be gone");
     cluster.shutdown();
+}
+
+#[test]
+fn lwfs_node_refuses_any_argument_outside_its_four_flags() {
+    for args in [&["--role", "storage"][..], &["--nid", "1100", "--workers", "4"], &["--nid"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lwfs-node"))
+            .args(args)
+            .output()
+            .expect("running lwfs-node");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: lwfs-node --nid N --manifest PATH --groups G --replication R"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
