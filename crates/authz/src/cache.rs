@@ -140,17 +140,6 @@ impl CapCache {
         dropped
     }
 
-    /// Drop entries whose lifetime has passed (idle housekeeping).
-    pub fn purge_expired(&self, now: u64) -> u64 {
-        let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|_, e| now < e.not_after);
-        let purged = (before - entries.len()) as u64;
-        self.stats.lock().expired += purged;
-        self.obs.expired.add(purged);
-        purged
-    }
-
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -222,17 +211,6 @@ mod tests {
     fn invalidate_unknown_key_is_harmless() {
         let cache = CapCache::new();
         assert_eq!(cache.invalidate(&[cap(9, 10).cache_key()]), 0);
-    }
-
-    #[test]
-    fn purge_expired_sweeps() {
-        let cache = CapCache::new();
-        for serial in 0..10 {
-            cache.insert(&cap(serial, 50 + serial));
-        }
-        let purged = cache.purge_expired(55);
-        assert_eq!(purged, 6); // not_after 50..=55 purged (exclusive at 55 ⇒ 50,51,52,53,54,55)
-        assert_eq!(cache.len(), 4);
     }
 
     #[test]

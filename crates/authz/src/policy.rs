@@ -92,10 +92,6 @@ impl PolicyStore {
         out.sort_by_key(|e| e.principal);
         Ok(out)
     }
-
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +119,6 @@ mod tests {
         let a = store.create_container(PrincipalId(1));
         let b = store.create_container(PrincipalId(1));
         assert_ne!(a, b);
-        assert_eq!(store.container_count(), 2);
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl AuthzService {
         self.cap_mode
     }
 
-    /// The issuer's verifying key, for distribution to storage servers.
-    pub fn issuer_public(&self) -> Option<lwfs_cap::PublicKey> {
-        self.issuer.as_ref().map(|i| i.public())
-    }
-
     /// Tell the service which storage servers enforce signed caps, so epoch
     /// bumps can be pushed to them.
     pub fn set_enforcement_sites(&self, sites: Vec<ProcessId>) {

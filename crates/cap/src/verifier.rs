@@ -93,15 +93,6 @@ impl LocalCapVerifier {
         }
     }
 
-    /// The latest epoch observed for a container (0 if never pushed).
-    pub fn observed_epoch(&self, container: ContainerId) -> u64 {
-        self.epochs
-            .lock()
-            .get(&(scope_tag(TokenScope::Container), container.0))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Drop all cached signature verdicts, so every subsequent check pays
     /// full curve arithmetic (how `lwfs-benchmark` times a cold verify).
     pub fn invalidate_all(&self) {
@@ -288,7 +279,7 @@ mod tests {
             iss.mint(CapClaims::container(CID, OpMask::READ, Lifetime::UNBOUNDED).with_epoch(4));
         assert_eq!(v.check(&fresh, OpMask::READ, CID, 0, 1, 1), Ok(()));
         v.observe_epoch(CID, 2);
-        assert_eq!(v.observed_epoch(CID), 4);
+        assert_eq!(v.check(&blob, OpMask::READ, CID, 0, 1, 1), Err(Error::CapabilityRevoked));
     }
 
     #[test]

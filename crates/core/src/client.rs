@@ -182,38 +182,6 @@ impl LwfsClient {
         }
     }
 
-    /// Re-acquire a capability set covering the same container and
-    /// operations, using this process's credential.
-    ///
-    /// §5 contrasts LWFS with NASD here: "NASD does not automatically
-    /// refresh expired capabilities … for operations like a checkpoint,
-    /// with large gaps between file accesses, the cost of re-acquiring
-    /// expired capabilities is still a problem." In LWFS the refresh is a
-    /// single `GetCaps` RPC per *process* (any rank may do it with the
-    /// transferable credential) — never an O(n) storm at one server,
-    /// because ranks that share a set can re-scatter it instead.
-    pub fn refresh_caps(&self, stale: &CapSet) -> Result<CapSet> {
-        let container = stale.container()?;
-        self.get_caps(container, stale.ops())
-    }
-
-    /// Run `op` with `caps`, transparently refreshing the set and retrying
-    /// once if the capabilities have expired mid-run (long compute phases
-    /// between checkpoints routinely outlive capability lifetimes).
-    pub fn with_fresh_caps<T>(
-        &self,
-        caps: &mut CapSet,
-        mut op: impl FnMut(&CapSet) -> Result<T>,
-    ) -> Result<T> {
-        match op(caps) {
-            Err(Error::CapabilityExpired) => {
-                *caps = self.refresh_caps(caps)?;
-                op(caps)
-            }
-            other => other,
-        }
-    }
-
     /// Distribute capabilities across an SPMD group with the log-tree
     /// scatter of Figure 4-a step 3. Rank `root` passes `Some(caps)`; all
     /// ranks receive the set.
@@ -594,48 +562,6 @@ impl LwfsClient {
                 let mut data = md.into_vec();
                 data.truncate(len as usize);
                 Ok(data)
-            }
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Filtered read (the §6 remote-processing extension): the server
-    /// applies `filter` to the byte range and pushes only the result.
-    /// Returns `(result_bytes, input_bytes_scanned)`.
-    pub fn read_filtered(
-        &self,
-        server: usize,
-        caps: &CapSet,
-        obj: ObjId,
-        offset: u64,
-        len: usize,
-        filter: lwfs_proto::FilterSpec,
-    ) -> Result<(Vec<u8>, u64)> {
-        let cap = caps.for_op(OpMask::READ)?;
-        let mb = self.ep.match_bits().alloc(BULK_SPACE);
-        // The result is never larger than the scanned range (all filters
-        // are contractive), so a `len`-sized landing buffer suffices.
-        self.ep.post_md(mb, MemDesc::zeroed(len.max(16), MdOptions::for_remote_put()))?;
-        let result = self.storage_read_with_token(
-            server,
-            RequestBody::ReadFiltered {
-                cap,
-                obj,
-                offset,
-                len: len as u64,
-                filter,
-                md: MdHandle { match_bits: mb },
-            },
-            caps.token_for_op(OpMask::READ),
-        );
-        let md = self.ep.unlink_md(mb).ok_or_else(|| {
-            Error::Internal("filtered-read descriptor vanished during transfer".into())
-        })?;
-        match result? {
-            ReplyBody::FilteredDone { len, scanned } => {
-                let mut data = md.into_vec();
-                data.truncate(len as usize);
-                Ok((data, scanned))
             }
             other => Err(unexpected(other)),
         }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use lwfs_auth::MockKerberos;
 use lwfs_fabric::SocketFabric;
-use lwfs_portals::{FaultPlan, Network, NetworkConfig};
+use lwfs_portals::{Network, NetworkConfig};
 use lwfs_proto::{Error, Result};
 
 use crate::client::LwfsClient;
@@ -192,17 +192,6 @@ impl ProcessCluster {
     /// as its host parallelism.
     pub fn host_parallelism(&mut self) -> usize {
         self.live_processes() + 1
-    }
-
-    /// Install `plan` on every node: applied locally and pushed to each
-    /// manifest peer as a fabric control frame.
-    pub fn set_faults(&self, plan: FaultPlan) {
-        self.fabric.broadcast_faults(&plan);
-    }
-
-    /// Clear all fault injection, cluster-wide.
-    pub fn heal(&self) {
-        self.fabric.broadcast_faults(&FaultPlan::default());
     }
 
     /// Ask every child to exit (stdin EOF), then reap them; stragglers are

@@ -34,9 +34,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use lwfs_obs::Counter;
-use lwfs_portals::{FaultPlan, Network, RemoteFabric};
+use lwfs_portals::{Network, RemoteFabric};
 use lwfs_proto::{Error, NodeId, ProcessId, Result};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::frame::{FabricMsg, FrameReader};
 use crate::manifest::Manifest;
@@ -63,10 +63,6 @@ impl Default for FabricConfig {
         }
     }
 }
-
-/// Hook consulted before each outbound eager frame; returning `true`
-/// drops the frame at the transport layer (fault-injection parity tests).
-pub type FrameDropHook = Box<dyn Fn(&FabricMsg) -> bool + Send + Sync>;
 
 struct WriteQueue {
     frames: std::collections::VecDeque<Bytes>,
@@ -131,10 +127,8 @@ struct Inner {
     pending: Mutex<HashMap<u64, SyncSender<Result<Bytes>>>>,
     tokens: AtomicU64,
     shutdown: AtomicBool,
-    drop_hook: RwLock<Option<FrameDropHook>>,
     frames_sent: Arc<Counter>,
     frames_recv: Arc<Counter>,
-    frames_dropped: Arc<Counter>,
     send_rejects: Arc<Counter>,
     stream_errors: Arc<Counter>,
 }
@@ -190,10 +184,8 @@ impl SocketFabric {
             pending: Mutex::new(HashMap::new()),
             tokens: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            drop_hook: RwLock::new(None),
             frames_sent: obs.counter("fabric.frames_sent"),
             frames_recv: obs.counter("fabric.frames_recv"),
-            frames_dropped: obs.counter("fabric.frames_dropped"),
             send_rejects: obs.counter("fabric.send_rejects"),
             stream_errors: obs.counter("fabric.stream_errors"),
         });
@@ -215,35 +207,6 @@ impl SocketFabric {
     /// This node's id.
     pub fn nid(&self) -> NodeId {
         self.inner.nid
-    }
-
-    /// Install (or clear) the frame-level drop hook applied to outbound
-    /// eager frames.
-    pub fn set_frame_drop(&self, hook: Option<FrameDropHook>) {
-        *self.inner.drop_hook.write() = hook;
-    }
-
-    /// Install `plan` on this node and push it to every manifest peer as
-    /// a `SetFaults` control frame, so drops and partitions apply
-    /// identically on each side of every connection. Control frames
-    /// bypass the fault machinery itself (a plan must be installable
-    /// while the previous plan still blocks traffic).
-    pub fn broadcast_faults(&self, plan: &FaultPlan) {
-        let mut partitioned: Vec<NodeId> = plan.partitioned.iter().copied().collect();
-        partitioned.sort_unstable_by_key(|n| n.0);
-        let mut dead: Vec<ProcessId> = plan.dead.iter().copied().collect();
-        dead.sort_unstable_by_key(|p| (p.nid.0, p.pid.0));
-        let msg = FabricMsg::SetFaults { drop_rate: plan.drop_rate, partitioned, dead };
-        let frame = msg.to_frame();
-        for nid in self.inner.manifest.nids() {
-            if nid == self.inner.nid {
-                continue;
-            }
-            if let Ok(conn) = self.inner.route(nid) {
-                let _ = conn.enqueue(frame.clone());
-            }
-        }
-        self.inner.net.set_faults(plan.clone());
     }
 
     /// Tear the fabric down: detach from the network, close every
@@ -274,16 +237,6 @@ impl Drop for SocketFabric {
 impl RemoteFabric for SocketFabric {
     fn send(&self, from: ProcessId, to: ProcessId, match_bits: u64, data: Bytes) -> Result<()> {
         let msg = FabricMsg::Send { from, to, match_bits, data };
-        if let Some(hook) = self.inner.drop_hook.read().as_ref() {
-            if hook(&msg) {
-                // Dropped at the frame level: the sender's view is a
-                // successful fire-and-forget, exactly like an in-fabric
-                // probabilistic drop.
-                self.inner.frames_dropped.inc();
-                self.inner.net.stats().record_drop();
-                return Ok(());
-            }
-        }
         let conn = self.inner.route(to.nid)?;
         if conn.enqueue(msg.to_frame()) {
             self.inner.frames_sent.inc();
@@ -474,13 +427,6 @@ impl Inner {
                         None => Ok(data),
                     },
                 );
-            }
-            FabricMsg::SetFaults { drop_rate, partitioned, dead } => {
-                self.net.set_faults(FaultPlan {
-                    drop_rate,
-                    partitioned: partitioned.into_iter().collect(),
-                    dead: dead.into_iter().collect(),
-                });
             }
         }
     }
@@ -721,53 +667,6 @@ mod tests {
         // hang.
         let err = ep.put(ProcessId::new(1100, 9), 1, 0, b"x").unwrap_err();
         assert_eq!(err, Error::Unreachable);
-        client_fabric.shutdown();
-        server_fabric.shutdown();
-    }
-
-    #[test]
-    fn frame_drop_hook_loses_sends_silently() {
-        let (client_net, client_fabric, server_net, server_fabric) = linked_pair();
-        let _server = server_net.register(ProcessId::new(1100, 0));
-        client_fabric.set_frame_drop(Some(Box::new(|_| true)));
-        let ep = client_net.register(ProcessId::new(3, 0));
-        // The send "succeeds" — fire and forget — but nothing arrives.
-        ep.send(ProcessId::new(1100, 0), 1, Bytes::from_static(b"lost")).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(_server.stashed(), 0);
-        assert_eq!(client_net.obs().snapshot().counter("fabric.frames_dropped"), Some(1));
-        client_fabric.set_frame_drop(None);
-        ep.send(ProcessId::new(1100, 0), 1, Bytes::from_static(b"kept")).unwrap();
-        _server.recv(Duration::from_secs(2)).unwrap();
-        client_fabric.shutdown();
-        server_fabric.shutdown();
-    }
-
-    #[test]
-    fn broadcast_faults_partitions_both_sides() {
-        let (client_net, client_fabric, server_net, server_fabric) = linked_pair();
-        let server_ep = server_net.register(ProcessId::new(1100, 0));
-        let ep = client_net.register(ProcessId::new(3, 0));
-        ep.send(server_ep.id(), 1, Bytes::from_static(b"before")).unwrap();
-        server_ep.recv(Duration::from_secs(2)).unwrap();
-
-        let mut plan = FaultPlan::default();
-        plan.partitioned.insert(NodeId(1100));
-        client_fabric.broadcast_faults(&plan);
-        assert_eq!(
-            ep.send(server_ep.id(), 1, Bytes::from_static(b"blocked")).unwrap_err(),
-            Error::Unreachable
-        );
-        // And the server's own outbound view is partitioned too (its net
-        // shares the broadcast plan).
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            server_ep.send(ep.id(), 1, Bytes::from_static(b"also")).unwrap_err(),
-            Error::Unreachable
-        );
-        client_fabric.broadcast_faults(&FaultPlan::default());
-        ep.send(server_ep.id(), 1, Bytes::from_static(b"after")).unwrap();
-        server_ep.recv(Duration::from_secs(2)).unwrap();
         client_fabric.shutdown();
         server_fabric.shutdown();
     }

@@ -21,8 +21,7 @@ use lwfs_proto::{impl_codec_enum, Decode, Error, NodeId, ProcessId, Result};
 /// that the matching `PutAck`/`GetReply` echoes, so one connection
 /// multiplexes any number of in-flight one-sided operations. `Hello`
 /// opens every connection (it names the dialing node before any routed
-/// traffic); `SetFaults` is the control-plane broadcast that installs a
-/// fault plan on the receiving node.
+/// traffic).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FabricMsg {
     /// First frame on every connection: the dialing node's id.
@@ -37,9 +36,6 @@ pub enum FabricMsg {
     PutAck { token: u64, err: Option<Error> },
     /// Outcome of a `Get` with the same token (`data` is empty on error).
     GetReply { token: u64, err: Option<Error>, data: Bytes },
-    /// Install a fault plan on the receiving node (drops roll on the
-    /// initiator side; partitions and dead sets are checked on both).
-    SetFaults { drop_rate: f64, partitioned: Vec<NodeId>, dead: Vec<ProcessId> },
 }
 
 impl_codec_enum!(FabricMsg {
@@ -49,7 +45,6 @@ impl_codec_enum!(FabricMsg {
     3 => Get { token, from, to, match_bits, offset, len },
     4 => PutAck { token, err },
     5 => GetReply { token, err, data },
-    6 => SetFaults { drop_rate, partitioned, dead },
 });
 
 impl FabricMsg {
@@ -130,11 +125,6 @@ mod tests {
             FabricMsg::PutAck { token: 7, err: None },
             FabricMsg::PutAck { token: 9, err: Some(Error::AccessDenied) },
             FabricMsg::GetReply { token: 8, err: None, data: Bytes::from_static(b"payload") },
-            FabricMsg::SetFaults {
-                drop_rate: 0.25,
-                partitioned: vec![NodeId(1101)],
-                dead: vec![ProcessId::new(1102, 0)],
-            },
         ]
     }
 

@@ -27,6 +27,6 @@ pub mod fabric;
 pub mod frame;
 pub mod manifest;
 
-pub use fabric::{FabricConfig, FrameDropHook, SocketFabric};
+pub use fabric::{FabricConfig, SocketFabric};
 pub use frame::{FabricMsg, FrameReader};
 pub use manifest::Manifest;

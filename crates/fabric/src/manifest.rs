@@ -43,11 +43,6 @@ impl Manifest {
         self.addrs.get(&nid.0).copied()
     }
 
-    /// All listed nodes in ascending nid order.
-    pub fn nids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.addrs.keys().map(|n| NodeId(*n))
-    }
-
     pub fn len(&self) -> usize {
         self.addrs.len()
     }
@@ -118,7 +113,6 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(back.addr_of(NodeId(1100)), Some("127.0.0.1:41100".parse().unwrap()));
         assert_eq!(back.addr_of(NodeId(9)), None);
-        assert_eq!(back.nids().collect::<Vec<_>>(), vec![NodeId(1000), NodeId(1100)]);
     }
 
     #[test]

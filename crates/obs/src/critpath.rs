@@ -604,7 +604,7 @@ mod tests {
         }
 
         /// Attribution is invariant under a uniform time shift — the
-        /// node-skew epoch offsets `add_node` applies move every span by
+        /// node-skew epoch offsets `add_node_spans` applies move every span by
         /// the same amount, which must not change any blame.
         #[test]
         fn attribution_invariant_under_uniform_shift(

@@ -12,7 +12,7 @@
 //! one simulated cluster share a single fabric-wide registry (one log,
 //! one epoch), so offsets are zero. A genuinely multi-process deployment
 //! must measure each process's epoch skew out of band and pass it to
-//! [`TraceCollector::add_node`]; the collector only shifts timestamps,
+//! [`TraceCollector::add_node_spans`]; the collector only shifts timestamps,
 //! it cannot discover skew itself.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -78,19 +78,12 @@ impl TraceCollector {
         self.spans.extend(spans);
     }
 
-    /// Ingest one process's span log, stamping `nid` over any zero node
-    /// ids and shifting its private epoch onto the collector's shared
-    /// timeline by `epoch_offset_ns` (that process's epoch instant minus
-    /// the reference epoch, in nanoseconds; negative when the process
-    /// started before the reference). Skew must be measured out of band —
-    /// see the module docs.
-    pub fn add_node(&mut self, nid: u32, epoch_offset_ns: i64, log: &SpanLog) {
-        self.add_node_spans(nid, epoch_offset_ns, log.recent(usize::MAX));
-    }
-
-    /// [`Self::add_node`] for spans already extracted from a node —
-    /// e.g. scraped off the wire via `GetFlightTraces` — applying the
-    /// same nid stamping and epoch-offset skew correction.
+    /// Ingest one node's spans — e.g. scraped off the wire via
+    /// `GetFlightTraces` — stamping `nid` over any zero node ids and
+    /// shifting its private epoch onto the collector's shared timeline by
+    /// `epoch_offset_ns` (that process's epoch instant minus the reference
+    /// epoch, in nanoseconds; negative when the process started before the
+    /// reference). Skew must be measured out of band — see the module docs.
     pub fn add_node_spans(
         &mut self,
         nid: u32,
@@ -421,21 +414,21 @@ mod tests {
     }
 
     #[test]
-    fn add_node_stamps_nid_and_shifts_epoch() {
+    fn add_node_spans_stamps_nid_and_shifts_epoch() {
         let log = SpanLog::default();
         log.record(span(1, 1, 0, "client.mutate", TOTAL_STAGE, 1000, 10));
         let mut c = TraceCollector::new();
-        c.add_node(7, -500, &log);
+        c.add_node_spans(7, -500, log.recent(usize::MAX));
         let t = c.trace(1).unwrap();
         assert_eq!(t.spans[0].nid, 7);
         assert_eq!(t.spans[0].start_ns, 500);
         // Positive shift and an already-stamped nid.
         let log2 = SpanLog::default();
         log2.record(span(2, 1, 42, "storage.write", TOTAL_STAGE, 0, 5));
-        c.add_node(9, 100, &log2);
+        c.add_node_spans(9, 100, log2.recent(usize::MAX));
         let t = c.trace(1).unwrap();
         let shifted = t.spans.iter().find(|s| s.req_id == 2).unwrap();
-        assert_eq!(shifted.nid, 42, "explicit nid wins over add_node's");
+        assert_eq!(shifted.nid, 42, "explicit nid wins over the node's");
         assert_eq!(shifted.start_ns, 100);
     }
 

@@ -25,14 +25,6 @@ pub enum OpenMode {
     /// Many writers (shared file): exclusive expanded locks per write —
     /// POSIX-style imposed consistency (the Lustre behaviour of §4).
     Shared,
-    /// Many writers, **relaxed semantics**: no locks; the client is
-    /// responsible for data consistency. This is the second traditional
-    /// file system the paper plans in §6, "another (like the PVFS) with
-    /// relaxed synchronization semantics that make the client responsible
-    /// for data consistency". Correct for non-overlapping writes (e.g. a
-    /// checkpoint); overlapping writers get whatever interleaving the
-    /// servers produce, exactly as PVFS documents.
-    SharedRelaxed,
 }
 
 /// An open PFS file.
@@ -135,10 +127,8 @@ impl PfsClient {
             let ost = ost_idx as usize;
             let buf = &data[slice.buf_offset as usize..(slice.buf_offset + slice.len) as usize];
             match file.mode {
-                OpenMode::Private | OpenMode::SharedRelaxed => {
-                    // No locks: either a single writer owns the file, or
-                    // the application has taken responsibility for
-                    // consistency (PVFS-style relaxed semantics).
+                OpenMode::Private => {
+                    // No locks: a single writer owns the file.
                     self.lwfs.write(ost, &file.caps, None, obj, slice.obj_offset, buf)?;
                 }
                 OpenMode::Shared => {
@@ -187,51 +177,6 @@ impl PfsClient {
         }
         out.truncate(actual);
         Ok(out)
-    }
-
-    /// Strided read with **data sieving** (Thakur et al.; the technique
-    /// the paper's introduction lists among the application-specific
-    /// optimizations general-purpose systems leave on the table): instead
-    /// of `count` small reads of `record` bytes every `stride` bytes, read
-    /// the single covering extent once and extract the records locally.
-    ///
-    /// Returns `(records, rpc_reads_issued)` — the second value lets
-    /// callers (and tests) see the op-count win. Falls back to per-record
-    /// reads when the selectivity is too low for sieving to pay
-    /// (covering extent more than `4×` the useful bytes).
-    pub fn read_strided(
-        &self,
-        file: &PfsFile,
-        start: u64,
-        record: u64,
-        stride: u64,
-        count: u64,
-    ) -> Result<(Vec<Vec<u8>>, u64)> {
-        assert!(record > 0 && stride >= record && count > 0);
-        let useful = record * count;
-        let extent = stride * (count - 1) + record;
-        if extent <= useful.saturating_mul(4) {
-            // Sieve: one covering read, extract in memory.
-            let hole = self.read(file, start, extent as usize)?;
-            let mut out = Vec::with_capacity(count as usize);
-            for i in 0..count {
-                let off = (i * stride) as usize;
-                let end = (off + record as usize).min(hole.len());
-                let mut rec = if off < hole.len() { hole[off..end].to_vec() } else { vec![] };
-                rec.resize(record as usize, 0);
-                out.push(rec);
-            }
-            Ok((out, 1))
-        } else {
-            // Too sparse: per-record reads cost less than hauling the holes.
-            let mut out = Vec::with_capacity(count as usize);
-            for i in 0..count {
-                let mut rec = self.read(file, start + i * stride, record as usize)?;
-                rec.resize(record as usize, 0);
-                out.push(rec);
-            }
-            Ok((out, count))
-        }
     }
 
     /// Flush every stripe object of the file.

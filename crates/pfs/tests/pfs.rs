@@ -174,96 +174,3 @@ fn any_client_that_opens_gets_the_mds_caps() {
     let data = stranger.read(&f2, 0, 19).unwrap();
     assert_eq!(data, b"pfs trusts everyone");
 }
-
-#[test]
-fn relaxed_shared_mode_skips_locks_and_preserves_disjoint_writes() {
-    // §6's "PVFS-like" file system: shared writers, client-owned
-    // consistency, zero lock traffic. Non-overlapping writes (the
-    // checkpoint pattern) are exact.
-    let cluster = Arc::new(boot(2));
-    let creator = cluster.client(99, 0);
-    creator.create("/relaxed", 2, 1 << 16, OpenMode::SharedRelaxed).unwrap();
-
-    let n = 4;
-    let region = 8_192u64;
-    let handles: Vec<_> = (0..n)
-        .map(|r| {
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || {
-                let client = cluster.client(r as u32, 0);
-                let mut f = client.open("/relaxed", OpenMode::SharedRelaxed).unwrap();
-                client
-                    .write(&mut f, r as u64 * region, &vec![r as u8 + 1; region as usize])
-                    .unwrap();
-                client.close(f).unwrap();
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    // Zero lock traffic — unlike OpenMode::Shared.
-    for i in 0..2 {
-        let (granted, refused) = cluster.dlm_table(i).contention();
-        assert_eq!((granted, refused), (0, 0), "DLM {i} must be untouched");
-    }
-    // Disjoint writes read back exactly.
-    let reader = cluster.client(98, 0);
-    let f = reader.open("/relaxed", OpenMode::Private).unwrap();
-    let data = reader.read(&f, 0, (n as u64 * region) as usize).unwrap();
-    for r in 0..n {
-        let start = r as usize * region as usize;
-        assert!(data[start..start + region as usize].iter().all(|b| *b == r as u8 + 1));
-    }
-}
-
-#[test]
-fn data_sieving_reduces_read_ops_for_dense_strides() {
-    // Dense strided access (record 64 of every 128 bytes): sieving reads
-    // the covering extent once instead of issuing one RPC per record.
-    let cluster = boot(2);
-    let client = cluster.client(0, 0);
-    let mut f = client.create("/sieve", 2, 4096, OpenMode::Private).unwrap();
-    let data: Vec<u8> = (0..16_384).map(|i| (i % 251) as u8).collect();
-    client.write(&mut f, 0, &data).unwrap();
-
-    let (records, rpcs) = client.read_strided(&f, 0, 64, 128, 100).unwrap();
-    assert_eq!(rpcs, 1, "dense stride must sieve with one covering read");
-    assert_eq!(records.len(), 100);
-    for (i, rec) in records.iter().enumerate() {
-        let off = i * 128;
-        assert_eq!(rec.as_slice(), &data[off..off + 64], "record {i}");
-    }
-}
-
-#[test]
-fn data_sieving_falls_back_when_too_sparse() {
-    // Sparse strided access (64 bytes of every 4096): hauling the holes
-    // would move 64x the useful data, so per-record reads win.
-    let cluster = boot(2);
-    let client = cluster.client(0, 0);
-    let mut f = client.create("/sparse", 2, 4096, OpenMode::Private).unwrap();
-    let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 239) as u8).collect();
-    client.write(&mut f, 0, &data).unwrap();
-
-    let (records, rpcs) = client.read_strided(&f, 0, 64, 4096, 16).unwrap();
-    assert_eq!(rpcs, 16, "sparse stride must read per record");
-    for (i, rec) in records.iter().enumerate() {
-        let off = i * 4096;
-        assert_eq!(rec.as_slice(), &data[off..off + 64], "record {i}");
-    }
-}
-
-#[test]
-fn strided_read_past_eof_zero_fills() {
-    let cluster = boot(2);
-    let client = cluster.client(0, 0);
-    let mut f = client.create("/eof", 2, 1024, OpenMode::Private).unwrap();
-    client.write(&mut f, 0, &[7u8; 100]).unwrap();
-    // Second record extends past EOF: short data is zero-padded.
-    let (records, _) = client.read_strided(&f, 0, 64, 96, 2).unwrap();
-    assert_eq!(records[0], vec![7u8; 64]);
-    assert_eq!(&records[1][..4], &[7u8; 4]);
-    assert_eq!(&records[1][4..], &vec![0u8; 60][..]);
-}

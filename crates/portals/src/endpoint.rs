@@ -198,11 +198,6 @@ impl Endpoint {
         self.recv_match(timeout, |_| true)
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Event> {
-        self.state.queue.lock().pop_front()
-    }
-
     /// Receive the *earliest* queued event satisfying `pred`, leaving all
     /// other events in place. Safe to call concurrently from several
     /// threads sharing the endpoint: every delivery wakes all waiters and
@@ -361,7 +356,7 @@ mod tests {
         let (_net, a, b) = pair();
         b.post_md(3, MemDesc::zeroed(4, MdOptions::for_remote_put())).unwrap();
         a.put(b.id(), 3, 0, b"silt").unwrap();
-        assert!(b.try_recv().is_none());
+        assert_eq!(b.stashed(), 0);
     }
 
     #[test]

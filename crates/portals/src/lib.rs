@@ -94,10 +94,6 @@ impl Group {
         self.members[rank]
     }
 
-    pub fn rank_of(&self, id: ProcessId) -> Option<usize> {
-        self.members.iter().position(|m| *m == id)
-    }
-
     pub fn members(&self) -> &[ProcessId] {
         &self.members
     }
@@ -127,8 +123,6 @@ mod tests {
     fn group_ranks() {
         let g = Group::new(vec![ProcessId::new(1, 0), ProcessId::new(2, 0)]);
         assert_eq!(g.size(), 2);
-        assert_eq!(g.rank_of(ProcessId::new(2, 0)), Some(1));
-        assert_eq!(g.rank_of(ProcessId::new(9, 9)), None);
         assert_eq!(g.member(0), ProcessId::new(1, 0));
     }
 

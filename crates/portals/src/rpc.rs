@@ -254,30 +254,6 @@ impl<'a> RpcServer<'a> {
         let rep = Reply::new(req.opnum, body);
         self.ep.send(req.reply_to, reply_match(req.opnum.0), rep.to_bytes())
     }
-
-    /// Run a handler loop until it returns `false` from `keep_going`.
-    ///
-    /// Convenience for tests and simple services; production-grade services
-    /// in this workspace run their own loops to interleave one-sided bulk
-    /// transfers with request processing.
-    pub fn serve_while(
-        &self,
-        poll: Duration,
-        keep_going: impl Fn() -> bool,
-        mut handler: impl FnMut(&Request) -> ReplyBody,
-    ) {
-        while keep_going() {
-            match self.next_request(poll) {
-                Ok(req) => {
-                    let body = handler(&req);
-                    // A dead client is not the server's problem.
-                    let _ = self.reply(&req, body);
-                }
-                Err(Error::Timeout) => continue,
-                Err(_) => break,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -298,14 +274,14 @@ mod tests {
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             let srv = RpcServer::new(&server_ep);
-            srv.serve_while(
-                Duration::from_millis(10),
-                || !stop2.load(Ordering::Relaxed),
-                |req| match req.body {
+            while !stop2.load(Ordering::Relaxed) {
+                let Ok(req) = srv.next_request(Duration::from_millis(10)) else { continue };
+                let body = match req.body {
                     RequestBody::Ping => ReplyBody::Pong,
                     _ => ReplyBody::Err(Error::Internal("unexpected".into())),
-                },
-            );
+                };
+                srv.reply(&req, body).unwrap();
+            }
         });
 
         let client = RpcClient::new(&client_ep);

@@ -16,12 +16,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lwfs_proto::{Decode as _, Encode as _, Error, ProcessId, Reply, ReplyBody, Request};
+use lwfs_proto::{ProcessId, ReplyBody, Request};
 
 use crate::endpoint::Endpoint;
-use crate::event::Event;
 use crate::network::Network;
-use crate::{reply_match, REQUEST_MATCH};
+use crate::rpc::RpcServer;
 
 /// A request handler run by [`spawn_service`].
 pub trait Service: Send + 'static {
@@ -82,30 +81,17 @@ impl Drop for ServiceHandle {
 pub fn spawn_service(net: &Network, id: ProcessId, mut svc: impl Service) -> ServiceHandle {
     let ep = net.register(id);
     ServiceHandle::spawn(id, format!("lwfs-svc-{id}"), move |stop| {
-        let poll = Duration::from_millis(5);
+        let srv = RpcServer::new(&ep);
         while !stop.load(Ordering::SeqCst) {
-            let ev = ep.recv_match(
-                poll,
-                |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH),
-            );
-            match ev {
-                Ok(ev) => {
-                    let data = ev.message_data().expect("message event").clone();
-                    // A malformed request has no decodable reply address:
-                    // nothing to do but drop it.
-                    let Ok(req) = Request::from_bytes(data) else { continue };
-                    // Scrapes answer before the handler, so a polling
-                    // monitor never inflates the series it is reading.
-                    let body = crate::telemetry::answer(ep.obs(), &req.body)
-                        .unwrap_or_else(|| svc.handle(&ep, &req));
-                    let rep = Reply::new(req.opnum, body);
-                    // A vanished client is not the server's problem; drop
-                    // the reply.
-                    let _ = ep.send(req.reply_to, reply_match(req.opnum.0), rep.to_bytes());
-                }
-                Err(Error::Timeout) => {}
-                Err(_) => break,
-            }
+            // A poll timeout, or a malformed request with no decodable
+            // reply address: nothing to answer.
+            let Ok(req) = srv.next_request(Duration::from_millis(5)) else { continue };
+            // Scrapes answer before the handler, so a polling
+            // monitor never inflates the series it is reading.
+            let body = crate::telemetry::answer(ep.obs(), &req.body)
+                .unwrap_or_else(|| svc.handle(&ep, &req));
+            // A vanished client is not the server's problem; drop the reply.
+            let _ = srv.reply(&req, body);
         }
     })
 }
@@ -114,7 +100,7 @@ pub fn spawn_service(net: &Network, id: ProcessId, mut svc: impl Service) -> Ser
 mod tests {
     use super::*;
     use crate::rpc::RpcClient;
-    use lwfs_proto::RequestBody;
+    use lwfs_proto::{Error, RequestBody};
 
     struct Echo {
         count: u64,

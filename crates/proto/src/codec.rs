@@ -88,8 +88,6 @@ impl_codec_int! {
     u32 => put_u32_le, get_u32_le, 4;
     u64 => put_u64_le, get_u64_le, 8;
     i64 => put_i64_le, get_i64_le, 8;
-    f32 => put_f32_le, get_f32_le, 4;
-    f64 => put_f64_le, get_f64_le, 8;
 }
 
 impl Encode for bool {
@@ -372,8 +370,6 @@ mod tests {
         roundtrip(-42i64);
         roundtrip(true);
         roundtrip(false);
-        roundtrip(1.5f64);
-        roundtrip(0.5f32);
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub use codec::{Decode, Encode};
 pub use error::{Error, Result};
 pub use ids::{ContainerId, Lifetime, NodeId, ObjId, OpNum, Pid, PrincipalId, ProcessId, TxnId};
 pub use message::{
-    derive_req_id, EpochBump, FilterSpec, FlightSpan, FlightTrace, GroupMap, LockId, LockMode,
-    LockResource, MdHandle, ObjAttr, PfsLayout, ReplicaGroup, Reply, ReplyBody, Request,
-    RequestBody, TelemetryEvent, TelemetryHistogram, TelemetrySnapshot, TraceContext,
+    derive_req_id, EpochBump, FlightSpan, FlightTrace, GroupMap, LockId, LockMode, LockResource,
+    MdHandle, ObjAttr, PfsLayout, ReplicaGroup, Reply, ReplyBody, Request, RequestBody,
+    TelemetryEvent, TelemetryHistogram, TelemetrySnapshot, TraceContext,
 };
 pub use ops::OpMask;
 pub use security::{

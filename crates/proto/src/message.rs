@@ -84,29 +84,6 @@ pub struct PfsLayout {
 
 impl_codec_struct!(PfsLayout { stripe_size, size, objects, caps });
 
-/// A server-side filter for `ReadFiltered` — the "remote processing
-/// (e.g., remote filtering)" extension the paper's §6 plans, after the
-/// active-disk line of work it cites [2, 31].
-///
-/// Object bytes are interpreted as a little-endian `f32` array (the
-/// dominant scientific-data element type of the era); the filter runs on
-/// the storage server and only the *result* crosses the network.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FilterSpec {
-    /// Every `stride`-th element (decimation for visualization).
-    Subsample { stride: u32 },
-    /// Elements with absolute value ≥ `min_abs` (event detection).
-    Threshold { min_abs: f32 },
-    /// Reduce to `[min, max, sum, count]` (4 × f32 statistics block).
-    Stats,
-}
-
-impl_codec_enum!(FilterSpec {
-    0 => Subsample { stride },
-    1 => Threshold { min_abs },
-    2 => Stats,
-});
-
 /// Lock modes for the lock service (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
@@ -357,16 +334,6 @@ pub enum RequestBody {
     /// Read `len` bytes at `offset`; the server *pushes* into the client's
     /// memory descriptor.
     Read { cap: Capability, obj: ObjId, offset: u64, len: u64, md: MdHandle },
-    /// Apply `filter` to `[offset, offset+len)` on the server and push
-    /// only the result — the §6 remote-filtering extension.
-    ReadFiltered {
-        cap: Capability,
-        obj: ObjId,
-        offset: u64,
-        len: u64,
-        filter: FilterSpec,
-        md: MdHandle,
-    },
     /// Fetch object attributes.
     GetAttr { cap: Capability, obj: ObjId },
     /// Flush an object (or the whole server if `obj` is `None`) to stable
@@ -520,12 +487,6 @@ pub enum ReplyBody {
     },
     ReadDone {
         len: u64,
-    },
-    /// Result of a filtered read: `len` result bytes were pushed;
-    /// `scanned` input bytes were examined on the server.
-    FilteredDone {
-        len: u64,
-        scanned: u64,
     },
     Attr(ObjAttr),
     Synced,
@@ -737,7 +698,6 @@ impl_codec_enum!(RequestBody {
     21 => RemoveObj { txn, cap, obj },
     22 => Write { txn, cap, obj, offset, len, md },
     23 => Read { cap, obj, offset, len, md },
-    28 => ReadFiltered { cap, obj, offset, len, filter, md },
     24 => GetAttr { cap, obj },
     25 => Sync { cap, obj },
     26 => ListObjs { cap },
@@ -780,7 +740,6 @@ impl_codec_enum!(ReplyBody {
     21 => ObjRemoved,
     22 => WriteDone { len },
     23 => ReadDone { len },
-    28 => FilteredDone { len, scanned },
     24 => Attr(a),
     25 => Synced,
     26 => Objs(objs),
@@ -901,14 +860,6 @@ mod tests {
                 offset: 4096,
                 len: 8192,
                 md: MdHandle { match_bits: 0xBEEF },
-            },
-            ReadFiltered {
-                cap: sample_cap(),
-                obj: ObjId(12),
-                offset: 0,
-                len: 1 << 20,
-                filter: FilterSpec::Threshold { min_abs: 0.5 },
-                md: MdHandle { match_bits: 0xF117 },
             },
             GetAttr { cap: sample_cap(), obj: ObjId(12) },
             Sync { cap: sample_cap(), obj: Some(ObjId(12)) },
@@ -1045,7 +996,6 @@ mod tests {
             ObjRemoved,
             WriteDone { len: 512 },
             ReadDone { len: 17 },
-            FilteredDone { len: 16, scanned: 1 << 20 },
             Attr(ObjAttr { size: 1, create_time: 2, modify_time: 3 }),
             Synced,
             Objs(vec![ObjId(1), ObjId(2)]),
@@ -1274,15 +1224,6 @@ mod tests {
         check("ReplyBody", ReplyBody::TAGS, &all_reply_bodies());
         check("Error", Error::TAGS, &all_errors());
         check("LockMode", LockMode::TAGS, &[LockMode::Shared, LockMode::Exclusive]);
-        let filters = [
-            FilterSpec::Subsample { stride: 4 },
-            FilterSpec::Threshold { min_abs: 0.5 },
-            FilterSpec::Stats,
-        ];
-        check("FilterSpec", FilterSpec::TAGS, &filters);
-        for f in filters {
-            assert_eq!(FilterSpec::from_bytes(f.to_bytes()).unwrap(), f);
-        }
     }
 
     proptest::proptest! {

@@ -94,23 +94,6 @@ impl<W> Sim<W> {
         }
         self.now
     }
-
-    /// Run until the heap drains or the clock would pass `until`; events at
-    /// exactly `until` still execute. Returns the new virtual time
-    /// (`min(until, drain time)`).
-    pub fn run_until(&mut self, world: &mut W, until: SimTime) -> SimTime {
-        while let Some(head) = self.heap.peek() {
-            if head.time > until {
-                self.now = until;
-                return self.now;
-            }
-            let ev = self.heap.pop().expect("peeked");
-            self.now = ev.time;
-            self.executed += 1;
-            (ev.action)(self, world);
-        }
-        self.now
-    }
 }
 
 impl<W> Default for Sim<W> {
@@ -169,31 +152,6 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w, vec![0, 1_000_000_000, 2_000_000_000, 3_000_000_000, 4_000_000_000]);
         assert_eq!(sim.executed(), 5);
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut w = Vec::new();
-        for i in 1..=10u64 {
-            sim.schedule(SimDuration::from_secs(i), move |_, w: &mut Vec<u64>| w.push(i));
-        }
-        let t = sim.run_until(&mut w, SimTime(3_500_000_000));
-        assert_eq!(w, vec![1, 2, 3]);
-        assert_eq!(t, SimTime(3_500_000_000));
-        assert_eq!(sim.pending(), 7);
-        // Resume to completion.
-        sim.run(&mut w);
-        assert_eq!(w.len(), 10);
-    }
-
-    #[test]
-    fn run_until_executes_events_at_exact_horizon() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimDuration::from_secs(2), |_, w: &mut Vec<u64>| w.push(2));
-        sim.run_until(&mut w, SimTime(2_000_000_000));
-        assert_eq!(w, vec![2]);
     }
 
     #[test]

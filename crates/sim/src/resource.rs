@@ -77,11 +77,6 @@ impl FcfsResource {
         self.free_at
     }
 
-    /// Queueing delay a job arriving `now` would experience before service.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.free_at.saturating_sub(now)
-    }
-
     /// Fraction of `[0, horizon]` the station spent serving.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -181,7 +176,7 @@ mod tests {
         let (s2, f2) = r.reserve(SimTime::ZERO, 100_000_000); // queued
         assert_eq!(s2, f1);
         assert_eq!(f2, SimTime(2_000_000_000));
-        assert_eq!(r.backlog(SimTime::ZERO), SimDuration::from_secs(2));
+        assert_eq!(r.free_at(), SimTime(2_000_000_000));
     }
 
     #[test]

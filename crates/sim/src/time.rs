@@ -58,12 +58,6 @@ impl SimDuration {
         assert!(mb_per_sec > 0.0, "bandwidth must be positive");
         SimDuration::from_secs_f64(bytes as f64 / (mb_per_sec * 1e6))
     }
-
-    /// Scale by a dimensionless factor (e.g. software overhead multiplier).
-    pub fn scaled(self, factor: f64) -> Self {
-        assert!(factor >= 0.0 && factor.is_finite());
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl std::ops::Add<SimDuration> for SimTime {
@@ -152,11 +146,5 @@ mod tests {
     #[should_panic]
     fn negative_difference_panics() {
         let _ = SimTime(1) - SimTime(2);
-    }
-
-    #[test]
-    fn scaled_rounds() {
-        assert_eq!(SimDuration(100).scaled(1.5), SimDuration(150));
-        assert_eq!(SimDuration(3).scaled(0.5), SimDuration(2)); // rounds .5 up
     }
 }

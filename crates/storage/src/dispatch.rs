@@ -20,7 +20,7 @@ use parking_lot::{Condvar, Mutex};
 
 /// The byte range a data request touches: `(object, start, end, writes)`.
 /// `end` saturates rather than wraps, so a hostile `offset + len` cannot
-/// fake independence (the overflow fixed in `scheduler::range_of`).
+/// fake independence.
 pub type AccessRange = (ObjId, u64, u64, bool);
 
 /// What the conflict tracker needs to know about a request: its access
@@ -41,11 +41,6 @@ impl AccessSummary {
             }
             _ => None,
         })
-    }
-
-    /// The underlying range (`None` for control requests).
-    pub fn range(&self) -> Option<AccessRange> {
-        self.0
     }
 
     /// May `self` and `other` *not* be reordered or overlapped?
@@ -288,6 +283,7 @@ mod tests {
         // offset + len would wrap to a tiny end and report independence.
         let a = AccessSummary::of(&write_req(1, u64::MAX - 1, 16));
         let b = AccessSummary::of(&write_req(1, u64::MAX - 8, 16));
+        assert_eq!(a.0, Some((ObjId(1), u64::MAX - 1, u64::MAX, true)), "end saturates");
         assert!(a.conflicts(&b));
     }
 

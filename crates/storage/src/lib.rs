@@ -30,7 +30,6 @@
 
 pub mod buffers;
 pub mod dispatch;
-pub mod filter;
 pub mod recovery;
 pub mod scheduler;
 pub mod server;
@@ -38,7 +37,6 @@ pub mod store;
 
 pub use buffers::PinnedBufferPool;
 pub use dispatch::{AccessSummary, ConflictTracker, WorkQueue};
-pub use filter::{apply as apply_filter, decode_stats};
 pub use recovery::RecoveryOutcome;
 pub use scheduler::RequestScheduler;
 pub use server::{SignedCapConfig, StorageConfig, StorageServer, StorageStats};

@@ -32,13 +32,6 @@ fn data_key(req: &Request) -> Option<(ObjId, u64)> {
     }
 }
 
-/// The byte range a data request touches, `None` for control requests.
-/// The end offset saturates: `offset + len` near `u64::MAX` must clamp,
-/// not wrap to a tiny value that would fake independence.
-pub fn range_of(req: &Request) -> Option<(ObjId, u64, u64, bool)> {
-    AccessSummary::of(req).range()
-}
-
 /// Are `a` and `b` dependent (same object, overlapping ranges, at least
 /// one write — control requests conservatively depend on everything)?
 ///
@@ -226,10 +219,6 @@ mod tests {
         let near_end = write_req(1, u64::MAX - 1, 16);
         let overlapping = write_req(1, u64::MAX - 8, 16);
         assert!(dependent(&near_end, &overlapping), "saturated ranges must overlap");
-        let (_, start, end, write) = range_of(&near_end).unwrap();
-        assert_eq!(start, u64::MAX - 1);
-        assert_eq!(end, u64::MAX, "end saturates instead of wrapping");
-        assert!(write);
 
         // And the scheduler keeps their arrival order.
         let mut s = RequestScheduler::new();

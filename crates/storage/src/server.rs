@@ -47,8 +47,8 @@ use lwfs_portals::{
     REQUEST_MATCH,
 };
 use lwfs_proto::{
-    Capability, ContainerId, Decode as _, Encode as _, Error, FilterSpec, MdHandle, ObjId, OpMask,
-    ProcessId, Reply, ReplyBody, Request, RequestBody, Result, TraceContext, TxnId,
+    Capability, ContainerId, Decode as _, Encode as _, Error, MdHandle, ObjId, OpMask, ProcessId,
+    Reply, ReplyBody, Request, RequestBody, Result, TraceContext, TxnId,
 };
 use lwfs_replica::{ReplicaConfig, ReplicaState};
 use lwfs_txn::{JournalState, JournalStore};
@@ -146,9 +146,6 @@ pub struct StorageStats {
     pub removes: Arc<Counter>,
     pub writes: Arc<Counter>,
     pub reads: Arc<Counter>,
-    pub filtered_reads: Arc<Counter>,
-    /// Input bytes scanned by server-side filters.
-    pub bytes_filtered: Arc<Counter>,
     pub syncs: Arc<Counter>,
     pub bytes_pulled: Arc<Counter>,
     pub bytes_pushed: Arc<Counter>,
@@ -186,8 +183,6 @@ impl StorageStats {
             removes: registry.counter("storage.removes"),
             writes: registry.counter("storage.writes"),
             reads: registry.counter("storage.reads"),
-            filtered_reads: registry.counter("storage.filtered_reads"),
-            bytes_filtered: registry.counter("storage.bytes_filtered"),
             syncs: registry.counter("storage.syncs"),
             bytes_pulled: registry.counter("storage.bytes_pulled"),
             bytes_pushed: registry.counter("storage.bytes_pushed"),
@@ -215,7 +210,6 @@ fn op_label(body: &RequestBody) -> &'static str {
         RequestBody::RemoveObj { .. } => "storage.remove",
         RequestBody::Write { .. } => "storage.write",
         RequestBody::Read { .. } => "storage.read",
-        RequestBody::ReadFiltered { .. } => "storage.read_filtered",
         RequestBody::GetAttr { .. } => "storage.getattr",
         RequestBody::Sync { .. } => "storage.sync",
         RequestBody::ListObjs { .. } => "storage.list",
@@ -929,23 +923,6 @@ impl StorageServer {
                     Err(e) => ReplyBody::Err(e),
                 }
             }
-            RequestBody::ReadFiltered { cap, obj, offset, len, filter, md } => {
-                match self.do_read_filtered(
-                    ep,
-                    client,
-                    &req.token,
-                    cap,
-                    *obj,
-                    *offset,
-                    *len,
-                    filter,
-                    *md,
-                    req.reply_to,
-                ) {
-                    Ok((n, scanned)) => ReplyBody::FilteredDone { len: n, scanned },
-                    Err(e) => ReplyBody::Err(e),
-                }
-            }
             RequestBody::GetAttr { cap, obj } => {
                 match self
                     .authorize(client, &req.token, cap, OpMask::GETATTR, obj.0)
@@ -1503,44 +1480,5 @@ impl StorageServer {
         }
         self.stats.reads.inc();
         Ok(moved)
-    }
-
-    /// Remote filtering (§6 extension): read the range locally, run the
-    /// filter on the server, and push only the result. A READ capability
-    /// authorizes it — filtering never reveals more than a read would.
-    #[allow(clippy::too_many_arguments)]
-    fn do_read_filtered(
-        &self,
-        ep: &Endpoint,
-        client: &RpcClient<'_>,
-        token: &Bytes,
-        cap: &Capability,
-        oid: ObjId,
-        offset: u64,
-        len: u64,
-        filter: &FilterSpec,
-        md: MdHandle,
-        requester: ProcessId,
-    ) -> Result<(u64, u64)> {
-        self.authorize(client, token, cap, OpMask::READ, oid.0)?;
-        let data = self.store.read(cap.container(), oid, offset, len)?;
-        let (result, scanned) = crate::filter::apply(filter, &data);
-        // Push the (typically tiny) result in chunks through the pool,
-        // same as an ordinary read.
-        let mut moved = 0usize;
-        while moved < result.len() {
-            let chunk = (result.len() - moved).min(self.config.chunk_size);
-            let buf = self.pool.try_acquire();
-            if buf.is_none() {
-                self.stats.busy_rejects.inc();
-                return Err(Error::ServerBusy);
-            }
-            ep.put(requester, md.match_bits, moved as u64, &result[moved..moved + chunk])?;
-            moved += chunk;
-        }
-        self.stats.filtered_reads.inc();
-        self.stats.bytes_filtered.add(scanned);
-        self.stats.bytes_pushed.add(result.len() as u64);
-        Ok((result.len() as u64, scanned))
     }
 }

@@ -55,15 +55,6 @@ impl<'a, 'ep> Coordinator<'a, 'ep> {
         &self.participants
     }
 
-    /// Add a participant discovered mid-transaction (e.g. the naming
-    /// service once rank 0 creates the checkpoint name). Duplicates are
-    /// merged.
-    pub fn enlist(&mut self, p: ProcessId) {
-        if !self.participants.contains(&p) {
-            self.participants.push(p);
-        }
-    }
-
     /// Run phase 1 (prepare) and phase 2 (commit or abort) for `txn`.
     ///
     /// Any participant voting no — or any transport error during phase 1 —
@@ -290,17 +281,6 @@ mod tests {
         assert_eq!(out, TxnOutcome::Aborted { no_votes: vec![ghost] });
         assert_eq!(c1.aborts.load(Ordering::SeqCst), 1);
         h1.shutdown();
-    }
-
-    #[test]
-    fn enlist_merges_duplicates() {
-        let net = Network::default();
-        let ep = net.register(ProcessId::new(0, 0));
-        let client = RpcClient::new(&ep);
-        let mut coord = Coordinator::new(&client, vec![ProcessId::new(1, 0)]);
-        coord.enlist(ProcessId::new(2, 0));
-        coord.enlist(ProcessId::new(1, 0));
-        assert_eq!(coord.participants().len(), 2);
     }
 
     #[test]

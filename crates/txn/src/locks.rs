@@ -84,15 +84,6 @@ impl LockTable {
         }
     }
 
-    /// Drop every lock held by `owner` (client exit / credential
-    /// revocation cleanup). Returns how many were released.
-    pub fn release_all(&self, owner: ProcessId) -> usize {
-        let mut st = self.state.lock();
-        let before = st.held.len();
-        st.held.retain(|_, g| g.owner != owner);
-        before - st.held.len()
-    }
-
     pub fn held_count(&self) -> usize {
         self.state.lock().held.len()
     }
@@ -188,16 +179,6 @@ mod tests {
     fn release_unknown_lock_errors() {
         let t = LockTable::new();
         assert!(t.release(P1, LockId(42)).is_err());
-    }
-
-    #[test]
-    fn release_all_cleans_owner() {
-        let t = LockTable::new();
-        t.try_acquire(P1, res(0, 10), LockMode::Shared).unwrap();
-        t.try_acquire(P1, res(20, 30), LockMode::Shared).unwrap();
-        t.try_acquire(P2, res(40, 50), LockMode::Shared).unwrap();
-        assert_eq!(t.release_all(P1), 2);
-        assert_eq!(t.held_count(), 1);
     }
 
     #[test]

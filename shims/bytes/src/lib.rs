@@ -144,27 +144,9 @@ impl PartialEq<[u8]> for Bytes {
     }
 }
 
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
 impl<const N: usize> PartialEq<[u8; N]> for Bytes {
     fn eq(&self, other: &[u8; N]) -> bool {
         self.as_slice() == other
-    }
-}
-
-impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
     }
 }
 
@@ -185,18 +167,6 @@ impl From<&[u8]> for Bytes {
 impl From<String> for Bytes {
     fn from(v: String) -> Self {
         Self::from(v.into_bytes())
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(v: &'static str) -> Self {
-        Self::copy_from_slice(v.as_bytes())
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<u8>>())
     }
 }
 
@@ -231,11 +201,6 @@ impl BytesMut {
 
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
-    }
-
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.pos = 0;
     }
 
     pub fn truncate(&mut self, len: usize) {
@@ -275,15 +240,6 @@ impl BytesMut {
             self.data.drain(..self.pos);
             self.pos = 0;
         }
-    }
-
-    /// Take the full contents, leaving `self` empty (the workspace only
-    /// uses this as "split everything off").
-    pub fn split(&mut self) -> BytesMut {
-        let out = BytesMut { data: self.data.split_off(self.pos), pos: 0 };
-        self.data.clear();
-        self.pos = 0;
-        out
     }
 
     pub fn as_slice(&self) -> &[u8] {
@@ -376,14 +332,6 @@ pub trait Buf {
         self.copy_to_slice(&mut b);
         i64::from_le_bytes(b)
     }
-
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
-    }
-
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
 }
 
 impl Buf for Bytes {
@@ -474,14 +422,6 @@ pub trait BufMut {
         self.put_slice(&v.to_le_bytes());
     }
 
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_u32_le(v.to_bits());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-
     fn put(&mut self, mut src: impl Buf)
     where
         Self: Sized,
@@ -498,12 +438,6 @@ pub trait BufMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
     }
 }
 
@@ -608,7 +542,7 @@ mod tests {
         let mut m = BytesMut::new();
         m.put_slice(b"abcdefgh");
         m.advance(3);
-        assert_eq!(m.freeze(), b"defgh");
+        assert_eq!(m.freeze().as_slice(), b"defgh");
     }
 
     #[test]

@@ -40,27 +40,18 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard { inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)) }
     }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { inner: Some(p.into_inner()) })
-            }
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
+        match self.inner.try_lock() {
+            Ok(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
+            Err(std::sync::TryLockError::Poisoned(p)) => {
+                f.debug_struct("Mutex").field("data", &&*p.into_inner()).finish()
+            }
+            Err(std::sync::TryLockError::WouldBlock) => {
+                f.debug_struct("Mutex").field("data", &"<locked>").finish()
+            }
         }
     }
 }
@@ -96,10 +87,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         Self { inner: std::sync::RwLock::new(value) }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -109,10 +96,6 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard { inner: self.inner.write().unwrap_or_else(PoisonError::into_inner) }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -163,10 +146,6 @@ pub struct Condvar {
 impl Condvar {
     pub const fn new() -> Self {
         Self { inner: std::sync::Condvar::new() }
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {

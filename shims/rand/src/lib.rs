@@ -5,8 +5,8 @@
 //! [`RngCore`], [`SeedableRng`] (with the rand_core 0.6 PCG-based
 //! `seed_from_u64` expansion, so seeded streams match the real crate when
 //! paired with the faithful ChaCha8 in the `rand_chacha` shim),
-//! [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`], and
-//! `distributions::{Distribution, Uniform, Standard}`.
+//! [`Rng::gen_range`], [`Rng::gen_bool`], and
+//! `distributions::{Distribution, Uniform}`.
 
 #![forbid(unsafe_code)]
 
@@ -57,15 +57,6 @@ pub trait SeedableRng: Sized {
 
 /// User-facing generator methods.
 pub trait Rng: RngCore {
-    fn gen<T>(&mut self) -> T
-    where
-        distributions::Standard: distributions::Distribution<T>,
-        Self: Sized,
-    {
-        use distributions::Distribution as _;
-        distributions::Standard.sample(self)
-    }
-
     /// Sample uniformly from a half-open range.
     fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T
     where
@@ -86,13 +77,6 @@ pub trait Rng: RngCore {
         }
         let scale = (p * (u64::MAX as f64 + 1.0)) as u64;
         self.next_u64() < scale
-    }
-
-    fn sample<T, D: distributions::Distribution<T>>(&mut self, distr: D) -> T
-    where
-        Self: Sized,
-    {
-        distr.sample(self)
     }
 }
 
@@ -135,22 +119,6 @@ macro_rules! impl_sample_uniform_int {
 
 impl_sample_uniform_int!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize);
 
-impl SampleUniform for f64 {
-    fn sample_range<R: RngCore>(rng: &mut R, range: &Range<Self>) -> Self {
-        assert!(range.start < range.end, "empty gen_range");
-        let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        range.start + unit * (range.end - range.start)
-    }
-}
-
-impl SampleUniform for f32 {
-    fn sample_range<R: RngCore>(rng: &mut R, range: &Range<Self>) -> Self {
-        assert!(range.start < range.end, "empty gen_range");
-        let unit = (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
-        range.start + unit * (range.end - range.start)
-    }
-}
-
 pub mod distributions {
     use super::{RngCore, SampleUniform};
 
@@ -178,59 +146,6 @@ pub mod distributions {
         fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
             let mut rng = rng;
             T::sample_range(&mut rng, &(self.lo..self.hi))
-        }
-    }
-
-    /// The "natural" distribution for a type (full-range ints, unit-range
-    /// floats, fair bools) — what `rng.gen()` draws from.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Standard;
-
-    impl Distribution<u8> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u8 {
-            rng.next_u32() as u8
-        }
-    }
-
-    impl Distribution<u16> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u16 {
-            rng.next_u32() as u16
-        }
-    }
-
-    impl Distribution<u32> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u32 {
-            rng.next_u32()
-        }
-    }
-
-    impl Distribution<u64> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-            rng.next_u64()
-        }
-    }
-
-    impl Distribution<usize> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-            rng.next_u64() as usize
-        }
-    }
-
-    impl Distribution<bool> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-            rng.next_u32() & 1 == 1
-        }
-    }
-
-    impl Distribution<f64> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-            (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-        }
-    }
-
-    impl Distribution<f32> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f32 {
-            (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
         }
     }
 }
@@ -269,8 +184,6 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.gen_range(10u64..20);
             assert!((10..20).contains(&v));
-            let f = rng.gen_range(0.25f64..0.5);
-            assert!((0.25..0.5).contains(&f));
             let i = rng.gen_range(-5i64..5);
             assert!((-5..5).contains(&i));
         }
