@@ -15,11 +15,14 @@ use lwfs_proto::{ProcessId, ReplyBody, Request, RequestBody};
 
 use crate::service::{AuthzService, RevocationNotice};
 
+/// How long a revocation push (invalidation or epoch update) waits for one
+/// storage site: the pushes run inside the service loop, so a dead site
+/// must cost a bounded stall, not the RPC default.
+const PUSH_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// The RPC adapter for [`AuthzService`].
 pub struct AuthzServer {
     service: Arc<AuthzService>,
-    /// Timeout for invalidation RPCs to storage servers.
-    invalidate_timeout: Duration,
 }
 
 impl AuthzServer {
@@ -30,14 +33,7 @@ impl AuthzServer {
         service: AuthzService,
     ) -> (ServiceHandle, Arc<AuthzService>) {
         let service = Arc::new(service);
-        let handle = spawn_service(
-            net,
-            id,
-            AuthzServer {
-                service: Arc::clone(&service),
-                invalidate_timeout: Duration::from_secs(2),
-            },
-        );
+        let handle = spawn_service(net, id, AuthzServer { service: Arc::clone(&service) });
         (handle, service)
     }
 
@@ -48,7 +44,7 @@ impl AuthzServer {
     /// invalidation cannot resurrect revoked access — the authorization
     /// service remains the source of truth.
     fn push_invalidations(&self, ep: &Endpoint, notices: Vec<RevocationNotice>) {
-        let client = RpcClient::new(ep);
+        let client = push_client(ep);
         for notice in notices {
             let body = RequestBody::InvalidateCaps {
                 authz_epoch: self.service.epoch(),
@@ -56,7 +52,6 @@ impl AuthzServer {
             };
             let _ = client.call(notice.site, body);
         }
-        let _ = self.invalidate_timeout;
     }
 
     /// Push revocation-epoch updates to every registered enforcement site.
@@ -78,7 +73,7 @@ impl AuthzServer {
             "cap.epoch_bump",
             format!("{} container(s) to {} site(s)", epochs.len(), sites.len()),
         );
-        let client = RpcClient::new(ep);
+        let client = push_client(ep);
         for site in sites {
             let _ = client.call(site, RequestBody::PushEpochs { epochs: epochs.clone() });
         }
@@ -91,6 +86,13 @@ impl AuthzServer {
             epoch => vec![lwfs_proto::EpochBump { container, epoch }],
         }
     }
+}
+
+/// The client revocation pushes go out on, bounded by [`PUSH_TIMEOUT`].
+fn push_client(ep: &Endpoint) -> RpcClient<'_> {
+    let mut client = RpcClient::new(ep);
+    client.reply_timeout = PUSH_TIMEOUT;
+    client
 }
 
 impl Service for AuthzServer {

@@ -31,6 +31,10 @@ impl CredVerifier for Arc<AuthService> {
     }
 }
 
+/// Credentials the first-contact cache holds before it starts over;
+/// evicting can only ever cost a re-verification.
+const CRED_CACHE_CAP: usize = 4096;
+
 /// Configuration for an authorization service instance.
 pub struct AuthzConfig {
     pub key_seed: u64,
@@ -88,8 +92,10 @@ struct AuthzState {
     policy: PolicyStore,
     issued: HashMap<u64, IssuedCap>,
     next_serial: u64,
-    /// Credential-verification cache: credential serial → principal.
-    cred_cache: HashMap<u64, PrincipalId>,
+    /// Credential-verification cache: credential serial → the exact
+    /// credential (body and signature) the authentication service
+    /// verified, and its principal. At most [`CRED_CACHE_CAP`] entries.
+    cred_cache: HashMap<u64, (Credential, PrincipalId)>,
     /// Per-container revocation epochs for signed capabilities. Absent =
     /// epoch 0. Bumped on any revocation touching the container; storage
     /// servers reject tokens minted under an older epoch.
@@ -180,11 +186,16 @@ impl AuthzService {
     /// Verify a credential, consulting the local cache first (Figure 4-a:
     /// "If this is the first authorization request from the client, the
     /// authorization server asks the authentication server to verify").
+    ///
+    /// A hit needs the very credential that was verified — same body, same
+    /// signature — still inside its lifetime: a forged MAC or a stretched
+    /// lifetime under a cached serial misses, and the authentication
+    /// service refuses it.
     fn principal_of(&self, cred: &Credential) -> Result<PrincipalId> {
         {
             let mut st = self.state.lock();
-            if let Some(p) = st.cred_cache.get(&cred.body.serial).copied() {
-                if p == cred.body.principal {
+            if let Some(&(seen, p)) = st.cred_cache.get(&cred.body.serial) {
+                if seen == *cred && cred.valid_at(self.clock.now()) {
                     st.stats.cred_cache_hits += 1;
                     return Ok(p);
                 }
@@ -192,7 +203,11 @@ impl AuthzService {
             st.stats.cred_verifications += 1;
         }
         let p = self.verifier.verify_credential(cred)?;
-        self.state.lock().cred_cache.insert(cred.body.serial, p);
+        let mut st = self.state.lock();
+        if st.cred_cache.len() >= CRED_CACHE_CAP {
+            st.cred_cache.clear();
+        }
+        st.cred_cache.insert(cred.body.serial, (*cred, p));
         Ok(p)
     }
 
@@ -524,6 +539,21 @@ mod tests {
         let stats = authz.stats();
         assert_eq!(stats.cred_verifications, 1, "first contact only");
         assert_eq!(stats.cred_cache_hits, 5);
+    }
+
+    #[test]
+    fn cached_cred_is_refused_once_its_lifetime_ends() {
+        let (authz, alice, _bob, clock) = boot();
+        let cid = authz.create_container(&alice).unwrap();
+        authz.get_caps(&alice, cid, OpMask::READ).unwrap();
+        assert_eq!(authz.stats().cred_cache_hits, 1);
+        clock.set(alice.body.lifetime.not_after);
+        assert_eq!(
+            authz.get_caps(&alice, cid, OpMask::READ).unwrap_err(),
+            Error::CredentialExpired,
+            "an expired credential is judged again, not answered from the cache"
+        );
+        assert_eq!(authz.stats().cred_verifications, 2);
     }
 
     #[test]

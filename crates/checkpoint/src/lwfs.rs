@@ -48,10 +48,9 @@ impl<'a> LwfsCheckpointer<'a> {
         Self { client, group, rank, caps, path_prefix: path_prefix.into(), tag_base: 0x0C11 }
     }
 
-    /// Placement: rank `r` dumps to storage target `r mod targets` (a
-    /// replication group on a replicated cluster, a server otherwise).
-    fn server_for_rank(&self, rank: usize) -> Result<usize> {
-        Ok(rank % self.client.storage_targets()?)
+    /// Placement: rank `r` dumps to storage group `r mod groups`.
+    fn server_for_rank(&self, rank: usize) -> usize {
+        rank % self.client.storage_targets()
     }
 
     /// Commit `txn` across the storage targets it touched (plus the naming
@@ -84,7 +83,7 @@ impl<'a> LwfsCheckpointer<'a> {
     /// Returns per-phase timings measured on this rank; the caller reduces
     /// max-over-ranks as the paper does.
     pub fn checkpoint(&self, epoch: u64, state: &[u8]) -> Result<CkptReport> {
-        let server = self.server_for_rank(self.rank)?;
+        let server = self.server_for_rank(self.rank);
         let tag = self.tag_base + epoch * 4;
 
         // 1: BEGINTXN — each rank's transaction covers its own tasks.
@@ -123,7 +122,7 @@ impl<'a> LwfsCheckpointer<'a> {
             if !metadata.is_complete(self.group.size() as u32) {
                 return Err(Error::Internal("incomplete metadata gather".into()));
             }
-            let md_server = self.server_for_rank(0)?;
+            let md_server = self.server_for_rank(0);
             let mdobj = self.client.create_obj(md_server, &self.caps, Some(txn), None)?;
             self.client.write(md_server, &self.caps, Some(txn), mdobj, 0, &metadata.to_bytes())?;
             self.client.sync(md_server, &self.caps, Some(mdobj))?;
@@ -147,7 +146,7 @@ impl<'a> LwfsCheckpointer<'a> {
         let tag = self.tag_base + epoch * 4 + 2;
         let metadata = if self.rank == 0 {
             let (_cid, mdobj) = self.client.name_lookup(&self.path(epoch))?;
-            let md_server = self.server_for_rank(0)?;
+            let md_server = self.server_for_rank(0);
             let attr = self.client.getattr(md_server, &self.caps, mdobj)?;
             let raw = self.client.read(md_server, &self.caps, mdobj, 0, attr.size as usize)?;
             let md = CkptMetadata::from_bytes(Bytes::from(raw))?;
@@ -200,7 +199,7 @@ impl<'a> LwfsCheckpointer<'a> {
         for &epoch in &doomed {
             let path = self.path(epoch);
             let (_cid, mdobj) = self.client.name_lookup(&path)?;
-            let md_server = self.server_for_rank(0)?;
+            let md_server = self.server_for_rank(0);
             let attr = self.client.getattr(md_server, &self.caps, mdobj)?;
             let raw = self.client.read(md_server, &self.caps, mdobj, 0, attr.size as usize)?;
             let metadata = CkptMetadata::from_bytes(Bytes::from(raw))?;

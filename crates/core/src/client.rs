@@ -9,10 +9,9 @@
 //! Distribution policy is deliberately **absent** (paper §3: "expose the
 //! parallelism of the storage servers to clients to allow for efficient
 //! data access and control over data distribution"): every data call names
-//! the storage server explicitly by index; layering crates (checkpoint,
-//! PFS) implement their own placement.
+//! its storage group (at R = 1, a single server) explicitly by index;
+//! layering crates (checkpoint, PFS) implement their own placement.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,36 +34,34 @@ use crate::cluster::ClusterAddrs;
 /// An application process's handle on the LWFS services.
 pub struct LwfsClient {
     ep: Endpoint,
-    opnum: Arc<AtomicU64>,
     addrs: ClusterAddrs,
     cred: Option<Credential>,
     rpc_timeout: std::time::Duration,
-    /// Cached replication group map (clusters with a directory only);
-    /// refreshed whenever a data operation suggests stale routing.
-    groups: Mutex<Option<GroupMap>>,
+    /// The group map data calls route by: the boot map until a routing
+    /// failure in a group with another member fetches the directory's.
+    groups: Mutex<Arc<GroupMap>>,
 }
 
-/// Total time a data operation on a replicated cluster keeps re-targeting
-/// across timeouts, `NotPrimary` redirects, and map refreshes before
-/// giving up.
+/// Total time a data operation keeps re-targeting across timeouts,
+/// `NotPrimary` redirects, back-pressure and map refreshes before giving
+/// up.
 const FAILOVER_DEADLINE: Duration = Duration::from_secs(15);
 
-/// Group `server` of `map`: what a data call's `server` argument names on
-/// a replicated cluster.
+/// Group `server` of `map`: what a data call's `server` argument names.
 fn group(map: &GroupMap, server: usize) -> Result<&ReplicaGroup> {
     map.groups.get(server).ok_or_else(|| Error::Internal(format!("no storage group {server}")))
 }
 
+/// A failure the failover loop may retry: routing (the target is dead,
+/// cut off or no longer leads) or back-pressure (`ServerBusy`).
+fn retryable(e: &Error) -> bool {
+    matches!(e, Error::Timeout | Error::Unreachable | Error::NotPrimary | Error::ServerBusy)
+}
+
 impl LwfsClient {
     pub fn new(ep: Endpoint, addrs: ClusterAddrs) -> Self {
-        Self {
-            ep,
-            opnum: Arc::new(AtomicU64::new(1)),
-            addrs,
-            cred: None,
-            rpc_timeout: std::time::Duration::from_secs(5),
-            groups: Mutex::new(None),
-        }
+        let groups = Mutex::new(Arc::new(addrs.group_map()));
+        Self { ep, addrs, cred: None, rpc_timeout: std::time::Duration::from_secs(5), groups }
     }
 
     /// Change how long each RPC waits for its reply (default 5 s). Tests
@@ -91,7 +88,7 @@ impl LwfsClient {
     }
 
     fn rpc(&self) -> RpcClient<'_> {
-        let mut rpc = RpcClient::with_counter(&self.ep, Arc::clone(&self.opnum));
+        let mut rpc = RpcClient::new(&self.ep);
         rpc.reply_timeout = self.rpc_timeout;
         rpc
     }
@@ -230,85 +227,91 @@ impl LwfsClient {
     }
 
     // ------------------------------------------------------------------
-    // Object I/O (Figure 8: CREATEOBJ / DUMPSTATE; §3.2 data movement)
-    // ------------------------------------------------------------------
-
-    fn storage_addr(&self, server: usize) -> Result<ProcessId> {
-        self.addrs
-            .storage
-            .get(server)
-            .copied()
-            .ok_or_else(|| Error::Internal(format!("no storage server {server}")))
-    }
-
-    // ------------------------------------------------------------------
-    // Replication routing
+    // Group routing
     //
-    // On a cluster booted with replication, `server` indexes *groups*;
-    // the directory's epoch-numbered map says which physical server
-    // currently leads each group. Mutations go to the primary with one
-    // opnum for the whole retry loop — the servers' reply caches dedup by
-    // `(client, opnum)`, so a re-send after a timeout or a failover can
-    // never double-apply. Reads are served by any in-sync member (every
-    // member is in sync: the primary ships before acking).
+    // `server` indexes storage *groups*; the directory's epoch-numbered
+    // map says which physical server currently leads each. At R = 1 every
+    // group has one member, and the boot map never changes. Mutations go
+    // to the primary with one opnum for the whole retry loop — the
+    // servers' reply caches dedup by `(client, opnum)`, so a re-send
+    // after a timeout or a failover can never double-apply. Reads are
+    // served by any in-sync member (every member is in sync: the primary
+    // ships before acking).
     // ------------------------------------------------------------------
 
-    /// The cached group map, fetched lazily. `None` on clusters without a
-    /// directory (replication = 1): callers fall back to direct addressing.
-    fn group_map(&self) -> Result<Option<GroupMap>> {
-        let Some(dir) = self.addrs.directory else { return Ok(None) };
-        let mut cached = self.groups.lock();
-        if cached.is_none() {
-            *cached = Some(self.fetch_group_map(dir)?);
-        }
-        Ok(cached.clone())
+    /// The map this client currently routes by.
+    fn group_map(&self) -> Arc<GroupMap> {
+        Arc::clone(&self.groups.lock())
     }
 
-    /// Force-refresh the cached map from the directory.
-    fn refresh_group_map(&self) -> Result<GroupMap> {
-        let dir = self
-            .addrs
-            .directory
-            .ok_or_else(|| Error::Internal("cluster has no group directory".into()))?;
-        let map = self.fetch_group_map(dir)?;
-        *self.groups.lock() = Some(map.clone());
+    /// Fetch the directory's current map and route by it from now on.
+    fn refresh_group_map(&self) -> Result<Arc<GroupMap>> {
+        let map = match self.rpc().call(self.addrs.directory, RequestBody::GetGroupMap)? {
+            ReplyBody::GroupMapReply(map) => Arc::new(map),
+            other => return Err(unexpected(other)),
+        };
+        *self.groups.lock() = Arc::clone(&map);
         Ok(map)
     }
 
-    fn fetch_group_map(&self, dir: ProcessId) -> Result<GroupMap> {
-        match self.rpc().call(dir, RequestBody::GetGroupMap)? {
-            ReplyBody::GroupMapReply(map) => Ok(map),
-            other => Err(unexpected(other)),
+    /// The failover loop's verdict on a retryable failure `e` in a group
+    /// of `members`: `Err` ends the operation, `Ok` re-sends after the
+    /// back-off. `ServerBusy` is back-pressure, not stale routing: it
+    /// waits the same back-off at every group size and keeps the map.
+    /// Any other failure re-sends only while the group has another member
+    /// to fail over to, and first fetches a fresh map — so a group of one
+    /// returns the error at once and never contacts the directory.
+    fn fail_over(
+        &self,
+        e: Error,
+        members: usize,
+        started: Instant,
+        backoff: &mut Duration,
+        map: &mut Arc<GroupMap>,
+        trace: &mut lwfs_obs::OpTrace<'_>,
+    ) -> Result<()> {
+        let busy = matches!(e, Error::ServerBusy);
+        if !busy && members < 2 {
+            return Err(e);
         }
+        if started.elapsed() >= FAILOVER_DEADLINE {
+            return Err(Error::RetriesExhausted);
+        }
+        std::thread::sleep(*backoff);
+        *backoff = (*backoff * 2).min(Duration::from_millis(10));
+        if !busy {
+            // A directory hiccup is itself transient: keep the old map
+            // and retry.
+            if let Ok(fresh) = self.refresh_group_map() {
+                *map = fresh;
+            }
+            trace.stage("map_refresh");
+        }
+        Ok(())
     }
 
-    /// How many storage targets the `server` argument of a data call can
-    /// name: replication groups on a cluster with a directory, physical
-    /// servers otherwise. Placement (`rank % targets`) belongs here, not
-    /// on [`storage_count`](Self::storage_count).
-    pub fn storage_targets(&self) -> Result<usize> {
-        Ok(match self.group_map()? {
-            Some(map) => map.groups.len(),
-            None => self.addrs.storage.len(),
-        })
+    /// How many storage groups the `server` argument of a data call can
+    /// name. Placement (`rank % targets`) belongs here, not on
+    /// [`storage_count`](Self::storage_count), which counts physical
+    /// servers.
+    pub fn storage_targets(&self) -> usize {
+        self.group_map().groups.len()
     }
 
     /// The process a two-phase commit names for work done on storage
-    /// target `server` — 2PC addresses processes, not groups, so on a
-    /// replicated cluster this is the group's current primary per the
-    /// cached map. Resolve it after the transaction's own data calls: a
-    /// failover they rode through has refreshed the map by then.
+    /// target `server` — 2PC addresses processes, not groups, so this is
+    /// the group's current primary per the routing map. Resolve it after
+    /// the transaction's own data calls: a failover they rode through has
+    /// refreshed the map by then.
     pub fn txn_participant(&self, server: usize) -> Result<ProcessId> {
-        let Some(map) = self.group_map()? else { return self.storage_addr(server) };
-        group(&map, server)?.primary().ok_or(Error::Unreachable)
+        group(&self.group_map(), server)?.primary().ok_or(Error::Unreachable)
     }
 
     /// Route a mutation to the primary of group `server`, transparently
-    /// failing over: on a timeout, an unreachable primary, or a
-    /// `NotPrimary` rejection the map is refreshed and the *same request*
-    /// (same opnum) is re-sent to the current primary, until the failover
-    /// deadline converts the transients into `RetriesExhausted`. The
-    /// signed capability token rides the request envelope (empty =
+    /// failing over (see [`fail_over`](Self::fail_over)): the *same
+    /// request* (same opnum) is re-sent until it is answered or the
+    /// failover deadline converts the transients into `RetriesExhausted`.
+    /// The signed capability token rides the request envelope (empty =
     /// legacy, no token).
     fn storage_mutate_with_token(
         &self,
@@ -316,10 +319,7 @@ impl LwfsClient {
         body: RequestBody,
         token: Bytes,
     ) -> Result<ReplyBody> {
-        let Some(mut map) = self.group_map()? else {
-            return self.rpc().call_retrying_with_token(self.storage_addr(server)?, body, token);
-        };
-        let opnum = OpNum(self.opnum.fetch_add(1, Ordering::Relaxed));
+        let opnum = self.ep.next_opnum();
         // The whole retry loop re-sends one `(reply_to, opnum)` pair, so
         // its request id — and therefore the distributed trace id every
         // server joins — is known up front. Tracing the loop under that id
@@ -329,43 +329,21 @@ impl LwfsClient {
         let mut trace = self.ep.obs().trace(req_id, "client.mutate").on_node(self.ep.id().nid.0);
         let started = Instant::now();
         let mut backoff = Duration::from_micros(200);
+        let mut map = self.group_map();
         loop {
-            let primary = group(&map, server)?.primary();
-            let outcome = match primary {
-                // An empty group (every member dead) is a transient state
-                // from the client's perspective: keep polling the map.
+            let g = group(&map, server)?;
+            let members = g.members.len();
+            let outcome = match g.primary() {
+                // An empty group (every member dead) has nobody to send to.
                 None => Err(Error::Unreachable),
                 Some(target) => self.send_once(target, opnum, &body, map.epoch, &token),
             };
             trace.stage("send");
             match outcome {
-                Ok(reply) => {
-                    trace.finish();
-                    return Ok(reply);
+                Err(e) if retryable(&e) => {
+                    self.fail_over(e, members, started, &mut backoff, &mut map, &mut trace)?
                 }
-                Err(
-                    e @ (Error::Timeout
-                    | Error::Unreachable
-                    | Error::NotPrimary
-                    | Error::ServerBusy),
-                ) => {
-                    if started.elapsed() >= FAILOVER_DEADLINE {
-                        return Err(Error::RetriesExhausted);
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(10));
-                    // ServerBusy is back-pressure, not stale routing; all
-                    // other transients warrant a fresh map. A directory
-                    // hiccup is itself transient: keep the old map and
-                    // retry.
-                    if !matches!(e, Error::ServerBusy) {
-                        if let Ok(fresh) = self.refresh_group_map() {
-                            map = fresh;
-                        }
-                        trace.stage("map_refresh");
-                    }
-                }
-                Err(e) => return Err(e),
+                other => return other,
             }
         }
     }
@@ -399,9 +377,9 @@ impl LwfsClient {
     }
 
     /// Route a read-only operation to any live member of group `server`,
-    /// preferring the primary and falling back across the backups; a full
-    /// sweep of failures refreshes the map and tries again until the
-    /// failover deadline.
+    /// preferring the primary and falling back across the backups; a
+    /// sweep that fails on every member is retried as
+    /// [`fail_over`](Self::fail_over) decides.
     ///
     /// Every probe is stamped with the map epoch: a backup that was
     /// dropped from the group (and so never saw the epoch advance) fences
@@ -413,13 +391,10 @@ impl LwfsClient {
         body: RequestBody,
         token: Bytes,
     ) -> Result<ReplyBody> {
-        let Some(mut map) = self.group_map()? else {
-            return self.rpc().call_retrying_with_token(self.storage_addr(server)?, body, token);
-        };
         // Each probe allocates a fresh opnum (reads are never deduped), so
         // the sweep has no single wire-level request id; the trace anchors
         // on a reserved opnum of its own and stays client-local.
-        let anchor = OpNum(self.opnum.fetch_add(1, Ordering::Relaxed));
+        let anchor = self.ep.next_opnum();
         let mut trace = self
             .ep
             .obs()
@@ -427,35 +402,36 @@ impl LwfsClient {
             .on_node(self.ep.id().nid.0);
         let started = Instant::now();
         let mut backoff = Duration::from_micros(200);
+        let mut map = self.group_map();
         loop {
-            let members = group(&map, server)?.members.clone();
-            for member in members {
-                let opnum = OpNum(self.opnum.fetch_add(1, Ordering::Relaxed));
-                let outcome = self.send_once(member, opnum, &body, map.epoch, &token);
+            let members = &group(&map, server)?.members;
+            // The sweep's verdict: a routing failure on any member outranks
+            // back-pressure on the others.
+            let mut failure = None;
+            for &member in members {
+                let outcome =
+                    self.send_once(member, self.ep.next_opnum(), &body, map.epoch, &token);
                 trace.stage("probe");
                 match outcome {
-                    Err(
-                        Error::Timeout | Error::Unreachable | Error::ServerBusy | Error::NotPrimary,
-                    ) => continue,
-                    other => {
-                        trace.finish();
-                        return other;
+                    Err(e) if retryable(&e) => {
+                        if failure.is_none() || !matches!(e, Error::ServerBusy) {
+                            failure = Some(e);
+                        }
                     }
+                    other => return other,
                 }
             }
-            if started.elapsed() >= FAILOVER_DEADLINE {
-                return Err(Error::RetriesExhausted);
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(10));
-            if let Ok(fresh) = self.refresh_group_map() {
-                map = fresh;
-            }
-            trace.stage("map_refresh");
+            let failure = failure.unwrap_or(Error::Unreachable);
+            let members = members.len();
+            self.fail_over(failure, members, started, &mut backoff, &mut map, &mut trace)?;
         }
     }
 
-    /// Create an object on storage server `server`.
+    // ------------------------------------------------------------------
+    // Object I/O (Figure 8: CREATEOBJ / DUMPSTATE; §3.2 data movement)
+    // ------------------------------------------------------------------
+
+    /// Create an object on storage group `server`.
     pub fn create_obj(
         &self,
         server: usize,

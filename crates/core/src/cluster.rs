@@ -10,13 +10,16 @@
 //! | 1001       | authorization server                               |
 //! | 1002       | naming server (client-extension service)           |
 //! | 1003       | transaction-id / lock server (client extension)    |
-//! | 1004       | replication group directory (replication > 1 only) |
+//! | 1004       | replication group directory                        |
+//! | 1005       | cluster monitor ([`MONITOR_NID`])                  |
+//! | 1006       | PFS baseline's metadata server ([`PFS_MDS_NID`])   |
 //! | 1100..     | storage servers (one per simulated I/O node)       |
 //!
 //! The recipe is a set of functions of [`ClusterConfig`]: the node table
 //! ([`ClusterConfig::service_nodes`], [`ClusterConfig::addrs`]), each
 //! storage server ([`ClusterConfig::spawn_storage`]), the authorization
-//! service, the KDC and the directory's group map.
+//! service, the KDC and the directory's boot map
+//! ([`ClusterAddrs::group_map`]).
 //! [`LwfsCluster::boot`] (both transports), [`ProcessCluster`] and the
 //! `lwfs-node` binary all build their services from it, so the three
 //! flavors cannot drift apart.
@@ -68,6 +71,10 @@ const AUTHZ_NID: u32 = 1001;
 const NAMING_NID: u32 = 1002;
 const TXNLOCK_NID: u32 = 1003;
 const DIRECTORY_NID: u32 = 1004;
+/// The [`ClusterMonitor`](crate::ClusterMonitor)'s own endpoint.
+pub const MONITOR_NID: u32 = 1005;
+/// The PFS baseline's metadata server, layered beside the LWFS services.
+pub const PFS_MDS_NID: u32 = 1006;
 const STORAGE_NID: u32 = 1100;
 
 /// Well-known service addresses for a booted cluster.
@@ -80,24 +87,32 @@ pub struct ClusterAddrs {
     /// Every *physical* storage server, group-major: with replication `R`,
     /// group `g` is `storage[g*R .. (g+1)*R]` at boot.
     pub storage: Vec<ProcessId>,
-    /// The replication group directory, present only when the cluster was
-    /// booted with `replication > 1`. Clients with a directory route data
-    /// operations by *group index* through the published [`GroupMap`].
-    pub directory: Option<ProcessId>,
+    /// The replication group directory, which every cluster runs. It
+    /// publishes the epoch-numbered [`GroupMap`]; clients start from the
+    /// boot map ([`group_map`](Self::group_map)) and ask the directory
+    /// only after a routing failure in a group with another member.
+    pub directory: ProcessId,
+    /// Members per group (`R`), from the recipe.
+    pub(crate) group_size: usize,
 }
 
 impl ClusterAddrs {
+    /// The boot map: each group's members, head first, at epoch 1. The
+    /// directory starts from it and every client routes by it until a
+    /// failover tells it otherwise.
+    pub fn group_map(&self) -> GroupMap {
+        GroupMap::grouped(&self.storage, self.group_size)
+    }
+
     /// Scrape targets for a [`ClusterMonitor`](crate::ClusterMonitor):
     /// every storage server, the naming and authorization services, and
-    /// the group directory when present. (The authentication and
-    /// txn-lock services answer `GetTelemetry` too, but every service of
-    /// a cluster shares one registry, so the list stays the set the
-    /// monitor's output has always reported on.)
+    /// the group directory. (The authentication and txn-lock services
+    /// answer `GetTelemetry` too, but every service of a cluster shares
+    /// one registry, so the list stays the set the monitor's output has
+    /// always reported on.)
     pub fn monitor_targets(&self) -> Vec<ProcessId> {
         let mut targets = self.storage.clone();
-        targets.push(self.naming);
-        targets.push(self.authz);
-        targets.extend(self.directory);
+        targets.extend([self.naming, self.authz, self.directory]);
         targets
     }
 }
@@ -109,7 +124,7 @@ pub enum Role {
     Authz,
     Naming,
     TxnLock,
-    /// The replication group directory (replication > 1 only).
+    /// The replication group directory (every deployment runs one).
     Directory,
     /// Physical storage server `i`, a member of group `i / R`.
     Storage(usize),
@@ -152,17 +167,17 @@ impl TransportKind {
 
 /// Cluster bootstrap configuration.
 pub struct ClusterConfig {
-    /// Number of storage servers (the paper's dev cluster ran 2–16). With
-    /// `replication > 1` this is the number of *groups*; the cluster boots
-    /// `storage_servers × replication` physical servers.
+    /// Number of storage *groups* (the paper's dev cluster ran 2–16
+    /// servers); the cluster boots `storage_servers × replication`
+    /// physical servers.
     pub storage_servers: usize,
-    /// Replication factor `R` per storage group. `1` (the default) is
-    /// today's standalone behavior: no directory service, no shipping.
-    /// With `R > 1` each group's primary ships every mutation's WAL
-    /// records to its `R-1` backups before acking, the group directory
-    /// (nid 1004) publishes the epoch-numbered member map, and
-    /// [`LwfsCluster::crash_storage`] promotes the senior backup when a
-    /// primary dies.
+    /// Replication factor `R` per storage group. Every group's primary
+    /// ships each mutation's WAL records to its `R-1` backups before
+    /// acking, the group directory (nid 1004) publishes the
+    /// epoch-numbered member map, and [`LwfsCluster::crash_storage`]
+    /// promotes the most caught-up backup when a primary dies. `1` (the
+    /// default) is a group of one: a primary with no backups, which ships
+    /// nothing and whose crash leaves the map as it was.
     pub replication: usize,
     /// Per-storage-server configuration.
     pub storage: StorageConfig,
@@ -211,8 +226,8 @@ impl ClusterConfig {
         self.replication.max(1)
     }
 
-    /// Every service address: the fixed services, the directory when
-    /// `R > 1`, and `groups × R` storage servers, group-major.
+    /// Every service address: the fixed services, the directory, and
+    /// `groups × R` storage servers, group-major.
     pub fn addrs(&self) -> ClusterAddrs {
         let id = |nid: u32| ProcessId::new(nid, 0);
         let physical = self.storage_servers * self.group_size();
@@ -222,7 +237,8 @@ impl ClusterConfig {
             naming: id(NAMING_NID),
             txnlock: id(TXNLOCK_NID),
             storage: (0..physical).map(|i| id(STORAGE_NID + i as u32)).collect(),
-            directory: (self.group_size() > 1).then(|| id(DIRECTORY_NID)),
+            directory: id(DIRECTORY_NID),
+            group_size: self.group_size(),
         }
     }
 
@@ -235,18 +251,18 @@ impl ClusterConfig {
             (a.authz.nid.0, Role::Authz),
             (a.naming.nid.0, Role::Naming),
             (a.txnlock.nid.0, Role::TxnLock),
+            (a.directory.nid.0, Role::Directory),
         ];
-        nodes.extend(a.directory.map(|d| (d.nid.0, Role::Directory)));
         nodes.extend(a.storage.iter().enumerate().map(|(i, s)| (s.nid.0, Role::Storage(i))));
         nodes
     }
 
     /// Storage server `i`'s configuration: the shared [`StorageConfig`]
     /// logging to its own WAL subdirectory (`srv<i>`), so a restart
-    /// replays exactly that server's history; under replication, its
-    /// place in group `i / R` (the first member leads, the rest back it
-    /// up); under signed caps, the issuer's public key and, replicated, a
-    /// ship token bound to its own nid.
+    /// replays exactly that server's history; its place in group `i / R`
+    /// (the first member leads, the rest back it up — at `R = 1` a
+    /// primary with no backups); under signed caps, the issuer's public
+    /// key and, with backups, a ship token bound to its own nid.
     fn storage_config(&self, i: usize) -> StorageConfig {
         let r = self.group_size();
         let addrs = self.addrs();
@@ -255,21 +271,18 @@ impl ClusterConfig {
         if let Some(wal) = &mut config.wal {
             wal.dir = wal.dir.join(format!("srv{i}"));
         }
-        if r > 1 {
-            let head = i - i % r;
-            let members = &addrs.storage[head..head + r];
-            let replica = if i == head {
-                ReplicaConfig::primary(group, members[1..].to_vec())
-            } else {
-                // A backup accepts ships only from its group's head.
-                ReplicaConfig::backup(group, members[0])
-            }
-            .with_directory(ProcessId::new(DIRECTORY_NID, 0));
-            config.replica = Some(match self.ship_deadline {
-                Some(deadline) => replica.with_ship_deadline(deadline),
-                None => replica,
-            });
-        }
+        let head = i - i % r;
+        let members = &addrs.storage[head..head + r];
+        let replica = if i == head {
+            ReplicaConfig::primary(group, members[1..].to_vec(), addrs.directory)
+        } else {
+            // A backup accepts ships only from its group's head.
+            ReplicaConfig::backup(group, members[0], addrs.directory)
+        };
+        config.replica = match self.ship_deadline {
+            Some(deadline) => replica.with_ship_deadline(deadline),
+            None => replica,
+        };
         if self.cap_mode.signed() {
             let issuer = CapIssuer::from_cluster_seed(CAP_SEED);
             // Each replicated member gets a group-scoped token bound to
@@ -333,11 +346,6 @@ impl ClusterConfig {
         }
         Arc::new(kdc)
     }
-
-    /// The directory's initial map: each group's members, head first.
-    pub fn group_map(&self) -> GroupMap {
-        GroupMap::grouped(&self.addrs().storage, self.group_size())
-    }
 }
 
 /// Bind a loopback listener per service node and record each address in a
@@ -400,14 +408,14 @@ pub struct LwfsCluster {
     namespace: Arc<Namespace>,
     locks: Arc<LockTable>,
     storage_servers: Vec<Option<Arc<StorageServer>>>,
-    /// Control-plane handle on the group directory (replication > 1).
-    directory: Option<DirectoryHandle>,
+    /// Control-plane handle on the group directory.
+    directory: DirectoryHandle,
     // Handles last: dropped (and joined) after the shared state above.
     _auth: ServiceHandle,
     _authz: ServiceHandle,
     _naming: ServiceHandle,
     _txnlock: ServiceHandle,
-    _directory: Option<ServiceHandle>,
+    _directory: ServiceHandle,
     _storage: Vec<Option<ServiceHandle>>,
     /// Socket fabrics (tcp transport only), shut down explicitly on drop:
     /// a fabric and its network hold each other, so waiting for refcounts
@@ -481,12 +489,11 @@ impl LwfsCluster {
                 (Some(h), Some(s))
             })
             .unzip();
-        // Spawned only under replication, so a plain cluster keeps exactly
-        // its historical endpoint census.
-        let (directory_handle, directory) = addrs
-            .directory
-            .map(|id| lwfs_replica::spawn_directory(&net_for(id), id, config.group_map()))
-            .unzip();
+        let (directory_handle, directory) = lwfs_replica::spawn_directory(
+            &net_for(addrs.directory),
+            addrs.directory,
+            addrs.group_map(),
+        );
 
         LwfsCluster {
             net,
@@ -604,15 +611,16 @@ impl LwfsCluster {
 
     /// Replication control plane: after `dead` left the fabric, elect the
     /// most caught-up surviving backup (if the dead server led) or shrink
-    /// the group (if it backed), then publish the bumped map. No-op
-    /// without replication or when the server was already out of the map.
+    /// the group (if it backed), then publish the bumped map. No-op when
+    /// the server was already out of the map, and for a group of one,
+    /// which has no member to promote.
     fn repair_group(&self, dead: ProcessId) {
-        let Some(dir) = &self.directory else { return };
+        let dir = &self.directory;
         let mut map = dir.snapshot();
         let Some(group) = map.group_of(dead) else { return };
         // Control-plane decisions are journaled under the directory's nid:
         // it is the node whose published map makes them visible.
-        let dir_nid = self.addrs.directory.map_or(0, |d| d.nid.0);
+        let dir_nid = self.addrs.directory.nid.0;
         let events = self.net.obs().events();
         if map.groups[group].primary() == Some(dead) {
             // Election is sync-aware: promoting by seniority alone could
@@ -627,7 +635,7 @@ impl LwfsCluster {
                 .backups()
                 .iter()
                 .filter_map(|&b| {
-                    let repl = self.server_by_id(b)?.replica()?;
+                    let repl = self.server_by_id(b)?.replica();
                     Some((repl.epoch(), repl.applied_seq(), b))
                 })
                 .collect();
@@ -708,21 +716,24 @@ impl LwfsCluster {
         self.storage_servers[idx].as_ref()
     }
 
-    /// The directory's current group map (replication > 1 only).
-    pub fn group_map(&self) -> Option<lwfs_proto::GroupMap> {
-        self.directory.as_ref().map(|d| d.snapshot())
+    /// The directory's current group map.
+    pub fn group_map(&self) -> GroupMap {
+        self.directory.snapshot()
     }
 
     /// Restart a crashed storage server in the same network slot, with the
     /// per-server configuration the recipe gives it. With a WAL configured the new
     /// instance recovers its predecessor's acknowledged state before it
-    /// starts serving; without one it comes back empty.
+    /// starts serving; without one it comes back empty. Only a group of one
+    /// can restart a member: its map never changed, so the restarted
+    /// primary serves at the epoch its clients already route by.
     ///
     /// # Panics
-    /// Panics if the server is still running — crash it first.
+    /// Panics if the server is still running — crash it first — or if its
+    /// group has more than one member.
     pub fn restart_storage(&mut self, idx: usize) -> &Arc<StorageServer> {
         assert!(
-            self.directory.is_none(),
+            self.addrs.group_size == 1,
             "restart_storage is only supported without replication: a replicated \
              group heals by promotion, and a restarted stale member would need \
              re-synchronization this build does not implement"
@@ -774,8 +785,8 @@ mod tests {
     #[test]
     fn cluster_boots_all_services() {
         let cluster = LwfsCluster::boot(ClusterConfig { storage_servers: 3, ..Default::default() });
-        // auth + authz + naming + txnlock + 3 storage endpoints.
-        assert_eq!(cluster.network().endpoint_count(), 7);
+        // auth + authz + naming + txnlock + directory + 3 storage endpoints.
+        assert_eq!(cluster.network().endpoint_count(), 8);
         assert_eq!(cluster.addrs().storage.len(), 3);
         assert_eq!(cluster.storage_count(), 3);
     }
@@ -795,11 +806,11 @@ mod tests {
         cluster.crash_storage(1);
         assert!(!cluster.storage_alive(1));
         // The endpoint is gone from the fabric …
-        assert_eq!(cluster.network().endpoint_count(), 5);
+        assert_eq!(cluster.network().endpoint_count(), 6);
         // … and comes back in the same slot on restart.
         cluster.restart_storage(1);
         assert!(cluster.storage_alive(1));
-        assert_eq!(cluster.network().endpoint_count(), 6);
+        assert_eq!(cluster.network().endpoint_count(), 7);
     }
 
     #[test]
@@ -882,9 +893,12 @@ mod tests {
                 let directory = ProcessId::new(1004, 0);
                 let addrs = config.addrs();
                 assert_eq!(addrs.storage, storage, "{case}: group-major from nid 1100");
-                assert_eq!(addrs.directory, (r > 1).then_some(directory), "{case}");
+                assert_eq!(addrs.directory, directory, "{case}");
                 let nodes = config.service_nodes();
-                assert_eq!(nodes.contains(&(1004, Role::Directory)), r > 1, "{case}");
+                assert!(nodes.contains(&(1004, Role::Directory)), "{case}");
+                let map = addrs.group_map();
+                assert_eq!(map.epoch, 1, "{case}");
+                assert_eq!(map.groups.len(), groups, "{case}");
 
                 for (i, &sid) in storage.iter().enumerate() {
                     assert!(nodes.contains(&(sid.nid.0, Role::Storage(i))), "{case}: node {i}");
@@ -892,20 +906,20 @@ mod tests {
                     let wal_dir = &sc.wal.as_ref().unwrap().dir;
                     assert_eq!(*wal_dir, std::path::Path::new("wal").join(format!("srv{i}")));
 
+                    // At R = 1 every member leads a group of one: a
+                    // primary with no backups.
                     let group = &storage[i - i % r..i - i % r + r];
-                    match &sc.replica {
-                        None => assert_eq!(r, 1, "{case}: member {i} has no replica role"),
-                        Some(rc) => {
-                            assert_eq!(rc.group as usize, i / r, "{case}: member {i}");
-                            assert_eq!(rc.directory, Some(directory), "{case}: member {i}");
-                            if i % r == 0 {
-                                let want = ReplicaRole::Primary { backups: group[1..].to_vec() };
-                                assert_eq!(rc.role, want, "{case}: member {i}");
-                            } else {
-                                assert_eq!(rc.role, ReplicaRole::Backup, "{case}: member {i}");
-                                assert_eq!(rc.primary, Some(group[0]), "{case}: member {i}");
-                            }
-                        }
+                    assert_eq!(map.groups[i / r].members, group, "{case}: member {i}");
+                    let rc = &sc.replica;
+                    assert_eq!(rc.group as usize, i / r, "{case}: member {i}");
+                    assert_eq!(rc.directory, directory, "{case}: member {i}");
+                    if i % r == 0 {
+                        let want = ReplicaRole::Primary { backups: group[1..].to_vec() };
+                        assert_eq!(rc.role, want, "{case}: member {i}");
+                        assert_eq!(rc.primary, None, "{case}: member {i}");
+                    } else {
+                        assert_eq!(rc.role, ReplicaRole::Backup, "{case}: member {i}");
+                        assert_eq!(rc.primary, Some(group[0]), "{case}: member {i}");
                     }
 
                     assert_eq!(sc.signed.is_some(), cap_mode.signed(), "{case}: member {i}");

@@ -34,9 +34,10 @@ pub mod proc;
 
 pub use caps::CapSet;
 pub use client::LwfsClient;
-pub use cluster::{ClusterAddrs, ClusterConfig, LwfsCluster, TransportKind};
+pub use cluster::{
+    ClusterAddrs, ClusterConfig, LwfsCluster, TransportKind, MONITOR_NID, PFS_MDS_NID,
+};
 pub use monitor::{
     default_rules, AlertState, ClusterMonitor, Condition, HealthRule, MonitorConfig, TargetHealth,
-    MONITOR_NID,
 };
 pub use proc::ProcessCluster;

@@ -58,8 +58,7 @@ use lwfs_portals::{Network, RpcClient};
 use lwfs_proto::{FlightTrace, ProcessId, ReplyBody, RequestBody, TelemetrySnapshot};
 use parking_lot::Mutex;
 
-/// The monitor's node id: in the service partition, after the directory.
-pub const MONITOR_NID: u32 = 1005;
+use crate::cluster::MONITOR_NID;
 
 /// What a [`HealthRule`] tests against each completed window.
 #[derive(Debug, Clone, PartialEq)]
@@ -487,7 +486,7 @@ impl ClusterMonitor {
                 // signal), not stall the tick and stretch every window.
                 // Storage answers scrapes from its dispatcher, so a healthy
                 // node replies well inside even one polling interval.
-                let client = RpcClient::shared(&ep).configured(&lwfs_portals::RpcConfig {
+                let client = RpcClient::new(&ep).configured(&lwfs_portals::RpcConfig {
                     reply_timeout: thread_inner.config.interval.max(Duration::from_millis(5)),
                     ..Default::default()
                 });

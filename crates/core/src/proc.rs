@@ -5,8 +5,8 @@
 //! [`ProcessCluster`] goes the rest of the way: it allocates a loopback
 //! port per service node, writes the [`Manifest`], and spawns one
 //! `lwfs-node` child process per node of the recipe's node table —
-//! authentication, authorization, naming, txn/lock, the group directory
-//! (under replication), and every storage server. The launcher itself
+//! authentication, authorization, naming, txn/lock, the group directory,
+//! and every storage server. The launcher itself
 //! keeps only a compute-side network + fabric, from which
 //! [`client`](ProcessCluster::client) handles are built; every protocol
 //! round trip crosses a process boundary over TCP.

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lwfs_core::{ClusterConfig, LwfsCluster};
+use lwfs_core::{ClusterConfig, LwfsCluster, PFS_MDS_NID};
 use lwfs_portals::ServiceHandle;
 use lwfs_proto::{ContainerId, OpMask, PrincipalId, ProcessId};
 use lwfs_txn::{LockTable, TxnLockServer};
@@ -61,7 +61,7 @@ impl PfsCluster {
         let caps =
             lwfs.authz_service().get_caps(&cred, container, OpMask::ALL).expect("mds capabilities");
 
-        let mds_id = ProcessId::new(1004, 0);
+        let mds_id = ProcessId::new(PFS_MDS_NID, 0);
         let (mds_handle, mds_stats) = MdsServer::spawn(
             lwfs.network(),
             mds_id,

@@ -57,6 +57,24 @@ fn stripes_actually_distribute_across_osts() {
 }
 
 #[test]
+fn files_created_back_to_back_hold_disjoint_ost_objects() {
+    // The MDS issues each file's OST creates from its one endpoint. The
+    // OST reply-caches mutations by `(origin, opnum)`, so were the opnums
+    // to restart per file, the second file's creates would be answered
+    // with the first file's object ids.
+    let cluster = boot(1);
+    let client = cluster.client(0, 0);
+    let mut a = client.create("/a", 2, 1024, OpenMode::Private).unwrap();
+    let mut b = client.create("/b", 2, 1024, OpenMode::Private).unwrap();
+    let objects = cluster.lwfs().storage_server(0).store().object_count();
+    assert_eq!(objects, 4, "two 2-stripe files hold four OST objects");
+    client.write(&mut a, 0, &[0xAA; 2048]).unwrap();
+    client.write(&mut b, 0, &[0xBB; 2048]).unwrap();
+    assert_eq!(client.read(&a, 0, 2048).unwrap(), [0xAA; 2048]);
+    assert_eq!(client.read(&b, 0, 2048).unwrap(), [0xBB; 2048]);
+}
+
+#[test]
 fn duplicate_create_and_missing_open() {
     let cluster = boot(2);
     let client = cluster.client(0, 0);

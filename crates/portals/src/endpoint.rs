@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use lwfs_proto::{Error, ProcessId, Result};
+use lwfs_proto::{Error, OpNum, ProcessId, Result};
 
 use crate::buffer::MemDesc;
 use crate::event::Event;
@@ -62,14 +62,14 @@ impl Endpoint {
         MatchBitsAlloc { counter: &self.net.match_alloc }
     }
 
-    /// This endpoint's shared operation-number allocator.
+    /// Draw the next operation number from this endpoint's allocator.
     ///
-    /// Threads sharing one endpoint (e.g. a storage server's worker pool)
-    /// each build an RPC client around this counter so that operation
-    /// numbers are unique endpoint-wide and a reply can only ever match
-    /// the call that issued it.
-    pub fn opnum_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.state.opnums)
+    /// Every caller on one endpoint — each [`RpcClient`](crate::RpcClient)
+    /// built over it, from any thread, and a client's own retry loops —
+    /// draws here, so an opnum never repeats on the endpoint: a reply can
+    /// only ever match the call that issued it.
+    pub fn next_opnum(&self) -> OpNum {
+        OpNum(self.state.opnums.fetch_add(1, Ordering::Relaxed))
     }
 
     // ------------------------------------------------------------------

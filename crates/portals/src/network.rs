@@ -74,11 +74,9 @@ pub(crate) struct EndpointState {
     pub cond: Condvar,
     pub capacity: usize,
     pub mds: Mutex<HashMap<u64, MemDesc>>,
-    /// Endpoint-wide operation-number allocator. Every RPC client built
-    /// over this endpoint with [`crate::RpcClient::shared`] draws from it,
-    /// so concurrent calls from several threads of one process can never
-    /// collide on an opnum (and therefore never cross-match replies).
-    pub opnums: Arc<AtomicU64>,
+    /// Endpoint-wide operation-number allocator
+    /// ([`Endpoint::next_opnum`](crate::Endpoint::next_opnum)).
+    pub opnums: AtomicU64,
 }
 
 impl EndpointState {
@@ -322,7 +320,7 @@ impl Network {
             cond: Condvar::new(),
             capacity: self.inner.config.eager_queue_depth,
             mds: Mutex::new(HashMap::new()),
-            opnums: Arc::new(AtomicU64::new(1)),
+            opnums: AtomicU64::new(1),
         });
         let prev = self.inner.endpoints.write().insert(id, Arc::clone(&state));
         assert!(prev.is_none(), "duplicate endpoint registration for {id}");

@@ -12,12 +12,10 @@
 //! attributes to rejected bursts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use lwfs_proto::{
-    Decode, Encode, Error, OpNum, ProcessId, Reply, ReplyBody, Request, RequestBody, Result,
-    TraceContext,
+    Decode, Encode, Error, ProcessId, Reply, ReplyBody, Request, RequestBody, Result, TraceContext,
 };
 
 use crate::endpoint::Endpoint;
@@ -51,7 +49,6 @@ impl Default for RpcConfig {
 /// Client-side RPC state for one endpoint.
 pub struct RpcClient<'a> {
     ep: &'a Endpoint,
-    next_opnum: Arc<AtomicU64>,
     resends: AtomicU64,
     /// Ambient causal context stamped into every outgoing request. Two
     /// atomics rather than a `Mutex<TraceContext>` so the client stays
@@ -69,33 +66,16 @@ pub struct RpcClient<'a> {
 }
 
 impl<'a> RpcClient<'a> {
+    /// Build a client over `ep`. Opnums come from the endpoint's own
+    /// allocator ([`Endpoint::next_opnum`]), so every client over one
+    /// endpoint — the worker threads of one server, the short-lived
+    /// clients a long-lived handle builds per call — draws distinct ones,
+    /// and a server's `(origin, opnum)` reply cache can never answer a new
+    /// operation with an old one's reply.
     pub fn new(ep: &'a Endpoint) -> Self {
-        Self::with_counter(ep, Arc::new(AtomicU64::new(1)))
-    }
-
-    /// Build a client drawing opnums from the endpoint's shared allocator.
-    ///
-    /// This is the constructor for threads that share one endpoint —
-    /// every `shared` client over the same endpoint allocates from one
-    /// counter, so concurrent calls from a worker pool can never collide
-    /// on an opnum and replies always match the issuing call. (Two plain
-    /// [`new`](Self::new) clients over one endpoint both start at opnum 1
-    /// and *would* cross-match.)
-    pub fn shared(ep: &'a Endpoint) -> Self {
-        Self::with_counter(ep, ep.opnum_counter())
-    }
-
-    /// Build a client around an externally owned opnum counter.
-    ///
-    /// A long-lived client object that constructs short-lived `RpcClient`s
-    /// over the same endpoint shares one counter so that operation numbers
-    /// never repeat — a stale reply from a timed-out call can then never
-    /// match a later call.
-    pub fn with_counter(ep: &'a Endpoint, counter: Arc<AtomicU64>) -> Self {
         let cfg = RpcConfig::default();
         Self {
             ep,
-            next_opnum: counter,
             resends: AtomicU64::new(0),
             trace_id: AtomicU64::new(0),
             parent_req_id: AtomicU64::new(0),
@@ -158,7 +138,7 @@ impl<'a> RpcClient<'a> {
         body: RequestBody,
         token: bytes::Bytes,
     ) -> Result<ReplyBody> {
-        let opnum = OpNum(self.next_opnum.fetch_add(1, Ordering::Relaxed));
+        let opnum = self.ep.next_opnum();
         let req =
             Request::new(opnum, self.ep.id(), body).with_trace(self.trace()).with_token(token);
         let wire = req.to_bytes();
@@ -194,22 +174,12 @@ impl<'a> RpcClient<'a> {
 
     /// Like [`call`](Self::call) but also retrying when the *server logic*
     /// answers `ServerBusy` (its bounded request queue was full after
-    /// transport acceptance). Used by clients of the storage service.
+    /// transport acceptance).
     pub fn call_retrying(&self, server: ProcessId, body: RequestBody) -> Result<ReplyBody> {
-        self.call_retrying_with_token(server, body, bytes::Bytes::new())
-    }
-
-    /// [`call_retrying`](Self::call_retrying) with an envelope token.
-    pub fn call_retrying_with_token(
-        &self,
-        server: ProcessId,
-        body: RequestBody,
-        token: bytes::Bytes,
-    ) -> Result<ReplyBody> {
         let mut backoff = self.backoff;
         let mut attempts = 0u32;
         loop {
-            match self.call_with_token(server, body.clone(), token.clone()) {
+            match self.call(server, body.clone()) {
                 Err(Error::ServerBusy) if attempts < self.max_resends => {
                     attempts += 1;
                     self.resends.fetch_add(1, Ordering::Relaxed);
@@ -385,28 +355,37 @@ mod tests {
     }
 
     #[test]
-    fn shared_clients_draw_from_one_opnum_allocator() {
-        // Worker threads each build their own `RpcClient::shared` over the
-        // server endpoint; the per-endpoint counter guarantees their
-        // concurrent calls can never collide on an opnum (two `new`
-        // clients both start at 1 and would cross-match replies).
+    fn clients_on_one_endpoint_never_repeat_an_opnum() {
+        // Two clients over one endpoint, each built with `new` (as a
+        // server's worker threads and a client handle's per-call clients
+        // are): their interleaved calls carry distinct opnums, so replies
+        // never cross-match and a reply cache keyed by `(origin, opnum)`
+        // never confuses two operations.
         let net = Network::default();
         let ep = net.register(ProcessId::new(0, 0));
-        let c1 = RpcClient::shared(&ep);
-        let c2 = RpcClient::shared(&ep);
-        let drawn: Vec<u64> = (0..6)
-            .map(|i| {
-                let c = if i % 2 == 0 { &c1 } else { &c2 };
-                c.next_opnum.fetch_add(1, Ordering::Relaxed)
-            })
-            .collect();
-        let mut unique = drawn.clone();
+        let server_ep = net.register(ProcessId::new(1, 0));
+        let server_id = server_ep.id();
+        let handle = std::thread::spawn(move || {
+            let srv = RpcServer::new(&server_ep);
+            (0..6)
+                .map(|_| {
+                    let req = srv.next_request(Duration::from_secs(2)).unwrap();
+                    srv.reply(&req, ReplyBody::Pong).unwrap();
+                    req.opnum
+                })
+                .collect::<Vec<_>>()
+        });
+        let c1 = RpcClient::new(&ep);
+        let c2 = RpcClient::new(&ep);
+        for i in 0..6 {
+            let c = if i % 2 == 0 { &c1 } else { &c2 };
+            assert_eq!(c.call(server_id, RequestBody::Ping).unwrap(), ReplyBody::Pong);
+        }
+        let seen = handle.join().unwrap();
+        let mut unique = seen.clone();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), drawn.len(), "interleaved draws never repeat: {drawn:?}");
-        // A plain client keeps its private counter.
-        let private = RpcClient::new(&ep);
-        assert_eq!(private.next_opnum.load(Ordering::Relaxed), 1);
+        assert_eq!(unique.len(), seen.len(), "interleaved calls repeated an opnum: {seen:?}");
     }
 
     #[test]
@@ -469,10 +448,9 @@ mod tests {
             c.call(server_id, RequestBody::Ping)
         });
         std::thread::sleep(Duration::from_millis(10));
-        // Second call: new client struct but same endpoint; opnums must not
-        // collide because they are allocated per client. Use distinct start.
+        // Second call: new client struct but same endpoint; the
+        // endpoint's allocator keeps the two opnums distinct.
         let c2 = RpcClient::new(&client_ep);
-        c2.next_opnum.store(100, Ordering::Relaxed);
         let r2 = c2.call(server_id, RequestBody::Ping).unwrap();
         let r1 = t1.join().unwrap().unwrap();
         assert_eq!(r1, ReplyBody::WriteDone { len: 1 });

@@ -3,9 +3,10 @@
 //!
 //! The directory is the single authority on replication-group membership.
 //! The cluster control plane holds a [`DirectoryHandle`] and publishes a
-//! new map (with a bumped epoch) on every promotion or backup loss;
-//! clients fetch the map lazily — at first use, and again whenever a
-//! request fails in a way that suggests stale routing (`NotPrimary`,
+//! new map (with a bumped epoch) on every promotion or backup loss.
+//! Clients start from the same boot map the directory is seeded with and
+//! fetch the current one only when a request to a group with another
+//! member fails in a way that suggests stale routing (`NotPrimary`,
 //! timeout, unreachable primary).
 //!
 //! This mirrors how the paper's services are composed: membership is just

@@ -62,39 +62,36 @@ pub struct ReplicaConfig {
     pub primary: Option<ProcessId>,
     /// The group directory service a primary reports dropped backups to,
     /// so the published map never keeps naming an out-of-sync member.
-    pub directory: Option<ProcessId>,
+    pub directory: ProcessId,
     /// Total time a primary keeps retrying one `ReplShip` before declaring
     /// the backup dead and continuing without it.
     pub ship_deadline: Duration,
 }
 
 impl ReplicaConfig {
-    pub fn primary(group: u32, backups: Vec<ProcessId>) -> Self {
+    /// Lead `group`, shipping to `backups` (none: a group of one, which
+    /// never ships and so never reports to `directory`).
+    pub fn primary(group: u32, backups: Vec<ProcessId>, directory: ProcessId) -> Self {
         Self {
             group,
             epoch: 1,
             role: ReplicaRole::Primary { backups },
             primary: None,
-            directory: None,
+            directory,
             ship_deadline: Duration::from_secs(2),
         }
     }
 
-    pub fn backup(group: u32, primary: ProcessId) -> Self {
+    /// Back up `group`, accepting ships only from `primary`.
+    pub fn backup(group: u32, primary: ProcessId, directory: ProcessId) -> Self {
         Self {
             group,
             epoch: 1,
             role: ReplicaRole::Backup,
             primary: Some(primary),
-            directory: None,
+            directory,
             ship_deadline: Duration::from_secs(2),
         }
-    }
-
-    /// Set the directory the server reports membership changes to.
-    pub fn with_directory(mut self, directory: ProcessId) -> Self {
-        self.directory = Some(directory);
-        self
     }
 
     /// Override the per-ship total retry budget.
@@ -128,7 +125,7 @@ pub struct ReplicaState {
     /// Reply dedup for client retries and re-shipped batches.
     pub replies: ReplyCache,
     /// The directory to report dropped backups to (primaries only use it).
-    pub directory: Option<ProcessId>,
+    pub directory: ProcessId,
     /// See [`ReplicaConfig::ship_deadline`].
     pub ship_deadline: Duration,
 }
@@ -168,6 +165,12 @@ impl ReplicaState {
 
     pub fn is_backup(&self) -> bool {
         !self.is_primary()
+    }
+
+    /// Whether this replica currently ships to anyone: a primary with at
+    /// least one backup. A group of one never does.
+    pub fn has_backups(&self) -> bool {
+        matches!(&*self.role.read(), ReplicaRole::Primary { backups } if !backups.is_empty())
     }
 
     /// The current ship targets (empty when backup or when every backup
@@ -252,7 +255,7 @@ mod tests {
 
     #[test]
     fn epoch_is_monotonic() {
-        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1)));
+        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1), pid(99)));
         assert_eq!(st.epoch(), 1);
         assert_eq!(st.observe_epoch(5), 5);
         assert_eq!(st.observe_epoch(3), 5, "stale epochs never win");
@@ -261,7 +264,7 @@ mod tests {
 
     #[test]
     fn promotion_swaps_role_and_epoch_atomically() {
-        let st = ReplicaState::new(ReplicaConfig::backup(2, pid(1)));
+        let st = ReplicaState::new(ReplicaConfig::backup(2, pid(1), pid(99)));
         assert!(st.is_backup());
         assert!(st.backups().is_empty());
         assert_eq!(st.known_primary(), Some(pid(1)));
@@ -274,7 +277,7 @@ mod tests {
 
     #[test]
     fn set_primary_retargets_ship_acceptance() {
-        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1)));
+        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1), pid(99)));
         st.set_primary(4, pid(2));
         assert_eq!(st.known_primary(), Some(pid(2)));
         assert_eq!(st.epoch(), 4, "the new leadership epoch is folded in");
@@ -282,17 +285,21 @@ mod tests {
 
     #[test]
     fn drop_backup_shrinks_ship_set() {
-        let st = ReplicaState::new(ReplicaConfig::primary(0, vec![pid(1), pid(2)]));
+        let st = ReplicaState::new(ReplicaConfig::primary(0, vec![pid(1), pid(2)], pid(99)));
         assert!(st.drop_backup(pid(1)));
         assert!(!st.drop_backup(pid(1)), "already gone");
         assert_eq!(st.backups(), vec![pid(2)]);
-        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1)));
+        assert!(st.has_backups());
+        assert!(st.drop_backup(pid(2)));
+        assert!(!st.has_backups(), "a primary whose backups are gone is a group of one");
+        let st = ReplicaState::new(ReplicaConfig::backup(0, pid(1), pid(99)));
         assert!(!st.drop_backup(pid(1)), "backups ship to nobody");
+        assert!(!st.has_backups());
     }
 
     #[test]
     fn lag_tracks_allocated_minus_acked() {
-        let st = ReplicaState::new(ReplicaConfig::primary(0, vec![pid(1)]));
+        let st = ReplicaState::new(ReplicaConfig::primary(0, vec![pid(1)], pid(99)));
         assert_eq!(st.lag(), 0);
         let a = st.alloc_seq();
         let b = st.alloc_seq();

@@ -86,12 +86,12 @@ pub struct StorageConfig {
     /// configuration threads through here instead of per-call-site
     /// constants.
     pub rpc: RpcConfig,
-    /// Replication role, when this server is part of a replicated storage
-    /// group. A primary ships every mutation's WAL records to its backups
-    /// before acknowledging the client; a backup applies shipped records
-    /// and rejects client mutations with [`Error::NotPrimary`]. `None`
-    /// (the default) is a standalone server.
-    pub replica: Option<ReplicaConfig>,
+    /// Replication role within the server's storage group. A primary
+    /// ships every mutation's WAL records to its backups before
+    /// acknowledging the client; a backup applies shipped records and
+    /// rejects client mutations with [`Error::NotPrimary`]. The default is
+    /// a group of one: a primary with no backups, which ships nothing.
+    pub replica: ReplicaConfig,
     /// Self-certifying capability enforcement (`CapMode::Signed`): every
     /// data operation and every inbound ship must carry a signed token.
     /// `None` (the default) is the legacy verify-through-only server.
@@ -122,7 +122,9 @@ impl Default for StorageConfig {
             store: StoreConfig::default(),
             wal: None,
             rpc: RpcConfig::default(),
-            replica: None,
+            // A group of one has no backups to drop, so it never reports
+            // to the directory this names.
+            replica: ReplicaConfig::primary(0, Vec::new(), ProcessId::new(0, 0)),
             signed: None,
         }
     }
@@ -344,8 +346,8 @@ pub struct StorageServer {
     journal: JournalStore<UndoOp>,
     /// The write-ahead log, when durability is configured.
     wal: Option<Wal>,
-    /// Replication role/epoch state, when part of a replicated group.
-    replica: Option<ReplicaState>,
+    /// Replication role/epoch state within the server's group.
+    replica: ReplicaState,
     stats: StorageStats,
     /// The fabric-wide metric registry (shared through the `Network`).
     obs: Arc<Registry>,
@@ -412,11 +414,9 @@ impl StorageServer {
             }
             wal
         });
-        let replica = config.replica.clone().map(ReplicaState::new);
-        if let Some(repl) = &replica {
-            obs.gauge("storage.repl_epoch").set(repl.epoch() as i64);
-            obs.gauge("storage.repl_lag").set(0);
-        }
+        let replica = ReplicaState::new(config.replica.clone());
+        obs.gauge("storage.repl_epoch").set(replica.epoch() as i64);
+        obs.gauge("storage.repl_lag").set(0);
         let signed = config.signed.as_ref().map(|sc| {
             let public = PublicKey::from_bytes(&sc.public_key)
                 .unwrap_or_else(|| panic!("storage server {id}: invalid issuer public key"));
@@ -492,49 +492,35 @@ impl StorageServer {
         self.wal.as_ref().map(|w| w.dir())
     }
 
-    /// Replication state, when this server is part of a replicated group.
-    pub fn replica(&self) -> Option<&ReplicaState> {
-        self.replica.as_ref()
+    /// Replication state within the server's group.
+    pub fn replica(&self) -> &ReplicaState {
+        &self.replica
     }
 
     /// Control-plane promotion: become the group's primary at `epoch`,
-    /// shipping to `backups` from now on. No-op on a standalone server.
-    /// Requests racing the promotion see either the old backup role (and
-    /// are retried by the client) or the new primary role, never both.
+    /// shipping to `backups` from now on. Requests racing the promotion
+    /// see either the old backup role (and are retried by the client) or
+    /// the new primary role, never both.
     pub fn promote(&self, epoch: u64, backups: Vec<ProcessId>) {
-        if let Some(repl) = &self.replica {
-            let prev = repl.epoch();
-            repl.promote(epoch, backups);
-            self.obs.gauge("storage.repl_epoch").set(epoch as i64);
-            self.obs.events().record(
-                self.site.nid.0,
-                "repl.epoch_bump",
-                format!("group {}: epoch {prev} -> {epoch} (promoted to primary)", repl.group()),
-            );
-        }
-    }
-
-    /// Control-plane removal of a dead backup from this primary's ship
-    /// set. Returns whether it was actually a ship target.
-    pub fn drop_backup(&self, id: ProcessId) -> bool {
-        self.replica.as_ref().is_some_and(|repl| repl.drop_backup(id))
+        let prev = self.replica.epoch();
+        self.replica.promote(epoch, backups);
+        self.obs.gauge("storage.repl_epoch").set(epoch as i64);
+        self.obs.events().record(
+            self.site.nid.0,
+            "repl.epoch_bump",
+            format!(
+                "group {}: epoch {prev} -> {epoch} (promoted to primary)",
+                self.replica.group()
+            ),
+        );
     }
 
     /// Control-plane notification that `primary` leads this server's group
     /// from `epoch` on: accept ships only from it. Installed on surviving
     /// backups *before* the new map is published, so the new primary's
-    /// first ship is never refused. No-op on a standalone server.
+    /// first ship is never refused.
     pub fn set_primary(&self, epoch: u64, primary: ProcessId) {
-        if let Some(repl) = &self.replica {
-            repl.set_primary(epoch, primary);
-        }
-    }
-
-    /// This server's highest applied (backup) or fully-acked (primary)
-    /// ship sequence — what the control plane compares across survivors to
-    /// elect the most caught-up member.
-    pub fn applied_seq(&self) -> u64 {
-        self.replica.as_ref().map_or(0, |repl| repl.applied_seq())
+        self.replica.set_primary(epoch, primary);
     }
 
     /// Append `rec` to the write-ahead log (no-op when none is
@@ -542,10 +528,10 @@ impl StorageServer {
     /// before the reply is sent: an operation is acknowledged only once
     /// its record is framed (and, per the sync policy, durable).
     ///
-    /// When this server is a replication primary the record is also
+    /// When this server is a primary with backups the record is also
     /// collected into the request's `recs` buffer so the completed
-    /// mutation can be shipped to the backups — the same bytes the log
-    /// carries — before the client is acked.
+    /// mutation can be shipped to them — the same bytes the log carries —
+    /// before the client is acked.
     ///
     /// Callers whose record carries bulk bytes ask [`logs`](Self::logs)
     /// first and build nothing when nobody would read it.
@@ -554,7 +540,7 @@ impl StorageServer {
             Some(w) => w.append(&rec)?,
             None => AppendTiming::default(),
         };
-        if self.replica.is_some() {
+        if self.replica.has_backups() {
             recs.push(rec);
         }
         Ok(timing)
@@ -562,7 +548,7 @@ impl StorageServer {
 
     /// Whether a mutation's record goes anywhere — a log, a backup, or both.
     fn logs(&self) -> bool {
-        self.wal.is_some() || self.replica.is_some()
+        self.wal.is_some() || self.replica.has_backups()
     }
 
     /// Append a record shipped *to* this backup: log only, no re-ship
@@ -673,7 +659,7 @@ impl StorageServer {
     ) {
         // Workers share the endpoint's opnum allocator so their
         // verify-through RPCs can interleave without reply collisions.
-        let client = RpcClient::shared(ep).configured(&self.config.rpc);
+        let client = RpcClient::new(ep).configured(&self.config.rpc);
         let dispatch = self.obs.histogram("storage.dispatch_ns");
         let worker_dispatch = self.obs.histogram(&format!("storage.worker{idx}.dispatch_ns"));
         let in_flight = self.obs.gauge("storage.in_flight");
@@ -804,65 +790,64 @@ impl StorageServer {
         req: &Request,
         mut trace: Option<&mut OpTrace<'_>>,
     ) -> ReplyBody {
-        if let Some(repl) = &self.replica {
-            if matches!(req.body, RequestBody::ReplShip { .. }) {
-                return self.handle_repl_ship(repl, req, trace);
-            }
-            if replicated_mutation(&req.body) {
-                if repl.is_backup() {
-                    // Mutations go to the primary; the client refreshes its
-                    // group map and re-sends.
-                    return ReplyBody::Err(Error::NotPrimary);
-                }
-                // Epoch fencing, primary side. The client's epoch is
-                // *compared*, never folded in — an `observe_epoch` here
-                // would let one rogue request inflate our epoch and fence
-                // out every honest client; epochs advance only through the
-                // control plane and authenticated ships. A mutation stamped
-                // below our epoch routed on a retired map: refuse it so the
-                // client refreshes. Epoch 0 means "no epoch info"
-                // (transaction coordinators, unreplicated callers) and
-                // always passes.
-                if req.epoch != 0 && req.epoch < repl.epoch() {
-                    return ReplyBody::Err(Error::NotPrimary);
-                }
-                // A retry of a mutation we already acked (the client failed
-                // over, or our ack was lost) is answered from the cache —
-                // never re-applied.
-                if let Some(cached) = repl.replies.get(req.reply_to, req.opnum) {
-                    self.stats.dedup_hits.inc();
-                    if let Ok(body) = decode_reply_body(&cached) {
-                        return body;
-                    }
-                }
-            } else if repl.is_backup() && req.epoch > repl.epoch() {
-                // Read-path fencing on a backup: the client routes by a map
-                // newer than any epoch our primary or the control plane has
-                // shown us. We may be the member that map just dropped
-                // (ships stopped reaching us), so refusing is the only safe
-                // answer — the client's sweep moves on to an in-sync
-                // member instead of reading stale data here.
+        let repl = &self.replica;
+        if matches!(req.body, RequestBody::ReplShip { .. }) {
+            return self.handle_repl_ship(req, trace);
+        }
+        let mutation = replicated_mutation(&req.body);
+        if mutation {
+            if repl.is_backup() {
+                // Mutations go to the primary; the client refreshes its
+                // group map and re-sends.
                 return ReplyBody::Err(Error::NotPrimary);
             }
+            // Epoch fencing, primary side. The client's epoch is
+            // *compared*, never folded in — an `observe_epoch` here
+            // would let one rogue request inflate our epoch and fence
+            // out every honest client; epochs advance only through the
+            // control plane and authenticated ships. A mutation stamped
+            // below our epoch routed on a retired map: refuse it so the
+            // client refreshes. Epoch 0 means "no epoch info"
+            // (transaction coordinators, direct callers) and always
+            // passes.
+            if req.epoch != 0 && req.epoch < repl.epoch() {
+                return ReplyBody::Err(Error::NotPrimary);
+            }
+            // A retry of a mutation we already acked (the client failed
+            // over, or our ack was lost) is answered from the cache —
+            // never re-applied.
+            if let Some(cached) = repl.replies.get(req.reply_to, req.opnum) {
+                self.stats.dedup_hits.inc();
+                if let Ok(body) = decode_reply_body(&cached) {
+                    return body;
+                }
+            }
+        } else if repl.is_backup() && req.epoch > repl.epoch() {
+            // Read-path fencing on a backup: the client routes by a map
+            // newer than any epoch our primary or the control plane has
+            // shown us. We may be the member that map just dropped
+            // (ships stopped reaching us), so refusing is the only safe
+            // answer — the client's sweep moves on to an in-sync
+            // member instead of reading stale data here.
+            return ReplyBody::Err(Error::NotPrimary);
         }
 
         let mut recs = Vec::new();
         let body = self.execute(ep, client, req, trace.as_deref_mut(), &mut recs);
 
-        if let Some(repl) = &self.replica {
-            if replicated_mutation(&req.body) {
-                // Ship whatever was logged — even when the op ultimately
-                // failed, the backups must mirror any partial effects the
-                // log already carries.
-                if !recs.is_empty() {
-                    self.ship(ep, repl, req, &recs, &body, trace);
-                }
-                // Cache the reply for dedup. Transient errors are *not*
-                // cached: they mean "nothing happened, try again", and a
-                // cached ServerBusy would make the retry loop permanent.
-                if !matches!(&body, ReplyBody::Err(e) if e.is_transient()) {
-                    repl.replies.put(req.reply_to, req.opnum, encode_reply_body(&body));
-                }
+        if mutation {
+            // Ship whatever was logged — even when the op ultimately
+            // failed, the backups must mirror any partial effects the
+            // log already carries. (Records are collected only while
+            // there are backups to ship them to.)
+            if !recs.is_empty() {
+                self.ship(ep, req, &recs, &body, trace);
+            }
+            // Cache the reply for dedup. Transient errors are *not*
+            // cached: they mean "nothing happened, try again", and a
+            // cached ServerBusy would make the retry loop permanent.
+            if !matches!(&body, ReplyBody::Err(e) if e.is_transient()) {
+                repl.replies.put(req.reply_to, req.opnum, encode_reply_body(&body));
             }
         }
         body
@@ -1035,12 +1020,12 @@ impl StorageServer {
     fn ship(
         &self,
         ep: &Endpoint,
-        repl: &ReplicaState,
         req: &Request,
         recs: &[WalRecord],
         body: &ReplyBody,
         mut trace: Option<&mut OpTrace<'_>>,
     ) {
+        let repl = &self.replica;
         let backups = repl.backups();
         if backups.is_empty() {
             return;
@@ -1060,7 +1045,7 @@ impl StorageServer {
         // Per-attempt reply timeout well under the total deadline, so a
         // dropped ship is re-sent (the backup's cache dedups) instead of
         // eating the whole budget in one wait.
-        let ship_client = RpcClient::shared(ep).configured(&RpcConfig {
+        let ship_client = RpcClient::new(ep).configured(&RpcConfig {
             reply_timeout: (repl.ship_deadline / 4).max(Duration::from_millis(50)),
             ..self.config.rpc.clone()
         });
@@ -1126,7 +1111,7 @@ impl StorageServer {
                         repl.group()
                     ),
                 );
-                self.report_dropped_backup(ep, repl, backup, trace_ctx);
+                self.report_dropped_backup(ep, backup, trace_ctx);
             }
         }
         repl.record_acked(seq);
@@ -1144,16 +1129,9 @@ impl StorageServer {
     /// in here; the next ship carries it to the surviving backups, while
     /// the dropped member — which no longer receives ships — stays behind
     /// and starts fencing fresh-map reads (see `handle`).
-    fn report_dropped_backup(
-        &self,
-        ep: &Endpoint,
-        repl: &ReplicaState,
-        backup: ProcessId,
-        trace_ctx: TraceContext,
-    ) {
-        let Some(dir) = repl.directory else {
-            return;
-        };
+    fn report_dropped_backup(&self, ep: &Endpoint, backup: ProcessId, trace_ctx: TraceContext) {
+        let repl = &self.replica;
+        let dir = repl.directory;
         let body =
             RequestBody::ReportDroppedBackup { group: repl.group(), epoch: repl.epoch(), backup };
         let policy = RetryPolicy {
@@ -1161,7 +1139,7 @@ impl StorageServer {
             cap: Duration::from_millis(20),
             deadline: repl.ship_deadline,
         };
-        let client = RpcClient::shared(ep);
+        let client = RpcClient::new(ep);
         // The drop report is a child of the mutation whose ship failed.
         client.set_trace(trace_ctx);
         let outcome = retry::with_backoff(
@@ -1193,12 +1171,8 @@ impl StorageServer {
     /// The ship request arrives stamped with the originating mutation's
     /// [`TraceContext`], so the `log`/`apply` stages recorded here land in
     /// the *client's* trace — the backup is one more node on its timeline.
-    fn handle_repl_ship(
-        &self,
-        repl: &ReplicaState,
-        req: &Request,
-        mut trace: Option<&mut OpTrace<'_>>,
-    ) -> ReplyBody {
+    fn handle_repl_ship(&self, req: &Request, mut trace: Option<&mut OpTrace<'_>>) -> ReplyBody {
+        let repl = &self.replica;
         let RequestBody::ReplShip { group, epoch, seq, origin, origin_opnum, records, reply } =
             &req.body
         else {

@@ -111,7 +111,9 @@ fn run(args: Args) -> Result<(), String> {
         }
         Role::Naming => Box::new(NamingServer::spawn(&net, id)),
         Role::TxnLock => Box::new(TxnLockServer::spawn(&net, id, None)),
-        Role::Directory => Box::new(lwfs_replica::spawn_directory(&net, id, config.group_map())),
+        Role::Directory => {
+            Box::new(lwfs_replica::spawn_directory(&net, id, config.addrs().group_map()))
+        }
         Role::Storage(i) => Box::new(config.spawn_storage(i, &net, clock)),
     };
 

@@ -169,7 +169,7 @@ fn signed_ships_replicate(transport: TransportKind) {
     client.write(0, &caps, None, obj, 0, b"signed ship").unwrap();
 
     let backup = cluster.storage_server(1);
-    assert!(backup.replica().unwrap().is_backup());
+    assert!(backup.replica().is_backup());
     assert_eq!(backup.store().bytes_stored(), 11, "acked bytes are on the backup");
     let snap = cluster.network().obs().snapshot();
     assert_eq!(snap.counter("storage.ship_failures").unwrap_or(0), 0);
@@ -224,4 +224,38 @@ fn rogue_ship_without_token_is_refused() {
         12,
         "backup holds exactly the honest bytes"
     );
+}
+
+/// The authorization service's first-contact cache answers only for the
+/// credential the authentication service verified. Once the genuine
+/// credential has warmed it, the same body under a zero MAC, or with a
+/// stretched lifetime, must still be judged — and refused.
+fn altered_credentials_are_refused_past_the_cache(transport: TransportKind) {
+    let cluster = boot(CapMode::Legacy, transport, 1);
+    let mut client = cluster.client(0, 0);
+    login(&cluster, &mut client);
+    let genuine = client.current_cred().unwrap();
+    let cid = client.create_container().unwrap();
+    client.get_caps(cid, OpMask::READ).unwrap();
+
+    let zero_mac = Credential { sig: lwfs::proto::Signature::ZERO, ..genuine };
+    let mut stretched = genuine;
+    stretched.body.lifetime.not_after = u64::MAX;
+    for (what, cred) in [("zero MAC", zero_mac), ("stretched lifetime", stretched)] {
+        client.adopt_cred(cred);
+        assert_eq!(client.create_container().unwrap_err(), Error::BadCredential, "{what}");
+        assert_eq!(client.get_caps(cid, OpMask::READ).unwrap_err(), Error::BadCredential, "{what}");
+    }
+    client.adopt_cred(genuine);
+    client.get_caps(cid, OpMask::READ).unwrap();
+}
+
+#[test]
+fn altered_credentials_are_refused_past_the_cache_in_process() {
+    altered_credentials_are_refused_past_the_cache(TransportKind::InProcess);
+}
+
+#[test]
+fn altered_credentials_are_refused_past_the_cache_over_sockets() {
+    altered_credentials_are_refused_past_the_cache(TransportKind::Tcp);
 }

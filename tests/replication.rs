@@ -42,7 +42,7 @@ fn acknowledged_writes_are_on_the_backup_before_the_ack() {
     // The moment the write is acknowledged, the backup's store already
     // holds the object and its bytes — no anti-entropy, no wait.
     let backup = cluster.storage_server(1);
-    assert!(backup.replica().unwrap().is_backup());
+    assert!(backup.replica().is_backup());
     assert_eq!(backup.store().object_count(), 1);
     assert_eq!(backup.store().bytes_stored(), 15);
 
@@ -83,7 +83,7 @@ fn primary_crash_promotes_the_backup_and_clients_fail_over() {
     cluster.crash_storage(0);
 
     // The map advanced and now names the old backup as primary.
-    let map = cluster.group_map().unwrap();
+    let map = cluster.group_map();
     assert_eq!(map.epoch, 2);
     assert_eq!(map.groups[0].primary(), Some(cluster.addrs().storage[1]));
 
@@ -108,7 +108,7 @@ fn losing_a_backup_shrinks_the_group_but_keeps_it_writable() {
     cluster.crash_storage(2);
     // No failover — the primary just stops shipping to the dead member.
     client.write(0, &caps, None, obj, 0, b"two of three").unwrap();
-    let map = cluster.group_map().unwrap();
+    let map = cluster.group_map();
     assert_eq!(map.epoch, 2);
     assert_eq!(map.groups[0].members.len(), 2);
     assert_eq!(cluster.network().obs().snapshot().gauge("storage.failovers"), None);
@@ -177,7 +177,7 @@ fn write_storm_through_a_primary_crash_is_exactly_once() {
 
     let snap = cluster.network().obs().snapshot();
     assert_eq!(snap.gauge("storage.failovers"), Some(1));
-    assert_eq!(cluster.group_map().unwrap().epoch, 2);
+    assert_eq!(cluster.group_map().epoch, 2);
 }
 
 #[test]
@@ -229,7 +229,7 @@ fn a_backup_dropped_at_the_ship_deadline_leaves_the_map_and_is_never_promoted() 
     cluster.network().heal();
 
     // The map was republished without the member ...
-    let map = cluster.group_map().unwrap();
+    let map = cluster.group_map();
     assert_eq!(map.epoch, 2);
     assert_eq!(map.groups[0].members, vec![cluster.addrs().storage[0], cluster.addrs().storage[1]]);
     let snap = cluster.network().obs().snapshot();
@@ -252,7 +252,7 @@ fn a_backup_dropped_at_the_ship_deadline_leaves_the_map_and_is_never_promoted() 
     // survivor: promoting the dropped member would silently roll back an
     // acknowledged write.
     cluster.crash_storage(0);
-    let map = cluster.group_map().unwrap();
+    let map = cluster.group_map();
     assert_eq!(map.groups[0].primary(), Some(cluster.addrs().storage[1]));
     assert!(!map.groups[0].members.contains(&stale), "the stale member stays out of the map");
     assert_eq!(client.read(0, &caps, obj, 0, 16).unwrap(), b"after it was cut");
@@ -277,7 +277,7 @@ fn a_ship_from_anyone_but_the_primary_is_refused_before_it_applies() {
     // but its crafted ship must be refused before anything is logged,
     // applied, or cached — ships bypass capability checks, so sender
     // identity is the only gate.
-    let map = cluster.group_map().unwrap();
+    let map = cluster.group_map();
     let backup = cluster.addrs().storage[1];
     let rogue_id = ProcessId::new(66, 0);
     let rogue_ep = cluster.network().register(rogue_id);
@@ -301,7 +301,7 @@ fn a_ship_from_anyone_but_the_primary_is_refused_before_it_applies() {
     // Nothing was applied and the reply cache was not poisoned.
     let backup_srv = cluster.storage_server(1);
     assert_eq!(backup_srv.store().object_count(), 1);
-    assert!(backup_srv.replica().unwrap().replies.get(rogue_id, OpNum(1)).is_none());
+    assert!(backup_srv.replica().replies.get(rogue_id, OpNum(1)).is_none());
 
     // Ships from the actual primary keep flowing.
     client.write(0, &caps, None, obj, 0, b"still ships").unwrap();
@@ -323,7 +323,7 @@ fn the_primary_fences_mutations_stamped_with_a_retired_epoch() {
     // Retire epoch 1: losing the backup republishes the map at epoch 2
     // and walks the primary up to it.
     cluster.crash_storage(1);
-    assert_eq!(cluster.group_map().unwrap().epoch, 2);
+    assert_eq!(cluster.group_map().epoch, 2);
 
     // A mutation still stamped with epoch 1 routed on the retired map is
     // fenced — the sender must refresh; epoch 0 ("no epoch info", the
@@ -349,19 +349,68 @@ fn the_primary_fences_mutations_stamped_with_a_retired_epoch() {
 }
 
 #[test]
-fn replication_one_is_exactly_the_legacy_cluster() {
-    // R=1 (the default) must not grow a directory endpoint or change any
-    // data-path behavior: clients address servers directly.
+fn replication_one_is_a_group_of_one_routed_without_the_directory() {
+    // R=1 is the degenerate case of R: one single-member group per server.
     let cluster = boot(3, 1);
-    assert!(cluster.group_map().is_none());
-    assert!(cluster.addrs().directory.is_none());
-    assert_eq!(cluster.addrs().storage.len(), 3);
+    let map = cluster.group_map();
+    assert_eq!(map.epoch, 1);
+    assert_eq!(map.groups.len(), 3);
+    for (g, group) in map.groups.iter().enumerate() {
+        assert_eq!(group.members, vec![cluster.addrs().storage[g]], "group {g}");
+    }
+    drop(cluster);
+
+    // Clients route by the boot map at every R: a full checkpoint and
+    // restore never consults the directory. The directory answers every
+    // request it receives, so its silence means nobody asked.
+    for r in [1, 2] {
+        let cluster = boot(2, r);
+        let mut client = cluster.client(0, 0);
+        login(&cluster, &mut client);
+        let cid = client.create_container().unwrap();
+        let caps = client.get_caps(cid, OpMask::CHECKPOINT | OpMask::READ).unwrap();
+        let stats = cluster.network().stats();
+        stats.reset();
+        let ck = LwfsCheckpointer::new(&client, Group::new(vec![client.id()]), 0, caps, "/r");
+        let state = vec![0x5Au8; 48 * 1024];
+        ck.checkpoint(1, &state).unwrap();
+        assert_eq!(ck.restore(1).unwrap(), state, "R={r}");
+        assert_eq!(stats.sent_by(cluster.addrs().directory), 0, "R={r}: the directory spoke");
+        let ships = cluster.network().obs().snapshot().counter("storage.repl_ships").unwrap_or(0);
+        assert_eq!(ships == 0, r == 1, "R={r}: {ships} ships");
+    }
+}
+
+#[test]
+fn a_restarted_group_of_one_keeps_its_map_and_needs_no_directory() {
+    use lwfs::storage::StorageConfig;
+
+    let root = std::env::temp_dir().join(format!("lwfs-repl-r1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 2,
+        storage: StorageConfig { wal: Some(WalConfig::new(root.clone())), ..Default::default() },
+        ..Default::default()
+    });
+    let directory = cluster.addrs().directory;
     let mut client = cluster.client(0, 0);
     login(&cluster, &mut client);
     let cid = client.create_container().unwrap();
     let caps = client.get_caps(cid, OpMask::ALL).unwrap();
-    let obj = client.create_obj(2, &caps, None, None).unwrap();
-    client.write(2, &caps, None, obj, 0, b"plain").unwrap();
-    assert_eq!(client.read(2, &caps, obj, 0, 5).unwrap(), b"plain");
-    assert_eq!(cluster.network().obs().snapshot().counter("storage.repl_ships").unwrap_or(0), 0);
+    let obj = client.create_obj(1, &caps, None, None).unwrap();
+    client.write(1, &caps, None, obj, 0, b"logged, not shipped").unwrap();
+
+    cluster.network().stats().reset();
+    cluster.crash_storage(1);
+    // No member to promote: the map stays as booted, and the client fails
+    // fast instead of polling the directory for a successor.
+    assert_eq!(cluster.group_map().epoch, 1);
+    assert_eq!(client.read(1, &caps, obj, 0, 19).unwrap_err(), Error::Unreachable);
+
+    cluster.restart_storage(1);
+    assert_eq!(cluster.group_map().epoch, 1);
+    assert_eq!(client.read(1, &caps, obj, 0, 19).unwrap(), b"logged, not shipped");
+    assert_eq!(cluster.network().stats().sent_by(directory), 0, "the directory spoke");
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&root);
 }
