@@ -253,11 +253,11 @@ mod tests {
         assert!(!cache.check(&c, 200)); // expired → miss
         cache.insert(&c);
         assert_eq!(cache.invalidate(&[c.cache_key()]), 1);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("authz.cache.hits"), Some(1));
-        assert_eq!(snap.counter("authz.cache.misses"), Some(2));
-        assert_eq!(snap.counter("authz.cache.expired"), Some(1));
-        assert_eq!(snap.counter("authz.cache.revocations"), Some(1));
+        let frame = registry.frame(0);
+        assert_eq!(frame.counter("authz.cache.hits"), Some(1));
+        assert_eq!(frame.counter("authz.cache.misses"), Some(2));
+        assert_eq!(frame.counter("authz.cache.expired"), Some(1));
+        assert_eq!(frame.counter("authz.cache.revocations"), Some(1));
     }
 
     proptest::proptest! {

@@ -74,7 +74,7 @@ impl AuthzServer {
             format!("{} container(s) to {} site(s)", epochs.len(), sites.len()),
         );
         let client = push_client(ep);
-        for site in sites {
+        for &site in sites {
             let _ = client.call(site, RequestBody::PushEpochs { epochs: epochs.clone() });
         }
     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use lwfs_auth::{AuthService, Clock};
-use lwfs_cap::{CapClaims, CapIssuer, CapMode};
+use lwfs_cap::{CapClaims, CapIssuer};
 use lwfs_proto::security::siphash::MacKey;
 use lwfs_proto::{
     Capability, CapabilityBody, CapabilityKey, ContainerId, Credential, EpochBump, Error, Lifetime,
@@ -115,11 +115,10 @@ pub struct AuthzService {
     /// to every opaque capability (paper trust shape inverted — see
     /// `lwfs-cap`).
     issuer: Option<CapIssuer>,
-    cap_mode: CapMode,
-    /// Storage servers to push revocation-epoch updates to (signed modes).
-    /// Populated by the cluster at boot; the legacy back-pointer walk does
-    /// not need it.
-    enforcement_sites: Mutex<Vec<ProcessId>>,
+    /// Storage servers to push revocation-epoch updates to — the signed
+    /// mode's enforcement sites, named with the issuer; the legacy
+    /// back-pointer walk does not need them.
+    enforcement_sites: Vec<ProcessId>,
     state: Mutex<AuthzState>,
 }
 
@@ -136,8 +135,7 @@ impl AuthzService {
             verifier,
             clock,
             issuer: None,
-            cap_mode: CapMode::Legacy,
-            enforcement_sites: Mutex::new(Vec::new()),
+            enforcement_sites: Vec::new(),
             state: Mutex::new(AuthzState {
                 policy: PolicyStore::new(),
                 issued: HashMap::new(),
@@ -149,25 +147,17 @@ impl AuthzService {
         }
     }
 
-    /// Turn the service into a signed-capability issuer.
-    pub fn with_issuer(mut self, issuer: CapIssuer, mode: CapMode) -> Self {
+    /// Turn the service into the signed-capability issuer for the storage
+    /// servers `sites`, which enforce its tokens and receive its
+    /// revocation-epoch pushes.
+    pub fn with_issuer(mut self, issuer: CapIssuer, sites: Vec<ProcessId>) -> Self {
         self.issuer = Some(issuer);
-        self.cap_mode = mode;
+        self.enforcement_sites = sites;
         self
     }
 
-    pub fn cap_mode(&self) -> CapMode {
-        self.cap_mode
-    }
-
-    /// Tell the service which storage servers enforce signed caps, so epoch
-    /// bumps can be pushed to them.
-    pub fn set_enforcement_sites(&self, sites: Vec<ProcessId>) {
-        *self.enforcement_sites.lock() = sites;
-    }
-
-    pub fn enforcement_sites(&self) -> Vec<ProcessId> {
-        self.enforcement_sites.lock().clone()
+    pub fn enforcement_sites(&self) -> &[ProcessId] {
+        &self.enforcement_sites
     }
 
     pub fn epoch(&self) -> u64 {
@@ -324,8 +314,8 @@ impl AuthzService {
     }
 
     /// [`get_caps`](Self::get_caps), plus — when this service was built
-    /// [`with_issuer`](Self::with_issuer) and the cluster runs a signed
-    /// cap mode — one self-certifying token per capability.
+    /// [`with_issuer`](Self::with_issuer), i.e. the cluster runs signed
+    /// caps — one self-certifying token per capability.
     ///
     /// The token binds the same `{container, op, lifetime, principal,
     /// serial}` tuple as the legacy capability and additionally the
@@ -339,10 +329,7 @@ impl AuthzService {
         ops: OpMask,
     ) -> Result<(Vec<Capability>, Vec<Bytes>)> {
         let caps = self.get_caps(cred, container, ops)?;
-        let issuer = match &self.issuer {
-            Some(issuer) if self.cap_mode.signed() => issuer,
-            _ => return Ok((caps, Vec::new())),
-        };
+        let Some(issuer) = &self.issuer else { return Ok((caps, Vec::new())) };
         let epoch = self.revocation_epoch(container);
         let tokens = caps
             .iter()

@@ -313,7 +313,7 @@ impl ClusterConfig {
         let addrs = self.addrs();
         let sid = addrs.storage[i];
         let verifier = CachedCapVerifier::with_registry(sid, addrs.authz, net.obs());
-        StorageServer::spawn(net, sid, self.storage_config(i), Some(verifier), clock)
+        StorageServer::spawn(net, sid, self.storage_config(i), verifier, clock)
     }
 
     /// The authorization service, trusting `creds` for first-contact
@@ -334,8 +334,7 @@ impl ClusterConfig {
         if !self.cap_mode.signed() {
             return service;
         }
-        service.set_enforcement_sites(self.addrs().storage);
-        service.with_issuer(CapIssuer::from_cluster_seed(CAP_SEED), self.cap_mode)
+        service.with_issuer(CapIssuer::from_cluster_seed(CAP_SEED), self.addrs().storage)
     }
 
     /// The deterministic mock KDC with this deployment's users.

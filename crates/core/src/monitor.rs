@@ -13,10 +13,14 @@
 //!    events so post-mortems see detector output in causal order with
 //!    the cluster events it predicted.
 //! 2. **Feeds windowed aggregation.** The scraped cumulative snapshot
-//!    becomes a [`MetricFrame`] on the monitor's own timeline; the
-//!    [`WindowTracker`] subtracts consecutive frames into
-//!    [`WindowDelta`]s (per-window rates, gauge levels, interval
-//!    quantiles — see `lwfs_obs::window`).
+//!    decodes ([`lwfs_portals::telemetry::frame_of`]) into the
+//!    [`MetricFrame`] its node's registry captured, stamped on the
+//!    monitor's own timeline; the [`WindowTracker`] subtracts consecutive
+//!    frames into [`WindowDelta`]s (per-window rates, gauge levels,
+//!    interval quantiles — see `lwfs_obs::window`). The journal tail rides
+//!    the same scrape behind a cursor; when the node's bounded journal
+//!    evicted events the cursor had not reached, the gap is counted in
+//!    `monitor.events_lost` instead of vanishing silently.
 //! 3. **Evaluates declarative health rules** ([`HealthRule`]) of the
 //!    form "`storage.repl_lag > 0` for 2 consecutive windows" or
 //!    "`p99(storage.write.total_ns) > SLO`". A rule that crosses its
@@ -26,8 +30,8 @@
 //!    eviction it predicts.
 //! 4. **Exports.** Every completed window appends one JSONL value
 //!    (`lwfs_obs::export::window_json`, carrying the scraped journal
-//!    tail), and the latest scrape renders on demand as a Prometheus
-//!    text exposition ([`ClusterMonitor::prometheus`]).
+//!    tail), and the latest scraped frame renders on demand as a
+//!    Prometheus text exposition ([`ClusterMonitor::prometheus`]).
 //!
 //! ### One registry, many endpoints
 //!
@@ -50,10 +54,8 @@ use std::collections::HashSet;
 
 use lwfs_obs::export::{event_json, window_json};
 use lwfs_obs::json::Json;
-use lwfs_obs::{
-    Attribution, HistogramInterval, MetricFrame, SpanRecord, TailReport, TraceCollector,
-    WindowDelta, WindowTracker,
-};
+use lwfs_obs::{Attribution, SpanRecord, TailReport, TraceCollector, WindowDelta, WindowTracker};
+use lwfs_portals::telemetry::frame_of;
 use lwfs_portals::{Network, RpcClient};
 use lwfs_proto::{FlightTrace, ProcessId, ReplyBody, RequestBody, TelemetrySnapshot};
 use parking_lot::Mutex;
@@ -198,7 +200,6 @@ struct MonitorState {
     tracker: WindowTracker,
     /// Journal cursor: next event seq the monitor has not yet scraped.
     events_cursor: u64,
-    last_scrape: Option<TelemetrySnapshot>,
     jsonl: Vec<Json>,
     ticks: u64,
     windows: u64,
@@ -222,8 +223,30 @@ struct MonitorInner {
 }
 
 impl MonitorInner {
-    /// One scrape-and-aggregate tick. Returns the fresh cluster snapshot
-    /// when at least one target answered.
+    fn new(net: &Network, targets: Vec<ProcessId>, config: MonitorConfig) -> Self {
+        let target_states =
+            targets.iter().map(|&id| TargetState { id, missed: 0, stale: false }).collect();
+        let rule_states = config
+            .rules
+            .iter()
+            .map(|r| RuleState { rule: r.clone(), streak: 0, firing: false })
+            .collect();
+        Self {
+            net: net.clone(),
+            targets,
+            state: Mutex::new(MonitorState {
+                tracker: WindowTracker::new(config.window_limit),
+                ..Default::default()
+            }),
+            config,
+            target_states: Mutex::new(target_states),
+            rule_states: Mutex::new(rule_states),
+            stop: AtomicBool::new(false),
+        }
+    }
+
+    /// One scrape-and-aggregate tick: a no-op for the window state when no
+    /// target answered.
     fn tick(&self, client: &RpcClient<'_>, epoch: Instant) {
         let obs = Arc::clone(self.net.obs());
         let mut cluster_view: Option<TelemetrySnapshot> = None;
@@ -260,8 +283,14 @@ impl MonitorInner {
         obs.gauge("monitor.stale_targets").set(stale as i64);
 
         let Some(snap) = cluster_view else { return };
+        // The journal keeps only its newest events: a tail that starts past
+        // the cursor means the ring dropped the difference unscraped.
+        let lost = snap.events.first().map_or(0, |e| e.seq.saturating_sub(cursor));
+        if lost > 0 {
+            obs.counter("monitor.events_lost").add(lost);
+        }
         let ts_ns = epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let frame = frame_from_snapshot(&snap, ts_ns);
+        let frame = frame_of(&snap, ts_ns);
         let (flight_spans, attributions, tail) = self.assemble_flights(&flights);
 
         let mut state = self.state.lock();
@@ -291,7 +320,6 @@ impl MonitorInner {
         } else {
             false
         };
-        state.last_scrape = Some(snap);
         let latest = state.tracker.latest().cloned();
         let tail = state.tail.clone();
         drop(state);
@@ -420,25 +448,6 @@ impl MonitorInner {
     }
 }
 
-/// Rebuild a scraped wire snapshot as a cumulative [`MetricFrame`] on the
-/// monitor's timeline.
-fn frame_from_snapshot(snap: &TelemetrySnapshot, ts_ns: u64) -> MetricFrame {
-    MetricFrame::new(
-        ts_ns,
-        snap.counters.clone(),
-        snap.gauges.clone(),
-        snap.histograms
-            .iter()
-            .map(|(name, h)| {
-                (
-                    name.clone(),
-                    HistogramInterval::from_parts(h.count, h.sum, h.max, h.buckets.clone()),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// A running [`ClusterMonitor`]'s control handle. Dropping it stops the
 /// scrape thread and unregisters the monitor endpoint.
 pub struct ClusterMonitor {
@@ -457,26 +466,7 @@ impl ClusterMonitor {
     pub fn spawn(net: &Network, targets: Vec<ProcessId>, config: MonitorConfig) -> Self {
         let id = ProcessId::new(MONITOR_NID, 0);
         let ep = net.register(id);
-        let target_states =
-            targets.iter().map(|&id| TargetState { id, missed: 0, stale: false }).collect();
-        let rule_states = config
-            .rules
-            .iter()
-            .map(|r| RuleState { rule: r.clone(), streak: 0, firing: false })
-            .collect();
-        let window_limit = config.window_limit;
-        let inner = Arc::new(MonitorInner {
-            net: net.clone(),
-            targets,
-            config,
-            state: Mutex::new(MonitorState {
-                tracker: WindowTracker::new(window_limit),
-                ..Default::default()
-            }),
-            target_states: Mutex::new(target_states),
-            rule_states: Mutex::new(rule_states),
-            stop: AtomicBool::new(false),
-        });
+        let inner = Arc::new(MonitorInner::new(net, targets, config));
         let thread_inner = Arc::clone(&inner);
         let thread = std::thread::Builder::new()
             .name("lwfs-monitor".into())
@@ -545,12 +535,11 @@ impl ClusterMonitor {
         self.inner.state.lock().jsonl.clone()
     }
 
-    /// Prometheus text exposition of the latest scraped cluster view
+    /// Prometheus text exposition of the latest scraped cluster frame
     /// (empty string before the first successful scrape).
     pub fn prometheus(&self) -> String {
         let state = self.inner.state.lock();
-        let Some(snap) = &state.last_scrape else { return String::new() };
-        lwfs_obs::export::to_prometheus(&wire_to_obs_snapshot(snap))
+        state.tracker.last_frame().map(lwfs_obs::export::to_prometheus).unwrap_or_default()
     }
 
     /// Critical-path attributions of the latest flight scrape's traces,
@@ -596,26 +585,6 @@ impl ClusterMonitor {
 impl Drop for ClusterMonitor {
     fn drop(&mut self) {
         self.stop_and_join();
-    }
-}
-
-/// Project a scraped wire snapshot onto the exporter's [`Snapshot`]
-/// shape: metrics only — scraped event kinds are owned `String`s and the
-/// journal renders through its own path, not the exposition.
-fn wire_to_obs_snapshot(snap: &TelemetrySnapshot) -> lwfs_obs::Snapshot {
-    lwfs_obs::Snapshot {
-        counters: snap.counters.clone(),
-        gauges: snap.gauges.clone(),
-        histograms: snap
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                let iv = HistogramInterval::from_parts(h.count, h.sum, h.max, h.buckets.clone());
-                (name.clone(), iv.summary())
-            })
-            .collect(),
-        spans: Vec::new(),
-        events: Vec::new(),
     }
 }
 
@@ -763,5 +732,35 @@ mod tests {
             .iter()
             .any(|e| e.detail.contains("rule=lag_watch")));
         monitor.shutdown();
+    }
+
+    #[test]
+    fn journal_overflow_between_scrapes_is_counted_not_silent() {
+        const JOURNAL: u64 = 1024; // the registry journal's retained events
+        const N: u64 = 37;
+        let cluster = LwfsCluster::boot(ClusterConfig::default());
+        let obs = Arc::clone(cluster.network().obs());
+        let config = MonitorConfig { rules: Vec::new(), ..fast_config() };
+        // Ticked by hand, so exactly what lands between two scrapes is known.
+        let monitor = MonitorInner::new(cluster.network(), vec![cluster.addrs().naming], config);
+        let ep = cluster.network().register(ProcessId::new(MONITOR_NID, 0));
+        let client = RpcClient::new(&ep);
+        let epoch = Instant::now();
+
+        monitor.tick(&client, epoch);
+        let cursor = monitor.state.lock().events_cursor;
+        for i in 0..JOURNAL + N {
+            obs.events().record(1100, "repl.epoch_bump", format!("epoch {i}"));
+        }
+        monitor.tick(&client, epoch);
+
+        assert_eq!(obs.frame(0).counter("monitor.events_lost"), Some(N));
+        let state = monitor.state.lock();
+        let window = state.jsonl.last().expect("the second scrape closes a window");
+        let events = window.get("events").map(Json::as_arr).unwrap_or_default();
+        assert_eq!(events.len() as u64, JOURNAL);
+        let first_seq = events[0].get("seq").and_then(Json::as_u64);
+        assert_eq!(first_seq, Some(cursor + N), "the window starts at the first retained event");
+        assert_eq!(state.events_cursor, cursor + JOURNAL + N);
     }
 }

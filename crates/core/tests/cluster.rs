@@ -53,7 +53,7 @@ fn figure4b_protocol_data_access_with_cache() {
 
     // One verify-through per distinct capability; everything else hits the
     // storage server's cache.
-    let cache = cluster.storage_server(0).cap_cache_stats().unwrap();
+    let cache = cluster.storage_server(0).cap_cache_stats();
     assert!(cache.misses <= 3, "misses: {}", cache.misses);
     assert!(cache.hits >= 19);
 }

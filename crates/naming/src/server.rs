@@ -152,10 +152,10 @@ mod obs_tests {
             .unwrap();
         client.call(handle.id(), RequestBody::NameLookup { path: "/obs/a".into() }).unwrap();
         handle.shutdown();
-        let snap = net.obs().snapshot();
-        assert_eq!(snap.counter("naming.ops"), Some(2));
-        assert_eq!(snap.histogram("naming.create.total_ns").map(|h| h.count), Some(1));
-        assert_eq!(snap.histogram("naming.lookup.total_ns").map(|h| h.count), Some(1));
+        let frame = net.obs().frame(0);
+        assert_eq!(frame.counter("naming.ops"), Some(2));
+        assert_eq!(frame.histogram("naming.create.total_ns").map(|h| h.count), Some(1));
+        assert_eq!(frame.histogram("naming.lookup.total_ns").map(|h| h.count), Some(1));
     }
 }
 

@@ -32,6 +32,9 @@ pub struct Event {
     pub detail: String,
 }
 
+/// Events a registry's journal retains before the oldest is dropped.
+const EVENT_CAPACITY: usize = 1024;
+
 /// Bounded ring of [`Event`]s shared by every service on a registry.
 pub struct EventLog {
     epoch: Instant,
@@ -41,7 +44,7 @@ pub struct EventLog {
 
 impl Default for EventLog {
     fn default() -> Self {
-        Self::with_capacity(1024)
+        Self::with_capacity(EVENT_CAPACITY)
     }
 }
 

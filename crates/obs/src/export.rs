@@ -1,4 +1,7 @@
-//! Export-side naming and the two telemetry exporters.
+//! Export-side naming and the exporters: Prometheus text and the metrics
+//! JSON render a [`MetricFrame`], the JSONL series renders a
+//! [`WindowDelta`], and every histogram reaches JSON through the one
+//! [`histogram_json`] of its [`HistogramInterval`].
 //!
 //! Registry names are dotted (`component.op.stat`) and sometimes encode a
 //! node inline (`storage.srv1100.in_flight`) — neither survives contact
@@ -9,10 +12,10 @@
 //! the same keys in every view and a dashboard query written against one
 //! export works against the others.
 
+use crate::event::Event;
 use crate::json::Json;
-use crate::metrics::HistogramSnapshot;
-use crate::registry::Snapshot;
-use crate::window::WindowDelta;
+use crate::span::SpanRecord;
+use crate::window::{HistogramInterval, MetricFrame, WindowDelta};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -116,17 +119,17 @@ pub fn prometheus_escape_label(v: &str) -> String {
     out
 }
 
-/// Render a snapshot in the Prometheus text exposition format (version
+/// Render a frame in the Prometheus text exposition format (version
 /// 0.0.4): one `# TYPE` line per metric family, counters and gauges as
 /// single samples, histograms as summaries (`{quantile="…"}` series plus
 /// `_sum` and `_count`).
-pub fn to_prometheus(snap: &Snapshot) -> String {
+pub fn to_prometheus(frame: &MetricFrame) -> String {
     let mut out = String::new();
 
     // Group per family: label-bearing series (storage.srv1100.* and
     // storage.srv1101.*) share one name and must share one TYPE line.
     let mut counters: BTreeMap<String, Vec<(MetricKey, u64)>> = BTreeMap::new();
-    for (raw, v) in &snap.counters {
+    for (raw, v) in &frame.counters {
         let key = metric_key(raw);
         counters.entry(key.name.clone()).or_default().push((key, *v));
     }
@@ -138,7 +141,7 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     }
 
     let mut gauges: BTreeMap<String, Vec<(MetricKey, i64)>> = BTreeMap::new();
-    for (raw, v) in &snap.gauges {
+    for (raw, v) in &frame.gauges {
         let key = metric_key(raw);
         gauges.entry(key.name.clone()).or_default().push((key, *v));
     }
@@ -149,16 +152,17 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         }
     }
 
-    let mut summaries: BTreeMap<String, Vec<(MetricKey, &HistogramSnapshot)>> = BTreeMap::new();
-    for (raw, h) in &snap.histograms {
+    let mut summaries: BTreeMap<String, Vec<(MetricKey, &HistogramInterval)>> = BTreeMap::new();
+    for (raw, h) in &frame.histograms {
         let key = metric_key(raw);
         summaries.entry(key.name.clone()).or_default().push((key, h));
     }
     for (family, series) in &summaries {
         let _ = writeln!(out, "# TYPE {family} summary");
         for (key, h) in series {
-            for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-                let _ = writeln!(out, "{} {v}", key.render_with(&[("quantile", q)]));
+            for (label, q) in [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)] {
+                let v = h.quantile(q);
+                let _ = writeln!(out, "{} {v}", key.render_with(&[("quantile", label)]));
             }
             let _ = writeln!(out, "{}_sum{} {}", key.name, suffix_labels(key), h.sum);
             let _ = writeln!(out, "{}_count{} {}", key.name, suffix_labels(key), h.count);
@@ -176,8 +180,8 @@ fn suffix_labels(key: &MetricKey) -> String {
     }
 }
 
-/// One journal event, as the registry snapshot and the JSONL window both
-/// carry it (the window's events arrive as wire structs, hence fields).
+/// One journal event, as the metrics JSON and the JSONL window both carry
+/// it (the window's events arrive as wire structs, hence fields).
 pub fn event_json(seq: u64, ts_ns: u64, nid: u32, kind: &str, detail: &str) -> Json {
     Json::obj([
         ("seq", seq.into()),
@@ -188,17 +192,53 @@ pub fn event_json(seq: u64, ts_ns: u64, nid: u32, kind: &str, detail: &str) -> J
     ])
 }
 
-/// One histogram summary, as the registry snapshot and the JSONL window
-/// both carry it.
-pub(crate) fn histogram_json(h: &HistogramSnapshot) -> Json {
+/// One histogram summary, as the metrics JSON and the JSONL window both
+/// carry it: count, sum, mean, p50/p95/p99 and max.
+pub(crate) fn histogram_json(h: &HistogramInterval) -> Json {
     Json::obj([
         ("count", h.count.into()),
         ("sum", h.sum.into()),
-        ("mean", h.mean.into()),
-        ("p50", h.p50.into()),
-        ("p95", h.p95.into()),
-        ("p99", h.p99.into()),
+        ("mean", h.mean().into()),
+        ("p50", h.quantile(0.50).into()),
+        ("p95", h.quantile(0.95).into()),
+        ("p99", h.quantile(0.99).into()),
         ("max", h.max.into()),
+    ])
+}
+
+/// The metrics JSON (what `lwfs-repro probe metrics --out` writes): a
+/// frame's counters, gauges and histogram summaries, then the retained
+/// spans and journal events, led by `meta` — the run timestamp, protocol
+/// version and node census the caller stamps, things this
+/// dependency-free crate cannot know itself.
+pub fn metrics_json(
+    meta: Json,
+    frame: &MetricFrame,
+    spans: &[SpanRecord],
+    events: &[Event],
+) -> Json {
+    let span = |s: &SpanRecord| {
+        Json::obj([
+            ("req_id", s.req_id.into()),
+            ("trace_id", s.trace_id.into()),
+            ("nid", u64::from(s.nid).into()),
+            ("op", Json::str(s.op)),
+            ("stage", Json::str(s.stage)),
+            ("start_ns", s.start_ns.into()),
+            ("dur_ns", s.dur_ns.into()),
+        ])
+    };
+    let events = events.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail));
+    Json::obj([
+        ("meta", meta),
+        ("counters", Json::obj(frame.counters.iter().map(|(k, v)| (k.as_str(), (*v).into())))),
+        ("gauges", Json::obj(frame.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into())))),
+        (
+            "histograms",
+            Json::obj(frame.histograms.iter().map(|(k, h)| (k.as_str(), histogram_json(h)))),
+        ),
+        ("spans", Json::Arr(spans.iter().map(span).collect())),
+        ("events", Json::Arr(events.collect())),
     ])
 }
 
@@ -219,7 +259,7 @@ pub fn window_json(w: &WindowDelta, events: Vec<Json>) -> Json {
         .histograms
         .iter()
         .filter(|(_, iv)| !iv.is_empty())
-        .map(|(raw, iv)| (key(raw), histogram_json(&iv.summary())));
+        .map(|(raw, iv)| (key(raw), histogram_json(iv)));
     let mut line = vec![
         ("ts_ns", w.ts_ns.into()),
         ("dur_ns", w.dur_ns.into()),
@@ -236,7 +276,7 @@ pub fn window_json(w: &WindowDelta, events: Vec<Json>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{MetricFrame, WindowTracker};
+    use crate::window::WindowTracker;
     use crate::Registry;
 
     #[test]
@@ -285,7 +325,7 @@ mod tests {
         reg.gauge("storage.srv1100.in_flight").set(3);
         reg.gauge("storage.srv1101.in_flight").set(5);
         reg.histogram("storage.write.total_ns").record(1000);
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus(&reg.frame(0));
 
         assert!(text.contains("# TYPE storage_writes counter\nstorage_writes 42\n"));
         // One TYPE line for the whole labeled family, then both series.
@@ -310,7 +350,7 @@ mod tests {
         let w = tracker.observe(reg.frame(1_000_000)).unwrap();
         let event = event_json(7, 5, 1100, "alert.fire", "rule=x: \"p99\"\nhigh");
         let line = window_json(w, vec![event.clone()]).to_string();
-        let prom = to_prometheus(&reg.snapshot());
+        let prom = to_prometheus(&reg.frame(0));
         assert!(!line.contains('\n'), "{line}");
         assert!(window_json(w, Vec::new()).get("events").is_none());
 
@@ -326,13 +366,81 @@ mod tests {
         );
         let lag = back.get("gauges").and_then(|g| g.get("storage_repl_lag"));
         assert_eq!(lag.and_then(Json::as_i64), Some(2));
-        let summary = w.histogram("wal.append_ns").unwrap().summary();
         let hist = back.get("histograms").and_then(|h| h.get("wal_append_ns"));
-        assert_eq!(hist, Some(&histogram_json(&summary)));
+        assert_eq!(hist, Some(&histogram_json(w.histogram("wal.append_ns").unwrap())));
         assert_eq!(back.get("events").map(Json::as_arr), Some(&[event][..]));
         for key in ["storage_writes{nid=\"1100\"}", "storage_repl_lag", "wal_append_ns"] {
             assert!(prom.contains(key), "{prom}");
         }
         assert!(prom.contains("# TYPE wal_append_ns summary"));
+    }
+
+    #[test]
+    fn metrics_json_reads_back_field_by_field() {
+        let r = Registry::new();
+        r.counter("authz.cache.hits").add(u64::MAX);
+        r.gauge("storage.queue.depth").set(i64::MIN);
+        r.histogram("txn.prepare.latency_ns").record(1500);
+        r.histogram("txn.prepare.latency_ns").record(1);
+        r.trace(0x9e37_79b9_7f4a_7c15, "storage.write").on_node(1100).stage("pull");
+        r.events().record(1004, "directory.republish", "epoch 1 -> 2 \"quoted\"\n\u{1}");
+        let (frame, spans, events) = (r.frame(0), r.spans().recent(usize::MAX), r.events().all());
+        let meta = Json::obj([("unix_ts", Json::from(7u64))]);
+        let json = metrics_json(meta.clone(), &frame, &spans, &events);
+        let back = Json::parse(&json.to_string()).unwrap();
+
+        let names: Vec<&str> = back.members().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["meta", "counters", "gauges", "histograms", "spans", "events"]);
+        assert_eq!(back.get("meta"), Some(&meta));
+        for (name, v) in &frame.counters {
+            assert_eq!(
+                back.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64),
+                Some(*v)
+            );
+        }
+        for (name, v) in &frame.gauges {
+            assert_eq!(
+                back.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_i64),
+                Some(*v)
+            );
+        }
+        for (name, h) in &frame.histograms {
+            let read = back.get("histograms").and_then(|hs| hs.get(name)).unwrap();
+            let field = |k: &str| read.get(k).and_then(Json::as_u64);
+            assert_eq!(
+                [
+                    field("count"),
+                    field("sum"),
+                    field("p50"),
+                    field("p95"),
+                    field("p99"),
+                    field("max")
+                ],
+                [h.count, h.sum, h.quantile(0.5), h.quantile(0.95), h.quantile(0.99), h.max]
+                    .map(Some)
+            );
+            assert_eq!(read.get("mean").and_then(Json::as_f64), Some(h.mean()));
+        }
+        let read_spans = back.get("spans").map(Json::as_arr).unwrap();
+        assert_eq!(read_spans.len(), spans.len());
+        for (read, s) in read_spans.iter().zip(&spans) {
+            let field = |k: &str| read.get(k).and_then(Json::as_u64);
+            assert_eq!(
+                [
+                    field("req_id"),
+                    field("trace_id"),
+                    field("nid"),
+                    field("start_ns"),
+                    field("dur_ns")
+                ],
+                [s.req_id, s.trace_id, u64::from(s.nid), s.start_ns, s.dur_ns].map(Some)
+            );
+            let names = [read.get("op"), read.get("stage")].map(|v| v.and_then(Json::as_str));
+            assert_eq!(names, [Some(s.op), Some(s.stage)]);
+        }
+        let read_events = back.get("events").map(Json::as_arr).unwrap();
+        let e = &events[0];
+        assert_eq!(read_events, [event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail)]);
+        assert_eq!(read_events[0].get("detail").and_then(Json::as_str), Some(e.detail.as_str()));
     }
 }

@@ -3,15 +3,21 @@
 //! `lwfs-obs` is a dependency-free metrics and tracing layer shared by
 //! every service in the workspace:
 //!
-//! - [`Counter`], [`Gauge`], and log-linear [`Histogram`] (p50/p95/p99/
-//!   max with ≤ 12.5% relative bucket error), all lock-free;
+//! - [`Counter`], [`Gauge`], and log-linear [`Histogram`] recorders, all
+//!   lock-free;
 //! - a [`Registry`] of named metrics following the `component.op.stat`
-//!   convention;
+//!   convention, captured by [`Registry::frame`] as one [`MetricFrame`] —
+//!   the only snapshot of a registry, which the exporters render, the
+//!   window layer subtracts, and a scraped wire snapshot decodes back into;
+//! - [`HistogramInterval`], the only histogram reader: p50/p95/p99/max
+//!   with ≤ 12.5% relative bucket error, and bucket-exact deltas and
+//!   merges;
 //! - span-style op tracing ([`SpanLog`], [`OpTrace`]) keyed by the
 //!   request id threaded through `lwfs_proto::Request`, decomposing an
 //!   operation into its stages (queue-wait → authorize → pull →
 //!   store-write → reply);
-//! - [`Snapshot`] export as JSON (what
+//! - export from the frame: Prometheus text ([`export::to_prometheus`])
+//!   and the metrics JSON ([`export::metrics_json`], what
 //!   `lwfs-repro probe metrics --out` writes), every JSON artifact built
 //!   and read back through the one [`json::Json`].
 //!
@@ -34,8 +40,8 @@ pub mod window;
 pub use critpath::{attribute, attribute_with_claims, Attribution, BlameStage, TailReport};
 pub use event::{Event, EventLog};
 pub use export::{metric_key, prometheus_escape_label, MetricKey};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{ObsConfig, OpTrace, Registry, Snapshot};
+pub use metrics::{Counter, Gauge, Histogram};
+pub use registry::{OpTrace, Registry};
 pub use span::{intern, SpanLog, SpanRecord, TOTAL_STAGE};
 pub use trace::{parse_chrome_spans, FlightRecorder, PinnedTrace, Trace, TraceCollector};
 pub use window::{HistogramInterval, MetricFrame, WindowDelta, WindowTracker};

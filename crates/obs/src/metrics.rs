@@ -104,9 +104,9 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Midpoint of the bucket's value range — the reported representative.
-/// Shared with the `window` module so interval quantiles report the same
-/// representatives as the live histogram.
+/// Midpoint of the bucket's value range — the representative
+/// [`HistogramInterval::quantile`](crate::HistogramInterval::quantile)
+/// reports.
 #[inline]
 pub(crate) fn bucket_mid(index: usize) -> u64 {
     if index < SUBS {
@@ -121,7 +121,9 @@ pub(crate) fn bucket_mid(index: usize) -> u64 {
     }
 }
 
-/// Lock-free log-linear histogram over `u64` observations.
+/// Lock-free log-linear histogram over `u64` observations — a recorder
+/// only: quantiles, means and merges are read from its captured
+/// [`HistogramInterval`](crate::HistogramInterval).
 ///
 /// Observations are dimensionless `u64`s; latency callers record
 /// nanoseconds (wall-clock via [`Histogram::record_duration`], simulated
@@ -167,58 +169,12 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
-    pub fn max_value(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Value at quantile `q` in [0, 1]: the midpoint of the bucket
-    /// holding the rank-`ceil(q*n)` observation, except that the top
-    /// quantile reports the exact tracked maximum.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * n as f64).ceil() as u64).max(1);
-        if rank >= n {
-            return self.max_value();
-        }
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_mid(i).min(self.max_value());
-            }
-        }
-        self.max_value()
-    }
-
-    /// Fold another histogram into this one. Equivalent (bucket-exact)
-    /// to having recorded the union of both observation streams.
-    pub fn merge(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = src.load(Ordering::Relaxed);
-            if v != 0 {
-                dst.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.max.fetch_max(other.max_value(), Ordering::Relaxed);
     }
 
     pub fn reset(&self) {
@@ -231,12 +187,13 @@ impl Histogram {
     }
 
     /// Sparse `(bucket_index, count)` pairs of every nonzero bucket,
-    /// ascending by index — the *mergeable* form of the histogram. Two
-    /// cumulative bucket lists from the same histogram subtract into an
-    /// exact interval, and interval lists from different nodes add into
-    /// an exact union, neither losing more resolution than the log-linear
-    /// layout itself.
-    pub fn bucket_counts(&self) -> Vec<(u32, u64)> {
+    /// ascending by index — the *mergeable* form of the histogram that
+    /// [`HistogramInterval::from_histogram`](crate::HistogramInterval::from_histogram)
+    /// captures. Two cumulative bucket lists from the same histogram
+    /// subtract into an exact interval, and interval lists from different
+    /// nodes add into an exact union, neither losing more resolution than
+    /// the log-linear layout itself.
+    pub(crate) fn bucket_counts(&self) -> Vec<(u32, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -246,39 +203,15 @@ impl Histogram {
             })
             .collect()
     }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max_value(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
-    }
 }
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
             .field("count", &self.count())
-            .field("max", &self.max_value())
+            .field("max", &self.max())
             .finish_non_exhaustive()
     }
-}
-
-/// Point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
 }
 
 #[cfg(test)]
@@ -321,48 +254,5 @@ mod tests {
             }
         }
         assert!(bucket_index(u64::MAX) < BUCKETS);
-    }
-
-    #[test]
-    fn quantiles_of_known_distribution() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.max_value(), 1000);
-        let p50 = h.quantile(0.50);
-        let p95 = h.quantile(0.95);
-        let p99 = h.quantile(0.99);
-        // Log-linear: each within 12.5% of the exact rank value.
-        assert!((p50 as f64 - 500.0).abs() / 500.0 < 0.125, "p50={p50}");
-        assert!((p95 as f64 - 950.0).abs() / 950.0 < 0.125, "p95={p95}");
-        assert!((p99 as f64 - 990.0).abs() / 990.0 < 0.125, "p99={p99}");
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= h.max_value());
-    }
-
-    #[test]
-    fn merge_equals_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let union = Histogram::new();
-        for v in [3u64, 17, 99, 1_000_000] {
-            a.record(v);
-            union.record(v);
-        }
-        for v in [8u64, 8, 123_456] {
-            b.record(v);
-            union.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), union.snapshot());
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zeros() {
-        let h = Histogram::new();
-        let s = h.snapshot();
-        assert_eq!((s.count, s.sum, s.max, s.p50, s.p95, s.p99), (0, 0, 0, 0, 0, 0));
-        assert_eq!(s.mean, 0.0);
     }
 }

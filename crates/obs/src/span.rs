@@ -56,6 +56,9 @@ struct Ring {
     completed: VecDeque<(u64, u64)>,
 }
 
+/// Spans a registry's log retains before the oldest is overwritten.
+const SPAN_CAPACITY: usize = 4096;
+
 /// Bounded ring of recent [`SpanRecord`]s with per-request indexing.
 pub struct SpanLog {
     epoch: Instant,
@@ -65,7 +68,7 @@ pub struct SpanLog {
 
 impl Default for SpanLog {
     fn default() -> Self {
-        Self::with_capacity(4096)
+        Self::with_capacity(SPAN_CAPACITY)
     }
 }
 

@@ -317,9 +317,14 @@ pub struct FlightRecorder {
     pinned: Mutex<Vec<PinnedTrace>>,
 }
 
+/// Pin floor of a registry's flight recorder (`0`: no floor, pure top-K).
+const FLIGHT_THRESHOLD_NS: u64 = 0;
+/// Slowest traces a registry's flight recorder keeps pinned.
+const FLIGHT_TOP_K: usize = 8;
+
 impl Default for FlightRecorder {
     fn default() -> Self {
-        Self::new(0, 8)
+        Self::new(FLIGHT_THRESHOLD_NS, FLIGHT_TOP_K)
     }
 }
 

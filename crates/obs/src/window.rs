@@ -12,17 +12,18 @@
 //! across nodes → cluster interval) exactly, losing nothing beyond the
 //! layout's own ≤ 12.5% bucket resolution.
 //!
-//! The pipeline is: [`MetricFrame::capture`] (or a frame built from a
-//! scraped wire snapshot) → [`WindowTracker::observe`] → [`WindowDelta`]
-//! with per-window counter deltas, rates, gauge levels, and histogram
-//! intervals.
+//! The pipeline is: [`Registry::frame`](crate::Registry::frame) (or a
+//! frame decoded from a scraped wire snapshot) →
+//! [`WindowTracker::observe`] → [`WindowDelta`] with per-window counter
+//! deltas, rates, gauge levels, and histogram intervals.
 
-use crate::metrics::{bucket_mid, Histogram, HistogramSnapshot, BUCKETS};
+use crate::metrics::{bucket_mid, Histogram, BUCKETS};
 use std::collections::VecDeque;
 
 /// A histogram's observations over one interval, in mergeable sparse
-/// bucket form. See the module docs for why buckets rather than
-/// quantiles.
+/// bucket form — the one reader of a histogram: every quantile, mean and
+/// merge the exporters, monitor rules and benchmark report comes from
+/// here. See the module docs for why buckets rather than quantiles.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramInterval {
     pub count: u64,
@@ -39,7 +40,7 @@ pub struct HistogramInterval {
 impl HistogramInterval {
     /// Cumulative capture of a live histogram.
     pub fn from_histogram(h: &Histogram) -> Self {
-        Self { count: h.count(), sum: h.sum(), max: h.max_value(), buckets: h.bucket_counts() }
+        Self { count: h.count(), sum: h.sum(), max: h.max(), buckets: h.bucket_counts() }
     }
 
     /// Build from wire parts (a scraped `TelemetrySnapshot` histogram).
@@ -98,8 +99,8 @@ impl HistogramInterval {
     }
 
     /// Fold another interval in — the same window on another node, or an
-    /// adjacent window on this one. Bucket-exact, like
-    /// [`Histogram::merge`].
+    /// adjacent window on this one. Bucket-exact: the result equals the
+    /// capture of one histogram that recorded both observation streams.
     pub fn merge(&mut self, other: &Self) {
         let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
         let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
@@ -147,9 +148,10 @@ impl HistogramInterval {
         }
     }
 
-    /// Value at quantile `q` in [0, 1] — same rank-walk and bucket
-    /// representatives as [`Histogram::quantile`], so a cumulative
-    /// interval reports exactly what the live histogram would.
+    /// Value at quantile `q` in [0, 1]: the midpoint of the bucket
+    /// holding the rank-`ceil(q*n)` observation, capped by `max`, except
+    /// that the top quantile reports `max` itself (exact for a cumulative
+    /// capture).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -168,25 +170,12 @@ impl HistogramInterval {
         }
         self.max
     }
-
-    /// Quantile summary in the same shape the live histogram exports.
-    pub fn summary(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
-    }
 }
 
 /// A cumulative observation of one node's metrics at one instant — either
 /// captured locally from a [`Registry`](crate::Registry) or rebuilt from
 /// a scraped wire snapshot. Frames are what [`WindowTracker`] subtracts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricFrame {
     /// Caller-supplied capture timestamp (monotonic nanoseconds; the
     /// monitor uses its own clock so frames from many nodes share one
@@ -320,6 +309,11 @@ impl WindowTracker {
         self.windows.back()
     }
 
+    /// The most recently observed cumulative frame.
+    pub fn last_frame(&self) -> Option<&MetricFrame> {
+        self.last.as_ref()
+    }
+
     /// The most recently completed window.
     pub fn latest(&self) -> Option<&WindowDelta> {
         self.windows.back()
@@ -345,15 +339,36 @@ mod tests {
     use crate::Registry;
     use proptest::{prop_assert, prop_assert_eq, proptest};
 
-    #[test]
-    fn interval_matches_live_histogram() {
+    fn capture(values: impl IntoIterator<Item = u64>) -> HistogramInterval {
         let h = Histogram::new();
-        for v in [1u64, 7, 64, 1000, 1_000_000, 1_000_000] {
+        for v in values {
             h.record(v);
         }
-        let iv = HistogramInterval::from_histogram(&h);
-        let live = h.snapshot();
-        assert_eq!(iv.summary(), live);
+        HistogramInterval::from_histogram(&h)
+    }
+
+    #[test]
+    fn quantiles_of_known_distribution() {
+        let iv = capture(1..=1000u64);
+        assert_eq!((iv.count, iv.sum, iv.max), (1000, 500_500, 1000));
+        assert_eq!(iv.mean(), 500.5);
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| iv.quantile(q));
+        // Log-linear: each within 12.5% of the exact rank value.
+        assert!((p50 as f64 - 500.0).abs() / 500.0 < 0.125, "p50={p50}");
+        assert!((p95 as f64 - 950.0).abs() / 950.0 < 0.125, "p95={p95}");
+        assert!((p99 as f64 - 990.0).abs() / 990.0 < 0.125, "p99={p99}");
+        assert!(p50 <= p95 && p95 <= p99 && p99 <= iv.max);
+        assert_eq!(iv.quantile(1.0), 1000, "the top quantile is the exact max");
+    }
+
+    #[test]
+    fn empty_histogram_is_all_zeros() {
+        let iv = capture([]);
+        assert!(iv.is_empty());
+        assert_eq!((iv.count, iv.sum, iv.max), (0, 0, 0));
+        assert_eq!([0.5, 0.95, 0.99].map(|q| iv.quantile(q)), [0, 0, 0]);
+        assert_eq!(iv.mean(), 0.0);
+        assert!(iv.buckets.is_empty());
     }
 
     #[test]
@@ -503,6 +518,7 @@ mod tests {
             prop_assert_eq!(merged.sum, xs.iter().sum::<u64>() + ys.iter().sum::<u64>());
 
             // Same buckets as the union histogram ⇒ identical quantiles.
+            let union = HistogramInterval::from_histogram(&union);
             for q in [0.5, 0.95, 0.99] {
                 prop_assert_eq!(merged.quantile(q), union.quantile(q));
             }

@@ -27,19 +27,11 @@ pub struct NetworkConfig {
     pub eager_queue_depth: usize,
     /// Seed for the fault-injection RNG; deterministic across runs.
     pub fault_seed: u64,
-    /// Ring and flight-recorder sizing for the fabric's shared
-    /// [`Registry`] — raised for long soak runs under a polling monitor
-    /// so the span/event rings don't silently wrap mid-run.
-    pub obs: lwfs_obs::ObsConfig,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        Self {
-            eager_queue_depth: 64 * 1024,
-            fault_seed: 0x5EED,
-            obs: lwfs_obs::ObsConfig::default(),
-        }
+        Self { eager_queue_depth: 64 * 1024, fault_seed: 0x5EED }
     }
 }
 
@@ -253,7 +245,7 @@ pub struct Network {
 impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(config.fault_seed);
-        let obs = Arc::new(Registry::with_config(&config.obs));
+        let obs = Arc::new(Registry::new());
         let stats = Arc::new(NetStats::with_registry(&obs));
         Self {
             inner: Arc::new(NetworkInner {

@@ -270,9 +270,9 @@ mod tests {
         let registry = Registry::new();
         let s = NetStats::with_registry(&registry);
         s.record_send(ProcessId::new(3, 0), 100);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("portals.messages"), Some(1));
-        assert_eq!(snap.counter("portals.bytes"), Some(100));
+        let frame = registry.frame(0);
+        assert_eq!(frame.counter("portals.messages"), Some(1));
+        assert_eq!(frame.counter("portals.bytes"), Some(100));
     }
 
     #[test]

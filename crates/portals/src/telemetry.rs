@@ -1,5 +1,7 @@
-//! Wire side of the telemetry scrape: serialize a fabric's [`Registry`]
-//! into the `GetTelemetry` reply shape.
+//! Wire side of the telemetry scrape, both directions: serialize a
+//! fabric's [`Registry`] into the `GetTelemetry` reply shape, and decode a
+//! scraped reply back into the [`MetricFrame`] the registry would have
+//! captured ([`frame_of`]).
 //!
 //! [`spawn_service`](crate::spawn_service)'s loop and the storage
 //! dispatcher pass each request through [`answer`] first, so every
@@ -14,7 +16,7 @@
 //! recorder travel on their own op instead — `GetFlightTraces` returns the
 //! node's current top-K, names re-encoded as owned strings.
 
-use lwfs_obs::Registry;
+use lwfs_obs::{HistogramInterval, MetricFrame, Registry};
 use lwfs_proto::{
     FlightSpan, FlightTrace, ReplyBody, RequestBody, TelemetryEvent, TelemetryHistogram,
     TelemetrySnapshot,
@@ -74,6 +76,27 @@ fn telemetry_snapshot(reg: &Registry, events_from: u64) -> TelemetrySnapshot {
     }
 }
 
+/// Rebuild a scraped wire snapshot as the cumulative [`MetricFrame`] its
+/// node's registry captured, stamped `ts_ns` on the scraper's timeline —
+/// the inverse of `telemetry_snapshot`'s metric half. Hostile bucket
+/// lists are sanitized by [`HistogramInterval::from_parts`].
+pub fn frame_of(snap: &TelemetrySnapshot, ts_ns: u64) -> MetricFrame {
+    MetricFrame::new(
+        ts_ns,
+        snap.counters.clone(),
+        snap.gauges.clone(),
+        snap.histograms
+            .iter()
+            .map(|(name, h)| {
+                (
+                    name.clone(),
+                    HistogramInterval::from_parts(h.count, h.sum, h.max, h.buckets.clone()),
+                )
+            })
+            .collect(),
+    )
+}
+
 /// Serialize `reg`'s flight-recorder pins for a `GetFlightTraces` reply.
 /// Span timestamps stay on this node's span-log epoch; the scraper
 /// applies its per-node offset at assembly. Bounded by the recorder's
@@ -104,6 +127,42 @@ fn flight_traces(reg: &Registry) -> Vec<FlightTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, proptest};
+
+    proptest! {
+        /// The wire round trip loses nothing: decoding a node's scrape
+        /// yields exactly the frame its registry captures.
+        #[test]
+        fn scrape_decodes_to_the_registry_frame(
+            counters in proptest::collection::vec((0usize..6, 0..u64::MAX), 0..12),
+            gauges in proptest::collection::vec((0usize..6, 0..u64::MAX), 0..12),
+            observations in proptest::collection::vec((0usize..6, 0u64..1 << 50), 0..80),
+            empty in 0usize..6,
+            ts_ns in 0..u64::MAX,
+        ) {
+            const NAMES: [&str; 6] = [
+                "storage.writes",
+                "storage.srv1100.in_flight",
+                "storage.worker3.dispatch_ns",
+                "wal.append_ns",
+                "txn.prepare_ns",
+                "authz.cache.hits",
+            ];
+            let reg = Registry::new();
+            for (name, v) in counters {
+                reg.counter(NAMES[name]).add(v);
+            }
+            for (name, v) in gauges {
+                // Reinterpreted, so both signs occur.
+                reg.gauge(NAMES[name]).set(v as i64);
+            }
+            for (name, v) in observations {
+                reg.histogram(NAMES[name]).record(v);
+            }
+            reg.histogram(NAMES[empty]);
+            prop_assert_eq!(frame_of(&telemetry_snapshot(&reg, 0), ts_ns), reg.frame(ts_ns));
+        }
+    }
 
     #[test]
     fn snapshot_carries_metrics_and_journal_tail() {

@@ -210,7 +210,7 @@ fn amortized_report() -> lwfs_authz::AmortizedReport {
         client.write(0, &caps, None, obj, i * 64, &[7u8; 64]).unwrap();
     }
     let server = cluster.storage_server(0);
-    let stats = server.cap_cache_stats().unwrap();
+    let stats = server.cap_cache_stats();
     // Verify RTT: 2 × one-hop latency (Table 2: 2 µs) + authz service time.
     lwfs_authz::AmortizedReport::new(stats, server.stats().data_ops(), 34_000)
 }

@@ -20,10 +20,12 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use lwfs_core::{ClusterConfig, LwfsCluster, TransportKind};
+use lwfs_obs::export::metrics_json;
 use lwfs_obs::json::Json;
-use lwfs_obs::{Snapshot, TraceCollector, TOTAL_STAGE};
+use lwfs_obs::{Registry, TraceCollector, TOTAL_STAGE};
 use lwfs_portals::FaultPlan;
 use lwfs_proto::OpMask;
 use lwfs_storage::StorageConfig;
@@ -47,8 +49,9 @@ pub(crate) fn artifact_meta(census: &[(&str, u64)]) -> Json {
 }
 
 /// Boot a two-group replicated cluster, exercise every instrumented
-/// subsystem, and return the registry snapshot — written to `metrics` as
-/// registry JSON and to `trace` as Chrome `trace_event` JSON when given.
+/// subsystem, and return the cluster's metric registry — its frame, spans
+/// and journal written to `metrics` as the metrics JSON and its spans to
+/// `trace` as Chrome `trace_event` JSON when given.
 ///
 /// # Panics
 /// Panics when any driven operation fails or when the tracing pipeline's
@@ -59,7 +62,7 @@ pub fn run_metrics_probe(
     transport: TransportKind,
     metrics: Option<&Path>,
     trace: Option<&Path>,
-) -> std::io::Result<Snapshot> {
+) -> std::io::Result<Arc<Registry>> {
     const SERVERS: usize = 2;
     // Unique WAL root per probe run: tests run probes concurrently in one
     // process, and two servers replaying each other's logs would corrupt
@@ -73,7 +76,7 @@ pub fn run_metrics_probe(
     let _ = std::fs::remove_dir_all(&wal_root);
 
     // Two replication groups of two members each: the probe exercises the
-    // log-shipping path on every mutation, so the snapshot carries the
+    // log-shipping path on every mutation, so the registry carries the
     // replication gauges (`storage.repl_lag`, `storage.failovers`) too.
     // The WAL makes the durability stages (`wal.append`, `wal.fsync`)
     // visible in every mutation's trace; the short ship deadline lets the
@@ -147,7 +150,7 @@ pub fn run_metrics_probe(
 
     // Kill group 0's primary so the failover path (promotion, client
     // retry, `storage.failovers`, the `failover.promote` journal entry)
-    // is represented in the snapshot; the flush reads below run against
+    // is represented in the registry; the flush reads below run against
     // the promoted backup.
     cluster.crash_storage(0);
 
@@ -174,34 +177,38 @@ pub fn run_metrics_probe(
             }
         }
     }
-    let snap = cluster.network().obs().snapshot();
-    assert_replicated_write_traced(&snap);
-    assert_eviction_journaled(&snap);
+    // Every service thread joins on drop, so from here the registry is
+    // quiescent: the flush ops close their traces, and the artifacts and
+    // the returned registry agree span for span.
+    let endpoints = cluster.network().endpoint_count() as u64;
+    let obs = Arc::clone(cluster.network().obs());
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&wal_root);
+    let spans = obs.spans().recent(usize::MAX);
+    assert_replicated_write_traced(&spans);
+    assert_eviction_journaled(&obs);
 
     if let Some(path) = metrics {
-        let meta = artifact_meta(&[
-            ("storage_servers", (SERVERS * 2) as u64),
-            ("endpoints", cluster.network().endpoint_count() as u64),
-        ]);
-        write_file(path, &format!("{}\n", snap.to_json(meta)))?;
+        let meta =
+            artifact_meta(&[("storage_servers", (SERVERS * 2) as u64), ("endpoints", endpoints)]);
+        let json = metrics_json(meta, &obs.frame(0), &spans, &obs.events().all());
+        write_file(path, &format!("{json}\n"))?;
     }
     if let Some(path) = trace {
         let mut collector = TraceCollector::new();
-        collector.add_spans(snap.spans.iter().cloned());
+        collector.add_spans(spans);
         write_file(path, &format!("{}\n", collector.to_chrome_json()))?;
     }
-    drop(cluster);
-    let _ = std::fs::remove_dir_all(&wal_root);
-    Ok(snap)
+    Ok(obs)
 }
 
 /// Acceptance invariant: at least one replicated write was traced end to
 /// end — the client's span, the primary's write (with its WAL append and
 /// fsync and one ship per backup), and the backup's apply all share one
 /// wire-propagated `trace_id` across three distinct nodes.
-fn assert_replicated_write_traced(snap: &Snapshot) {
+fn assert_replicated_write_traced(spans: &[lwfs_obs::SpanRecord]) {
     let mut collector = TraceCollector::new();
-    collector.add_spans(snap.spans.iter().cloned());
+    collector.add_spans(spans.iter().cloned());
     let traced = collector.traces().into_iter().any(|t| {
         let has = |op: &str, stage: &str| t.spans.iter().any(|s| s.op == op && s.stage == stage);
         has("client.mutate", TOTAL_STAGE)
@@ -222,9 +229,9 @@ fn assert_replicated_write_traced(snap: &Snapshot) {
 /// Acceptance invariant: the induced ship-deadline eviction reached the
 /// journal, and did so *before* the directory republished the shrunken
 /// map — the order a post-mortem relies on.
-fn assert_eviction_journaled(snap: &Snapshot) {
-    let evict = snap.events_of_kind("repl.evict_backup");
-    let republish = snap.events_of_kind("directory.republish");
+fn assert_eviction_journaled(obs: &Registry) {
+    let evict = obs.events().of_kind("repl.evict_backup");
+    let republish = obs.events().of_kind("directory.republish");
     assert!(!evict.is_empty(), "ship-deadline eviction missing from the event journal");
     assert!(!republish.is_empty(), "directory republish missing from the event journal");
     assert!(
@@ -234,7 +241,7 @@ fn assert_eviction_journaled(snap: &Snapshot) {
         evict[0].seq
     );
     assert!(
-        !snap.events_of_kind("failover.promote").is_empty(),
+        !obs.events().of_kind("failover.promote").is_empty(),
         "primary failover missing from the event journal"
     );
 }

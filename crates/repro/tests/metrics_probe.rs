@@ -1,5 +1,5 @@
 //! Integration test for the metrics probe (`lwfs-repro probe metrics`): the
-//! registry snapshot must carry every instrumented subsystem, the stage
+//! registry must carry every instrumented subsystem, the stage
 //! decomposition of each traced request must account for no more than
 //! its end-to-end latency, and the trace export must assemble a
 //! replicated write across nodes.
@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use lwfs_core::TransportKind;
+use lwfs_obs::export::metrics_json;
 use lwfs_obs::json::Json;
 use lwfs_obs::{parse_chrome_spans, SpanRecord, TraceCollector, TOTAL_STAGE};
 use lwfs_repro::run_metrics_probe;
@@ -20,34 +21,35 @@ const ANNOTATION_OPS: &[&str] = &["wal", "repl", "authz"];
 
 #[test]
 fn snapshot_covers_every_instrumented_subsystem() {
-    let snap = run_metrics_probe(TransportKind::InProcess, None, None).unwrap();
+    let obs = run_metrics_probe(TransportKind::InProcess, None, None).unwrap();
+    let frame = obs.frame(0);
 
     // Storage: queue/buffer gauges exist (drained back to zero by the
     // time we sample) and the data-path counters moved.
-    assert_eq!(snap.gauge("storage.queue_depth"), Some(0));
-    assert_eq!(snap.gauge("storage.pool_in_use"), Some(0));
-    assert!(snap.counter("storage.writes").unwrap() >= 2);
-    assert!(snap.counter("storage.reads").unwrap() >= 2);
-    assert!(snap.counter("storage.bytes_pulled").unwrap() >= 2 * 640 * 1024);
+    assert_eq!(frame.gauge("storage.queue_depth"), Some(0));
+    assert_eq!(frame.gauge("storage.pool_in_use"), Some(0));
+    assert!(frame.counter("storage.writes").unwrap() >= 2);
+    assert!(frame.counter("storage.reads").unwrap() >= 2);
+    assert!(frame.counter("storage.bytes_pulled").unwrap() >= 2 * 640 * 1024);
 
     // Authorization: the cap cache missed cold, hit warm, and verified
     // through to the authz server.
-    assert!(snap.counter("authz.cache.hits").unwrap() >= 1);
-    assert!(snap.counter("authz.cache.misses").unwrap() >= 1);
-    assert!(snap.counter("authz.cache.verify_through").unwrap() >= 1);
+    assert!(frame.counter("authz.cache.hits").unwrap() >= 1);
+    assert!(frame.counter("authz.cache.misses").unwrap() >= 1);
+    assert!(frame.counter("authz.cache.verify_through").unwrap() >= 1);
 
     // Transactions: one committed and one aborted 2PC, with both phase
     // latencies recorded.
-    assert_eq!(snap.counter("txn.commits"), Some(1));
-    assert_eq!(snap.counter("txn.aborts"), Some(1));
-    assert_eq!(snap.histogram("txn.prepare_ns").unwrap().count, 1);
-    assert_eq!(snap.histogram("txn.commit_ns").unwrap().count, 1);
-    assert_eq!(snap.histogram("txn.abort_ns").unwrap().count, 1);
+    assert_eq!(frame.counter("txn.commits"), Some(1));
+    assert_eq!(frame.counter("txn.aborts"), Some(1));
+    assert_eq!(frame.histogram("txn.prepare_ns").unwrap().count, 1);
+    assert_eq!(frame.histogram("txn.commit_ns").unwrap().count, 1);
+    assert_eq!(frame.histogram("txn.abort_ns").unwrap().count, 1);
 
     // Naming and the message fabric.
-    assert!(snap.counter("naming.ops").unwrap() >= 4);
-    assert!(snap.counter("portals.messages").unwrap() > 0);
-    assert!(snap.counter("portals.gets").unwrap() > 0);
+    assert!(frame.counter("naming.ops").unwrap() >= 4);
+    assert!(frame.counter("portals.messages").unwrap() > 0);
+    assert!(frame.counter("portals.gets").unwrap() > 0);
 
     // The write path decomposed into stages, including the WAL the probe
     // cluster now runs with.
@@ -60,21 +62,23 @@ fn snapshot_covers_every_instrumented_subsystem() {
         "storage.write.total_ns",
         "wal.append_ns",
     ] {
-        assert!(snap.histogram(h).unwrap().count > 0, "missing {h}");
+        assert!(frame.histogram(h).unwrap().count > 0, "missing {h}");
     }
 
     // The control-plane journal recorded the probe's induced faults.
-    assert!(!snap.events_of_kind("repl.evict_backup").is_empty());
-    assert!(!snap.events_of_kind("failover.promote").is_empty());
+    assert!(!obs.events().of_kind("repl.evict_backup").is_empty());
+    assert!(!obs.events().of_kind("failover.promote").is_empty());
 
     // The JSON export reads back the same values, plus the journal.
-    let json = Json::parse(&snap.to_json(Json::Null).to_string()).unwrap();
+    let spans = obs.spans().recent(usize::MAX);
+    let json = metrics_json(Json::Null, &frame, &spans, &obs.events().all());
+    let json = Json::parse(&json.to_string()).unwrap();
     let section = |name: &str, key: &str| json.get(name)?.get(key);
     for key in ["authz.cache.hits", "portals.messages"] {
-        assert_eq!(section("counters", key).and_then(Json::as_u64), snap.counter(key));
+        assert_eq!(section("counters", key).and_then(Json::as_u64), frame.counter(key));
     }
     let depth = section("gauges", "storage.queue_depth");
-    assert_eq!(depth.and_then(Json::as_i64), snap.gauge("storage.queue_depth"));
+    assert_eq!(depth.and_then(Json::as_i64), frame.gauge("storage.queue_depth"));
     let prepare = section("histograms", "txn.prepare_ns");
     assert_eq!(prepare.and_then(|h| h.get("count")).and_then(Json::as_u64), Some(1));
     let events = json.get("events").map(Json::as_arr).unwrap_or_default();
@@ -86,8 +90,9 @@ fn snapshot_covers_every_instrumented_subsystem() {
 
 #[test]
 fn stage_latencies_sum_to_at_most_end_to_end() {
-    let snap = run_metrics_probe(TransportKind::InProcess, None, None).unwrap();
-    assert!(!snap.spans.is_empty());
+    let spans =
+        run_metrics_probe(TransportKind::InProcess, None, None).unwrap().spans().recent(usize::MAX);
+    assert!(!spans.is_empty());
 
     // Group the span log by traced request; compare the sum of its stage
     // durations against its end-to-end `total` spans. A retried request
@@ -97,7 +102,7 @@ fn stage_latencies_sum_to_at_most_end_to_end() {
     // their sum. Annotation spans overlap the stages that contain them
     // and are accounted separately below.
     let mut per_req: BTreeMap<(u64, &str), (u64, u64, usize)> = BTreeMap::new();
-    for s in snap.spans.iter().filter(|s| !ANNOTATION_OPS.contains(&s.op)) {
+    for s in spans.iter().filter(|s| !ANNOTATION_OPS.contains(&s.op)) {
         let e = per_req.entry((s.req_id, s.op)).or_default();
         if s.stage == TOTAL_STAGE {
             e.1 += s.dur_ns;
@@ -132,11 +137,10 @@ fn stage_latencies_sum_to_at_most_end_to_end() {
     // Annotation spans ride inside a request, recorded *before* its
     // total closes — so each must reference a (req_id, nid) that either
     // recorded a total or is one of the few requests still in flight at
-    // snapshot time (the same allowance as above).
+    // sampling time (the same allowance as above).
     let closed: std::collections::BTreeSet<(u64, u32)> =
-        snap.spans.iter().filter(|s| s.stage == TOTAL_STAGE).map(|s| (s.req_id, s.nid)).collect();
-    let dangling: std::collections::BTreeSet<(u64, u32)> = snap
-        .spans
+        spans.iter().filter(|s| s.stage == TOTAL_STAGE).map(|s| (s.req_id, s.nid)).collect();
+    let dangling: std::collections::BTreeSet<(u64, u32)> = spans
         .iter()
         .filter(|s| ANNOTATION_OPS.contains(&s.op) && !closed.contains(&(s.req_id, s.nid)))
         .map(|s| (s.req_id, s.nid))
@@ -153,7 +157,7 @@ fn trace_export_assembles_a_replicated_write() {
     let dir = std::env::temp_dir().join(format!("lwfs-trace-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let trace_path = dir.join("probe_trace.json");
-    let snap = run_metrics_probe(TransportKind::InProcess, None, Some(&trace_path)).unwrap();
+    let obs = run_metrics_probe(TransportKind::InProcess, None, Some(&trace_path)).unwrap();
 
     // The exported file is the Chrome trace_event envelope with spans
     // from the client and both storage roles.
@@ -170,17 +174,17 @@ fn trace_export_assembles_a_replicated_write() {
     }
     // The file reads back span for span.
     let mut back = parse_chrome_spans(&json).unwrap();
-    let mut recorded = snap.spans.clone();
+    let mut recorded = obs.spans().recent(usize::MAX);
     let key = |s: &SpanRecord| (s.trace_id, s.req_id, s.nid, s.op, s.stage, s.start_ns, s.dur_ns);
     back.sort_by_key(key);
     recorded.sort_by_key(key);
     assert_eq!(back, recorded);
 
-    // Reassemble from the snapshot: some trace must span the client and
+    // Reassemble from the span log: some trace must span the client and
     // at least two storage nodes (primary + backup) under one trace_id,
     // and its client total must dominate every span it contains.
     let mut collector = TraceCollector::new();
-    collector.add_spans(snap.spans.iter().cloned());
+    collector.add_spans(obs.spans().recent(usize::MAX));
     let t = collector
         .traces()
         .into_iter()

@@ -338,7 +338,9 @@ pub struct StorageServer {
     config: StorageConfig,
     store: ObjectStore,
     pool: PinnedBufferPool,
-    verifier: Option<CachedCapVerifier>,
+    /// Verify-through capability cache bound to the authorization
+    /// service: the legacy mode's capability path.
+    verifier: CachedCapVerifier,
     /// Local signature-based capability enforcement, when the cluster
     /// runs `CapMode::Signed`.
     signed: Option<SignedCaps>,
@@ -364,8 +366,8 @@ impl StorageServer {
     /// Spawn a storage server at `id`.
     ///
     /// `verifier` is the verify-through capability cache bound to the
-    /// authorization service; passing `None` trusts structurally valid
-    /// capabilities (unit tests only — a real deployment always verifies).
+    /// authorization service; it checks every capability unless the
+    /// cluster runs signed caps, whose tokens verify locally.
     ///
     /// With [`StorageConfig::wal`] set, the server first **recovers**: it
     /// opens the log directory (repairing any torn tail), replays the
@@ -382,7 +384,7 @@ impl StorageServer {
         net: &Network,
         id: ProcessId,
         config: StorageConfig,
-        verifier: Option<CachedCapVerifier>,
+        verifier: CachedCapVerifier,
         clock: Arc<dyn Clock>,
     ) -> (ServiceHandle, Arc<StorageServer>) {
         let obs = Arc::clone(net.obs());
@@ -468,8 +470,8 @@ impl StorageServer {
         &self.store
     }
 
-    pub fn cap_cache_stats(&self) -> Option<lwfs_authz::CapCacheStats> {
-        self.verifier.as_ref().map(|v| v.stats())
+    pub fn cap_cache_stats(&self) -> lwfs_authz::CapCacheStats {
+        self.verifier.stats()
     }
 
     pub fn pool(&self) -> &PinnedBufferPool {
@@ -764,16 +766,7 @@ impl StorageServer {
             }
             return signed.verifier.check(token, need, cap.container(), obj, self.clock.now(), 0);
         }
-        match &self.verifier {
-            Some(v) => v.check(client, cap, need, self.clock.now()),
-            None => {
-                if cap.grants(need) {
-                    Ok(())
-                } else {
-                    Err(Error::AccessDenied)
-                }
-            }
-        }
+        self.verifier.check(client, cap, need, self.clock.now())
     }
 
     // ------------------------------------------------------------------
@@ -936,7 +929,7 @@ impl StorageServer {
                 }
             }
             RequestBody::InvalidateCaps { authz_epoch: _, keys } => {
-                let dropped = self.verifier.as_ref().map(|v| v.invalidate(keys)).unwrap_or(0);
+                let dropped = self.verifier.invalidate(keys);
                 ReplyBody::CapsInvalidated { dropped }
             }
             RequestBody::PushEpochs { epochs } => {

@@ -11,13 +11,15 @@ use lwfs_portals::{
     reply_match, Event, MdOptions, MemDesc, Network, RpcClient, BULK_SPACE, REQUEST_MATCH,
 };
 use lwfs_proto::{
-    Capability, CapabilityBody, ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle,
-    ObjId, OpMask, OpNum, PrincipalId, ProcessId, Reply, ReplyBody, Request, RequestBody,
+    Capability, CapabilityBody, ContainerId, Credential, Decode as _, Encode as _, Error, Lifetime,
+    MdHandle, ObjId, OpMask, OpNum, PrincipalId, ProcessId, Reply, ReplyBody, Request, RequestBody,
     Signature, TxnId,
 };
 use lwfs_storage::{StorageConfig, StorageServer};
 
-fn open_cap(container: ContainerId, ops: OpMask) -> Capability {
+/// A structurally valid capability the authorization service never
+/// minted: its MAC is made up.
+fn forged_cap(container: ContainerId, ops: OpMask) -> Capability {
     Capability {
         body: CapabilityBody {
             container,
@@ -31,16 +33,78 @@ fn open_cap(container: ContainerId, ops: OpMask) -> Capability {
     }
 }
 
-/// Boot a storage server with no verifier (structural trust).
-fn boot_open() -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>) {
-    let net = Network::default();
-    let clock = Arc::new(ManualClock::new());
-    let (handle, server) =
-        StorageServer::spawn(&net, ProcessId::new(50, 0), StorageConfig::default(), None, clock);
-    (net, handle, server)
+/// Genuine capabilities on one container — the authorization service
+/// mints one per operation bit.
+struct Caps(Vec<Capability>);
+
+impl Caps {
+    /// The capability granting `op`.
+    fn op(&self, op: OpMask) -> Capability {
+        self.0.iter().find(|c| c.grants(op)).copied().expect("capability for op")
+    }
+
+    fn container(&self) -> ContainerId {
+        self.0[0].container()
+    }
 }
 
-fn create_obj(client: &RpcClient<'_>, srv: ProcessId, cap: Capability) -> ObjId {
+/// A live authorization service with one user, `alice`, owning the
+/// containers tests create.
+struct Authz {
+    handle: lwfs_portals::ServiceHandle,
+    service: Arc<AuthzService>,
+    alice: Credential,
+}
+
+impl Authz {
+    fn spawn(net: &Network, clock: Arc<ManualClock>) -> Self {
+        let kdc = Arc::new(MockKerberos::new("TEST", 3));
+        kdc.add_user("alice", "pw", PrincipalId(1));
+        let auth = Arc::new(AuthService::new(
+            AuthConfig::default(),
+            kdc.clone() as Arc<dyn lwfs_auth::AuthMechanism>,
+            clock.clone(),
+        ));
+        let alice = auth.get_cred(&kdc.kinit("alice", "pw").unwrap()).unwrap();
+        let authz = AuthzService::new(
+            AuthzConfig::default(),
+            Arc::new(auth) as Arc<dyn CredVerifier>,
+            clock,
+        );
+        let (handle, service) = AuthzServer::spawn(net, ProcessId::new(101, 0), authz);
+        Self { handle, service, alice }
+    }
+
+    /// A fresh container of alice's, with capabilities for `ops` on it.
+    fn container(&self, ops: OpMask) -> Caps {
+        self.container_caps(self.service.create_container(&self.alice).unwrap(), ops)
+    }
+
+    /// Alice's capabilities for `ops` on `cid`.
+    fn container_caps(&self, cid: ContainerId, ops: OpMask) -> Caps {
+        Caps(self.service.get_caps(&self.alice, cid, ops).unwrap())
+    }
+}
+
+/// Boot storage server 50 enforcing through a live authorization service.
+fn boot(
+    config: StorageConfig,
+) -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>, Authz) {
+    let net = Network::default();
+    let clock = Arc::new(ManualClock::new());
+    let authz = Authz::spawn(&net, clock.clone());
+    let id = ProcessId::new(50, 0);
+    let verifier = CachedCapVerifier::new(id, authz.handle.id());
+    let (handle, server) = StorageServer::spawn(&net, id, config, verifier, clock);
+    (net, handle, server, authz)
+}
+
+fn boot_open() -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>, Authz) {
+    boot(StorageConfig::default())
+}
+
+fn create_obj(client: &RpcClient<'_>, srv: ProcessId, caps: &Caps) -> ObjId {
+    let cap = caps.op(OpMask::CREATE);
     match client.call(srv, RequestBody::CreateObj { txn: None, cap, obj: None }).unwrap() {
         ReplyBody::ObjCreated(oid) => oid,
         other => panic!("unexpected {other:?}"),
@@ -54,12 +118,13 @@ fn write_obj(
     client: &RpcClient<'_>,
     ep: &lwfs_portals::Endpoint,
     srv: ProcessId,
-    cap: Capability,
+    caps: &Caps,
     obj: ObjId,
     offset: u64,
     payload: &[u8],
     txn: Option<TxnId>,
 ) -> Result<u64, Error> {
+    let cap = caps.op(OpMask::WRITE);
     let mb = ep.match_bits().alloc(BULK_SPACE);
     ep.post_md(mb, MemDesc::from_vec(payload.to_vec(), MdOptions::for_remote_get())).unwrap();
     let r = client.call_retrying(
@@ -85,11 +150,12 @@ fn read_obj(
     client: &RpcClient<'_>,
     ep: &lwfs_portals::Endpoint,
     srv: ProcessId,
-    cap: Capability,
+    caps: &Caps,
     obj: ObjId,
     offset: u64,
     len: usize,
 ) -> Result<Vec<u8>, Error> {
+    let cap = caps.op(OpMask::READ);
     let mb = ep.match_bits().alloc(BULK_SPACE);
     ep.post_md(mb, MemDesc::zeroed(len, MdOptions::for_remote_put())).unwrap();
     let r = client.call_retrying(
@@ -109,18 +175,18 @@ fn read_obj(
 
 #[test]
 fn write_then_read_roundtrip_server_directed() {
-    let (net, handle, server) = boot_open();
+    let (net, handle, server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
 
-    let oid = create_obj(&client, handle.id(), cap);
+    let oid = create_obj(&client, handle.id(), &caps);
     // Payload larger than one chunk to exercise the chunk loop.
     let payload: Vec<u8> = (0..600 * 1024).map(|i| (i % 251) as u8).collect();
-    let n = write_obj(&client, &ep, handle.id(), cap, oid, 0, &payload, None).unwrap();
+    let n = write_obj(&client, &ep, handle.id(), &caps, oid, 0, &payload, None).unwrap();
     assert_eq!(n, payload.len() as u64);
 
-    let back = read_obj(&client, &ep, handle.id(), cap, oid, 0, payload.len()).unwrap();
+    let back = read_obj(&client, &ep, handle.id(), &caps, oid, 0, payload.len()).unwrap();
     assert_eq!(back, payload);
 
     // Data moved one-sidedly: the server performed gets (pull) and puts
@@ -133,14 +199,14 @@ fn write_then_read_roundtrip_server_directed() {
 
 #[test]
 fn partial_read_and_offset_write() {
-    let (net, handle, _server) = boot_open();
+    let (net, handle, _server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
 
-    let oid = create_obj(&client, handle.id(), cap);
-    write_obj(&client, &ep, handle.id(), cap, oid, 10, b"offset-write", None).unwrap();
-    let back = read_obj(&client, &ep, handle.id(), cap, oid, 0, 64).unwrap();
+    let oid = create_obj(&client, handle.id(), &caps);
+    write_obj(&client, &ep, handle.id(), &caps, oid, 10, b"offset-write", None).unwrap();
+    let back = read_obj(&client, &ep, handle.id(), &caps, oid, 0, 64).unwrap();
     assert_eq!(back.len(), 22, "short read stops at object end");
     assert_eq!(&back[10..], b"offset-write");
     assert!(back[..10].iter().all(|b| *b == 0), "gap zero-filled");
@@ -149,24 +215,30 @@ fn partial_read_and_offset_write() {
 
 #[test]
 fn getattr_sync_list() {
-    let (net, handle, _server) = boot_open();
+    let (net, handle, _server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
 
-    let a = create_obj(&client, handle.id(), cap);
-    let b = create_obj(&client, handle.id(), cap);
-    write_obj(&client, &ep, handle.id(), cap, a, 0, &[9u8; 1000], None).unwrap();
+    let a = create_obj(&client, handle.id(), &caps);
+    let b = create_obj(&client, handle.id(), &caps);
+    write_obj(&client, &ep, handle.id(), &caps, a, 0, &[9u8; 1000], None).unwrap();
 
-    match client.call(handle.id(), RequestBody::GetAttr { cap, obj: a }).unwrap() {
+    match client
+        .call(handle.id(), RequestBody::GetAttr { cap: caps.op(OpMask::GETATTR), obj: a })
+        .unwrap()
+    {
         ReplyBody::Attr(attr) => assert_eq!(attr.size, 1000),
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(
-        client.call(handle.id(), RequestBody::Sync { cap, obj: Some(a) }).unwrap(),
+        client
+            .call(handle.id(), RequestBody::Sync { cap: caps.op(OpMask::WRITE), obj: Some(a) })
+            .unwrap(),
         ReplyBody::Synced
     );
-    match client.call(handle.id(), RequestBody::ListObjs { cap }).unwrap() {
+    match client.call(handle.id(), RequestBody::ListObjs { cap: caps.op(OpMask::GETATTR) }).unwrap()
+    {
         ReplyBody::Objs(objs) => assert_eq!(objs, vec![a, b]),
         other => panic!("unexpected {other:?}"),
     }
@@ -175,10 +247,10 @@ fn getattr_sync_list() {
 
 #[test]
 fn cap_without_needed_op_is_denied() {
-    let (net, handle, _server) = boot_open();
+    let (net, handle, _server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let read_only = open_cap(ContainerId(1), OpMask::READ);
+    let read_only = authz.container(OpMask::READ).op(OpMask::READ);
 
     let err =
         client.call(handle.id(), RequestBody::CreateObj { txn: None, cap: read_only, obj: None });
@@ -188,44 +260,47 @@ fn cap_without_needed_op_is_denied() {
 
 #[test]
 fn container_scoping_blocks_cross_container_access() {
-    let (net, handle, _server) = boot_open();
+    let (net, handle, _server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap1 = open_cap(ContainerId(1), OpMask::ALL);
-    let cap2 = open_cap(ContainerId(2), OpMask::ALL);
+    let caps1 = authz.container(OpMask::ALL);
+    let caps2 = authz.container(OpMask::ALL);
 
-    let oid = create_obj(&client, handle.id(), cap1);
-    write_obj(&client, &ep, handle.id(), cap1, oid, 0, b"mine", None).unwrap();
+    let oid = create_obj(&client, handle.id(), &caps1);
+    write_obj(&client, &ep, handle.id(), &caps1, oid, 0, b"mine", None).unwrap();
     // A capability for a different container cannot read the object.
-    let err = read_obj(&client, &ep, handle.id(), cap2, oid, 0, 4).unwrap_err();
+    let err = read_obj(&client, &ep, handle.id(), &caps2, oid, 0, 4).unwrap_err();
     assert_eq!(err, Error::AccessDenied);
-    let err = write_obj(&client, &ep, handle.id(), cap2, oid, 0, b"nope", None).unwrap_err();
+    let err = write_obj(&client, &ep, handle.id(), &caps2, oid, 0, b"nope", None).unwrap_err();
     assert_eq!(err, Error::AccessDenied);
     handle.shutdown();
 }
 
 #[test]
 fn txn_abort_rolls_back_create_and_writes() {
-    let (net, handle, server) = boot_open();
+    let (net, handle, server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let txn = TxnId(42);
 
     // Pre-existing object with committed contents.
-    let base = create_obj(&client, handle.id(), cap);
-    write_obj(&client, &ep, handle.id(), cap, base, 0, b"stable", None).unwrap();
+    let base = create_obj(&client, handle.id(), &caps);
+    write_obj(&client, &ep, handle.id(), &caps, base, 0, b"stable", None).unwrap();
 
     // Transactional: new object + overwrite of the existing one.
     let fresh = match client
-        .call(handle.id(), RequestBody::CreateObj { txn: Some(txn), cap, obj: None })
+        .call(
+            handle.id(),
+            RequestBody::CreateObj { txn: Some(txn), cap: caps.op(OpMask::CREATE), obj: None },
+        )
         .unwrap()
     {
         ReplyBody::ObjCreated(oid) => oid,
         other => panic!("unexpected {other:?}"),
     };
-    write_obj(&client, &ep, handle.id(), cap, fresh, 0, b"doomed", Some(txn)).unwrap();
-    write_obj(&client, &ep, handle.id(), cap, base, 0, b"mutate", Some(txn)).unwrap();
+    write_obj(&client, &ep, handle.id(), &caps, fresh, 0, b"doomed", Some(txn)).unwrap();
+    write_obj(&client, &ep, handle.id(), &caps, base, 0, b"mutate", Some(txn)).unwrap();
 
     assert_eq!(
         client.call(handle.id(), RequestBody::TxnAbort { txn }).unwrap(),
@@ -233,9 +308,9 @@ fn txn_abort_rolls_back_create_and_writes() {
     );
 
     // The fresh object is gone; the base object reads back unchanged.
-    let err = read_obj(&client, &ep, handle.id(), cap, fresh, 0, 6).unwrap_err();
+    let err = read_obj(&client, &ep, handle.id(), &caps, fresh, 0, 6).unwrap_err();
     assert_eq!(err, Error::NoSuchObject(fresh));
-    let back = read_obj(&client, &ep, handle.id(), cap, base, 0, 6).unwrap();
+    let back = read_obj(&client, &ep, handle.id(), &caps, base, 0, 6).unwrap();
     assert_eq!(back, b"stable");
     assert_eq!(server.stats().txn_aborts.get(), 1);
     handle.shutdown();
@@ -243,26 +318,29 @@ fn txn_abort_rolls_back_create_and_writes() {
 
 #[test]
 fn txn_abort_restores_a_removed_object_byte_exact() {
-    let (net, handle, server) = boot_open();
+    let (net, handle, server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let srv = handle.id();
     // Spans several chunks, so the restore is not a one-buffer special case.
     let contents: Vec<u8> = (0..600 * 1024).map(|i| (i % 251) as u8).collect();
-    let obj = create_obj(&client, srv, cap);
-    write_obj(&client, &ep, srv, cap, obj, 0, &contents, None).unwrap();
+    let obj = create_obj(&client, srv, &caps);
+    write_obj(&client, &ep, srv, &caps, obj, 0, &contents, None).unwrap();
 
-    let remove = |txn| client.call(srv, RequestBody::RemoveObj { txn: Some(txn), cap, obj });
+    let remove = |txn| {
+        client
+            .call(srv, RequestBody::RemoveObj { txn: Some(txn), cap: caps.op(OpMask::REMOVE), obj })
+    };
     let aborted = TxnId(7);
     assert_eq!(remove(aborted).unwrap(), ReplyBody::ObjRemoved);
     // The bytes left the store for the undo journal…
     assert_eq!(server.store().bytes_stored(), 0);
-    let err = read_obj(&client, &ep, srv, cap, obj, 0, 8).unwrap_err();
+    let err = read_obj(&client, &ep, srv, &caps, obj, 0, 8).unwrap_err();
     assert_eq!(err, Error::NoSuchObject(obj));
     // …and come back whole on abort.
     client.call(srv, RequestBody::TxnAbort { txn: aborted }).unwrap();
-    assert_eq!(read_obj(&client, &ep, srv, cap, obj, 0, contents.len()).unwrap(), contents);
+    assert_eq!(read_obj(&client, &ep, srv, &caps, obj, 0, contents.len()).unwrap(), contents);
 
     // A removal staged after the transaction prepared is refused while the
     // object is still in the store, not after its bytes have been taken.
@@ -278,20 +356,23 @@ fn txn_abort_restores_a_removed_object_byte_exact() {
 
 #[test]
 fn txn_prepare_commit_makes_effects_permanent() {
-    let (net, handle, server) = boot_open();
+    let (net, handle, server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let txn = TxnId(7);
 
     let oid = match client
-        .call(handle.id(), RequestBody::CreateObj { txn: Some(txn), cap, obj: None })
+        .call(
+            handle.id(),
+            RequestBody::CreateObj { txn: Some(txn), cap: caps.op(OpMask::CREATE), obj: None },
+        )
         .unwrap()
     {
         ReplyBody::ObjCreated(oid) => oid,
         other => panic!("unexpected {other:?}"),
     };
-    write_obj(&client, &ep, handle.id(), cap, oid, 0, b"durable", Some(txn)).unwrap();
+    write_obj(&client, &ep, handle.id(), &caps, oid, 0, b"durable", Some(txn)).unwrap();
 
     assert_eq!(
         client.call(handle.id(), RequestBody::TxnPrepare { txn }).unwrap(),
@@ -301,7 +382,7 @@ fn txn_prepare_commit_makes_effects_permanent() {
         client.call(handle.id(), RequestBody::TxnCommit { txn }).unwrap(),
         ReplyBody::TxnCommitted
     );
-    let back = read_obj(&client, &ep, handle.id(), cap, oid, 0, 7).unwrap();
+    let back = read_obj(&client, &ep, handle.id(), &caps, oid, 0, 7).unwrap();
     assert_eq!(back, b"durable");
     assert_eq!(server.stats().txn_commits.get(), 1);
     handle.shutdown();
@@ -309,12 +390,17 @@ fn txn_prepare_commit_makes_effects_permanent() {
 
 #[test]
 fn commit_without_prepare_is_rejected() {
-    let (net, handle, _server) = boot_open();
+    let (net, handle, _server, authz) = boot_open();
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let txn = TxnId(8);
-    client.call(handle.id(), RequestBody::CreateObj { txn: Some(txn), cap, obj: None }).unwrap();
+    client
+        .call(
+            handle.id(),
+            RequestBody::CreateObj { txn: Some(txn), cap: caps.op(OpMask::CREATE), obj: None },
+        )
+        .unwrap();
     assert!(matches!(
         client.call(handle.id(), RequestBody::TxnCommit { txn }).unwrap_err(),
         Error::Internal(_)
@@ -326,55 +412,29 @@ fn commit_without_prepare_is_rejected() {
 /// caching and revocation — the complete Figure 4-b protocol.
 #[test]
 fn enforcement_with_live_authorization_service() {
-    let net = Network::default();
-    let clock = Arc::new(ManualClock::new());
-    let kdc = Arc::new(MockKerberos::new("TEST", 3));
-    kdc.add_user("alice", "pw", PrincipalId(1));
-    let auth = Arc::new(AuthService::new(
-        AuthConfig::default(),
-        kdc.clone() as Arc<dyn lwfs_auth::AuthMechanism>,
-        clock.clone(),
-    ));
-    let alice = auth.get_cred(&kdc.kinit("alice", "pw").unwrap()).unwrap();
-    let authz = AuthzService::new(
-        AuthzConfig::default(),
-        Arc::new(auth) as Arc<dyn CredVerifier>,
-        clock.clone(),
-    );
-    let (authz_handle, authz_svc) = AuthzServer::spawn(&net, ProcessId::new(101, 0), authz);
-
-    let storage_id = ProcessId::new(50, 0);
-    let verifier = CachedCapVerifier::new(storage_id, authz_handle.id());
-    let (storage_handle, server) = StorageServer::spawn(
-        &net,
-        storage_id,
-        StorageConfig::default(),
-        Some(verifier),
-        clock.clone(),
-    );
+    let (net, storage_handle, server, authz) = boot_open();
+    let storage_id = storage_handle.id();
 
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
 
     // Genuine capabilities work.
-    let cid = authz_svc.create_container(&alice).unwrap();
-    let caps = authz_svc.get_caps(&alice, cid, OpMask::CREATE | OpMask::WRITE).unwrap();
-    let create_cap = caps.iter().find(|c| c.grants(OpMask::CREATE)).copied().unwrap();
-    let write_cap = caps.iter().find(|c| c.grants(OpMask::WRITE)).copied().unwrap();
+    let caps = authz.container(OpMask::CREATE | OpMask::WRITE);
+    let cid = caps.container();
 
-    let oid = create_obj(&client, storage_id, create_cap);
-    write_obj(&client, &ep, storage_id, write_cap, oid, 0, b"secured", None).unwrap();
+    let oid = create_obj(&client, storage_id, &caps);
+    write_obj(&client, &ep, storage_id, &caps, oid, 0, b"secured", None).unwrap();
 
     // Forged capability rejected even though structurally plausible.
-    let forged = open_cap(cid, OpMask::WRITE);
-    let err = write_obj(&client, &ep, storage_id, forged, oid, 0, b"forged", None).unwrap_err();
+    let forged = Caps(vec![forged_cap(cid, OpMask::WRITE)]);
+    let err = write_obj(&client, &ep, storage_id, &forged, oid, 0, b"forged", None).unwrap_err();
     assert_eq!(err, Error::BadCapability);
 
     // Cache works: repeated writes do one VerifyCaps total.
     for i in 0..10u64 {
-        write_obj(&client, &ep, storage_id, write_cap, oid, i * 8, b"cached!!", None).unwrap();
+        write_obj(&client, &ep, storage_id, &caps, oid, i * 8, b"cached!!", None).unwrap();
     }
-    let cache = server.cap_cache_stats().unwrap();
+    let cache = server.cap_cache_stats();
     // Exactly three misses so far: the create cap, the write cap's first
     // use, and the forged capability (which verified negative and was not
     // cached). All ten repeat writes must be hits.
@@ -383,10 +443,10 @@ fn enforcement_with_live_authorization_service() {
 
     // Revocation: chmod away write; the cached verdict is invalidated and
     // the next write fails.
-    let admin = authz_svc.get_caps(&alice, cid, OpMask::ADMIN).unwrap()[0];
+    let admin = authz.container_caps(cid, OpMask::ADMIN).op(OpMask::ADMIN);
     let rep = client
         .call(
-            authz_handle.id(),
+            authz.handle.id(),
             RequestBody::ModPolicy {
                 cap: admin,
                 container: cid,
@@ -401,27 +461,25 @@ fn enforcement_with_live_authorization_service() {
     // inside ModPolicy handling, so it has already happened; this is just
     // paranoia against scheduler jitter).
     std::thread::sleep(Duration::from_millis(10));
-    let err = write_obj(&client, &ep, storage_id, write_cap, oid, 0, b"revoked", None).unwrap_err();
+    let err = write_obj(&client, &ep, storage_id, &caps, oid, 0, b"revoked", None).unwrap_err();
     assert!(
         err == Error::BadCapability || err == Error::CapabilityRevoked,
         "expected security refusal, got {err:?}"
     );
 
     storage_handle.shutdown();
-    authz_handle.shutdown();
+    authz.handle.shutdown();
 }
 
 // ----------------------------------------------------------------------
 // Worker-pool concurrency
 // ----------------------------------------------------------------------
 
-/// Boot a storage server with an explicit worker count (no verifier).
-fn boot_workers(workers: usize) -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>) {
-    let net = Network::default();
-    let clock = Arc::new(ManualClock::new());
-    let config = StorageConfig { workers, pool_buffers: 16, ..StorageConfig::default() };
-    let (handle, server) = StorageServer::spawn(&net, ProcessId::new(50, 0), config, None, clock);
-    (net, handle, server)
+/// Boot a storage server with an explicit worker count.
+fn boot_workers(
+    workers: usize,
+) -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>, Authz) {
+    boot(StorageConfig { workers, pool_buffers: 16, ..StorageConfig::default() })
 }
 
 /// Fire a write request *without* waiting for the reply — several of these
@@ -477,11 +535,11 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
     // order, and the last arrival's bytes must win — every round. Payloads
     // span two chunks, so out-of-order or interleaved execution would
     // leave a visible mix of fill bytes.
-    let (net, handle, server) = boot_workers(4);
+    let (net, handle, server, authz) = boot_workers(4);
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
-    let oid = create_obj(&client, handle.id(), cap);
+    let caps = authz.container(OpMask::ALL);
+    let oid = create_obj(&client, handle.id(), &caps);
 
     let size = 300 * 1024;
     for round in 0..6u64 {
@@ -489,7 +547,15 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
         let mbs: Vec<u64> = (0..3u64)
             .map(|k| {
                 let payload = vec![(base + k) as u8; size];
-                send_write_pipelined(&ep, handle.id(), base + k, cap, oid, 0, &payload)
+                send_write_pipelined(
+                    &ep,
+                    handle.id(),
+                    base + k,
+                    caps.op(OpMask::WRITE),
+                    oid,
+                    0,
+                    &payload,
+                )
             })
             .collect();
         for k in 0..3u64 {
@@ -498,7 +564,7 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
         for mb in mbs {
             ep.unlink_md(mb);
         }
-        let back = read_obj(&client, &ep, handle.id(), cap, oid, 0, size).unwrap();
+        let back = read_obj(&client, &ep, handle.id(), &caps, oid, 0, size).unwrap();
         let want = (base + 2) as u8;
         assert!(
             back.iter().all(|b| *b == want),
@@ -513,12 +579,12 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
     // Four client threads, each hammering its own object: with per-object
     // store locking and range-based conflict tracking, nothing ever
     // defers, and every byte lands where a serial run would put it.
-    let (net, handle, server) = boot_workers(4);
+    let (net, handle, server, authz) = boot_workers(4);
     let srv = handle.id();
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let setup_ep = net.register(ProcessId::new(0, 0));
     let setup = RpcClient::new(&setup_ep);
-    let oids: Vec<ObjId> = (0..4).map(|_| create_obj(&setup, srv, cap)).collect();
+    let oids: Vec<ObjId> = (0..4).map(|_| create_obj(&setup, srv, &caps)).collect();
     // A worker retires its ticket *after* its reply is on the wire, and a
     // create is a barrier: each create above may have waited for the one
     // before it, and a write sent the moment the last create was acked
@@ -533,7 +599,7 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
     const STRIDE: usize = 8 * 1024;
     std::thread::scope(|s| {
         for (t, oid) in oids.iter().enumerate() {
-            let net = &net;
+            let (net, caps) = (&net, &caps);
             let oid = *oid;
             s.spawn(move || {
                 let ep = net.register(ProcessId::new(10 + t as u32, 0));
@@ -541,7 +607,7 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
                 for i in 0..20u64 {
                     let payload = vec![(t as u8) ^ (i as u8); STRIDE];
                     let n =
-                        write_obj(&client, &ep, srv, cap, oid, i * STRIDE as u64, &payload, None)
+                        write_obj(&client, &ep, srv, caps, oid, i * STRIDE as u64, &payload, None)
                             .unwrap();
                     assert_eq!(n, STRIDE as u64);
                 }
@@ -555,7 +621,7 @@ fn disjoint_objects_overlap_without_conflict_deferrals() {
     let ep = net.register(ProcessId::new(90, 0));
     let client = RpcClient::new(&ep);
     for (t, oid) in oids.iter().enumerate() {
-        let back = read_obj(&client, &ep, srv, cap, *oid, 0, 20 * STRIDE).unwrap();
+        let back = read_obj(&client, &ep, srv, &caps, *oid, 0, 20 * STRIDE).unwrap();
         assert_eq!(back.len(), 20 * STRIDE);
         for i in 0..20usize {
             assert!(
@@ -573,23 +639,23 @@ fn single_worker_reproduces_serial_semantics() {
     // `workers = 1` is the paper-faithful serial loop: two racing clients
     // writing the same multi-chunk range can never tear, and nothing can
     // ever defer (each request completes before the next is popped).
-    let (net, handle, server) = boot_workers(1);
+    let (net, handle, server, authz) = boot_workers(1);
     let srv = handle.id();
-    let cap = open_cap(ContainerId(1), OpMask::ALL);
+    let caps = authz.container(OpMask::ALL);
     let setup_ep = net.register(ProcessId::new(0, 0));
     let setup = RpcClient::new(&setup_ep);
-    let oid = create_obj(&setup, srv, cap);
+    let oid = create_obj(&setup, srv, &caps);
 
     let size = 300 * 1024;
     std::thread::scope(|s| {
         for t in 0..2u32 {
-            let net = &net;
+            let (net, caps) = (&net, &caps);
             s.spawn(move || {
                 let ep = net.register(ProcessId::new(10 + t, 0));
                 let client = RpcClient::new(&ep);
                 for i in 0..8u32 {
                     let payload = vec![(t * 16 + i) as u8; size];
-                    write_obj(&client, &ep, srv, cap, oid, 0, &payload, None).unwrap();
+                    write_obj(&client, &ep, srv, caps, oid, 0, &payload, None).unwrap();
                 }
             });
         }
@@ -597,7 +663,7 @@ fn single_worker_reproduces_serial_semantics() {
 
     let ep = net.register(ProcessId::new(90, 0));
     let client = RpcClient::new(&ep);
-    let back = read_obj(&client, &ep, srv, cap, oid, 0, size).unwrap();
+    let back = read_obj(&client, &ep, srv, &caps, oid, 0, size).unwrap();
     let first = back[0];
     assert!(back.iter().all(|b| *b == first), "serial loop must never tear a write");
     assert_eq!(server.stats().writes.get(), 16);

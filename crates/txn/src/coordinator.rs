@@ -291,18 +291,18 @@ mod tests {
         let client = RpcClient::new(&ep);
         let coord = Coordinator::new(&client, vec![h1.id()]);
         coord.commit(TxnId(1)).unwrap();
-        let snap = net.obs().snapshot();
-        assert_eq!(snap.counter("txn.commits"), Some(1));
-        assert_eq!(snap.histogram("txn.prepare_ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("txn.commit_ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("txn.total_ns").unwrap().count, 1);
+        let frame = net.obs().frame(0);
+        assert_eq!(frame.counter("txn.commits"), Some(1));
+        assert_eq!(frame.histogram("txn.prepare_ns").unwrap().count, 1);
+        assert_eq!(frame.histogram("txn.commit_ns").unwrap().count, 1);
+        assert_eq!(frame.histogram("txn.total_ns").unwrap().count, 1);
 
         let (h2, _c2) = spawn_participant(&net, 2, false);
         let coord = Coordinator::new(&client, vec![h1.id(), h2.id()]);
         assert!(!coord.commit(TxnId(2)).unwrap().is_committed());
-        let snap = net.obs().snapshot();
-        assert_eq!(snap.counter("txn.aborts"), Some(1));
-        assert_eq!(snap.histogram("txn.abort_ns").unwrap().count, 1);
+        let frame = net.obs().frame(0);
+        assert_eq!(frame.counter("txn.aborts"), Some(1));
+        assert_eq!(frame.histogram("txn.abort_ns").unwrap().count, 1);
         h1.shutdown();
         h2.shutdown();
     }

@@ -387,11 +387,11 @@ mod tests {
         for i in 0..8 {
             wal.append(&write_rec(i)).unwrap();
         }
-        assert_eq!(obs.snapshot().counter("wal.fsyncs"), Some(2));
+        assert_eq!(obs.frame(0).counter("wal.fsyncs"), Some(2));
         // Prepare forces a sync mid-group.
         wal.append(&write_rec(8)).unwrap();
         wal.append(&WalRecord::TxnPrepare { txn: TxnId(1) }).unwrap();
-        assert_eq!(obs.snapshot().counter("wal.fsyncs"), Some(3));
+        assert_eq!(obs.frame(0).counter("wal.fsyncs"), Some(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -405,9 +405,9 @@ mod tests {
         for i in 0..8 {
             wal.append(&write_rec(i)).unwrap();
         }
-        assert_eq!(obs.snapshot().counter("wal.fsyncs"), Some(0));
+        assert_eq!(obs.frame(0).counter("wal.fsyncs"), Some(0));
         wal.sync().unwrap();
-        assert_eq!(obs.snapshot().counter("wal.fsyncs"), Some(1));
+        assert_eq!(obs.frame(0).counter("wal.fsyncs"), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -51,9 +51,12 @@ fn signed_data_path_never_calls_authz(transport: TransportKind) {
         "authorization server spoke during a signed write storm"
     );
 
-    let snap = cluster.network().obs().snapshot();
-    assert!(snap.counter("cap.cache.hits").unwrap_or(0) > 0, "repeat tokens hit the verdict cache");
-    assert!(snap.histogram("cap.verify_ns").is_some(), "verify cost is observable");
+    let frame = cluster.network().obs().frame(0);
+    assert!(
+        frame.counter("cap.cache.hits").unwrap_or(0) > 0,
+        "repeat tokens hit the verdict cache"
+    );
+    assert!(frame.histogram("cap.verify_ns").is_some(), "verify cost is observable");
 }
 
 #[test]
@@ -139,9 +142,9 @@ fn revocation_rejects_stale_tokens(transport: TransportKind) {
         owner.write(0, &caps, None, obj, 0, b"post-revocation").unwrap_err(),
         Error::CapabilityRevoked
     );
-    let snap = cluster.network().obs().snapshot();
+    let frame = cluster.network().obs().frame(0);
     assert!(
-        snap.counter("cap.cache.stale_epoch").unwrap_or(0) > 0,
+        frame.counter("cap.cache.stale_epoch").unwrap_or(0) > 0,
         "the refusal was the epoch check, and it is observable"
     );
 }
@@ -171,8 +174,8 @@ fn signed_ships_replicate(transport: TransportKind) {
     let backup = cluster.storage_server(1);
     assert!(backup.replica().is_backup());
     assert_eq!(backup.store().bytes_stored(), 11, "acked bytes are on the backup");
-    let snap = cluster.network().obs().snapshot();
-    assert_eq!(snap.counter("storage.ship_failures").unwrap_or(0), 0);
+    let frame = cluster.network().obs().frame(0);
+    assert_eq!(frame.counter("storage.ship_failures").unwrap_or(0), 0);
 }
 
 #[test]

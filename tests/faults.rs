@@ -226,9 +226,9 @@ fn replicated_write_partition_holds_ack(transport: TransportKind) {
     // The ack implies the backup already holds the bytes — and getting
     // there took at least one ship retry.
     assert_eq!(cluster.storage_server(1).store().bytes_stored(), 9);
-    let snap = cluster.network().obs().snapshot();
-    assert!(snap.counter("storage.ship_retries").unwrap_or(0) > 0, "no ship retry recorded");
-    assert_eq!(snap.counter("storage.ship_failures").unwrap_or(0), 0);
+    let frame = cluster.network().obs().frame(0);
+    assert!(frame.counter("storage.ship_retries").unwrap_or(0) > 0, "no ship retry recorded");
+    assert_eq!(frame.counter("storage.ship_failures").unwrap_or(0), 0);
 }
 
 #[test]

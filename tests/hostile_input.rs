@@ -9,24 +9,20 @@
 //! a post-mortem re-ingests go through the one JSON reader
 //! (`lwfs::obs::json`), which gets the same treatment, plus exactness.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
-use lwfs::auth::ManualClock;
 use lwfs::cap::{CapClaims, CapIssuer, CapToken};
-use lwfs::obs::export::{event_json, window_json};
+use lwfs::core::{ClusterConfig, LwfsCluster};
+use lwfs::obs::export::{event_json, metrics_json, window_json};
 use lwfs::obs::json::{Json, MAX_DEPTH};
 use lwfs::obs::window::{MetricFrame, WindowTracker};
 use lwfs::obs::{parse_chrome_spans, Registry, SpanRecord, TraceCollector};
-use lwfs::portals::{MdOptions, MemDesc, Network, RpcClient, BULK_SPACE};
+use lwfs::portals::{MdOptions, MemDesc, RpcClient, BULK_SPACE};
 use lwfs::proto::frame::{self, Split};
 use lwfs::proto::message::derive_req_id;
 use lwfs::proto::{
-    Capability, CapabilityBody, ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle,
-    ObjId, OpMask, OpNum, PrincipalId, ProcessId, Reply, ReplyBody, Request, RequestBody,
-    Signature, TraceContext, TxnId,
+    ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle, ObjId, OpMask, OpNum,
+    ProcessId, Reply, ReplyBody, Request, RequestBody, TraceContext, TxnId,
 };
-use lwfs::storage::{StorageConfig, StorageServer};
 use lwfs::wal::{frame_record, read_log, unframe_record, Wal, WalConfig, WalRecord};
 use lwfs_fabric::frame::{FabricMsg, FrameReader};
 use rand::{Rng as _, RngCore as _, SeedableRng as _};
@@ -232,29 +228,22 @@ fn rss_bytes() -> Option<u64> {
 #[test]
 fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
     const MIB: usize = 1 << 20;
-    let net = Network::default();
-    let srv = ProcessId::new(50, 0);
-    let clock = Arc::new(ManualClock::new());
-    // No verifier: the capability is trusted structurally, so the length
-    // checks are what stands between the request and the store.
-    let (_handle, server) = StorageServer::spawn(&net, srv, StorageConfig::default(), None, clock);
-    let ep = net.register(ProcessId::new(1100, 0));
+    // A real cluster with genuine capabilities: the capability checks
+    // pass, so the length checks are what stands between the request and
+    // the store.
+    let cluster = LwfsCluster::boot(ClusterConfig::default());
+    let net = cluster.network();
+    let (srv, server) = (cluster.addrs().storage[0], cluster.storage_server(0));
+    let mut app = cluster.client(0, 0);
+    app.get_cred(cluster.kdc().kinit("app", "secret").unwrap()).unwrap();
+    let container = app.create_container().unwrap();
+    let caps = app.get_caps(container, OpMask::ALL).unwrap();
+    let cap = caps.for_op(OpMask::WRITE).unwrap();
+    let ep = net.register(ProcessId::new(7, 0));
     let client = RpcClient::new(&ep);
-    let container = ContainerId(9);
-    let cap = Capability {
-        body: CapabilityBody {
-            container,
-            ops: OpMask::ALL,
-            principal: PrincipalId(1),
-            issuer_epoch: 1,
-            lifetime: Lifetime::UNBOUNDED,
-            serial: 1,
-        },
-        sig: Signature([7; 16]),
-    };
-    let ReplyBody::ObjCreated(obj) =
-        client.call(srv, RequestBody::CreateObj { txn: None, cap, obj: None }).unwrap()
-    else {
+    let create =
+        RequestBody::CreateObj { txn: None, cap: caps.for_op(OpMask::CREATE).unwrap(), obj: None };
+    let ReplyBody::ObjCreated(obj) = client.call(srv, create).unwrap() else {
         panic!("create refused");
     };
     let original = vec![0x5Au8; 4096];
@@ -322,7 +311,7 @@ fn wide_req_id() -> u64 {
 
 /// The three JSON artifacts as their writers emit them, small but with
 /// every value kind and an escaped string: a Chrome trace export with an
-/// orphan root, a JSONL window carrying events, a registry snapshot.
+/// orphan root, a JSONL window carrying events, a metrics JSON.
 fn json_artifacts() -> [String; 3] {
     let obs = Registry::new();
     obs.counter("storage.srv1100.writes").add(3);
@@ -344,14 +333,15 @@ fn json_artifacts() -> [String; 3] {
     let mut windows = WindowTracker::new(2);
     windows.observe(MetricFrame::default());
     let window = windows.observe(obs.frame(1_000_000)).unwrap();
-    let snap = obs.snapshot();
-    let events = snap.events.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail));
+    let (spans, journal) = (obs.spans().recent(usize::MAX), obs.events().all());
+    let events = journal.iter().map(|e| event_json(e.seq, e.ts_ns, e.nid, e.kind, &e.detail));
     let mut traces = TraceCollector::new();
-    traces.add_spans(snap.spans.iter().cloned());
+    traces.add_spans(spans.iter().cloned());
+    let meta = Json::obj([("unix_ts", Json::from(1u64))]);
     [
         traces.to_chrome_json().to_string(),
         window_json(window, events.collect()).to_string(),
-        snap.to_json(Json::obj([("unix_ts", Json::from(1u64))])).to_string(),
+        metrics_json(meta, &obs.frame(0), &spans, &journal).to_string(),
     ]
 }
 
@@ -417,10 +407,12 @@ fn json_integers_round_trip_exactly_and_non_finite_floats_write_null() {
     assert_eq!(Json::parse(&u64::MAX.to_string()).unwrap().as_u64(), Some(u64::MAX));
     assert_eq!(Json::parse(&i64::MIN.to_string()).unwrap().as_i64(), Some(i64::MIN));
 
-    // Through the registry snapshot, as `probe metrics --out` writes it.
+    // Through the metrics JSON, as `probe metrics --out` writes it.
     let obs = Registry::new();
     obs.trace(id, "storage.write").finish();
-    let back = Json::parse(&obs.snapshot().to_json(Json::Null).to_string()).unwrap();
+    let spans = obs.spans().recent(usize::MAX);
+    let json = metrics_json(Json::Null, &obs.frame(0), &spans, &[]);
+    let back = Json::parse(&json.to_string()).unwrap();
     let span = &back.get("spans").map(Json::as_arr).unwrap()[0];
     assert_eq!(span.get("req_id").and_then(Json::as_u64), Some(id));
     assert_eq!(span.get("trace_id").and_then(Json::as_u64), Some(id));

@@ -75,10 +75,10 @@ fn committed_2pc_write_survives_crash_and_restart() {
     assert_eq!(client.read(1, &caps, plain, 0, 17).unwrap(), b"acked outside txn");
 
     // Recovery observability: records were replayed and timed.
-    let snap = cluster.network().obs().snapshot();
-    assert!(snap.counter("wal.replay_records").unwrap_or(0) > 0, "replay counted no records");
-    assert!(snap.gauge("storage.recovery_ms").is_some(), "recovery time not recorded");
-    assert!(snap.gauge("storage.recovered_objects").unwrap_or(0) >= 2);
+    let frame = cluster.network().obs().frame(0);
+    assert!(frame.counter("wal.replay_records").unwrap_or(0) > 0, "replay counted no records");
+    assert!(frame.gauge("storage.recovery_ms").is_some(), "recovery time not recorded");
+    assert!(frame.gauge("storage.recovered_objects").unwrap_or(0) >= 2);
 }
 
 #[test]

@@ -46,9 +46,9 @@ fn acknowledged_writes_are_on_the_backup_before_the_ack() {
     assert_eq!(backup.store().object_count(), 1);
     assert_eq!(backup.store().bytes_stored(), 15);
 
-    let snap = cluster.network().obs().snapshot();
-    assert!(snap.counter("storage.repl_ships").unwrap_or(0) >= 2, "create + write both ship");
-    assert_eq!(snap.counter("storage.ship_failures").unwrap_or(0), 0);
+    let frame = cluster.network().obs().frame(0);
+    assert!(frame.counter("storage.repl_ships").unwrap_or(0) >= 2, "create + write both ship");
+    assert_eq!(frame.counter("storage.ship_failures").unwrap_or(0), 0);
 }
 
 #[test]
@@ -92,8 +92,8 @@ fn primary_crash_promotes_the_backup_and_clients_fail_over() {
     client.write(0, &caps, None, obj, 0, b"writable after loss!").unwrap();
     assert_eq!(client.read(0, &caps, obj, 0, 20).unwrap(), b"writable after loss!");
 
-    let snap = cluster.network().obs().snapshot();
-    assert_eq!(snap.gauge("storage.failovers"), Some(1));
+    let frame = cluster.network().obs().frame(0);
+    assert_eq!(frame.gauge("storage.failovers"), Some(1));
 }
 
 #[test]
@@ -111,7 +111,7 @@ fn losing_a_backup_shrinks_the_group_but_keeps_it_writable() {
     let map = cluster.group_map();
     assert_eq!(map.epoch, 2);
     assert_eq!(map.groups[0].members.len(), 2);
-    assert_eq!(cluster.network().obs().snapshot().gauge("storage.failovers"), None);
+    assert_eq!(cluster.network().obs().frame(0).gauge("storage.failovers"), None);
     // The surviving backup still got the write.
     assert_eq!(cluster.storage_server(1).store().bytes_stored(), 12);
 }
@@ -175,8 +175,8 @@ fn write_storm_through_a_primary_crash_is_exactly_once() {
         assert!(listed.contains(obj), "acknowledged {obj:?} missing from the survivor");
     }
 
-    let snap = cluster.network().obs().snapshot();
-    assert_eq!(snap.gauge("storage.failovers"), Some(1));
+    let frame = cluster.network().obs().frame(0);
+    assert_eq!(frame.gauge("storage.failovers"), Some(1));
     assert_eq!(cluster.group_map().epoch, 2);
 }
 
@@ -192,11 +192,11 @@ fn replication_metrics_are_exported() {
         client.write(group, &caps, None, obj, 0, b"metered").unwrap();
     }
 
-    let snap = cluster.network().obs().snapshot();
-    assert!(snap.counter("storage.repl_ships").unwrap_or(0) >= 4);
-    assert_eq!(snap.gauge("storage.repl_lag"), Some(0), "all ships acknowledged");
-    assert_eq!(snap.gauge("storage.repl_epoch"), Some(1));
-    assert_eq!(snap.counter("storage.dedup_hits").unwrap_or(0), 0);
+    let frame = cluster.network().obs().frame(0);
+    assert!(frame.counter("storage.repl_ships").unwrap_or(0) >= 4);
+    assert_eq!(frame.gauge("storage.repl_lag"), Some(0), "all ships acknowledged");
+    assert_eq!(frame.gauge("storage.repl_epoch"), Some(1));
+    assert_eq!(frame.counter("storage.dedup_hits").unwrap_or(0), 0);
 }
 
 #[test]
@@ -232,9 +232,9 @@ fn a_backup_dropped_at_the_ship_deadline_leaves_the_map_and_is_never_promoted() 
     let map = cluster.group_map();
     assert_eq!(map.epoch, 2);
     assert_eq!(map.groups[0].members, vec![cluster.addrs().storage[0], cluster.addrs().storage[1]]);
-    let snap = cluster.network().obs().snapshot();
-    assert_eq!(snap.counter("storage.ship_failures"), Some(1));
-    assert_eq!(snap.counter("storage.drop_reports"), Some(1));
+    let frame = cluster.network().obs().frame(0);
+    assert_eq!(frame.counter("storage.ship_failures"), Some(1));
+    assert_eq!(frame.counter("storage.drop_reports"), Some(1));
 
     // ... while the member itself — healed, reachable, happy to answer —
     // still holds only the pre-drop bytes. It is genuinely stale.
@@ -376,7 +376,7 @@ fn replication_one_is_a_group_of_one_routed_without_the_directory() {
         ck.checkpoint(1, &state).unwrap();
         assert_eq!(ck.restore(1).unwrap(), state, "R={r}");
         assert_eq!(stats.sent_by(cluster.addrs().directory), 0, "R={r}: the directory spoke");
-        let ships = cluster.network().obs().snapshot().counter("storage.repl_ships").unwrap_or(0);
+        let ships = cluster.network().obs().frame(0).counter("storage.repl_ships").unwrap_or(0);
         assert_eq!(ships == 0, r == 1, "R={r}: {ships} ships");
     }
 }

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use lwfs::obs::{Snapshot, Trace, TraceCollector, TOTAL_STAGE};
+use lwfs::obs::{SpanRecord, Trace, TraceCollector, TOTAL_STAGE};
 use lwfs::portals::FaultPlan;
 use lwfs::prelude::*;
 use proptest::{prop_assert, prop_assert_eq, proptest};
@@ -34,9 +34,9 @@ fn login(cluster: &LwfsCluster, client: &mut LwfsClient) {
 
 /// Traces that contain a client-side mutation span — the acked-mutation
 /// traces invariants 1–3 quantify over.
-fn mutation_traces(snap: &Snapshot) -> Vec<Trace> {
+fn mutation_traces(spans: &[SpanRecord]) -> Vec<Trace> {
     let mut collector = TraceCollector::new();
-    collector.add_spans(snap.spans.iter().cloned());
+    collector.add_spans(spans.iter().cloned());
     collector
         .traces()
         .into_iter()
@@ -45,20 +45,20 @@ fn mutation_traces(snap: &Snapshot) -> Vec<Trace> {
 }
 
 /// A server finishes a request's trace moments *after* its reply is on
-/// the wire, so the snapshot can catch the tail mutation still closing.
+/// the wire, so the span log can catch the tail mutation still closing.
 /// Poll until every mutation trace has a `total` on each node it
 /// touched (bounded; the close is prompt).
-fn settled_snapshot(cluster: &LwfsCluster) -> Snapshot {
+fn settled_spans(cluster: &LwfsCluster) -> Vec<SpanRecord> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let snap = cluster.network().obs().snapshot();
-        let settled = mutation_traces(&snap).iter().all(|t| {
+        let spans = cluster.network().obs().spans().recent(usize::MAX);
+        let settled = mutation_traces(&spans).iter().all(|t| {
             t.nodes()
                 .into_iter()
                 .all(|nid| t.spans.iter().any(|s| s.nid == nid && s.stage == TOTAL_STAGE))
         });
         if settled || Instant::now() > deadline {
-            return snap;
+            return spans;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -108,8 +108,8 @@ proptest! {
             }
         }
 
-        let snap = settled_snapshot(&cluster);
-        let traces = mutation_traces(&snap);
+        let spans = settled_spans(&cluster);
+        let traces = mutation_traces(&spans);
         prop_assert_eq!(traces.len(), acked, "one trace per acked mutation");
 
         for t in &traces {
@@ -164,7 +164,7 @@ proptest! {
 
         // Annotation spans never stand alone: each belongs to one of the
         // mutation traces above.
-        for s in snap.spans.iter().filter(|s| ANNOTATION_OPS.contains(&s.op)) {
+        for s in spans.iter().filter(|s| ANNOTATION_OPS.contains(&s.op)) {
             prop_assert!(
                 traces.iter().any(|t| t.trace_id == s.trace_id),
                 "annotation {}.{} carries unknown trace {:#x}", s.op, s.stage, s.trace_id
@@ -201,10 +201,10 @@ fn event_journal_records_eviction_republish_and_promotion_in_order() {
     cluster.crash_storage(0);
     assert_eq!(client.read(0, &caps, obj, 0, 14).unwrap(), b"evicting write");
 
-    let snap = cluster.network().obs().snapshot();
-    let evict = snap.events_of_kind("repl.evict_backup");
-    let republish = snap.events_of_kind("directory.republish");
-    let promote = snap.events_of_kind("failover.promote");
+    let journal = cluster.network().obs().events();
+    let evict = journal.of_kind("repl.evict_backup");
+    let republish = journal.of_kind("directory.republish");
+    let promote = journal.of_kind("failover.promote");
 
     // The eviction is journaled by the primary (its decision), the
     // republish and promotion by the directory (where they become
@@ -224,7 +224,7 @@ fn event_journal_records_eviction_republish_and_promotion_in_order() {
     assert!(republish[0].seq < promote[0].seq, "promotion happened last");
 
     // The promoted survivor journals its epoch bump when it takes over.
-    let bumps = snap.events_of_kind("repl.epoch_bump");
+    let bumps = journal.of_kind("repl.epoch_bump");
     assert!(
         bumps.iter().any(|e| e.nid == 1101 && e.detail.contains("promoted to primary")),
         "promoted backup must journal its epoch bump: {bumps:?}"
@@ -251,12 +251,11 @@ fn wal_recovery_is_journaled_on_restart() {
     client.write(0, &caps, None, obj, 0, b"durable").unwrap();
 
     // A fresh boot replays nothing and journals nothing.
-    assert!(cluster.network().obs().snapshot().events_of_kind("wal.recovery").is_empty());
+    assert!(cluster.network().obs().events().of_kind("wal.recovery").is_empty());
 
     cluster.crash_storage(0);
     cluster.restart_storage(0);
-    let snap = cluster.network().obs().snapshot();
-    let recovery = snap.events_of_kind("wal.recovery");
+    let recovery = cluster.network().obs().events().of_kind("wal.recovery");
     assert_eq!(recovery.len(), 1, "one restart, one recovery event: {recovery:?}");
     assert_eq!(recovery[0].nid, 1100);
     assert!(
