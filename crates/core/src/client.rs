@@ -12,18 +12,17 @@
 //! its storage group (at R = 1, a single server) explicitly by index;
 //! layering crates (checkpoint, PFS) implement their own placement.
 
+use std::cell::Cell;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use lwfs_portals::{
-    collective, reply_match, Endpoint, Event, Group, MdOptions, MemDesc, RpcClient, BULK_SPACE,
-    REQUEST_MATCH,
+    collective, retry, Endpoint, Group, MdOptions, MemDesc, RetryPolicy, RpcClient, BULK_SPACE,
 };
 use lwfs_proto::{
-    ContainerId, Credential, Decode, Encode, Error, GroupMap, LockId, LockMode, LockResource,
-    MdHandle, ObjAttr, ObjId, OpMask, OpNum, ProcessId, ReplicaGroup, Reply, ReplyBody, Request,
-    RequestBody, Result, TxnId,
+    ContainerId, Credential, Error, GroupMap, LockId, LockMode, LockResource, MdHandle, ObjAttr,
+    ObjId, OpMask, ProcessId, ReplicaGroup, ReplyBody, Request, RequestBody, Result, TxnId,
 };
 use lwfs_txn::{Coordinator, TxnOutcome};
 use parking_lot::Mutex;
@@ -42,10 +41,14 @@ pub struct LwfsClient {
     groups: Mutex<Arc<GroupMap>>,
 }
 
-/// Total time a data operation keeps re-targeting across timeouts,
-/// `NotPrimary` redirects, back-pressure and map refreshes before giving
-/// up.
-const FAILOVER_DEADLINE: Duration = Duration::from_secs(15);
+/// How a data operation backs off while it re-targets across timeouts,
+/// `NotPrimary` redirects, back-pressure and map refreshes: 200 µs
+/// doubling to 10 ms, giving up with `RetriesExhausted` after 15 s.
+const FAILOVER: RetryPolicy = RetryPolicy {
+    base: Duration::from_micros(200),
+    cap: Duration::from_millis(10),
+    deadline: Duration::from_secs(15),
+};
 
 /// Group `server` of `map`: what a data call's `server` argument names.
 fn group(map: &GroupMap, server: usize) -> Result<&ReplicaGroup> {
@@ -254,40 +257,41 @@ impl LwfsClient {
         Ok(map)
     }
 
-    /// The failover loop's verdict on a retryable failure `e` in a group
-    /// of `members`: `Err` ends the operation, `Ok` re-sends after the
-    /// back-off. `ServerBusy` is back-pressure, not stale routing: it
-    /// waits the same back-off at every group size and keeps the map.
-    /// Any other failure re-sends only while the group has another member
-    /// to fail over to, and first fetches a fresh map — so a group of one
-    /// returns the error at once and never contacts the directory.
+    /// Run `attempt` against group `server` of the current map under the
+    /// [`FAILOVER`] back-off until it succeeds, fails for good, or the
+    /// deadline passes. `ServerBusy` is back-pressure, not stale routing:
+    /// it is retried at every group size and keeps the map. Any other
+    /// retryable failure is retried only while the group has another
+    /// member to fail over to, after fetching a fresh map — so a group of
+    /// one returns the error at once and never contacts the directory.
     fn fail_over(
         &self,
-        e: Error,
-        members: usize,
-        started: Instant,
-        backoff: &mut Duration,
-        map: &mut Arc<GroupMap>,
+        server: usize,
         trace: &mut lwfs_obs::OpTrace<'_>,
-    ) -> Result<()> {
-        let busy = matches!(e, Error::ServerBusy);
-        if !busy && members < 2 {
-            return Err(e);
-        }
-        if started.elapsed() >= FAILOVER_DEADLINE {
-            return Err(Error::RetriesExhausted);
-        }
-        std::thread::sleep(*backoff);
-        *backoff = (*backoff * 2).min(Duration::from_millis(10));
-        if !busy {
-            // A directory hiccup is itself transient: keep the old map
-            // and retry.
-            if let Ok(fresh) = self.refresh_group_map() {
-                *map = fresh;
-            }
-            trace.stage("map_refresh");
-        }
-        Ok(())
+        mut attempt: impl FnMut(&ReplicaGroup, u64, &mut lwfs_obs::OpTrace<'_>) -> Result<ReplyBody>,
+    ) -> Result<ReplyBody> {
+        let mut map = self.group_map();
+        let mut stale = false;
+        let lone = Cell::new(false);
+        retry::with_backoff(
+            &FAILOVER,
+            |e| retryable(e) && (matches!(e, Error::ServerBusy) || !lone.get()),
+            || {
+                if stale {
+                    // A directory hiccup is itself transient: keep the old
+                    // map and retry.
+                    if let Ok(fresh) = self.refresh_group_map() {
+                        map = fresh;
+                    }
+                    trace.stage("map_refresh");
+                }
+                let g = group(&map, server)?;
+                lone.set(g.members.len() < 2);
+                let outcome = attempt(g, map.epoch, trace);
+                stale = matches!(&outcome, Err(e) if !matches!(e, Error::ServerBusy));
+                outcome
+            },
+        )
     }
 
     /// How many storage groups the `server` argument of a data call can
@@ -319,61 +323,27 @@ impl LwfsClient {
         body: RequestBody,
         token: Bytes,
     ) -> Result<ReplyBody> {
-        let opnum = self.ep.next_opnum();
+        let mut req = Request::new(self.ep.next_opnum(), self.ep.id(), body).with_token(token);
         // The whole retry loop re-sends one `(reply_to, opnum)` pair, so
         // its request id — and therefore the distributed trace id every
         // server joins — is known up front. Tracing the loop under that id
         // puts the client's own sends and map refreshes on the same
         // timeline as the primary, its WAL, and every backup.
-        let req_id = lwfs_proto::derive_req_id(self.ep.id(), opnum);
-        let mut trace = self.ep.obs().trace(req_id, "client.mutate").on_node(self.ep.id().nid.0);
-        let started = Instant::now();
-        let mut backoff = Duration::from_micros(200);
-        let mut map = self.group_map();
-        loop {
-            let g = group(&map, server)?;
-            let members = g.members.len();
+        let mut trace =
+            self.ep.obs().trace(req.req_id, "client.mutate").on_node(self.ep.id().nid.0);
+        let rpc = self.rpc();
+        self.fail_over(server, &mut trace, |g, epoch, trace| {
             let outcome = match g.primary() {
                 // An empty group (every member dead) has nobody to send to.
                 None => Err(Error::Unreachable),
-                Some(target) => self.send_once(target, opnum, &body, map.epoch, &token),
+                Some(target) => {
+                    req.epoch = epoch;
+                    rpc.send_once(target, &req)
+                }
             };
             trace.stage("send");
-            match outcome {
-                Err(e) if retryable(&e) => {
-                    self.fail_over(e, members, started, &mut backoff, &mut map, &mut trace)?
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// One send/receive of a fixed `(opnum, body)` request — the unit the
-    /// failover loop repeats. Unlike [`RpcClient::call`] this never
-    /// allocates a fresh opnum, which is what makes the retries safe to
-    /// dedup server-side.
-    fn send_once(
-        &self,
-        target: ProcessId,
-        opnum: OpNum,
-        body: &RequestBody,
-        epoch: u64,
-        token: &Bytes,
-    ) -> Result<ReplyBody> {
-        let req = Request::new(opnum, self.ep.id(), body.clone())
-            .with_epoch(epoch)
-            .with_token(token.clone());
-        self.ep.send(target, REQUEST_MATCH, req.to_bytes())?;
-        let want = reply_match(opnum.0);
-        let ev = self.ep.recv_match(
-            self.rpc_timeout,
-            |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
-        )?;
-        let data = ev
-            .message_data()
-            .ok_or_else(|| Error::Internal("reply event without payload".into()))?
-            .clone();
-        Reply::from_bytes(data)?.into_result()
+            outcome
+        })
     }
 
     /// Route a read-only operation to any live member of group `server`,
@@ -400,17 +370,16 @@ impl LwfsClient {
             .obs()
             .trace(lwfs_proto::derive_req_id(self.ep.id(), anchor), "client.read")
             .on_node(self.ep.id().nid.0);
-        let started = Instant::now();
-        let mut backoff = Duration::from_micros(200);
-        let mut map = self.group_map();
-        loop {
-            let members = &group(&map, server)?.members;
+        let rpc = self.rpc();
+        self.fail_over(server, &mut trace, |g, epoch, trace| {
             // The sweep's verdict: a routing failure on any member outranks
             // back-pressure on the others.
             let mut failure = None;
-            for &member in members {
-                let outcome =
-                    self.send_once(member, self.ep.next_opnum(), &body, map.epoch, &token);
+            for &member in &g.members {
+                let req = Request::new(self.ep.next_opnum(), self.ep.id(), body.clone())
+                    .with_epoch(epoch)
+                    .with_token(token.clone());
+                let outcome = rpc.send_once(member, &req);
                 trace.stage("probe");
                 match outcome {
                     Err(e) if retryable(&e) => {
@@ -421,10 +390,8 @@ impl LwfsClient {
                     other => return other,
                 }
             }
-            let failure = failure.unwrap_or(Error::Unreachable);
-            let members = members.len();
-            self.fail_over(failure, members, started, &mut backoff, &mut map, &mut trace)?;
-        }
+            Err(failure.unwrap_or(Error::Unreachable))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -679,14 +646,7 @@ impl LwfsClient {
         let cap = caps.for_op(OpMask::LOCK)?;
         if wait {
             let rpc = self.rpc();
-            lwfs_txn::server::acquire_lock_waiting(
-                &rpc,
-                self.addrs.txnlock,
-                cap,
-                resource,
-                mode,
-                u32::MAX,
-            )
+            lwfs_txn::server::acquire_lock_waiting(&rpc, self.addrs.txnlock, cap, resource, mode)
         } else {
             match self.rpc().call(
                 self.addrs.txnlock,

@@ -476,10 +476,8 @@ impl ClusterMonitor {
                 // signal), not stall the tick and stretch every window.
                 // Storage answers scrapes from its dispatcher, so a healthy
                 // node replies well inside even one polling interval.
-                let client = RpcClient::new(&ep).configured(&lwfs_portals::RpcConfig {
-                    reply_timeout: thread_inner.config.interval.max(Duration::from_millis(5)),
-                    ..Default::default()
-                });
+                let mut client = RpcClient::new(&ep);
+                client.reply_timeout = thread_inner.config.interval.max(Duration::from_millis(5));
                 let epoch = Instant::now();
                 while !thread_inner.stop.load(Ordering::SeqCst) {
                     thread_inner.tick(&client, epoch);

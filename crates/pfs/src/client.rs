@@ -72,7 +72,7 @@ impl PfsClient {
     fn mds_call(&self, body: RequestBody) -> Result<ReplyBody> {
         // All metadata traffic funnels through the one MDS.
         let rpc = lwfs_portals::RpcClient::new(self.lwfs.endpoint());
-        rpc.call_retrying(self.mds, body)
+        rpc.call(self.mds, body)
     }
 
     /// Create a striped file (every create serializes through the MDS).
@@ -143,7 +143,6 @@ impl PfsClient {
                         cap,
                         self.expanded_lock(obj),
                         LockMode::Exclusive,
-                        u32::MAX,
                     )?;
                     let write_result =
                         self.lwfs.write(ost, &file.caps, None, obj, slice.obj_offset, buf);

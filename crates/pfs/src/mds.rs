@@ -122,10 +122,9 @@ impl MdsServer {
         for i in 0..stripe_count as usize {
             let ost_idx = (start + i) % k;
             let ost = self.config.osts[ost_idx];
-            match client.call_retrying(
-                ost,
-                RequestBody::CreateObj { txn: None, cap: create_cap, obj: None },
-            )? {
+            match client
+                .call(ost, RequestBody::CreateObj { txn: None, cap: create_cap, obj: None })?
+            {
                 ReplyBody::ObjCreated(oid) => layout.push((ost_idx as u32, oid)),
                 other => return Err(Error::Internal(format!("bad OST create reply {other:?}"))),
             }
@@ -160,10 +159,8 @@ impl MdsServer {
         let client = RpcClient::new(ep);
         for (ost_idx, oid) in meta.layout {
             let ost = self.config.osts[ost_idx as usize];
-            let _ = client.call_retrying(
-                ost,
-                RequestBody::RemoveObj { txn: None, cap: remove_cap, obj: oid },
-            );
+            let _ =
+                client.call(ost, RequestBody::RemoveObj { txn: None, cap: remove_cap, obj: oid });
         }
         self.stats.unlinks.fetch_add(1, Ordering::Relaxed);
         Ok(ReplyBody::PfsOk)

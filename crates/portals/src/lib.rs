@@ -46,7 +46,7 @@ pub use endpoint::{Endpoint, MatchBitsAlloc};
 pub use event::Event;
 pub use network::{FaultPlan, Network, NetworkConfig};
 pub use retry::RetryPolicy;
-pub use rpc::{RpcClient, RpcConfig, RpcServer};
+pub use rpc::{RpcClient, RpcServer};
 pub use service::{spawn_service, Service, ServiceHandle};
 pub use stats::NetStats;
 pub use transport::RemoteFabric;

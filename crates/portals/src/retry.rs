@@ -1,13 +1,21 @@
-//! Shared exponential-backoff retry with a total-deadline cap.
+//! Shared exponential-backoff retry with a total-deadline cap — the one
+//! sleep-and-double loop in the workspace. Every retry runs through
+//! [`with_backoff`], each under its own [`RetryPolicy`]:
 //!
-//! Several layers need the same loop — collectives re-sending into a full
-//! eager queue, the replication primary shipping WAL records to a backup,
-//! a failed-over client re-sending to a promoted primary. Before this
-//! module each grew its own private copy, and the collective one could
-//! spin forever on a peer that never drains. The deadline turns "retry
-//! transient errors" into a bounded operation: when it expires the caller
-//! gets the distinct [`Error::RetriesExhausted`], which is deliberately
-//! *not* transient — retrying it would loop forever.
+//! * collectives re-sending into a full eager queue ([`send_with_backoff`]);
+//! * every [`RpcClient::call`](crate::RpcClient::call) re-sending one
+//!   request on `ServerBusy` (`rpc::BUSY`);
+//! * the replication primary shipping WAL records to a backup, and
+//!   reporting a dropped backup to the group directory;
+//! * `LwfsClient` failing a data operation over within its storage group;
+//! * a lock request waiting out `WouldBlock` (`lwfs-txn`).
+//!
+//! The loop being retried is always a one-shot send
+//! ([`RpcClient::send_once`](crate::RpcClient::send_once) or
+//! [`Endpoint::send`]), so no retry loop nests inside another. The
+//! deadline turns "retry transient errors" into a bounded operation: when
+//! it expires the caller gets the distinct [`Error::RetriesExhausted`],
+//! which is deliberately *not* transient — retrying it would loop forever.
 
 use std::time::{Duration, Instant};
 

@@ -7,9 +7,10 @@
 //!
 //! The client implements the flow-control loop of §3.2: a server whose
 //! queue is full rejects the request ([`Error::ServerBusy`]) and the client
-//! backs off and re-sends. The number of re-sends is surfaced in
-//! [`RpcClient::resends`] so experiments can report the overhead the paper
-//! attributes to rejected bursts.
+//! backs off and re-sends. [`RpcClient::call`] re-sends the *same* request
+//! (one opnum) under `BUSY`, whether the transport refused it or the
+//! server answered busy; a busy reply is never cached, so the re-send
+//! repeats nothing that happened.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -20,36 +21,20 @@ use lwfs_proto::{
 
 use crate::endpoint::Endpoint;
 use crate::event::Event;
+use crate::retry::{self, RetryPolicy};
 use crate::{reply_match, REQUEST_MATCH};
 
-/// Tunables for the client side of an RPC, settable in one place (e.g.
-/// from `ClusterConfig`) instead of hard-coded per call site. Fault tests
-/// and the failover path shrink `reply_timeout` so a dead primary is
-/// detected in milliseconds rather than the five-second default.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcConfig {
-    /// How long to wait for a reply before giving up.
-    pub reply_timeout: Duration,
-    /// Maximum ServerBusy re-sends before surfacing the error.
-    pub max_resends: u32,
-    /// Base backoff between re-sends (doubled each attempt).
-    pub backoff: Duration,
-}
-
-impl Default for RpcConfig {
-    fn default() -> Self {
-        Self {
-            reply_timeout: Duration::from_secs(5),
-            max_resends: 64,
-            backoff: Duration::from_micros(50),
-        }
-    }
-}
+/// The §3.2 back-off of a call refused with `ServerBusy`: 50 µs doubling
+/// to 20 ms, for at most one default reply timeout.
+const BUSY: RetryPolicy = RetryPolicy {
+    base: Duration::from_micros(50),
+    cap: Duration::from_millis(20),
+    deadline: Duration::from_secs(5),
+};
 
 /// Client-side RPC state for one endpoint.
 pub struct RpcClient<'a> {
     ep: &'a Endpoint,
-    resends: AtomicU64,
     /// Ambient causal context stamped into every outgoing request. Two
     /// atomics rather than a `Mutex<TraceContext>` so the client stays
     /// usable from `&self` across worker threads; the pair is not read
@@ -57,12 +42,8 @@ pub struct RpcClient<'a> {
     /// child calls and the ids only ever travel together.
     trace_id: AtomicU64,
     parent_req_id: AtomicU64,
-    /// How long to wait for a reply before giving up.
+    /// How long to wait for a reply before giving up (default 5 s).
     pub reply_timeout: Duration,
-    /// Maximum ServerBusy re-sends before surfacing the error.
-    pub max_resends: u32,
-    /// Base backoff between re-sends (doubled each attempt).
-    pub backoff: Duration,
 }
 
 impl<'a> RpcClient<'a> {
@@ -73,15 +54,11 @@ impl<'a> RpcClient<'a> {
     /// and a server's `(origin, opnum)` reply cache can never answer a new
     /// operation with an old one's reply.
     pub fn new(ep: &'a Endpoint) -> Self {
-        let cfg = RpcConfig::default();
         Self {
             ep,
-            resends: AtomicU64::new(0),
             trace_id: AtomicU64::new(0),
             parent_req_id: AtomicU64::new(0),
-            reply_timeout: cfg.reply_timeout,
-            max_resends: cfg.max_resends,
-            backoff: cfg.backoff,
+            reply_timeout: Duration::from_secs(5),
         }
     }
 
@@ -104,27 +81,15 @@ impl<'a> RpcClient<'a> {
         }
     }
 
-    /// Apply an [`RpcConfig`] (builder style), overriding the defaults.
-    pub fn configured(mut self, cfg: &RpcConfig) -> Self {
-        self.reply_timeout = cfg.reply_timeout;
-        self.max_resends = cfg.max_resends;
-        self.backoff = cfg.backoff;
-        self
-    }
-
     pub fn endpoint(&self) -> &Endpoint {
         self.ep
     }
 
-    /// Total ServerBusy re-sends performed by this client.
-    pub fn resends(&self) -> u64 {
-        self.resends.load(Ordering::Relaxed)
-    }
-
     /// Issue `body` to `server` and wait for the matched reply body.
     ///
-    /// Error replies from the server are surfaced as `Err`; transport-level
-    /// `ServerBusy` (full request queue) triggers the back-off/re-send loop.
+    /// Error replies from the server are surfaced as `Err`, except
+    /// `ServerBusy` — from the transport or the server — which re-sends
+    /// the same request under `BUSY`.
     pub fn call(&self, server: ProcessId, body: RequestBody) -> Result<ReplyBody> {
         self.call_with_token(server, body, bytes::Bytes::new())
     }
@@ -138,27 +103,23 @@ impl<'a> RpcClient<'a> {
         body: RequestBody,
         token: bytes::Bytes,
     ) -> Result<ReplyBody> {
-        let opnum = self.ep.next_opnum();
-        let req =
-            Request::new(opnum, self.ep.id(), body).with_trace(self.trace()).with_token(token);
-        let wire = req.to_bytes();
+        let req = Request::new(self.ep.next_opnum(), self.ep.id(), body)
+            .with_trace(self.trace())
+            .with_token(token);
+        retry::with_backoff(
+            &BUSY,
+            |e| matches!(e, Error::ServerBusy),
+            || self.send_once(server, &req),
+        )
+    }
 
-        let mut backoff = self.backoff;
-        let mut attempts = 0u32;
-        loop {
-            match self.ep.send(server, REQUEST_MATCH, wire.clone()) {
-                Ok(()) => break,
-                Err(Error::ServerBusy) if attempts < self.max_resends => {
-                    attempts += 1;
-                    self.resends.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        let want = reply_match(opnum.0);
+    /// Send the already-built `req` to `server` once and wait for the
+    /// reply matched by its opnum — the unit every retry loop repeats.
+    /// Re-sending one request keeps its opnum, so a server's reply cache
+    /// answers a retried mutation instead of applying it twice.
+    pub fn send_once(&self, server: ProcessId, req: &Request) -> Result<ReplyBody> {
+        self.ep.send(server, REQUEST_MATCH, req.to_bytes())?;
+        let want = reply_match(req.opnum.0);
         let ev = self.ep.recv_match(
             self.reply_timeout,
             |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
@@ -168,27 +129,8 @@ impl<'a> RpcClient<'a> {
             .ok_or_else(|| Error::Internal("reply event without payload".into()))?
             .clone();
         let reply = Reply::from_bytes(data)?;
-        debug_assert_eq!(reply.opnum, opnum);
+        debug_assert_eq!(reply.opnum, req.opnum);
         reply.into_result()
-    }
-
-    /// Like [`call`](Self::call) but also retrying when the *server logic*
-    /// answers `ServerBusy` (its bounded request queue was full after
-    /// transport acceptance).
-    pub fn call_retrying(&self, server: ProcessId, body: RequestBody) -> Result<ReplyBody> {
-        let mut backoff = self.backoff;
-        let mut attempts = 0u32;
-        loop {
-            match self.call(server, body.clone()) {
-                Err(Error::ServerBusy) if attempts < self.max_resends => {
-                    attempts += 1;
-                    self.resends.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(20));
-                }
-                other => return other,
-            }
-        }
     }
 }
 
@@ -336,22 +278,30 @@ mod tests {
     }
 
     #[test]
-    fn rpc_config_overrides_all_knobs() {
+    fn busy_reply_resends_the_same_request() {
+        // The server logic (not the transport) answers busy twice: `call`
+        // backs off and re-sends one request, so all three arrivals carry
+        // one opnum and the third answer is the result.
         let net = Network::default();
-        let ep = net.register(ProcessId::new(0, 0));
-        let cfg = RpcConfig {
-            reply_timeout: Duration::from_millis(123),
-            max_resends: 7,
-            backoff: Duration::from_micros(9),
-        };
-        let c = RpcClient::new(&ep).configured(&cfg);
-        assert_eq!(c.reply_timeout, cfg.reply_timeout);
-        assert_eq!(c.max_resends, 7);
-        assert_eq!(c.backoff, Duration::from_micros(9));
-        // Defaults stay at the historical values.
-        let d = RpcConfig::default();
-        assert_eq!(d.reply_timeout, Duration::from_secs(5));
-        assert_eq!(d.max_resends, 64);
+        let client_ep = net.register(ProcessId::new(0, 0));
+        let server_ep = net.register(ProcessId::new(1, 0));
+        let server_id = server_ep.id();
+        let handle = std::thread::spawn(move || {
+            let srv = RpcServer::new(&server_ep);
+            (0..3)
+                .map(|i| {
+                    let req = srv.next_request(Duration::from_secs(2)).unwrap();
+                    let body =
+                        if i < 2 { ReplyBody::Err(Error::ServerBusy) } else { ReplyBody::Pong };
+                    srv.reply(&req, body).unwrap();
+                    req.opnum
+                })
+                .collect::<Vec<_>>()
+        });
+        let client = RpcClient::new(&client_ep);
+        assert_eq!(client.call(server_id, RequestBody::Ping).unwrap(), ReplyBody::Pong);
+        let seen = handle.join().unwrap();
+        assert!(seen.iter().all(|op| *op == seen[0]), "re-sends changed the opnum: {seen:?}");
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Worker-pool dispatch for the storage server: the bounded job queue
 //! that feeds requests from the dispatcher to the workers, and the
 //! in-flight conflict tracker that lets *independent* requests run
-//! concurrently while dependent ones still execute in release order.
+//! concurrently while dependent ones still execute in arrival order.
 //!
 //! §3.2 builds the server around a queue of pending requests precisely so
-//! the server can overlap many transfers. The [`crate::RequestScheduler`]
-//! decides the *release order* of a batch; this module enforces that
-//! order **only between dependent requests** once they are in flight on
-//! several workers. Two requests are dependent exactly when the elevator
-//! scheduler says so: same object, overlapping byte ranges, at least one
-//! writes — control requests are conservatively dependent on everything.
-//! The single definition lives in [`AccessSummary::conflicts`]; the
-//! scheduler delegates to it so the two layers cannot drift.
+//! the server can overlap many transfers. The dispatcher tickets requests
+//! in arrival order; this module enforces that order **only between
+//! dependent requests** once they are in flight on several workers. Two
+//! requests are dependent when they touch the same object with
+//! overlapping byte ranges and at least one writes — control requests are
+//! conservatively dependent on everything. The single definition lives in
+//! [`AccessSummary::conflicts`].
 
 use std::collections::VecDeque;
 
@@ -87,7 +86,7 @@ impl ConflictTracker {
     }
 
     /// Record a dispatched request. Must be called in ticket order (the
-    /// dispatcher's release order) so `wait_turn` sees every earlier
+    /// dispatcher's arrival order) so `wait_turn` sees every earlier
     /// request it might conflict with.
     pub fn register(&self, ticket: u64, summary: AccessSummary) {
         self.inner.lock().push(InFlight { ticket, summary });
@@ -340,12 +339,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The in-flight conflict relation agrees with the scheduler's
-        /// `dependent()` on arbitrary request pairs — the two layers share
-        /// one definition, and this pins that they can never drift. Also
-        /// checks symmetry and a brute-force range-overlap oracle.
+        /// The in-flight conflict relation is symmetric and agrees with a
+        /// brute-force range-overlap oracle on arbitrary request pairs.
         #[test]
-        fn prop_conflicts_agrees_with_scheduler_dependent(
+        fn prop_conflicts_is_symmetric_and_matches_the_range_oracle(
             a_kind in 0u32..3, a_obj in 0u64..3, a_off in 0u64..64, a_len in 0u64..32, a_hi in proptest::bool::ANY,
             b_kind in 0u32..3, b_obj in 0u64..3, b_off in 0u64..64, b_len in 0u64..32, b_hi in proptest::bool::ANY,
         ) {
@@ -366,7 +363,6 @@ mod tests {
             let a = make(a_kind, a_obj, a_off, a_len, a_hi);
             let b = make(b_kind, b_obj, b_off, b_len, b_hi);
             let tracker_view = AccessSummary::of(&a).conflicts(&AccessSummary::of(&b));
-            proptest::prop_assert_eq!(tracker_view, crate::scheduler::dependent(&a, &b));
             proptest::prop_assert_eq!(
                 tracker_view,
                 AccessSummary::of(&b).conflicts(&AccessSummary::of(&a)),

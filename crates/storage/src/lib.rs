@@ -16,13 +16,13 @@
 //! * [`PinnedBufferPool`] — the bounded pool of transfer buffers of
 //!   Figure 6; an exhausted pool is what turns into `ServerBusy`
 //!   rejections and client re-sends.
-//! * [`RequestScheduler`] — elevator reordering of independent queued
-//!   requests ("The server can also re-order independent requests to
-//!   improve access to the storage device", §3.2).
 //! * [`ConflictTracker`] / [`WorkQueue`] — the worker-pool dispatch layer:
-//!   a bounded FIFO hand-off from the dispatcher to N workers, with the
-//!   scheduler's dependency relation promoted into an in-flight tracker so
-//!   independent requests overlap and dependent ones keep release order.
+//!   a bounded FIFO hand-off from the dispatcher to N workers, in arrival
+//!   order, with §3.2's dependency relation enforced by an in-flight
+//!   tracker so independent requests overlap and dependent ones keep
+//!   arrival order. (§3.2 also allows reordering independent queued
+//!   requests for the storage device; on a memory-only store no order
+//!   beats arrival order, so none is applied.)
 //! * [`StorageServer`] — the service: the RPC surface, the capability
 //!   cache, transaction participation (undo journals + 2PC votes).
 
@@ -31,13 +31,11 @@
 pub mod buffers;
 pub mod dispatch;
 pub mod recovery;
-pub mod scheduler;
 pub mod server;
 pub mod store;
 
 pub use buffers::PinnedBufferPool;
 pub use dispatch::{AccessSummary, ConflictTracker, WorkQueue};
 pub use recovery::RecoveryOutcome;
-pub use scheduler::RequestScheduler;
 pub use server::{SignedCapConfig, StorageConfig, StorageServer, StorageStats};
 pub use store::{ObjectStore, StoreConfig};

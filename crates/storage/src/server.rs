@@ -2,21 +2,20 @@
 //! capability enforcement, and transaction participation.
 //!
 //! The server runs its own loop (rather than the generic service runner)
-//! so it can drain bursts of queued requests and release them through the
-//! elevator [`RequestScheduler`]. The loop is a **pipelined dispatcher**:
-//! the main thread keeps receiving and batching while a pool of worker
-//! threads runs the full authorize → pull/push → store → reply path, so
-//! independent requests overlap. Dependent requests (same object,
-//! overlapping ranges, ≥1 write — the scheduler's own relation) are held
-//! back by the in-flight [`ConflictTracker`] and still execute in release
-//! order. Each data request moves its bulk payload with one-sided
-//! operations against the *client's* pinned memory descriptor, staged
-//! through the server's bounded [`PinnedBufferPool`] — the complete
-//! Figure 6 pipeline:
+//! so requests can overlap. The loop is a **pipelined dispatcher**: the
+//! main thread receives one request at a time and hands it, ticketed in
+//! arrival order, to a pool of worker threads that run the full
+//! authorize → pull/push → store → reply path, so independent requests
+//! overlap. Dependent requests (same object, overlapping ranges, ≥1
+//! write) are held back by the in-flight [`ConflictTracker`] and execute
+//! in arrival order. Each data request moves its bulk payload with
+//! one-sided operations against the *client's* pinned memory descriptor,
+//! staged through the server's bounded [`PinnedBufferPool`] — the
+//! complete Figure 6 pipeline:
 //!
 //! ```text
 //! client:     post MD, send small request ─▶ server queue
-//! dispatcher: drain burst, elevator-order, ticket, hand to workers
+//! dispatcher: receive, ticket in arrival order, hand to workers
 //! worker i:   wait for conflicting earlier tickets (usually none)
 //!             authorize (cap cache / verify-through)
 //!             for each chunk: acquire pinned buffer, GET from client MD,
@@ -25,14 +24,15 @@
 //! ```
 //!
 //! With `workers = 1` the pipeline degenerates to exactly the serial
-//! paper-faithful loop: one consumer draining a FIFO of elevator-ordered
-//! tickets. The [`PinnedBufferPool`] stays the admission throttle — more
-//! workers than buffers just means more `ServerBusy` rejections, and the
-//! bounded job queue blocks the dispatcher so the transport's eager queue
-//! (and ultimately the §3.2 client back-off loop) still provides
-//! end-to-end flow control.
+//! paper-faithful loop: one consumer draining a FIFO of tickets. §3.2
+//! also lets a server reorder independent queued requests for the
+//! device's sake; the object store is memory-only, so no order is better
+//! than arrival order, and none is applied. The [`PinnedBufferPool`]
+//! stays the admission throttle — more workers than buffers just means
+//! more `ServerBusy` rejections, and the bounded job queue blocks the
+//! dispatcher so the transport's eager queue (and ultimately the §3.2
+//! client back-off loop) still provides end-to-end flow control.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,8 +43,7 @@ use lwfs_authz::CachedCapVerifier;
 use lwfs_cap::{LocalCapVerifier, PublicKey};
 use lwfs_obs::{Counter, OpTrace, Registry};
 use lwfs_portals::{
-    retry, Endpoint, Event, Network, RetryPolicy, RpcClient, RpcConfig, ServiceHandle,
-    REQUEST_MATCH,
+    retry, Endpoint, Event, Network, RetryPolicy, RpcClient, ServiceHandle, REQUEST_MATCH,
 };
 use lwfs_proto::{
     Capability, ContainerId, Decode as _, Encode as _, Error, MdHandle, ObjId, OpMask, ProcessId,
@@ -56,7 +55,6 @@ use lwfs_wal::{AppendTiming, Wal, WalConfig, WalRecord};
 
 use crate::buffers::PinnedBufferPool;
 use crate::dispatch::{AccessSummary, ConflictTracker, WorkQueue};
-use crate::scheduler::RequestScheduler;
 use crate::store::{ObjectStore, StoreConfig, WritePreimage};
 
 /// Storage-server configuration.
@@ -67,8 +65,6 @@ pub struct StorageConfig {
     pub chunk_size: usize,
     /// Number of pinned transfer buffers.
     pub pool_buffers: usize,
-    /// Maximum requests drained into one elevator batch.
-    pub batch_limit: usize,
     /// Worker threads running the authorize → transfer → store → reply
     /// path. `1` reproduces the serial paper-faithful loop exactly;
     /// the default matches the host's available parallelism.
@@ -81,11 +77,6 @@ pub struct StorageConfig {
     /// prepared transactions — before serving the first request. `None`
     /// (the default) keeps the server purely in-memory.
     pub wal: Option<WalConfig>,
-    /// RPC knobs for the server's *outbound* calls (verify-through to the
-    /// authorization service, WAL shipping to backups). Cluster-level
-    /// configuration threads through here instead of per-call-site
-    /// constants.
-    pub rpc: RpcConfig,
     /// Replication role within the server's storage group. A primary
     /// ships every mutation's WAL records to its backups before
     /// acknowledging the client; a backup applies shipped records and
@@ -117,11 +108,9 @@ impl Default for StorageConfig {
         Self {
             chunk_size: 256 * 1024,
             pool_buffers: 8,
-            batch_limit: 64,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             store: StoreConfig::default(),
             wal: None,
-            rpc: RpcConfig::default(),
             // A group of one has no backups to drop, so it never reports
             // to the directory this names.
             replica: ReplicaConfig::primary(0, Vec::new(), ProcessId::new(0, 0)),
@@ -154,7 +143,6 @@ pub struct StorageStats {
     pub busy_rejects: Arc<Counter>,
     pub txn_commits: Arc<Counter>,
     pub txn_aborts: Arc<Counter>,
-    pub batches: Arc<Counter>,
     /// Times a worker had to wait for an earlier conflicting in-flight
     /// request before executing (the serialization cost of dependence).
     pub conflict_defers: Arc<Counter>,
@@ -191,7 +179,6 @@ impl StorageStats {
             busy_rejects: registry.counter("storage.busy_rejects"),
             txn_commits: registry.counter("storage.txn_commits"),
             txn_aborts: registry.counter("storage.txn_aborts"),
-            batches: registry.counter("storage.batches"),
             conflict_defers: registry.counter("storage.conflict_defer"),
             repl_ships: registry.counter("storage.repl_ships"),
             ship_retries: registry.counter("storage.ship_retries"),
@@ -266,12 +253,19 @@ fn decode_reply_body(wire: &Bytes) -> Result<ReplyBody> {
     ReplyBody::decode(&mut buf)
 }
 
+/// What a ship or a drop report retries. `Unreachable` counts: a
+/// partition may heal, and ship-before-ack means the client is not acked
+/// until the backup has the records or is formally dropped.
+fn ship_retryable(e: &Error) -> bool {
+    matches!(e, Error::Timeout | Error::ServerBusy | Error::Unreachable)
+}
+
 /// One unit of work handed from the dispatcher to the worker pool: the
 /// request, its conflict-ordering ticket, and its in-progress trace.
 struct Job<'s> {
     ticket: u64,
     req: Request,
-    trace: Option<OpTrace<'s>>,
+    trace: OpTrace<'s>,
 }
 
 /// Undo journal entries for transactional rollback (§3.4). Never logged:
@@ -571,8 +565,7 @@ impl StorageServer {
         // Bounded hand-off: when workers fall behind, the dispatcher blocks
         // here, the transport's eager queue fills, and clients see
         // `ServerBusy` — the §3.2 back-pressure chain, undisturbed.
-        let queue: WorkQueue<Job<'_>> =
-            WorkQueue::bounded(self.config.batch_limit.max(workers * 2));
+        let queue: WorkQueue<Job<'_>> = WorkQueue::bounded(64.max(workers * 2));
         let tracker = ConflictTracker::new();
         std::thread::scope(|s| {
             for idx in 0..workers {
@@ -585,7 +578,9 @@ impl StorageServer {
         });
     }
 
-    /// The dispatcher: receive, batch, elevator-order, ticket, hand off.
+    /// The dispatcher: receive one request, ticket it in arrival order,
+    /// hand it off. Tickets are the only order workers honour: the
+    /// conflict tracker serializes dependent tickets by it.
     fn dispatch_loop<'s>(
         &'s self,
         ep: &Endpoint,
@@ -593,55 +588,55 @@ impl StorageServer {
         tracker: &ConflictTracker,
         stop: &AtomicBool,
     ) {
-        let mut scheduler = RequestScheduler::new();
-        // Per-request traces started at arrival, so `queue_wait` (and the
-        // end-to-end total) covers the time spent queued behind the batch.
-        let mut traces: HashMap<u64, OpTrace<'s>> = HashMap::new();
+        // Additive (not `set`): every server in the network shares this
+        // fabric-level gauge, so it reads as total requests waiting for a
+        // worker.
         let queue_depth = self.obs.gauge("storage.queue_depth");
-        // Tickets are the elevator release order; the conflict tracker
-        // serializes dependent tickets by it.
         let mut next_ticket: u64 = 0;
         let poll = Duration::from_millis(5);
         while !stop.load(Ordering::SeqCst) {
-            // Block for the first request of a batch…
-            let first = ep.recv_match(
+            let ev = match ep.recv_match(
                 poll,
                 |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH),
-            );
-            let first = match first {
+            ) {
                 Ok(ev) => ev,
                 Err(Error::Timeout) => continue,
                 Err(_) => break,
             };
-            self.enqueue(ep, &mut scheduler, &mut traces, first);
-            // …then drain whatever else already arrived (the burst), up to
-            // the batch limit, and release in elevator order.
-            while scheduler.len() < self.config.batch_limit {
-                match ep.recv_match(Duration::ZERO, |e| {
-                    matches!(e, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH)
-                }) {
-                    Ok(ev) => self.enqueue(ep, &mut scheduler, &mut traces, ev),
-                    Err(_) => break,
-                }
+            let Some(req) = ev.message_data().and_then(|d| Request::from_bytes(d.clone()).ok())
+            else {
+                continue;
+            };
+            // Telemetry scrapes are annotation traffic, answered straight
+            // from the dispatcher: a control request would conflict-
+            // serialize behind every in-flight mutation, so a queued scrape
+            // stalls for exactly as long as the stalled write it is trying
+            // to observe — the monitor would lose its window cadence at the
+            // moment the cluster degrades. Answering here also keeps the
+            // scrape out of the trace and latency series it reads.
+            if let Some(scrape) = lwfs_portals::telemetry::answer(&self.obs, &req.body) {
+                let rep = Reply::new(req.opnum, scrape);
+                let _ =
+                    ep.send(req.reply_to, lwfs_portals::reply_match(req.opnum.0), rep.to_bytes());
+                continue;
             }
-            // Additive (not `set`): every server in the network shares
-            // this fabric-level gauge, so it reads as total queued.
-            queue_depth.add(scheduler.len() as i64);
-            self.stats.batches.inc();
-            for req in scheduler.drain_elevator() {
-                // Dispatched: the request has left the scheduler queue
-                // (depth counts queued requests, not those in service).
+            // Traced from arrival, so `queue_wait` (and the end-to-end
+            // total) covers the time spent waiting for a worker.
+            let trace = self
+                .obs
+                .trace(req.req_id, op_label(&req.body))
+                .on_node(self.site.nid.0)
+                .in_trace(req.trace.trace_id);
+            let ticket = next_ticket;
+            next_ticket += 1;
+            // Register *before* pushing, in ticket order, so a worker
+            // popping this job sees every earlier in-flight conflict.
+            tracker.register(ticket, AccessSummary::of(&req));
+            queue_depth.inc();
+            if queue.push(Job { ticket, req, trace }).is_err() {
                 queue_depth.dec();
-                let ticket = next_ticket;
-                next_ticket += 1;
-                let trace = traces.remove(&req.req_id);
-                // Register *before* pushing, in ticket order, so a worker
-                // popping this job sees every earlier in-flight conflict.
-                tracker.register(ticket, AccessSummary::of(&req));
-                if queue.push(Job { ticket, req, trace }).is_err() {
-                    tracker.complete(ticket);
-                    return; // queue closed under us: shutting down
-                }
+                tracker.complete(ticket);
+                return; // queue closed under us: shutting down
             }
         }
     }
@@ -661,85 +656,41 @@ impl StorageServer {
     ) {
         // Workers share the endpoint's opnum allocator so their
         // verify-through RPCs can interleave without reply collisions.
-        let client = RpcClient::new(ep).configured(&self.config.rpc);
+        let client = RpcClient::new(ep);
+        let queue_depth = self.obs.gauge("storage.queue_depth");
         let dispatch = self.obs.histogram("storage.dispatch_ns");
         let worker_dispatch = self.obs.histogram(&format!("storage.worker{idx}.dispatch_ns"));
         let in_flight = self.obs.gauge("storage.in_flight");
         let srv_in_flight = self.obs.gauge(&format!("storage.srv{}.in_flight", self.site.nid.0));
-        while let Some(mut job) = queue.pop() {
-            if tracker.wait_turn(job.ticket) {
+        while let Some(Job { ticket, req, mut trace }) = queue.pop() {
+            queue_depth.dec();
+            if tracker.wait_turn(ticket) {
                 self.stats.conflict_defers.inc();
             }
             in_flight.inc();
             srv_in_flight.inc();
-            if let Some(t) = job.trace.as_mut() {
-                let waited = t.stage("queue_wait");
-                dispatch.record(waited);
-                worker_dispatch.record(waited);
-            }
+            let waited = trace.stage("queue_wait");
+            dispatch.record(waited);
+            worker_dispatch.record(waited);
             // Every child request this job issues (verify-through to the
             // authorization service, ships, drop reports) carries the
             // incoming trace with this request as the parent — the causal
             // chain is *propagated*, never re-derived.
             client.set_trace(TraceContext {
-                trace_id: job.req.trace.trace_id,
-                parent_req_id: job.req.req_id,
+                trace_id: req.trace.trace_id,
+                parent_req_id: req.req_id,
             });
-            let body = self.handle(ep, &client, &job.req, job.trace.as_mut());
-            let rep = Reply::new(job.req.opnum, body);
-            let _ = ep.send(
-                job.req.reply_to,
-                lwfs_portals::reply_match(job.req.opnum.0),
-                rep.to_bytes(),
-            );
-            if let Some(mut t) = job.trace.take() {
-                t.stage("reply");
-                t.finish();
-            }
+            let body = self.handle(ep, &client, &req, Some(&mut trace));
+            let rep = Reply::new(req.opnum, body);
+            let _ = ep.send(req.reply_to, lwfs_portals::reply_match(req.opnum.0), rep.to_bytes());
+            trace.stage("reply");
+            trace.finish();
             // Complete only after the reply is on the wire: a dependent
             // request must not observe the store before our reply orders
             // ahead of it at the client.
-            tracker.complete(job.ticket);
+            tracker.complete(ticket);
             srv_in_flight.dec();
             in_flight.dec();
-        }
-    }
-
-    fn enqueue<'s>(
-        &'s self,
-        ep: &Endpoint,
-        scheduler: &mut RequestScheduler,
-        traces: &mut HashMap<u64, OpTrace<'s>>,
-        ev: Event,
-    ) {
-        if let Some(data) = ev.message_data() {
-            if let Ok(req) = Request::from_bytes(data.clone()) {
-                // Telemetry scrapes are annotation traffic, answered
-                // straight from the dispatcher: a control request would
-                // conflict-serialize behind every in-flight mutation, so a
-                // queued scrape stalls for exactly as long as the stalled
-                // write it is trying to observe — the monitor would lose
-                // its window cadence at the moment the cluster degrades.
-                // Answering here also keeps the scrape out of the trace
-                // and latency series it reads.
-                if let Some(scrape) = lwfs_portals::telemetry::answer(&self.obs, &req.body) {
-                    let rep = Reply::new(req.opnum, scrape);
-                    let _ = ep.send(
-                        req.reply_to,
-                        lwfs_portals::reply_match(req.opnum.0),
-                        rep.to_bytes(),
-                    );
-                    return;
-                }
-                traces.insert(
-                    req.req_id,
-                    self.obs
-                        .trace(req.req_id, op_label(&req.body))
-                        .on_node(self.site.nid.0)
-                        .in_trace(req.trace.trace_id),
-                );
-                scheduler.push(req);
-            }
         }
     }
 
@@ -1000,6 +951,16 @@ impl StorageServer {
     // Replication: ship-before-ack and the backup apply path
     // ------------------------------------------------------------------
 
+    /// How a primary retries a ship or a drop report: 200 µs doubling to
+    /// 20 ms, within the group's ship deadline.
+    fn ship_policy(&self) -> RetryPolicy {
+        RetryPolicy {
+            base: Duration::from_micros(200),
+            cap: Duration::from_millis(20),
+            deadline: self.replica.ship_deadline,
+        }
+    }
+
     /// Ship one completed mutation's WAL records to every backup and wait
     /// for their acks — *before* the caller sends the client reply, so an
     /// acknowledged mutation is always on every in-sync replica.
@@ -1038,11 +999,9 @@ impl StorageServer {
         // Per-attempt reply timeout well under the total deadline, so a
         // dropped ship is re-sent (the backup's cache dedups) instead of
         // eating the whole budget in one wait.
-        let ship_client = RpcClient::new(ep).configured(&RpcConfig {
-            reply_timeout: (repl.ship_deadline / 4).max(Duration::from_millis(50)),
-            ..self.config.rpc.clone()
-        });
-        ship_client.set_trace(trace_ctx);
+        let mut ship_client = RpcClient::new(ep);
+        ship_client.reply_timeout = (repl.ship_deadline / 4).max(Duration::from_millis(50));
+        let token = self.signed.as_ref().map(|s| s.ship_token.clone()).unwrap_or_default();
         for backup in backups {
             let ship_body = RequestBody::ReplShip {
                 group: repl.group(),
@@ -1053,29 +1012,19 @@ impl StorageServer {
                 records: frames.clone(),
                 reply: reply.clone(),
             };
-            let policy = RetryPolicy {
-                base: Duration::from_micros(200),
-                cap: Duration::from_millis(20),
-                deadline: repl.ship_deadline,
-            };
+            // One request for every attempt: a re-sent ship keeps its opnum.
+            let ship = Request::new(ep.next_opnum(), ep.id(), ship_body)
+                .with_trace(trace_ctx)
+                .with_token(token.clone());
             let mut attempts: u64 = 0;
             let backup_start = Instant::now();
-            let outcome = retry::with_backoff(
-                &policy,
-                // Unreachable is retryable here: a partition may heal, and
-                // ship-before-ack means we must not ack the client until
-                // the backup has the records or is formally dropped.
-                |e| matches!(e, Error::Timeout | Error::ServerBusy | Error::Unreachable),
-                || {
-                    attempts += 1;
-                    let token =
-                        self.signed.as_ref().map(|s| s.ship_token.clone()).unwrap_or_default();
-                    match ship_client.call_with_token(backup, ship_body.clone(), token)? {
-                        ReplyBody::ReplAck { .. } => Ok(()),
-                        other => Err(Error::Internal(format!("unexpected ship reply {other:?}"))),
-                    }
-                },
-            );
+            let outcome = retry::with_backoff(&self.ship_policy(), ship_retryable, || {
+                attempts += 1;
+                match ship_client.send_once(backup, &ship)? {
+                    ReplyBody::ReplAck { .. } => Ok(()),
+                    other => Err(Error::Internal(format!("unexpected ship reply {other:?}"))),
+                }
+            });
             let ship_ns = backup_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             if let Some(t) = trace.as_deref_mut() {
                 // One span per backup; the retry window gets its own span
@@ -1127,22 +1076,15 @@ impl StorageServer {
         let dir = repl.directory;
         let body =
             RequestBody::ReportDroppedBackup { group: repl.group(), epoch: repl.epoch(), backup };
-        let policy = RetryPolicy {
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(20),
-            deadline: repl.ship_deadline,
-        };
-        let client = RpcClient::new(ep);
         // The drop report is a child of the mutation whose ship failed.
-        client.set_trace(trace_ctx);
-        let outcome = retry::with_backoff(
-            &policy,
-            |e| matches!(e, Error::Timeout | Error::ServerBusy | Error::Unreachable),
-            || match client.call(dir, body.clone())? {
+        let report = Request::new(ep.next_opnum(), ep.id(), body).with_trace(trace_ctx);
+        let client = RpcClient::new(ep);
+        let outcome = retry::with_backoff(&self.ship_policy(), ship_retryable, || {
+            match client.send_once(dir, &report)? {
                 ReplyBody::GroupMapReply(map) => Ok(map.epoch),
                 other => Err(Error::Internal(format!("unexpected directory reply {other:?}"))),
-            },
-        );
+            }
+        });
         match outcome {
             Ok(epoch) => {
                 repl.observe_epoch(epoch);

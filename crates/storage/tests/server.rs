@@ -127,7 +127,7 @@ fn write_obj(
     let cap = caps.op(OpMask::WRITE);
     let mb = ep.match_bits().alloc(BULK_SPACE);
     ep.post_md(mb, MemDesc::from_vec(payload.to_vec(), MdOptions::for_remote_get())).unwrap();
-    let r = client.call_retrying(
+    let r = client.call(
         srv,
         RequestBody::Write {
             txn,
@@ -158,7 +158,7 @@ fn read_obj(
     let cap = caps.op(OpMask::READ);
     let mb = ep.match_bits().alloc(BULK_SPACE);
     ep.post_md(mb, MemDesc::zeroed(len, MdOptions::for_remote_put())).unwrap();
-    let r = client.call_retrying(
+    let r = client.call(
         srv,
         RequestBody::Read { cap, obj, offset, len: len as u64, md: MdHandle { match_bits: mb } },
     );
@@ -512,8 +512,28 @@ fn send_write_pipelined(
     mb
 }
 
-/// Collect the reply for a pipelined write sent with `opnum`.
-fn await_write_done(ep: &lwfs_portals::Endpoint, opnum: u64) -> u64 {
+/// Fire a read request without waiting for the reply, like
+/// [`send_write_pipelined`]. Returns the MD's match bits; unlinking them
+/// after the reply yields the bytes read.
+fn send_read_pipelined(
+    ep: &lwfs_portals::Endpoint,
+    srv: ProcessId,
+    opnum: u64,
+    cap: Capability,
+    obj: ObjId,
+    offset: u64,
+    len: usize,
+) -> u64 {
+    let mb = ep.match_bits().alloc(BULK_SPACE);
+    ep.post_md(mb, MemDesc::zeroed(len, MdOptions::for_remote_put())).unwrap();
+    let body =
+        RequestBody::Read { cap, obj, offset, len: len as u64, md: MdHandle { match_bits: mb } };
+    ep.send(srv, REQUEST_MATCH, Request::new(OpNum(opnum), ep.id(), body).to_bytes()).unwrap();
+    mb
+}
+
+/// Collect the reply for a pipelined request sent with `opnum`.
+fn await_reply(ep: &lwfs_portals::Endpoint, opnum: u64) -> ReplyBody {
     let want = reply_match(opnum);
     let ev = ep
         .recv_match(
@@ -521,8 +541,12 @@ fn await_write_done(ep: &lwfs_portals::Endpoint, opnum: u64) -> u64 {
             |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
         )
         .unwrap();
-    let reply = Reply::from_bytes(ev.message_data().unwrap().clone()).unwrap();
-    match reply.into_result().unwrap() {
+    Reply::from_bytes(ev.message_data().unwrap().clone()).unwrap().into_result().unwrap()
+}
+
+/// Collect the reply for a pipelined write sent with `opnum`.
+fn await_write_done(ep: &lwfs_portals::Endpoint, opnum: u64) -> u64 {
+    match await_reply(ep, opnum) {
         ReplyBody::WriteDone { len } => len,
         other => panic!("unexpected {other:?}"),
     }
@@ -572,6 +596,45 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
         );
     }
     assert_eq!(server.stats().writes.get(), 18);
+
+    // An independent read between two dependent writes must not let the
+    // later write overtake the earlier one: a write of [100K, 200K)
+    // filled with A, then a write of [0, 200K) filled with B, then a read
+    // of [50K, 60K). An elevator pass sorting by offset would release
+    // B, the read, then A — which leaves A on top of B.
+    const K: usize = 1024;
+    for round in 0..50u64 {
+        let base = 20_000 + round * 3;
+        let (a, b) = (0xA0 ^ round as u8, 0xB0 ^ round as u8);
+        let cap = caps.op(OpMask::WRITE);
+        let mbs = [
+            send_write_pipelined(&ep, handle.id(), base, cap, oid, 100 * K as u64, &[a; 100 * K]),
+            send_write_pipelined(&ep, handle.id(), base + 1, cap, oid, 0, &[b; 200 * K]),
+            send_read_pipelined(
+                &ep,
+                handle.id(),
+                base + 2,
+                caps.op(OpMask::READ),
+                oid,
+                50 * K as u64,
+                10 * K,
+            ),
+        ];
+        assert_eq!(await_write_done(&ep, base), 100 * K as u64);
+        assert_eq!(await_write_done(&ep, base + 1), 200 * K as u64);
+        assert_eq!(await_reply(&ep, base + 2), ReplyBody::ReadDone { len: 10 * K as u64 });
+        let read = ep.unlink_md(mbs[2]).unwrap().into_vec();
+        assert!(read.iter().all(|x| *x == b), "round {round}: the read ran before write B");
+        for mb in &mbs[..2] {
+            ep.unlink_md(*mb);
+        }
+        let back =
+            read_obj(&client, &ep, handle.id(), &caps, oid, 100 * K as u64, 100 * K).unwrap();
+        assert!(
+            back.iter().all(|x| *x == b),
+            "round {round}: [100K, 200K) must hold the later write B"
+        );
+    }
 }
 
 #[test]

@@ -10,10 +10,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lwfs_auth::Clock;
 use lwfs_authz::CachedCapVerifier;
-use lwfs_portals::{spawn_service, Endpoint, Network, RpcClient, Service, ServiceHandle};
+use lwfs_portals::{
+    retry, spawn_service, Endpoint, Network, RetryPolicy, RpcClient, Service, ServiceHandle,
+};
 use lwfs_proto::{Error, OpMask, ProcessId, ReplyBody, Request, RequestBody, TxnId};
 
 use crate::locks::LockTable;
@@ -108,30 +111,35 @@ impl Service for TxnLockServer {
     }
 }
 
-/// Client helper: acquire a lock, retrying `WouldBlock` with exponential
-/// backoff when `wait` is requested. This is the client-side half of the
-/// non-blocking lock protocol.
+/// How a waiting lock request backs off on `WouldBlock`: 100 µs doubling
+/// to 20 ms. A holder that never releases (it died) turns the wait into
+/// [`Error::RetriesExhausted`] after 15 s instead of an endless retry.
+const LOCK_WAIT: RetryPolicy = RetryPolicy {
+    base: Duration::from_micros(100),
+    cap: Duration::from_millis(20),
+    deadline: Duration::from_secs(15),
+};
+
+/// Client helper: acquire a lock, retrying `WouldBlock` under
+/// `LOCK_WAIT`. This is the client-side half of the non-blocking lock
+/// protocol.
 pub fn acquire_lock_waiting(
     client: &RpcClient<'_>,
     server: ProcessId,
     cap: lwfs_proto::Capability,
     resource: lwfs_proto::LockResource,
     mode: lwfs_proto::LockMode,
-    max_attempts: u32,
 ) -> Result<lwfs_proto::LockId, Error> {
-    let mut backoff = std::time::Duration::from_micros(100);
-    for _ in 0..max_attempts {
-        match client.call(server, RequestBody::LockAcquire { cap, resource, mode, wait: true }) {
-            Ok(ReplyBody::LockGranted(id)) => return Ok(id),
-            Ok(other) => return Err(Error::Internal(format!("bad lock reply {other:?}"))),
-            Err(Error::WouldBlock) => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(std::time::Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(Error::WouldBlock)
+    retry::with_backoff(
+        &LOCK_WAIT,
+        |e| matches!(e, Error::WouldBlock),
+        || match client
+            .call(server, RequestBody::LockAcquire { cap, resource, mode, wait: true })?
+        {
+            ReplyBody::LockGranted(id) => Ok(id),
+            other => Err(Error::Internal(format!("bad lock reply {other:?}"))),
+        },
+    )
 }
 
 #[cfg(test)]
@@ -244,14 +252,13 @@ mod tests {
 
         let ep1 = net.register(ProcessId::new(1, 0));
         let c1 = RpcClient::new(&ep1);
-        let id =
-            acquire_lock_waiting(&c1, server, lock_cap(), res, LockMode::Exclusive, 5).unwrap();
+        let id = acquire_lock_waiting(&c1, server, lock_cap(), res, LockMode::Exclusive).unwrap();
 
         let net2 = net.clone();
         let waiter = std::thread::spawn(move || {
             let ep2 = net2.register(ProcessId::new(2, 0));
             let c2 = RpcClient::new(&ep2);
-            acquire_lock_waiting(&c2, server, lock_cap(), res, LockMode::Exclusive, 1000)
+            acquire_lock_waiting(&c2, server, lock_cap(), res, LockMode::Exclusive)
         });
 
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -155,7 +155,7 @@ fn message_loss_surfaces_as_timeouts_not_corruption() {
 
     // 100% loss: every RPC times out; nothing hangs forever.
     cluster.network().set_faults(FaultPlan { drop_rate: 1.0, ..Default::default() });
-    // (Reads use call_retrying only for ServerBusy; loss is a timeout.)
+    // (A group of one retries only `ServerBusy`; a lost message is a timeout.)
     let t0 = std::time::Instant::now();
     let err = client.getattr(0, &caps, obj).unwrap_err();
     assert_eq!(err, Error::Timeout);

@@ -12,6 +12,9 @@
 //!    `trace_id` (propagated, never re-derived), and
 //! 4. control-plane transitions land in the journal in causal order —
 //!    eviction before republish, promotion when the primary dies.
+//!
+//! Alongside them, `storage.queue_depth` is checked to count the requests
+//! waiting for a storage worker.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -264,4 +267,60 @@ fn wal_recovery_is_journaled_on_restart() {
         recovery[0].detail
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn queue_depth_counts_requests_waiting_for_a_worker() {
+    // One worker on the primary, stalled shipping to a partitioned backup:
+    // requests sent meanwhile wait for that worker, and the gauge counts
+    // them until the stall ends.
+    let cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 1,
+        replication: 2,
+        ship_deadline: Some(Duration::from_secs(1)),
+        storage: lwfs::storage::StorageConfig { workers: 1, ..Default::default() },
+        ..Default::default()
+    });
+    let mut client = cluster.client(0, 0);
+    login(&cluster, &mut client);
+    let cid = client.create_container().unwrap();
+    let caps = client.get_caps(cid, OpMask::ALL).unwrap();
+    let obj = client.create_obj(0, &caps, None, None).unwrap();
+    client.write(0, &caps, None, obj, 0, b"healthy write").unwrap();
+    let obs = cluster.network().obs();
+    let depth = obs.gauge("storage.queue_depth");
+    assert_eq!(depth.get(), 0, "nothing waits at rest");
+
+    let mut plan = FaultPlan::default();
+    plan.partitioned.insert(cluster.addrs().storage[1].nid);
+    cluster.network().set_faults(plan);
+    let (held, stalled_meanwhile) = std::thread::scope(|s| {
+        let stalled = s.spawn(|| client.write(0, &caps, None, obj, 0, b"stalled write"));
+        let in_flight = obs.gauge("storage.in_flight");
+        while in_flight.get() == 0 {
+            std::thread::yield_now();
+        }
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                let (cluster, caps) = (&cluster, &caps);
+                s.spawn(move || cluster.client(10 + i, 0).getattr(0, caps, obj))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while depth.get() < 3 && !stalled.is_finished() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        // Held, not a transient: the three wait as long as the worker does.
+        std::thread::sleep(Duration::from_millis(50));
+        let held = (depth.get(), !stalled.is_finished());
+        stalled.join().unwrap().unwrap();
+        for w in waiters {
+            w.join().unwrap().unwrap();
+        }
+        held
+    });
+    cluster.network().heal();
+    assert!(stalled_meanwhile, "the ship stall ended before the gauge was read");
+    assert_eq!(held, 3, "three requests wait behind the stalled worker");
+    assert_eq!(depth.get(), 0, "the queue drains once the stall ends");
 }
