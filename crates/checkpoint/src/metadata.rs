@@ -61,6 +61,9 @@ impl Encode for CkptMetadata {
         self.epoch.encode(buf);
         self.entries.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.epoch.encoded_len() + self.entries.encoded_len()
+    }
 }
 
 impl Decode for CkptMetadata {

@@ -11,8 +11,10 @@
 //! * a lock request waiting out `WouldBlock` (`lwfs-txn`).
 //!
 //! The loop being retried is always a one-shot send
-//! ([`RpcClient::send_once`](crate::RpcClient::send_once) or
-//! [`Endpoint::send`]), so no retry loop nests inside another. The
+//! ([`RpcClient::send_encoded`](crate::RpcClient::send_encoded) of bytes
+//! encoded once before the loop, [`RpcClient::send_once`](crate::RpcClient::send_once)
+//! where the request changes between attempts, or [`Endpoint::send`]),
+//! so no retry loop nests inside another. The
 //! deadline turns "retry transient errors" into a bounded operation: when
 //! it expires the caller gets the distinct [`Error::RetriesExhausted`],
 //! which is deliberately *not* transient — retrying it would loop forever.

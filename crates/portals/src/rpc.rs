@@ -15,8 +15,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use bytes::Bytes;
 use lwfs_proto::{
-    Decode, Encode, Error, ProcessId, Reply, ReplyBody, Request, RequestBody, Result, TraceContext,
+    Decode, Encode, Error, OpNum, ProcessId, Reply, ReplyBody, Request, RequestBody, Result,
+    TraceContext,
 };
 
 use crate::endpoint::Endpoint;
@@ -91,7 +93,7 @@ impl<'a> RpcClient<'a> {
     /// `ServerBusy` — from the transport or the server — which re-sends
     /// the same request under `BUSY`.
     pub fn call(&self, server: ProcessId, body: RequestBody) -> Result<ReplyBody> {
-        self.call_with_token(server, body, bytes::Bytes::new())
+        self.call_with_token(server, body, Bytes::new())
     }
 
     /// [`call`](Self::call) with a self-certifying capability token in the
@@ -101,25 +103,36 @@ impl<'a> RpcClient<'a> {
         &self,
         server: ProcessId,
         body: RequestBody,
-        token: bytes::Bytes,
+        token: Bytes,
     ) -> Result<ReplyBody> {
         let req = Request::new(self.ep.next_opnum(), self.ep.id(), body)
             .with_trace(self.trace())
             .with_token(token);
+        // Encoded once: every re-send is the same bytes.
+        let wire = req.to_bytes();
         retry::with_backoff(
             &BUSY,
             |e| matches!(e, Error::ServerBusy),
-            || self.send_once(server, &req),
+            || self.send_encoded(server, req.opnum, wire.clone()),
         )
     }
 
     /// Send the already-built `req` to `server` once and wait for the
-    /// reply matched by its opnum — the unit every retry loop repeats.
-    /// Re-sending one request keeps its opnum, so a server's reply cache
-    /// answers a retried mutation instead of applying it twice.
+    /// reply matched by its opnum: [`send_encoded`](Self::send_encoded)
+    /// of its bytes, for a caller that changes the request between
+    /// attempts.
     pub fn send_once(&self, server: ProcessId, req: &Request) -> Result<ReplyBody> {
-        self.ep.send(server, REQUEST_MATCH, req.to_bytes())?;
-        let want = reply_match(req.opnum.0);
+        self.send_encoded(server, req.opnum, req.to_bytes())
+    }
+
+    /// Send `wire`, an encoded request numbered `opnum`, to `server` once
+    /// and wait for the reply matched by that opnum — the unit every
+    /// retry loop repeats. Re-sending one request keeps its opnum, so a
+    /// server's reply cache answers a retried mutation instead of applying
+    /// it twice; re-sending its bytes encodes it only once.
+    pub fn send_encoded(&self, server: ProcessId, opnum: OpNum, wire: Bytes) -> Result<ReplyBody> {
+        self.ep.send(server, REQUEST_MATCH, wire)?;
+        let want = reply_match(opnum.0);
         let ev = self.ep.recv_match(
             self.reply_timeout,
             |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
@@ -129,7 +142,7 @@ impl<'a> RpcClient<'a> {
             .ok_or_else(|| Error::Internal("reply event without payload".into()))?
             .clone();
         let reply = Reply::from_bytes(data)?;
-        debug_assert_eq!(reply.opnum, req.opnum);
+        debug_assert_eq!(reply.opnum, opnum);
         reply.into_result()
     }
 }

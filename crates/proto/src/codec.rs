@@ -16,21 +16,21 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::error::{Error, Result};
 
 /// Serialize into a byte buffer.
+///
+/// Every type states its [`encoded_len`](Encode::encoded_len) beside its
+/// [`encode`](Encode::encode), so a buffer is sized once, before the
+/// first byte is written, and never grows by doubling.
 pub trait Encode {
     fn encode(&self, buf: &mut BytesMut);
 
-    /// Encode into a fresh buffer. Convenience for transports.
+    /// The exact number of bytes [`Encode::encode`] will append.
+    fn encoded_len(&self) -> usize;
+
+    /// Encode into a fresh buffer of exactly the encoded size.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.encode(&mut buf);
         buf.freeze()
-    }
-
-    /// The exact number of bytes [`Encode::encode`] will append.
-    fn encoded_len(&self) -> usize {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.len()
     }
 }
 
@@ -109,14 +109,25 @@ impl Decode for bool {
     }
 }
 
-/// Byte strings are length-prefixed with u32.
-impl Encode for Bytes {
+/// Byte strings are length-prefixed with u32. A borrowed `[u8]` encodes
+/// exactly as the [`Bytes`] it would be copied into, so a record can be
+/// framed straight from the buffer that holds its payload.
+impl Encode for [u8] {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
         buf.put_slice(self);
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()
+    }
+}
+
+impl Encode for Bytes {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.as_ref().encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.as_ref().encoded_len()
     }
 }
 
@@ -173,6 +184,9 @@ impl<T: Encode> Encode for Option<T> {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Encode::encoded_len)
+    }
 }
 
 impl<T: Decode> Decode for Option<T> {
@@ -191,6 +205,9 @@ impl<T: Encode> Encode for Vec<T> {
         for item in self {
             item.encode(buf);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 
@@ -213,6 +230,9 @@ impl<A: Encode, B: Encode> Encode for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
 }
 
 impl<A: Decode, B: Decode> Decode for (A, B) {
@@ -225,6 +245,9 @@ impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, buf: &mut BytesMut) {
         (*self).encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        (*self).encoded_len()
+    }
 }
 
 /// Implement `Encode`/`Decode` for a struct by encoding each named field in
@@ -235,6 +258,9 @@ macro_rules! impl_codec_struct {
         impl $crate::codec::Encode for $ty {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::codec::Encode::encode(&self.$field, buf); )+
+            }
+            fn encoded_len(&self) -> usize {
+                0 $( + $crate::codec::Encode::encoded_len(&self.$field) )+
             }
         }
         impl $crate::codec::Decode for $ty {
@@ -253,6 +279,9 @@ macro_rules! impl_codec_newtype {
             impl $crate::codec::Encode for $ty {
                 fn encode(&self, buf: &mut ::bytes::BytesMut) {
                     $crate::codec::Encode::encode(&self.0, buf);
+                }
+                fn encoded_len(&self) -> usize {
+                    $crate::codec::Encode::encoded_len(&self.0)
                 }
             }
             impl $crate::codec::Decode for $ty {
@@ -290,6 +319,16 @@ macro_rules! impl_codec_enum {
                             ::bytes::BufMut::put_u8(buf, $tag);
                             $( $( $crate::codec::Encode::encode($field, buf); )* )?
                             $( $( $crate::codec::Encode::encode($elem, buf); )* )?
+                        }
+                    )+
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $(
+                        $ty::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => {
+                            1 $( $( + $crate::codec::Encode::encoded_len($field) )* )?
+                              $( $( + $crate::codec::Encode::encoded_len($elem) )* )?
                         }
                     )+
                 }
@@ -356,6 +395,8 @@ mod tests {
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
         assert_eq!(bytes.len(), v.encoded_len(), "encoded_len mismatch");
+        let only = v.to_bytes().try_into_mut().expect("to_bytes keeps no second handle");
+        assert_eq!(only.capacity(), only.len(), "to_bytes allocated more than once");
         let back = T::from_bytes(bytes).expect("decode");
         assert_eq!(back, v);
     }

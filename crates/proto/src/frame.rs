@@ -9,6 +9,8 @@
 //! next frame fails the checksum cannot be re-aligned: the socket reader
 //! drops the connection, the log reader stops at the crash scar.
 
+use std::ops::Range;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::codec::Encode;
@@ -25,18 +27,29 @@ pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
 pub use crate::crc::crc32;
 
-/// Encode `msg` into one complete frame. The payload is encoded in place
-/// behind a blank header that is patched once its length and checksum are
-/// known, so the payload bytes are written exactly once.
+/// Encode `msg` into one complete frame, in a buffer allocated once at
+/// the frame's final size.
 pub fn encode(msg: &impl Encode) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + msg.encoded_len());
+    encode_into(&mut buf, msg);
+    buf.freeze()
+}
+
+/// Append one complete frame holding `msg` to `buf` and return the range
+/// it occupies. The payload is encoded in place behind a blank header
+/// that is patched once its length and checksum are known, so the payload
+/// bytes are written exactly once. Room for the whole frame is reserved
+/// before the first byte goes in, so `buf` grows at most once.
+pub fn encode_into(buf: &mut BytesMut, msg: &impl Encode) -> Range<usize> {
+    let start = buf.len();
+    buf.reserve(HEADER_LEN + msg.encoded_len());
     buf.put_slice(&[0u8; HEADER_LEN]);
-    msg.encode(&mut buf);
-    let (header, payload) = buf.split_at_mut(HEADER_LEN);
+    msg.encode(buf);
+    let (header, payload) = buf[start..].split_at_mut(HEADER_LEN);
     let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length prefix");
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    buf.freeze()
+    start..buf.len()
 }
 
 /// What the front of a byte buffer holds.
@@ -91,6 +104,18 @@ mod tests {
         let mut two = frame.to_vec();
         two.extend_from_slice(&frame[..5]);
         assert_eq!(split(&two), whole);
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_frame() {
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"prefix");
+        let first = encode_into(&mut buf, &String::from("one"));
+        let second = encode_into(&mut buf, &7u64);
+        assert_eq!((first.start, second.start), (6, first.end));
+        assert_eq!(&buf[first], &encode(&String::from("one"))[..]);
+        assert_eq!(&buf[second.clone()], &encode(&7u64)[..]);
+        assert_eq!(second.end, buf.len());
     }
 
     #[test]

@@ -650,6 +650,16 @@ impl Encode for Request {
         self.token.encode(buf);
         self.body.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        PROTOCOL_VERSION.encoded_len()
+            + self.opnum.encoded_len()
+            + self.reply_to.encoded_len()
+            + self.req_id.encoded_len()
+            + self.epoch.encoded_len()
+            + self.trace.encoded_len()
+            + self.token.encoded_len()
+            + self.body.encoded_len()
+    }
 }
 
 impl Decode for Request {
@@ -672,6 +682,9 @@ impl Encode for Reply {
         PROTOCOL_VERSION.encode(buf);
         self.opnum.encode(buf);
         self.body.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        PROTOCOL_VERSION.encoded_len() + self.opnum.encoded_len() + self.body.encoded_len()
     }
 }
 
@@ -1058,6 +1071,56 @@ mod tests {
                 "{body:?} encodes to {} bytes",
                 req.encoded_len()
             );
+        }
+    }
+
+    /// `encoded_len` is exact and `to_bytes` allocates once, at that size.
+    fn assert_sized_once(x: &impl Encode, what: &str) {
+        let only = x.to_bytes().try_into_mut().expect("to_bytes keeps no second handle");
+        assert_eq!(x.encoded_len(), only.len(), "{what}: encoded_len is not exact");
+        assert_eq!(only.capacity(), only.len(), "{what}: to_bytes allocated more than once");
+    }
+
+    /// Over the same samples `tag_tables_are_unique_and_fully_sampled`
+    /// proves reach every variant.
+    #[test]
+    fn every_variant_knows_its_encoded_len() {
+        for (i, body) in all_request_bodies().into_iter().enumerate() {
+            assert_sized_once(&body, &format!("request body {i}"));
+            let req = Request::new(OpNum(i as u64), ProcessId::new(1, 2), body)
+                .with_epoch(3)
+                .with_token(Bytes::from_static(b"token"));
+            assert_sized_once(&req, &format!("request {i}"));
+        }
+        let errors = all_errors().into_iter().map(ReplyBody::Err);
+        for (i, body) in all_reply_bodies().into_iter().chain(errors).enumerate() {
+            assert_sized_once(&body, &format!("reply body {i}"));
+            assert_sized_once(&Reply::new(OpNum(i as u64), body), &format!("reply {i}"));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_ship_request_knows_its_encoded_len(
+            records in proptest::collection::vec(
+                proptest::collection::vec(proptest::num::u8::ANY, 0..300), 0..5),
+            reply in proptest::collection::vec(proptest::num::u8::ANY, 0..40),
+            token in proptest::collection::vec(proptest::num::u8::ANY, 0..40),
+            seq: u64,
+            opnum: u64,
+        ) {
+            let body = RequestBody::ReplShip {
+                group: 1,
+                epoch: 2,
+                seq,
+                origin: ProcessId::new(3, 4),
+                origin_opnum: OpNum(5),
+                records: records.into_iter().map(Bytes::from).collect(),
+                reply: Bytes::from(reply),
+            };
+            let req = Request::new(OpNum(opnum), ProcessId::new(6, 7), body)
+                .with_token(Bytes::from(token));
+            assert_sized_once(&req, "ship");
         }
     }
 

@@ -36,7 +36,7 @@ pub mod record;
 pub mod writer;
 
 pub use reader::{read_log, ReadStats, ReplayLog};
-pub use record::WalRecord;
+pub use record::{WalRecord, WriteRef};
 pub use writer::{AppendTiming, SyncPolicy, Wal, WalConfig};
 
 use bytes::Bytes;
@@ -47,9 +47,9 @@ use lwfs_proto::{Decode as _, Error, Result};
 /// layout: `[u32 len][u32 crc32][payload]`).
 ///
 /// This is byte-identical to what [`Wal::append`] writes to disk — the
-/// replication primary ships these exact frames to its backups, so a
-/// backup verifies the same CRC the disk format carries and its log ends
-/// up byte-compatible with the primary's.
+/// replication primary ships the frames its log carries to its backups,
+/// so a backup verifies the same CRC the disk format carries and its log
+/// ends up byte-compatible with the primary's.
 pub fn frame_record(rec: &WalRecord) -> Bytes {
     frame::encode(rec)
 }

@@ -169,26 +169,33 @@ impl Wal {
         &self.config.dir
     }
 
-    /// Append one record, making it durable according to the sync policy
-    /// (records with [`WalRecord::forces_sync`] are always synced before
-    /// this returns). The record is fully framed before the reply that
-    /// acknowledges its operation can be sent. Returns the wall-clock
-    /// [`AppendTiming`] so callers can trace the append without
-    /// re-measuring.
+    /// Append one record: [`append_frame`](Self::append_frame) of its
+    /// [`frame_record`](crate::frame_record).
     pub fn append(&self, rec: &WalRecord) -> Result<AppendTiming> {
+        self.append_frame(&crate::frame_record(rec), rec.forces_sync())
+    }
+
+    /// Append one ready frame — a [`frame_record`](crate::frame_record)
+    /// of some record, or a CRC-verified frame shipped from a primary —
+    /// making it durable according to the sync policy. `forces_sync` is
+    /// the framed record's [`WalRecord::forces_sync`]: when set, the frame
+    /// is synced before this returns under every policy. The operation
+    /// the frame records is acknowledged only after this returns. Returns
+    /// the wall-clock [`AppendTiming`] so callers can trace the append
+    /// without re-measuring.
+    pub fn append_frame(&self, frame: &[u8], forces_sync: bool) -> Result<AppendTiming> {
         let start = Instant::now();
-        let frame = crate::frame_record(rec);
         let mut fsync_ns = 0u64;
 
         let mut seg = self.seg.lock();
         seg.check_live()?;
-        if let Err(e) = seg.file.write_all(&frame) {
+        if let Err(e) = seg.file.write_all(frame) {
             seg.roll_back();
             return Err(io_err("append", e));
         }
         seg.bytes += frame.len() as u64;
         seg.unsynced += 1;
-        let must_sync = rec.forces_sync()
+        let must_sync = forces_sync
             || match self.config.sync {
                 SyncPolicy::Always => true,
                 SyncPolicy::EveryN(n) => seg.unsynced >= n.max(1),
@@ -341,6 +348,39 @@ mod tests {
         let log = read_log(&dir).unwrap();
         assert_eq!(log.records, recs);
         assert!(!log.stats.torn_tail);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ready_frames_replay_as_records() {
+        // One batch buffer, as a storage worker fills it: borrowed-payload
+        // writes and a forcing prepare, appended frame by frame.
+        let dir = tmp_dir("frames");
+        let obs = Registry::new();
+        let wal =
+            Wal::open(WalConfig { sync: SyncPolicy::Os, ..WalConfig::new(&dir) }, &obs).unwrap();
+        let payload = [7u8; 100];
+        let mut batch = bytes::BytesMut::new();
+        let mut ranges = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..4u64 {
+            let data = &payload[..(i as usize) * 30];
+            let (container, obj) = (ContainerId(1), ObjId(i));
+            let rec = crate::WriteRef { txn: None, container, obj, offset: i, data, now: i };
+            ranges.push(lwfs_proto::frame::encode_into(&mut batch, &rec));
+            let data = Bytes::copy_from_slice(data);
+            want.push(WalRecord::Write { txn: None, container, obj, offset: i, data, now: i });
+        }
+        let prepare = WalRecord::TxnPrepare { txn: TxnId(9) };
+        ranges.push(lwfs_proto::frame::encode_into(&mut batch, &prepare));
+        want.push(prepare);
+        for (range, rec) in ranges.into_iter().zip(&want) {
+            wal.append_frame(&batch[range], rec.forces_sync()).unwrap();
+        }
+        // The prepare forced the one fsync an `Os` log takes.
+        assert_eq!(obs.counter("wal.fsyncs").get(), 1);
+        drop(wal);
+        assert_eq!(read_log(&dir).unwrap().records, want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
