@@ -4,8 +4,9 @@
 //! enum codecs each exist once (`lwfs_proto::frame`, `impl_codec_enum!`),
 //! so this one suite covers the WAL, the fabric and the token with them.
 //! A request that decodes cleanly can still lie about sizes: the
-//! `a_write_that_lies…` test sends a live storage server `Write`s whose
-//! `len` it must refuse before it pulls or reserves a byte. The artifacts
+//! `a_write_that_lies…` test sends a live storage server — alone and as a
+//! primary with a backup — `Write`s whose `len` it must refuse before it
+//! pulls or reserves a byte. The artifacts
 //! a post-mortem re-ingests go through the one JSON reader
 //! (`lwfs::obs::json`), which gets the same treatment, plus exactness.
 
@@ -23,6 +24,7 @@ use lwfs::proto::{
     ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle, ObjId, OpMask, OpNum,
     ProcessId, Reply, ReplyBody, Request, RequestBody, TraceContext, TxnId,
 };
+use lwfs::storage::{StorageConfig, StoreConfig};
 use lwfs::wal::{frame_record, read_log, unframe_record, Wal, WalConfig, WalRecord};
 use lwfs_fabric::frame::{FabricMsg, FrameReader};
 use rand::{Rng as _, RngCore as _, SeedableRng as _};
@@ -227,11 +229,29 @@ fn rss_bytes() -> Option<u64> {
 
 #[test]
 fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
+    // A primary with backups also frames every chunk for the ship, and
+    // sizes that batch from the claimed length too.
+    for replication in [1, 2] {
+        refuse_lying_writes(replication);
+    }
+}
+
+fn refuse_lying_writes(replication: usize) {
     const MIB: usize = 1 << 20;
     // A real cluster with genuine capabilities: the capability checks
     // pass, so the length checks are what stands between the request and
-    // the store.
-    let cluster = LwfsCluster::boot(ClusterConfig::default());
+    // the store. The object-size limit is raised far past what any
+    // allocator can provide, so a reservation made from a claimed length
+    // before the descriptor is proven would fail here, or abort.
+    let cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 1,
+        replication,
+        storage: StorageConfig {
+            store: StoreConfig { max_object_size: 1 << 63 },
+            ..Default::default()
+        },
+        ..Default::default()
+    });
     let net = cluster.network();
     let (srv, server) = (cluster.addrs().storage[0], cluster.storage_server(0));
     let mut app = cluster.client(0, 0);
@@ -283,10 +303,16 @@ fn a_write_that_lies_about_its_length_fails_before_anything_moves() {
     );
     // Within the limit but far beyond what was posted (or nothing posted):
     // the first pull fails, and nothing was reserved ahead of it.
-    for md_len in [1024, 0] {
-        let err = write(md_len, original.len() as u64, 1 << 30);
-        assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+    for lie in [1 << 30, 1 << 62] {
+        for md_len in [1024, 0] {
+            let err = write(md_len, original.len() as u64, lie);
+            assert!(matches!(err, Error::Malformed(_)), "R={replication}: {err:?}");
+        }
     }
+    // A first chunk that is really there, behind a length no allocator
+    // can hold: the reservation after the pull fails as an error.
+    let err = write(MIB, original.len() as u64, 1 << 62);
+    assert!(matches!(err, Error::StorageIo(_)), "R={replication}: {err:?}");
 
     assert_eq!(server.store().read(container, obj, 0, u64::MAX).unwrap(), original);
     assert_eq!(server.store().bytes_stored(), original.len() as u64);
