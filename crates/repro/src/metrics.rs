@@ -102,7 +102,7 @@ pub fn run_metrics_probe(
 
     // Server-directed writes and reads on every server. 640 KiB spans
     // multiple default-size chunks, so the write trace shows repeated
-    // pull/store_write span pairs crossing the pinned pool.
+    // pull/store_write span pairs, one per chunk.
     let payload = vec![0xA5u8; 640 * 1024];
     for server in 0..SERVERS {
         let obj = client.create_obj(server, &caps, None, None).expect("create_obj");

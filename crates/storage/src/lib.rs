@@ -12,10 +12,11 @@
 //! Components:
 //!
 //! * [`ObjectStore`] — the object layer: create/remove/read/write/attr/sync
-//!   with per-container scoping and an optional file-backed sync path.
-//! * [`PinnedBufferPool`] — the bounded pool of transfer buffers of
-//!   Figure 6; an exhausted pool is what turns into `ServerBusy`
-//!   rejections and client re-sends.
+//!   with per-container scoping, objects held as tables of refcounted
+//!   chunks recycled through one store-wide free list.
+//! * [`PinnedBufferPool`] — Figure 6's bound on transfers in flight, kept
+//!   as a count; an exhausted pool is what turns into `ServerBusy`
+//!   rejections (before any byte moves) and client re-sends.
 //! * [`ConflictTracker`] / [`WorkQueue`] — the worker-pool dispatch layer:
 //!   a bounded FIFO hand-off from the dispatcher to N workers, in arrival
 //!   order, with §3.2's dependency relation enforced by an in-flight

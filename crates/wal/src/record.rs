@@ -21,8 +21,8 @@ use lwfs_proto::{impl_codec_enum, ContainerId, Encode, ObjId, TxnId};
 pub enum WalRecord {
     /// Object creation (`now` is the protocol timestamp it was created at).
     Create { txn: Option<TxnId>, container: ContainerId, obj: ObjId, now: u64 },
-    /// Bytes written at `offset` (one record per chunk crossing the
-    /// server's pinned pool, so replay reproduces the exact write order).
+    /// Bytes written at `offset` (one record per chunk-aligned piece the
+    /// server pulled, so replay reproduces the exact write order).
     Write {
         txn: Option<TxnId>,
         container: ContainerId,
@@ -53,8 +53,8 @@ impl_codec_enum!(WalRecord {
 
 /// A [`WalRecord::Write`] whose payload is borrowed, not owned: it
 /// encodes byte for byte as the `Write` record holding a copy of `data`,
-/// so a storage server frames each chunk straight from the pinned buffer
-/// it was pulled into, and replay decodes the frame as a `WalRecord`.
+/// so a storage server frames each piece straight from the chunk it was
+/// pulled into, and replay decodes the frame as a `WalRecord`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteRef<'a> {
     pub txn: Option<TxnId>,

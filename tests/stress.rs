@@ -6,8 +6,15 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
+use lwfs::portals::{reply_match, Event, MdOptions, MemDesc, BULK_SPACE, REQUEST_MATCH};
 use lwfs::prelude::*;
+use lwfs::proto::{
+    Decode as _, Encode as _, MdHandle, OpNum, Reply, ReplyBody, Request, RequestBody,
+};
+use lwfs::storage::StorageConfig;
+use lwfs::wal::{read_log, WalRecord};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -249,6 +256,105 @@ fn worker_pool_keeps_objects_exact_under_parallel_clients() {
     let server = cluster.storage_server(0);
     let expected_writes = (THREADS * ITERS * 2) as u64;
     assert_eq!(server.stats().writes.get(), expected_writes);
+}
+
+/// A budget of one request moving bytes, two workers, a log and a backup:
+/// concurrent multi-chunk writes to distinct objects each either complete
+/// or are refused with `ServerBusy` — and a refused write moved nothing.
+/// Its object is untouched on the primary and on the backup, and neither
+/// log holds a record of it.
+#[test]
+fn a_busy_refusal_moves_nothing() {
+    const WRITES: usize = 16;
+    const LEN: usize = 1 << 20;
+    let root = std::env::temp_dir().join(format!("lwfs-stress-busy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 1,
+        replication: 2,
+        storage: StorageConfig {
+            pool_buffers: 1,
+            workers: 2,
+            wal: Some(WalConfig::new(root.clone())),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let mut app = cluster.client(0, 0);
+    app.get_cred(cluster.kdc().kinit("app", "secret").unwrap()).unwrap();
+    let container = app.create_container().unwrap();
+    let caps = app.get_caps(container, OpMask::ALL).unwrap();
+    let cap = caps.for_op(OpMask::WRITE).unwrap();
+    let (srv, primary, backup) =
+        (cluster.addrs().storage[0], cluster.storage_server(0), cluster.storage_server(1));
+    let ep = cluster.network().register(ProcessId::new(7, 0));
+    let payload: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
+
+    let mut refused = 0;
+    for round in 0..10 {
+        let objs: Vec<ObjId> =
+            (0..WRITES).map(|_| app.create_obj(0, &caps, None, None).unwrap()).collect();
+        // Pipelined: every write is in front of the workers at once.
+        let sent: Vec<(OpNum, u64)> = objs
+            .iter()
+            .map(|obj| {
+                let mb = ep.match_bits().alloc(BULK_SPACE);
+                let md = MemDesc::from_vec(payload.clone(), MdOptions::for_remote_get());
+                ep.post_md(mb, md).unwrap();
+                let body = RequestBody::Write {
+                    txn: None,
+                    cap,
+                    obj: *obj,
+                    offset: 0,
+                    len: LEN as u64,
+                    md: MdHandle { match_bits: mb },
+                };
+                let req = Request::new(ep.next_opnum(), ep.id(), body);
+                ep.send(srv, REQUEST_MATCH, req.to_bytes()).unwrap();
+                (req.opnum, mb)
+            })
+            .collect();
+        let mut busy = Vec::new();
+        for ((opnum, mb), obj) in sent.into_iter().zip(&objs) {
+            let want = reply_match(opnum.0);
+            let ev = ep
+                .recv_match(
+                    Duration::from_secs(10),
+                    |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
+                )
+                .unwrap();
+            match Reply::from_bytes(ev.message_data().unwrap().clone()).unwrap().into_result() {
+                Ok(ReplyBody::WriteDone { len }) => assert_eq!(len, LEN as u64),
+                Err(Error::ServerBusy) => busy.push(*obj),
+                other => panic!("round {round}: a write either completes or is busy: {other:?}"),
+            }
+            ep.unlink_md(mb);
+        }
+        let logs = [primary, backup].map(|s| read_log(s.wal_dir().unwrap()).unwrap().records);
+        for obj in &objs {
+            let (on_primary, on_backup) = (
+                primary.store().read(container, *obj, 0, u64::MAX).unwrap(),
+                backup.store().read(container, *obj, 0, u64::MAX).unwrap(),
+            );
+            let records = logs.each_ref().map(|log| {
+                log.iter()
+                    .filter(|r| matches!(r, WalRecord::Write { obj: o, .. } if o == obj))
+                    .count()
+            });
+            if busy.contains(obj) {
+                assert!(on_primary.is_empty() && on_backup.is_empty(), "round {round}: {obj}");
+                assert_eq!(records, [0, 0], "round {round}: a log holds part of refused {obj}");
+            } else {
+                assert!(on_primary == payload && on_backup == payload, "round {round}: {obj}");
+                let chunks = LEN.div_ceil(StorageConfig::default().chunk_size);
+                assert_eq!(records, [chunks; 2], "round {round}: {obj}");
+            }
+        }
+        refused += busy.len();
+    }
+    assert!(refused > 0, "one place for two workers never refused a write");
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
