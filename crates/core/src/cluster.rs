@@ -587,7 +587,7 @@ impl LwfsCluster {
         self.storage_servers[idx].is_some()
     }
 
-    /// Kill storage server `idx`: stop its dispatcher/worker threads and
+    /// Kill storage server `idx`: stop its worker threads and
     /// tear its endpoint off the fabric, so in-flight and future RPCs to it
     /// fail like they would against a dead node. In-memory state is lost —
     /// exactly what the write-ahead log exists to survive. No-op if the

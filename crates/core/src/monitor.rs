@@ -474,8 +474,8 @@ impl ClusterMonitor {
                 // Bounded scrape timeout: a wedged or overloaded node must
                 // count as a missed scrape (the staleness detector's
                 // signal), not stall the tick and stretch every window.
-                // Storage answers scrapes from its dispatcher, so a healthy
-                // node replies well inside even one polling interval.
+                // Storage answers scrapes where they are delivered, so a
+                // healthy node replies well inside even one polling interval.
                 let mut client = RpcClient::new(&ep);
                 client.reply_timeout = thread_inner.config.interval.max(Duration::from_millis(5));
                 let epoch = Instant::now();
@@ -682,7 +682,11 @@ mod tests {
         client.write(0, &caps, None, obj, 0, b"flight me").unwrap();
 
         // The monitor scrapes the pins over the wire and attributes them.
-        assert!(wait_until(Duration::from_secs(5), || !monitor.attributions().is_empty()));
+        // A tick may land between the create's pin and the write's, so wait
+        // for the write's.
+        assert!(wait_until(Duration::from_secs(5), || {
+            monitor.trace_chrome_json().to_string().contains("storage.write")
+        }));
         let attrs = monitor.attributions();
         assert!(attrs
             .iter()

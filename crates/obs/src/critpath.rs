@@ -40,7 +40,7 @@ pub enum BlameStage {
     ClientRetry,
     /// Client-side send/RPC time not explained by server stages.
     ClientRtt,
-    /// Time parked in the dispatcher queue before a worker picked it up.
+    /// Time a request waited between arrival and a worker picking it up.
     DispatchQueue,
     /// Conflict-serialization defer behind an in-flight mutation.
     ConflictDefer,

@@ -167,6 +167,16 @@ impl OpTrace<'_> {
         self
     }
 
+    /// Start the trace at `start` instead of now (builder style), so its
+    /// first stage and its total cover time that passed before the trace
+    /// was opened — a request's wait between arrival and a worker.
+    pub fn since(mut self, start: Instant) -> Self {
+        let back = self.origin.saturating_duration_since(start);
+        self.origin -= back;
+        self.origin_ns = self.origin_ns.saturating_sub(back.as_nanos() as u64);
+        self
+    }
+
     /// The distributed trace id this op's spans carry.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
@@ -271,6 +281,22 @@ mod tests {
         assert!(stage_sum <= total.dur_ns, "{stage_sum} > {}", total.dur_ns);
         assert_eq!(r.histogram("storage.write.total_ns").count(), 1);
         assert_eq!(r.histogram("storage.write.authorize_ns").count(), 1);
+    }
+
+    #[test]
+    fn a_backdated_trace_covers_the_wait_before_it_opened() {
+        let r = Registry::new();
+        let arrived = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let mut t = r.trace(3, "storage.write").since(arrived);
+        let waited = t.stage("queue_wait");
+        t.finish();
+        assert!(waited >= 5_000_000, "queue_wait {waited} ns misses the wait before the trace");
+        let spans = r.spans().for_req(3);
+        let total = spans.iter().find(|s| s.stage == TOTAL_STAGE).unwrap();
+        let wait = spans.iter().find(|s| s.stage == "queue_wait").unwrap();
+        assert_eq!(wait.start_ns, total.start_ns, "both start at the arrival");
+        assert!(total.dur_ns >= waited);
     }
 
     #[test]

@@ -174,19 +174,7 @@ impl Endpoint {
     /// full per-connection *write* queue; a full queue on the remote side
     /// drops the frame silently and the sender finds out via timeout.
     pub fn send(&self, target: ProcessId, match_bits: u64, data: Bytes) -> Result<()> {
-        self.net.check_reachable(self.id, target)?;
-        if self.net.roll_drop() {
-            // Silently lost; the sender finds out via timeout.
-            self.net.stats.record_drop();
-            return Ok(());
-        }
-        if self.net.endpoints.read().contains_key(&target) {
-            return self.net.local_send(self.id, target, match_bits, data);
-        }
-        match self.net.remote() {
-            Some(fabric) => fabric.send(self.id, target, match_bits, data),
-            None => Err(Error::Unreachable),
-        }
+        self.net.send(self.id, target, match_bits, data)
     }
 
     // ------------------------------------------------------------------
@@ -207,7 +195,7 @@ impl Endpoint {
         let mut q = self.state.queue.lock();
         loop {
             if let Some(pos) = q.iter().position(&pred) {
-                return Ok(q.remove(pos).expect("position just found"));
+                return Ok(self.state.take(&mut q, pos));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -216,7 +204,7 @@ impl Endpoint {
             if self.state.cond.wait_until(&mut q, deadline).timed_out() {
                 // Final rescan in case the event raced the timeout.
                 if let Some(pos) = q.iter().position(&pred) {
-                    return Ok(q.remove(pos).expect("position just found"));
+                    return Ok(self.state.take(&mut q, pos));
                 }
                 return Err(Error::Timeout);
             }

@@ -1,5 +1,7 @@
 //! Events deposited in a process's event queue by completed operations.
 
+use std::time::Instant;
+
 use bytes::Bytes;
 use lwfs_proto::ProcessId;
 
@@ -11,8 +13,9 @@ use lwfs_proto::ProcessId;
 /// posted memory descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// An eager message arrived on the given match bits.
-    Message { from: ProcessId, match_bits: u64, data: Bytes },
+    /// An eager message arrived on the given match bits, at `arrived`
+    /// (stamped on delivery, so a receiver can time the wait in queue).
+    Message { from: ProcessId, match_bits: u64, data: Bytes, arrived: Instant },
     /// A remote process wrote into a posted descriptor.
     PutEnd { from: ProcessId, match_bits: u64, offset: u64, len: usize },
     /// A remote process read from a posted descriptor.
@@ -55,6 +58,7 @@ mod tests {
             from: ProcessId::new(1, 2),
             match_bits: 99,
             data: Bytes::from_static(b"hi"),
+            arrived: Instant::now(),
         };
         assert_eq!(e.match_bits(), 99);
         assert_eq!(e.from(), ProcessId::new(1, 2));

@@ -3,20 +3,22 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
-use lwfs_obs::Registry;
+use lwfs_obs::{Gauge, Registry};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use lwfs_proto::{Error, NodeId, ProcessId, Result};
+use lwfs_proto::{Decode as _, Encode as _, Error, NodeId, ProcessId, Reply, Request, Result};
 
 use crate::buffer::MemDesc;
 use crate::endpoint::Endpoint;
 use crate::event::Event;
 use crate::stats::NetStats;
 use crate::transport::RemoteFabric;
+use crate::REQUEST_MATCH;
 
 /// Configuration for a network instance.
 #[derive(Debug, Clone)]
@@ -69,9 +71,26 @@ pub(crate) struct EndpointState {
     /// Endpoint-wide operation-number allocator
     /// ([`Endpoint::next_opnum`](crate::Endpoint::next_opnum)).
     pub opnums: AtomicU64,
+    /// Requests delivered and not yet received, on an endpoint registered
+    /// with an intake ([`Network::register_with_intake`]).
+    pub waiting: Option<Arc<Gauge>>,
 }
 
 impl EndpointState {
+    /// The gauge `ev` counts in: a request to an intake endpoint.
+    fn waits_in(&self, ev: &Event) -> Option<&Gauge> {
+        self.waiting.as_deref().filter(|_| is_request(ev))
+    }
+
+    /// Remove the queued event at `pos`: a receiver takes it.
+    pub fn take(&self, q: &mut VecDeque<Event>, pos: usize) -> Event {
+        let ev = q.remove(pos).expect("position just found");
+        if let Some(waiting) = self.waits_in(&ev) {
+            waiting.dec();
+        }
+        ev
+    }
+
     /// Enqueue an event; returns `false` when the queue is full.
     ///
     /// `on_accept` runs under the queue lock *before* the event becomes
@@ -83,11 +102,29 @@ impl EndpointState {
             return false;
         }
         on_accept();
+        if let Some(waiting) = self.waits_in(&ev) {
+            waiting.inc();
+        }
         q.push_back(ev);
         drop(q);
         self.cond.notify_all();
         true
     }
+}
+
+impl Drop for EndpointState {
+    /// An endpoint leaves the fabric with its queue: requests no receiver
+    /// took (a crashed server's) stop waiting.
+    fn drop(&mut self) {
+        if let Some(waiting) = &self.waiting {
+            let left = self.queue.lock().iter().filter(|ev| is_request(ev)).count();
+            waiting.add(-(left as i64));
+        }
+    }
+}
+
+fn is_request(ev: &Event) -> bool {
+    matches!(ev, Event::Message { match_bits, .. } if *match_bits == REQUEST_MATCH)
 }
 
 pub(crate) struct NetworkInner {
@@ -210,6 +247,8 @@ impl NetworkInner {
     /// fabric. A full queue is [`Error::ServerBusy`]; on the wire that
     /// verdict cannot reach the sender synchronously, so the fabric drops
     /// the frame and the sender discovers the loss via its reply timeout.
+    /// A scrape to an intake endpoint is answered here instead
+    /// ([`Network::register_with_intake`]).
     pub fn local_send(
         &self,
         from: ProcessId,
@@ -219,16 +258,56 @@ impl NetworkInner {
     ) -> Result<()> {
         let state = self.lookup(target)?;
         let len = data.len();
+        if state.waiting.is_some()
+            && match_bits == REQUEST_MATCH
+            && self.answer_scrape(from, target, &data)
+        {
+            return Ok(());
+        }
         // Statistics are recorded inside `deliver`, before the message is
         // visible to the receiver, so counters are always consistent with
         // what any observer has seen.
-        if state.deliver(Event::Message { from, match_bits, data }, || {
-            self.stats.record_send(from, len)
-        }) {
+        let ev = Event::Message { from, match_bits, data, arrived: Instant::now() };
+        if state.deliver(ev, || self.stats.record_send(from, len)) {
             Ok(())
         } else {
             self.stats.record_reject();
             Err(Error::ServerBusy)
+        }
+    }
+
+    /// Answer `data` on `server`'s behalf, from this network's registry,
+    /// if it is a monitoring scrape; returns whether it was one.
+    fn answer_scrape(&self, from: ProcessId, server: ProcessId, data: &Bytes) -> bool {
+        let Ok(req) = Request::from_bytes(data.clone()) else { return false };
+        let Some(body) = crate::telemetry::answer(&self.obs, &req.body) else { return false };
+        self.stats.record_send(from, data.len());
+        let reply = Reply::new(req.opnum, body).to_bytes();
+        // A vanished scraper is not the server's problem; drop the reply.
+        let _ = self.send(server, req.reply_to, crate::reply_match(req.opnum.0), reply);
+        true
+    }
+
+    /// Send an eager message from `from`; see [`Endpoint::send`].
+    pub fn send(
+        &self,
+        from: ProcessId,
+        target: ProcessId,
+        match_bits: u64,
+        data: Bytes,
+    ) -> Result<()> {
+        self.check_reachable(from, target)?;
+        if self.roll_drop() {
+            // Silently lost; the sender finds out via timeout.
+            self.stats.record_drop();
+            return Ok(());
+        }
+        if self.endpoints.read().contains_key(&target) {
+            return self.local_send(from, target, match_bits, data);
+        }
+        match self.remote() {
+            Some(fabric) => fabric.send(from, target, match_bits, data),
+            None => Err(Error::Unreachable),
         }
     }
 }
@@ -307,12 +386,30 @@ impl Network {
     /// Panics if `id` is already registered — duplicate process ids are a
     /// harness bug, not a runtime condition.
     pub fn register(&self, id: ProcessId) -> Endpoint {
+        self.register_endpoint(id, None)
+    }
+
+    /// Register a server whose own workers take turns receiving. Its
+    /// intake is the delivery point, which, unlike a receiver, is never
+    /// vacant: a monitoring scrape is answered there and never queues
+    /// (however busy the workers), and `waiting` counts the requests
+    /// delivered and not yet received — +1 on delivery, −1 when a
+    /// receiver takes one, minus what is left when the endpoint drops.
+    ///
+    /// # Panics
+    /// Panics if `id` is already registered, like [`register`](Self::register).
+    pub fn register_with_intake(&self, id: ProcessId, waiting: Arc<Gauge>) -> Endpoint {
+        self.register_endpoint(id, Some(waiting))
+    }
+
+    fn register_endpoint(&self, id: ProcessId, waiting: Option<Arc<Gauge>>) -> Endpoint {
         let state = Arc::new(EndpointState {
             queue: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             capacity: self.inner.config.eager_queue_depth,
             mds: Mutex::new(HashMap::new()),
             opnums: AtomicU64::new(1),
+            waiting,
         });
         let prev = self.inner.endpoints.write().insert(id, Arc::clone(&state));
         assert!(prev.is_none(), "duplicate endpoint registration for {id}");
@@ -459,6 +556,42 @@ mod tests {
         assert_eq!(rolls_a, rolls_b);
         assert!(rolls_a.iter().any(|x| *x));
         assert!(rolls_a.iter().any(|x| !*x));
+    }
+
+    #[test]
+    fn an_intake_answers_scrapes_at_delivery_and_counts_requests_until_taken() {
+        use crate::rpc::RpcClient;
+        use lwfs_proto::{Encode as _, OpNum, ReplyBody, RequestBody};
+        use std::time::Duration;
+
+        let net = Network::default();
+        let waiting = net.obs().gauge("test.waiting");
+        let server = net.register_with_intake(ProcessId::new(7, 0), Arc::clone(&waiting));
+        let client_ep = net.register(ProcessId::new(0, 0));
+        let client = RpcClient::new(&client_ep);
+        // Nothing ever receives on `server`, yet the scrape is answered.
+        let scrape = RequestBody::GetTelemetry { events_from: 0 };
+        assert!(matches!(client.call(server.id(), scrape).unwrap(), ReplyBody::Telemetry(_)));
+        assert_eq!((server.stashed(), waiting.get()), (0, 0), "a scrape never queues");
+
+        // Any other request waits for a receiver, counted until one takes it.
+        let ping = |n| {
+            let req = Request::new(OpNum(n), client_ep.id(), RequestBody::Ping);
+            client_ep.send(server.id(), REQUEST_MATCH, req.to_bytes()).unwrap();
+        };
+        ping(100);
+        ping(101);
+        assert_eq!((server.stashed(), waiting.get()), (2, 2));
+        server.recv(Duration::ZERO).unwrap();
+        assert_eq!(waiting.get(), 1);
+        // Traffic to the server that is not a request is not counted.
+        client_ep.send(server.id(), crate::reply_match(5), Bytes::new()).unwrap();
+        assert_eq!((server.stashed(), waiting.get()), (2, 1));
+
+        // The request nobody took leaves the gauge with the endpoint.
+        net.unregister(server.id());
+        drop(server);
+        assert_eq!(waiting.get(), 0);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! The loop answers the monitoring plane's scrapes itself
 //! ([`telemetry::answer`](crate::telemetry::answer)), so every service
 //! serves `GetTelemetry`/`GetFlightTraces` and no handler sees them.
-//! Servers with their own loop (the storage dispatcher) run it on a
-//! thread from [`ServiceHandle::spawn`], the same handle type.
+//! Servers with their own loop (the storage server's workers) run it on
+//! a thread from [`ServiceHandle::spawn`], the same handle type, and get
+//! scrapes answered at their endpoint's intake
+//! ([`Network::register_with_intake`](crate::Network::register_with_intake)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

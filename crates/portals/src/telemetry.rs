@@ -3,10 +3,12 @@
 //! scraped reply back into the [`MetricFrame`] the registry would have
 //! captured ([`frame_of`]).
 //!
-//! [`spawn_service`](crate::spawn_service)'s loop and the storage
-//! dispatcher pass each request through [`answer`] first, so every
-//! service answers the scrape, the two monitoring ops have exactly one
-//! handler and the reply format exactly one producer. Histograms go out
+//! [`spawn_service`](crate::spawn_service)'s loop passes each request
+//! through [`answer`] first, and so does the delivery of each request to
+//! an intake endpoint
+//! ([`Network::register_with_intake`](crate::Network::register_with_intake)),
+//! so every service answers the scrape, the two monitoring ops have
+//! exactly one handler and the reply format exactly one producer. Histograms go out
 //! in sparse bucket form — the mergeable representation the monitor's
 //! windowed aggregation subtracts and merges exactly (see
 //! `lwfs_obs::window`). Spans are deliberately excluded from

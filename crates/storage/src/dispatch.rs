@@ -1,18 +1,16 @@
-//! Worker-pool dispatch for the storage server: the bounded job queue
-//! that feeds requests from the dispatcher to the workers, and the
-//! in-flight conflict tracker that lets *independent* requests run
-//! concurrently while dependent ones still execute in arrival order.
+//! Worker-pool ordering for the storage server: the in-flight conflict
+//! tracker that lets *independent* requests run concurrently while
+//! dependent ones still execute in arrival order.
 //!
 //! §3.2 builds the server around a queue of pending requests precisely so
-//! the server can overlap many transfers. The dispatcher tickets requests
-//! in arrival order; this module enforces that order **only between
-//! dependent requests** once they are in flight on several workers. Two
-//! requests are dependent when they touch the same object with
-//! overlapping byte ranges and at least one writes — control requests are
-//! conservatively dependent on everything. The single definition lives in
-//! [`AccessSummary::conflicts`].
-
-use std::collections::VecDeque;
+//! the server can overlap many transfers. The queue is the endpoint's;
+//! the server's workers take turns receiving from it, and the worker
+//! holding the turn tickets what it receives in arrival order. This
+//! module enforces that order **only between dependent requests** once
+//! they are in flight on several workers. Two requests are dependent when
+//! they touch the same object with overlapping byte ranges and at least
+//! one writes — control requests are conservatively dependent on
+//! everything. The single definition lives in [`AccessSummary::conflicts`].
 
 use lwfs_proto::{ObjId, Request, RequestBody};
 use parking_lot::{Condvar, Mutex};
@@ -57,23 +55,23 @@ impl AccessSummary {
     }
 }
 
-/// An in-flight (dispatched but not completed) request.
+/// An in-flight (received but not completed) request.
 #[derive(Debug)]
 struct InFlight {
     ticket: u64,
     summary: AccessSummary,
 }
 
-/// Tracks every dispatched-but-incomplete request so workers can overlap
+/// Tracks every received-but-incomplete request so workers can overlap
 /// independent requests while dependent ones wait their turn.
 ///
-/// Protocol: the dispatcher calls [`register`](Self::register) in release
-/// (ticket) order before handing the job to the worker pool; the worker
-/// calls [`wait_turn`](Self::wait_turn) before executing and
-/// [`complete`](Self::complete) after replying. Because jobs are popped
-/// from a FIFO queue in ticket order, the smallest incomplete ticket is
-/// always already on a worker and never waits — so the pool can never
-/// deadlock, whatever the conflict graph.
+/// Protocol: the worker holding the receive turn calls
+/// [`register`](Self::register) in ticket (arrival) order before passing
+/// the turn on; the same worker then calls [`wait_turn`](Self::wait_turn)
+/// before executing and [`complete`](Self::complete) after replying.
+/// Because each ticket is held by the worker that received it, the
+/// smallest incomplete ticket is always running and never waits — so the
+/// pool can never deadlock, whatever the conflict graph.
 #[derive(Debug, Default)]
 pub struct ConflictTracker {
     inner: Mutex<Vec<InFlight>>,
@@ -85,8 +83,8 @@ impl ConflictTracker {
         Self::default()
     }
 
-    /// Record a dispatched request. Must be called in ticket order (the
-    /// dispatcher's arrival order) so `wait_turn` sees every earlier
+    /// Record a received request. Must be called in ticket (arrival)
+    /// order, under the receive turn, so `wait_turn` sees every earlier
     /// request it might conflict with.
     pub fn register(&self, ticket: u64, summary: AccessSummary) {
         self.inner.lock().push(InFlight { ticket, summary });
@@ -120,88 +118,9 @@ impl ConflictTracker {
         self.done.notify_all();
     }
 
-    /// Dispatched-but-incomplete requests (diagnostics).
+    /// Received-but-incomplete requests (diagnostics).
     pub fn in_flight(&self) -> usize {
         self.inner.lock().len()
-    }
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPMC job queue (mutex + condvar — the same selective-wakeup
-/// shape as the endpoint event queue).
-///
-/// `push` blocks while the queue is full: the bound is what lets the
-/// transport's bounded eager queue — and ultimately the client back-off
-/// loop of §3.2 — provide end-to-end flow control even though the
-/// dispatcher no longer services requests synchronously.
-pub struct WorkQueue<T> {
-    state: Mutex<QueueState<T>>,
-    changed: Condvar,
-    capacity: usize,
-}
-
-impl<T> WorkQueue<T> {
-    /// A queue admitting at most `capacity` queued jobs.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "work queue needs real capacity");
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            changed: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Enqueue a job, blocking while the queue is full. Returns the job
-    /// when the queue has been closed instead.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock();
-        while st.items.len() >= self.capacity && !st.closed {
-            self.changed.wait(&mut st);
-        }
-        if st.closed {
-            return Err(item);
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.changed.notify_all();
-        Ok(())
-    }
-
-    /// Dequeue the next job in FIFO order, blocking while the queue is
-    /// empty. Returns `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.changed.notify_all();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            self.changed.wait(&mut st);
-        }
-    }
-
-    /// Close the queue: `push` starts failing, `pop` drains the remainder
-    /// and then returns `None`.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_all();
-    }
-
-    /// Jobs currently queued (diagnostics).
-    pub fn len(&self) -> usize {
-        self.state.lock().items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -313,31 +232,6 @@ mod tests {
         t.complete(1);
     }
 
-    #[test]
-    fn work_queue_is_fifo_and_drains_after_close() {
-        let q: WorkQueue<u32> = WorkQueue::bounded(8);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.close();
-        assert!(q.push(3).is_err(), "push after close fails");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "closed and drained");
-    }
-
-    #[test]
-    fn bounded_push_blocks_until_pop() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::bounded(1));
-        q.push(1).unwrap();
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || q2.push(2));
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!pusher.is_finished(), "push must block while full");
-        assert_eq!(q.pop(), Some(1));
-        assert!(pusher.join().unwrap().is_ok());
-        assert_eq!(q.pop(), Some(2));
-    }
-
     proptest::proptest! {
         /// The in-flight conflict relation is symmetric and agrees with a
         /// brute-force range-overlap oracle on arbitrary request pairs.
@@ -389,42 +283,38 @@ mod tests {
 
     #[test]
     fn pool_of_consumers_processes_everything_in_conflict_order() {
-        // 4 workers, interleaved dependent chains on two objects: every
-        // object's writes must land in ticket order.
-        let q: Arc<WorkQueue<(u64, u64)>> = Arc::new(WorkQueue::bounded(64));
-        let tracker = Arc::new(ConflictTracker::new());
-        let log: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let seq = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                let tracker = Arc::clone(&tracker);
-                let log = Arc::clone(&log);
-                let seq = Arc::clone(&seq);
-                std::thread::spawn(move || {
-                    while let Some((ticket, obj)) = q.pop() {
-                        tracker.wait_turn(ticket);
-                        // Jitter makes out-of-order execution likely if the
-                        // tracker fails to serialize dependents.
-                        std::thread::sleep(std::time::Duration::from_micros(
-                            seq.fetch_add(1, Ordering::Relaxed) % 97,
-                        ));
-                        log.lock().push((obj, ticket));
-                        tracker.complete(ticket);
-                    }
-                })
-            })
-            .collect();
-        for ticket in 0..40u64 {
-            let obj = ticket % 2;
-            // All same-object writes overlap: ticket order is mandatory.
-            tracker.register(ticket, AccessSummary::of(&write_req(obj, 0, 8)));
-            q.push((ticket, obj)).unwrap();
-        }
-        q.close();
-        for w in workers {
-            w.join().unwrap();
-        }
+        // 4 workers taking turns to receive, as the server's do, over
+        // interleaved dependent chains on two objects: every object's
+        // writes must land in ticket order.
+        let turn = Mutex::new(0u64);
+        let tracker = ConflictTracker::new();
+        let log: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+        let seq = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| loop {
+                    let ticket = {
+                        let mut next = turn.lock();
+                        if *next == 40 {
+                            return;
+                        }
+                        *next += 1;
+                        // All same-object writes overlap: ticket order is
+                        // mandatory.
+                        tracker.register(*next - 1, AccessSummary::of(&write_req(*next % 2, 0, 8)));
+                        *next - 1
+                    };
+                    tracker.wait_turn(ticket);
+                    // Jitter makes out-of-order execution likely if the
+                    // tracker fails to serialize dependents.
+                    std::thread::sleep(std::time::Duration::from_micros(
+                        seq.fetch_add(1, Ordering::Relaxed) % 97,
+                    ));
+                    log.lock().push((ticket % 2, ticket));
+                    tracker.complete(ticket);
+                });
+            }
+        });
         let log = log.lock();
         assert_eq!(log.len(), 40);
         for obj in 0..2u64 {

@@ -17,13 +17,13 @@
 //! * [`PinnedBufferPool`] — Figure 6's bound on transfers in flight, kept
 //!   as a count; an exhausted pool is what turns into `ServerBusy`
 //!   rejections (before any byte moves) and client re-sends.
-//! * [`ConflictTracker`] / [`WorkQueue`] — the worker-pool dispatch layer:
-//!   a bounded FIFO hand-off from the dispatcher to N workers, in arrival
-//!   order, with §3.2's dependency relation enforced by an in-flight
-//!   tracker so independent requests overlap and dependent ones keep
-//!   arrival order. (§3.2 also allows reordering independent queued
-//!   requests for the storage device; on a memory-only store no order
-//!   beats arrival order, so none is applied.)
+//! * [`ConflictTracker`] — the worker pool's ordering: N workers take
+//!   turns receiving, each ticketing what it receives in arrival order,
+//!   and §3.2's dependency relation is enforced between in-flight tickets
+//!   so independent requests overlap and dependent ones keep arrival
+//!   order. (§3.2 also allows reordering independent queued requests for
+//!   the storage device; on a memory-only store no order beats arrival
+//!   order, so none is applied.)
 //! * [`StorageServer`] — the service: the RPC surface, the capability
 //!   cache, transaction participation (undo journals + 2PC votes).
 
@@ -36,7 +36,7 @@ pub mod server;
 pub mod store;
 
 pub use buffers::PinnedBufferPool;
-pub use dispatch::{AccessSummary, ConflictTracker, WorkQueue};
+pub use dispatch::{AccessSummary, ConflictTracker};
 pub use recovery::RecoveryOutcome;
 pub use server::{SignedCapConfig, StorageConfig, StorageServer, StorageStats};
 pub use store::{ObjectStore, StoreConfig};

@@ -2,22 +2,25 @@
 //! capability enforcement, and transaction participation.
 //!
 //! The server runs its own loop (rather than the generic service runner)
-//! so requests can overlap. The loop is a **pipelined dispatcher**: the
-//! main thread receives one request at a time and hands it, ticketed in
-//! arrival order, to a pool of worker threads that run the full
-//! authorize → pull/push → store → reply path, so independent requests
-//! overlap. Dependent requests (same object, overlapping ranges, ≥1
-//! write) are held back by the in-flight [`ConflictTracker`] and execute
-//! in arrival order. Each data request moves its bulk payload with
-//! one-sided operations against the *client's* pinned memory descriptor,
-//! admitted by the server's bounded [`PinnedBufferPool`] and landing
-//! straight in the object store's chunks — the complete Figure 6
-//! pipeline:
+//! so requests can overlap. The loop is a **pool of workers that take
+//! turns receiving**: the worker holding the receive turn waits for the
+//! next request, tickets it in arrival order, passes the turn on and runs
+//! the full authorize → pull/push → store → reply path itself, so
+//! independent requests overlap and no request crosses a thread hand-off
+//! on its way to the worker that runs it. Dependent requests (same
+//! object, overlapping ranges, ≥1 write) are held back by the in-flight
+//! [`ConflictTracker`](crate::ConflictTracker) and execute in arrival
+//! order. The endpoint's intake answers telemetry scrapes where they are
+//! delivered, so a scrape never waits for a worker. Each data request
+//! moves its bulk payload with one-sided operations against the
+//! *client's* pinned memory descriptor, admitted by the server's bounded
+//! [`PinnedBufferPool`] and landing straight in the object store's
+//! chunks — the complete Figure 6 pipeline:
 //!
 //! ```text
 //! client:     post MD, send small request ─▶ server queue
-//! dispatcher: receive, ticket in arrival order, hand to workers
-//! worker i:   wait for conflicting earlier tickets (usually none)
+//! worker i:   in its receive turn: receive, ticket in arrival order
+//!             wait for conflicting earlier tickets (usually none)
 //!             authorize (cap cache / verify-through)
 //!             take a place in the pool, or refuse ServerBusy (nothing moved)
 //!             for each chunk: GET from client MD into a recycled chunk,
@@ -36,9 +39,10 @@
 //! With `workers = 1` the pipeline is the serial paper-faithful loop. On a
 //! memory-only store no order beats arrival order, so §3.2's reordering of
 //! independent requests is not applied. More workers than pool places
-//! just means more `ServerBusy` rejections, and the bounded job queue
-//! blocks the dispatcher so the transport's eager queue (and ultimately
-//! the §3.2 client back-off loop) still provides end-to-end flow control.
+//! just means more `ServerBusy` rejections, and while every worker is
+//! busy requests wait in the transport's bounded eager queue, so it (and
+//! ultimately the §3.2 client back-off loop) provides end-to-end flow
+//! control.
 //!
 //! The request path is split along its seams: the loop and the request
 //! dispatch (`dispatch`), the data operations (`data`), ship-before-ack
@@ -333,7 +337,7 @@ impl StorageServer {
             obs,
             config,
         });
-        let ep = net.register(id);
+        let ep = net.register_with_intake(id, server.obs.gauge("storage.queue_depth"));
         let srv = Arc::clone(&server);
         let handle =
             ServiceHandle::spawn(id, format!("lwfs-storage-{id}"), move |stop| srv.run(ep, stop));

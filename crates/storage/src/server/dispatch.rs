@@ -1,7 +1,7 @@
-//! The server loop: a pipelined dispatcher and its worker pool, and the
-//! request path each worker runs (replication fencing, dedup,
-//! [`execute`](StorageServer::execute), ship-before-ack). The queue and
-//! conflict tracker it drives live in [`crate::dispatch`].
+//! The server loop: a pool of workers that take turns receiving, and the
+//! request path each worker runs on what it received (replication
+//! fencing, dedup, [`execute`](StorageServer::execute), ship-before-ack).
+//! The conflict tracker it drives lives in [`crate::dispatch`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -11,10 +11,11 @@ use lwfs_portals::{Endpoint, Event, RpcClient, REQUEST_MATCH};
 use lwfs_proto::{
     Decode as _, Encode, Error, OpMask, Reply, ReplyBody, Request, RequestBody, TraceContext,
 };
+use parking_lot::Mutex;
 
 use super::StorageServer;
 use crate::buffers::{FrameBatch, WorkerBuffers};
-use crate::dispatch::{AccessSummary, ConflictTracker, WorkQueue};
+use crate::dispatch::{AccessSummary, ConflictTracker};
 
 /// The `component.op` label a request is traced under.
 fn op_label(body: &RequestBody) -> &'static str {
@@ -52,48 +53,36 @@ fn replicated_mutation(body: &RequestBody) -> bool {
     )
 }
 
-/// One unit of work handed from the dispatcher to the worker pool: the
-/// request, its conflict-ordering ticket, and its in-progress trace.
-struct Job<'s> {
-    ticket: u64,
-    req: Request,
-    trace: OpTrace<'s>,
-}
-
 impl StorageServer {
+    /// Serve on `ep` until `stop`: `workers` threads, this one among them,
+    /// take turns receiving and each runs what it received.
     pub(super) fn run(&self, ep: Endpoint, stop: &AtomicBool) {
-        let workers = self.config.workers.max(1);
-        // Bounded hand-off: when workers fall behind, the dispatcher blocks
-        // here, the transport's eager queue fills, and clients see
-        // `ServerBusy` — the §3.2 back-pressure chain, undisturbed.
-        let queue: WorkQueue<Job<'_>> = WorkQueue::bounded(64.max(workers * 2));
+        // The receive turn: its holder waits on the endpoint, and the
+        // ticket it guards is the next arrival's.
+        let turn = Mutex::new(0u64);
         let tracker = ConflictTracker::new();
         std::thread::scope(|s| {
-            for idx in 0..workers {
-                let (ep, queue, tracker) = (&ep, &queue, &tracker);
-                s.spawn(move || self.worker_loop(idx, ep, queue, tracker));
+            for idx in 1..self.config.workers.max(1) {
+                let (ep, turn, tracker) = (&ep, &turn, &tracker);
+                s.spawn(move || self.worker_loop(idx, ep, turn, tracker, stop));
             }
-            self.dispatch_loop(&ep, &queue, &tracker, stop);
-            // Stop: let the workers drain what was already dispatched.
-            queue.close();
+            self.worker_loop(0, &ep, &turn, &tracker, stop);
         });
     }
 
-    /// The dispatcher: receive one request, ticket it in arrival order,
-    /// hand it off. Tickets are the only order workers honour: the
-    /// conflict tracker serializes dependent tickets by it.
-    fn dispatch_loop<'s>(
+    /// Take the receive turn and wait for the next request; ticket it in
+    /// arrival order and register it with the conflict tracker before the
+    /// turn passes on. Tickets are the only order workers honour: the
+    /// tracker serializes dependent tickets by it. `None` once `stop` is
+    /// raised.
+    fn receive<'s>(
         &'s self,
         ep: &Endpoint,
-        queue: &WorkQueue<Job<'s>>,
+        turn: &Mutex<u64>,
         tracker: &ConflictTracker,
         stop: &AtomicBool,
-    ) {
-        // Additive (not `set`): every server in the network shares this
-        // fabric-level gauge, so it reads as total requests waiting for a
-        // worker.
-        let queue_depth = self.obs.gauge("storage.queue_depth");
-        let mut next_ticket: u64 = 0;
+    ) -> Option<(u64, Request, OpTrace<'s>)> {
+        let mut next_ticket = turn.lock();
         let poll = Duration::from_millis(5);
         while !stop.load(Ordering::SeqCst) {
             let ev = match ep.recv_match(
@@ -102,74 +91,52 @@ impl StorageServer {
             ) {
                 Ok(ev) => ev,
                 Err(Error::Timeout) => continue,
-                Err(_) => break,
+                Err(_) => return None,
             };
-            let req = ev.message_data().and_then(|d| Request::from_bytes(d.clone()).ok());
+            let Event::Message { data, arrived, .. } = ev else { continue };
             // The request's byte fields are views of the message: from
             // here on the request is their only holder (see `worker_loop`).
-            drop(ev);
-            let Some(req) = req else {
-                continue;
-            };
-            // Telemetry scrapes are annotation traffic, answered straight
-            // from the dispatcher: a control request would conflict-
-            // serialize behind every in-flight mutation, so a queued scrape
-            // stalls for exactly as long as the stalled write it is trying
-            // to observe — the monitor would lose its window cadence at the
-            // moment the cluster degrades. Answering here also keeps the
-            // scrape out of the trace and latency series it reads.
-            if let Some(scrape) = lwfs_portals::telemetry::answer(&self.obs, &req.body) {
-                let rep = Reply::new(req.opnum, scrape);
-                let _ =
-                    ep.send(req.reply_to, lwfs_portals::reply_match(req.opnum.0), rep.to_bytes());
-                continue;
-            }
+            let Ok(req) = Request::from_bytes(data) else { continue };
             // Traced from arrival, so `queue_wait` (and the end-to-end
             // total) covers the time spent waiting for a worker.
             let trace = self
                 .obs
                 .trace(req.req_id, op_label(&req.body))
+                .since(arrived)
                 .on_node(self.site.nid.0)
                 .in_trace(req.trace.trace_id);
-            let ticket = next_ticket;
-            next_ticket += 1;
-            // Register *before* pushing, in ticket order, so a worker
-            // popping this job sees every earlier in-flight conflict.
+            let ticket = *next_ticket;
+            *next_ticket += 1;
             tracker.register(ticket, AccessSummary::of(&req));
-            queue_depth.inc();
-            if queue.push(Job { ticket, req, trace }).is_err() {
-                queue_depth.dec();
-                tracker.complete(ticket);
-                return; // queue closed under us: shutting down
-            }
+            return Some((ticket, req, trace));
         }
+        None
     }
 
-    /// One worker: pop tickets in FIFO order, wait out conflicts with
-    /// earlier in-flight tickets, then run the full request path.
+    /// One worker: receive in its turn, wait out conflicts with earlier
+    /// in-flight tickets, then run the full request path.
     ///
-    /// Deadlock-free by construction: jobs are pushed and popped in ticket
-    /// order, so the smallest incomplete ticket is always already on a
-    /// worker — and `wait_turn` only ever waits on smaller tickets.
-    fn worker_loop<'s>(
-        &'s self,
+    /// Deadlock-free by construction: each ticket is held by the worker
+    /// that received it, so the smallest incomplete ticket is always
+    /// running — and `wait_turn` only ever waits on smaller tickets.
+    fn worker_loop(
+        &self,
         idx: usize,
         ep: &Endpoint,
-        queue: &WorkQueue<Job<'s>>,
+        turn: &Mutex<u64>,
         tracker: &ConflictTracker,
+        stop: &AtomicBool,
     ) {
         // Workers share the endpoint's opnum allocator so their
         // verify-through RPCs can interleave without reply collisions.
         let client = RpcClient::new(ep);
-        let queue_depth = self.obs.gauge("storage.queue_depth");
         let dispatch = self.obs.histogram("storage.dispatch_ns");
         let worker_dispatch = self.obs.histogram(&format!("storage.worker{idx}.dispatch_ns"));
         let in_flight = self.obs.gauge("storage.in_flight");
         let srv_in_flight = self.obs.gauge(&format!("storage.srv{}.in_flight", self.site.nid.0));
         let share = self.config.pool_buffers * self.config.chunk_size / self.config.workers.max(1);
         let mut bufs = WorkerBuffers::new(share, self.config.chunk_size);
-        while let Some(Job { ticket, req, mut trace }) = queue.pop() {
-            queue_depth.dec();
+        while let Some((ticket, req, mut trace)) = self.receive(ep, turn, tracker, stop) {
             if tracker.wait_turn(ticket) {
                 self.stats.conflict_defers.inc();
             }
@@ -178,7 +145,7 @@ impl StorageServer {
             let waited = trace.stage("queue_wait");
             dispatch.record(waited);
             worker_dispatch.record(waited);
-            // Every child request this job issues (verify-through to the
+            // Every child request this one issues (verify-through to the
             // authorization service, ships, drop reports) carries the
             // incoming trace with this request as the parent — the causal
             // chain is *propagated*, never re-derived.
@@ -188,13 +155,15 @@ impl StorageServer {
             });
             let body = self.handle(ep, &client, &req, Some(&mut trace), &mut bufs);
             let (reply_to, opnum) = (req.reply_to, req.opnum);
-            // Release the request before replying: a ship's records are
-            // views of the primary's ship buffer, and the primary takes
-            // that buffer back on our ack only if nothing else holds it.
+            // Release the request and the worker's buffers before replying:
+            // a ship's records are views of the primary's ship buffer, and
+            // the primary takes that buffer back on our ack only if nothing
+            // else holds it; and a client that reads the heap once its
+            // reply lands sees no buffer this worker was about to free.
             drop(req);
+            bufs.end_request();
             let rep = Reply::new(opnum, body);
             let _ = ep.send(reply_to, lwfs_portals::reply_match(opnum.0), rep.to_bytes());
-            bufs.end_request();
             trace.stage("reply");
             trace.finish();
             // Complete only after the reply is on the wire: a dependent

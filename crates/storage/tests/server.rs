@@ -554,12 +554,25 @@ fn await_write_done(ep: &lwfs_portals::Endpoint, opnum: u64) -> u64 {
 
 #[test]
 fn pipelined_overlapping_writes_execute_in_arrival_order() {
-    // Three whole-object writes in flight at once against a 4-worker pool:
+    overlapping_writes_execute_in_arrival_order(4);
+}
+
+#[test]
+fn arrival_order_holds_with_one_two_and_eight_receivers() {
+    // Workers take turns receiving, so every worker count is a different
+    // set of receivers racing for the next request.
+    for workers in [1, 2, 8] {
+        overlapping_writes_execute_in_arrival_order(workers);
+    }
+}
+
+fn overlapping_writes_execute_in_arrival_order(workers: usize) {
+    // Three whole-object writes in flight at once against the worker pool:
     // they overlap, so the conflict tracker must run them in arrival
     // order, and the last arrival's bytes must win — every round. Payloads
     // span two chunks, so out-of-order or interleaved execution would
     // leave a visible mix of fill bytes.
-    let (net, handle, server, authz) = boot_workers(4);
+    let (net, handle, server, authz) = boot_workers(workers);
     let ep = net.register(ProcessId::new(0, 0));
     let client = RpcClient::new(&ep);
     let caps = authz.container(OpMask::ALL);
@@ -592,7 +605,7 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
         let want = (base + 2) as u8;
         assert!(
             back.iter().all(|b| *b == want),
-            "round {round}: last arrival must win (got mix, expected {want})"
+            "{workers} workers, round {round}: last arrival must win (got mix, expected {want})"
         );
     }
     assert_eq!(server.stats().writes.get(), 18);
@@ -624,7 +637,10 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
         assert_eq!(await_write_done(&ep, base + 1), 200 * K as u64);
         assert_eq!(await_reply(&ep, base + 2), ReplyBody::ReadDone { len: 10 * K as u64 });
         let read = ep.unlink_md(mbs[2]).unwrap().into_vec();
-        assert!(read.iter().all(|x| *x == b), "round {round}: the read ran before write B");
+        assert!(
+            read.iter().all(|x| *x == b),
+            "{workers} workers, round {round}: the read ran before write B"
+        );
         for mb in &mbs[..2] {
             ep.unlink_md(*mb);
         }
@@ -632,7 +648,7 @@ fn pipelined_overlapping_writes_execute_in_arrival_order() {
             read_obj(&client, &ep, handle.id(), &caps, oid, 100 * K as u64, 100 * K).unwrap();
         assert!(
             back.iter().all(|x| *x == b),
-            "round {round}: [100K, 200K) must hold the later write B"
+            "{workers} workers, round {round}: [100K, 200K) must hold the later write B"
         );
     }
 }

@@ -14,7 +14,8 @@
 //!    eviction before republish, promotion when the primary dies.
 //!
 //! Alongside them, `storage.queue_depth` is checked to count the requests
-//! waiting for a storage worker.
+//! waiting for a storage worker, and a telemetry scrape is checked to be
+//! answered while every storage worker is stalled.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -323,4 +324,55 @@ fn queue_depth_counts_requests_waiting_for_a_worker() {
     assert!(stalled_meanwhile, "the ship stall ended before the gauge was read");
     assert_eq!(held, 3, "three requests wait behind the stalled worker");
     assert_eq!(depth.get(), 0, "the queue drains once the stall ends");
+}
+
+#[test]
+fn a_scrape_is_answered_while_every_worker_is_stalled() {
+    use lwfs::portals::RpcClient;
+    use lwfs::proto::{ProcessId, ReplyBody, RequestBody};
+
+    // The same stall as above: the primary's one worker ships to a
+    // partitioned backup for up to a second. A monitor must still read the
+    // node meanwhile — a scrape that queued behind the stalled write would
+    // lose its window at the moment the cluster degrades.
+    let cluster = LwfsCluster::boot(ClusterConfig {
+        storage_servers: 1,
+        replication: 2,
+        ship_deadline: Some(Duration::from_secs(1)),
+        storage: lwfs::storage::StorageConfig { workers: 1, ..Default::default() },
+        ..Default::default()
+    });
+    let mut client = cluster.client(0, 0);
+    login(&cluster, &mut client);
+    let cid = client.create_container().unwrap();
+    let caps = client.get_caps(cid, OpMask::ALL).unwrap();
+    let obj = client.create_obj(0, &caps, None, None).unwrap();
+    client.write(0, &caps, None, obj, 0, b"healthy write").unwrap();
+    let (primary, backup) = (cluster.addrs().storage[0], cluster.addrs().storage[1]);
+    let scraper_ep = cluster.network().register(ProcessId::new(77, 0));
+    let scraper = RpcClient::new(&scraper_ep);
+
+    let mut plan = FaultPlan::default();
+    plan.partitioned.insert(backup.nid);
+    cluster.network().set_faults(plan);
+    let (scraped_in, stalled_meanwhile) = std::thread::scope(|s| {
+        let stalled = s.spawn(|| client.write(0, &caps, None, obj, 0, b"stalled write"));
+        let in_flight = cluster.network().obs().gauge("storage.in_flight");
+        while in_flight.get() == 0 {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        let reply = scraper.call(primary, RequestBody::GetTelemetry { events_from: 0 }).unwrap();
+        let scraped_in = start.elapsed();
+        assert!(matches!(reply, ReplyBody::Telemetry(_)), "{reply:?}");
+        let stalled_meanwhile = !stalled.is_finished();
+        stalled.join().unwrap().unwrap();
+        (scraped_in, stalled_meanwhile)
+    });
+    cluster.network().heal();
+    assert!(stalled_meanwhile, "the ship stall ended before the scrape was answered");
+    assert!(
+        scraped_in < Duration::from_millis(50),
+        "the scrape took {scraped_in:?} while the only worker was stalled"
+    );
 }
