@@ -84,37 +84,35 @@ impl CapCache {
     /// message from the authorization service (the lifetime rides inside
     /// the capability).
     pub fn check(&self, cap: &Capability, now: u64) -> bool {
+        self.lookup(cap, now, true)
+    }
+
+    /// Like [`check`](Self::check), but a miss is not counted: for a
+    /// caller that checks again, counting, before it verifies through.
+    pub fn hit(&self, cap: &Capability, now: u64) -> bool {
+        self.lookup(cap, now, false)
+    }
+
+    fn lookup(&self, cap: &Capability, now: u64, count_miss: bool) -> bool {
         let key = cap.cache_key();
         let mut entries = self.entries.lock();
         let mut stats = self.stats.lock();
-        match entries.get(&key) {
-            Some(e) if e.body != cap.body => {
-                // Key collision with a different body: a forgery attempt
-                // (or corruption). Never a hit; the verify-through path
-                // will reject it at the authorization service.
-                stats.misses += 1;
-                self.obs.misses.inc();
-                false
-            }
-            Some(e) if now < e.not_after => {
-                stats.hits += 1;
-                self.obs.hits.inc();
-                true
-            }
-            Some(_) => {
-                entries.remove(&key);
-                stats.expired += 1;
-                stats.misses += 1;
-                self.obs.expired.inc();
-                self.obs.misses.inc();
-                false
-            }
-            None => {
-                stats.misses += 1;
-                self.obs.misses.inc();
-                false
-            }
+        // A key whose body differs is a forgery attempt (or corruption):
+        // never a hit; the verify-through path rejects it.
+        let fresh = entries.get(&key).filter(|e| e.body == cap.body).map(|e| now < e.not_after);
+        if fresh == Some(false) {
+            entries.remove(&key);
+            stats.expired += 1;
+            self.obs.expired.inc();
         }
+        if fresh == Some(true) {
+            stats.hits += 1;
+            self.obs.hits.inc();
+        } else if count_miss {
+            stats.misses += 1;
+            self.obs.misses.inc();
+        }
+        fresh == Some(true)
     }
 
     /// Record a positive verdict from the authorization service.

@@ -18,6 +18,7 @@ use lwfs_portals::{Endpoint, RpcClient};
 use lwfs_proto::{
     Capability, Credential, Error, OpMask, PrincipalId, ProcessId, ReplyBody, RequestBody, Result,
 };
+use parking_lot::Mutex;
 
 use crate::cache::{CapCache, CapCacheStats};
 use crate::service::CredVerifier;
@@ -66,6 +67,9 @@ pub struct CachedCapVerifier {
     /// [`with_registry`](Self::with_registry)); `None` keeps the miss path
     /// dark, as under [`new`](Self::new).
     registry: Option<Arc<Registry>>,
+    /// Held across the miss path: two workers missing on one cold
+    /// capability at once verify it through once, not twice.
+    miss_path: Mutex<()>,
     /// Timeout for VerifyCaps round trips.
     pub verify_timeout: Duration,
 }
@@ -78,6 +82,7 @@ impl CachedCapVerifier {
             cache: CapCache::new(),
             verify_through: Arc::new(Counter::new()),
             registry: None,
+            miss_path: Mutex::new(()),
             verify_timeout: Duration::from_secs(5),
         }
     }
@@ -89,12 +94,10 @@ impl CachedCapVerifier {
     /// every cache-miss round trip.
     pub fn with_registry(site: ProcessId, authz: ProcessId, registry: &Arc<Registry>) -> Self {
         Self {
-            site,
-            authz,
             cache: CapCache::with_registry(registry),
             verify_through: registry.counter("authz.cache.verify_through"),
             registry: Some(Arc::clone(registry)),
-            verify_timeout: Duration::from_secs(5),
+            ..Self::new(site, authz)
         }
     }
 
@@ -125,7 +128,13 @@ impl CachedCapVerifier {
         if !cap.valid_at(now) {
             return Err(Error::CapabilityExpired);
         }
-        // 3. Cache hit: authorized with zero messages.
+        // 3. Cache hit: authorized with zero messages. A miss is counted
+        //    once, under the miss path's lock, where a verdict another
+        //    worker fetched meanwhile shows up as a hit.
+        if self.cache.hit(cap, now) {
+            return Ok(());
+        }
+        let _single_flight = self.miss_path.lock();
         if self.cache.check(cap, now) {
             return Ok(());
         }
@@ -172,8 +181,8 @@ mod tests {
     use crate::server::AuthzServer;
     use crate::service::{AuthzConfig, AuthzService, CredVerifier};
     use lwfs_auth::{AuthConfig, AuthService, ManualClock, MockKerberos};
-    use lwfs_portals::Network;
-    use lwfs_proto::PrincipalId;
+    use lwfs_portals::{Network, RpcServer};
+    use lwfs_proto::{CapabilityBody, ContainerId, Lifetime, PrincipalId, Signature};
     use std::sync::Arc;
 
     #[test]
@@ -233,5 +242,46 @@ mod tests {
             Error::BadCapability
         );
         authz_handle.shutdown();
+    }
+
+    #[test]
+    fn two_workers_missing_on_one_cold_capability_verify_it_through_once() {
+        let net = Network::default();
+        let authz = net.register(ProcessId::new(101, 0));
+        let site = ProcessId::new(50, 0);
+        let ep = net.register(site);
+        let verifier = CachedCapVerifier::new(site, authz.id());
+        let body = CapabilityBody {
+            container: ContainerId(1),
+            ops: OpMask::WRITE,
+            principal: PrincipalId(1),
+            issuer_epoch: 1,
+            lifetime: Lifetime { not_before: 0, not_after: u64::MAX },
+            serial: 7,
+        };
+        let cap = Capability { body, sig: Signature([7; 16]) };
+        let check = || verifier.check(&RpcClient::new(&ep), &cap, OpMask::WRITE, 0);
+        // A stand-in authorization service that holds the first worker's
+        // VerifyCaps while the second worker checks the same capability.
+        let srv = RpcServer::new(&authz);
+        let verify_caps = std::thread::scope(|s| {
+            let first = s.spawn(check);
+            let mut held = vec![srv.next_request(Duration::from_secs(5)).unwrap()];
+            let second = s.spawn(check);
+            // A second verify-through arrives within microseconds if the
+            // second worker misses too; none may arrive at all.
+            held.extend(srv.next_request(Duration::from_millis(200)).ok());
+            for req in &held {
+                let RequestBody::VerifyCaps { caps, .. } = &req.body else { panic!("{req:?}") };
+                let valid = caps.iter().map(Capability::cache_key).collect();
+                srv.reply(req, ReplyBody::CapsVerified { valid }).unwrap();
+            }
+            first.join().unwrap().unwrap();
+            second.join().unwrap().unwrap();
+            held.len()
+        });
+        assert_eq!(verify_caps, 1, "one VerifyCaps for one cold capability");
+        let stats = verifier.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1), "the waiting worker counts a hit");
     }
 }

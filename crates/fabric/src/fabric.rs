@@ -273,18 +273,18 @@ impl RemoteFabric for SocketFabric {
         to: ProcessId,
         match_bits: u64,
         offset: u64,
-        dst: &mut [u8],
+        len: usize,
+        dst: &mut Vec<u8>,
     ) -> Result<()> {
-        let msg = FabricMsg::Get { token: 0, from, to, match_bits, offset, len: dst.len() as u64 };
+        let msg = FabricMsg::Get { token: 0, from, to, match_bits, offset, len: len as u64 };
         let data = self.inner.roundtrip(to.nid, msg)?;
-        if data.len() != dst.len() {
+        if data.len() != len {
             return Err(Error::Malformed(format!(
-                "get reply carries {} bytes for a {}-byte request",
-                data.len(),
-                dst.len()
+                "get reply carries {} bytes for a {len}-byte request",
+                data.len()
             )));
         }
-        dst.copy_from_slice(&data);
+        dst.extend_from_slice(&data);
         Ok(())
     }
 }
@@ -582,6 +582,8 @@ mod tests {
         server_fabric.shutdown();
     }
 
+    const CHUNK: usize = 256 * 1024;
+
     /// One scripted series of `get_into`s against a one-shot-style
     /// descriptor; returns what landed and what the counters saw.
     fn get_into_script(
@@ -589,35 +591,33 @@ mod tests {
         holder: &lwfs_portals::Endpoint,
         stats: &lwfs_portals::NetStats,
     ) -> (Vec<Vec<u8>>, u64, u64) {
-        const CHUNK: usize = 256 * 1024;
         let pattern: Vec<u8> = (0..4 * CHUNK).map(|i| (i % 251) as u8).collect();
         let opts = MdOptions { unlink_after: Some(5), ..MdOptions::for_remote_get() };
         holder.post_md(0x51, MemDesc::from_vec(pattern.clone(), opts)).unwrap();
         let (gets, bytes) = (stats.gets.get(), stats.bytes.get());
         let mut landed = Vec::new();
         // Straddling a chunk boundary, a single byte, and a range ending
-        // exactly at the descriptor's end.
+        // exactly at the descriptor's end, each after bytes `dst` holds.
         for (offset, len) in [(CHUNK - 17, CHUNK), (0, 1), (3 * CHUNK - 1, CHUNK + 1)] {
-            let mut dst = vec![0xEEu8; len];
-            ep.get_into(holder.id(), 0x51, offset as u64, &mut dst).unwrap();
-            assert_eq!(dst, pattern[offset..offset + len]);
+            let mut dst = Vec::with_capacity(len + 3);
+            dst.extend_from_slice(b"pre");
+            ep.get_into(holder.id(), 0x51, offset as u64, len, &mut dst).unwrap();
+            assert_eq!((&dst[..3], &dst[3..]), (&b"pre"[..], &pattern[offset..offset + len]));
             landed.push(dst);
         }
         // One byte too far: refused, `dst` untouched, and not counted as
         // one of the descriptor's five operations.
         let mut dst = vec![0xEEu8; 100];
-        let err = ep.get_into(holder.id(), 0x51, (4 * CHUNK - 99) as u64, &mut dst).unwrap_err();
-        assert!(matches!(err, Error::Malformed(_)), "{err:?}");
-        assert!(dst.iter().all(|b| *b == 0xEE));
+        let err = ep.get_into(holder.id(), 0x51, (4 * CHUNK - 99) as u64, 100, &mut dst);
+        assert!(matches!(err.unwrap_err(), Error::Malformed(_)));
+        assert_eq!(dst, [0xEE; 100]);
         // The fifth get is the last: the descriptor unlinks itself.
         for offset in [7, CHUNK] {
             assert_eq!(holder.posted_mds(), 1);
-            let mut dst = vec![0u8; 32];
-            ep.get_into(holder.id(), 0x51, offset as u64, &mut dst).unwrap();
-            landed.push(dst);
+            landed.push(ep.get(holder.id(), 0x51, offset as u64, 32).unwrap());
         }
         assert_eq!(holder.posted_mds(), 0);
-        assert!(ep.get_into(holder.id(), 0x51, 0, &mut [0u8; 1]).is_err());
+        assert!(ep.get_into(holder.id(), 0x51, 0, 1, &mut Vec::new()).is_err());
         (landed, stats.gets.get() - gets, stats.bytes.get() - bytes)
     }
 
@@ -636,6 +636,49 @@ mod tests {
         assert_eq!(wire.0, local.0, "same bytes on both transports");
         assert_eq!((wire.1, wire.2), (local.1, local.2), "same get and byte counts");
         assert_eq!(local.1, 5);
+        client_fabric.shutdown();
+        server_fabric.shutdown();
+    }
+
+    /// A multi-chunk read as a storage server pushes it — chunk by chunk
+    /// into a descriptor that starts unfilled — then a gap, a piece out of
+    /// order and a refused overrun; returns the bytes the owner takes out.
+    fn read_script(pusher: &lwfs_portals::Endpoint, owner: &lwfs_portals::Endpoint) -> Vec<u8> {
+        let object: Vec<u8> = (0..3 * CHUNK + 100).map(|i| (i * 7 % 253) as u8).collect();
+        owner.post_md(0x61, MemDesc::zeroed(4 * CHUNK, MdOptions::for_remote_put())).unwrap();
+        for (at, piece) in object.chunks(CHUNK).enumerate() {
+            pusher.put(owner.id(), 0x61, (at * CHUNK) as u64, piece).unwrap();
+        }
+        let tail = (4 * CHUNK - 50) as u64;
+        pusher.put(owner.id(), 0x61, tail, &[1; 50]).unwrap();
+        pusher.put(owner.id(), 0x61, tail - 200, &[2; 10]).unwrap();
+        let err = pusher.put(owner.id(), 0x61, tail, &[3; 51]).unwrap_err();
+        assert!(matches!(err, Error::Malformed(_)), "{err:?}");
+        let got = owner.unlink_md(0x61).unwrap().into_vec();
+        assert_eq!(got.len(), 4 * CHUNK);
+        assert_eq!(&got[..object.len()], &object[..]);
+        got
+    }
+
+    #[test]
+    fn a_multi_chunk_read_is_the_same_over_the_wire_and_in_process() {
+        let local_net = Network::default();
+        let local = read_script(
+            &local_net.register(ProcessId::new(3, 0)),
+            &local_net.register(ProcessId::new(1100, 1)),
+        );
+        // The dialing side pushes: the listening side learns routes only
+        // from the frames it receives.
+        let (client_net, client_fabric, server_net, server_fabric) = linked_pair();
+        let wire = read_script(
+            &client_net.register(ProcessId::new(3, 0)),
+            &server_net.register(ProcessId::new(1100, 1)),
+        );
+        assert!(wire == local, "same bytes on both transports");
+        let mut want = vec![0u8; 4 * CHUNK];
+        want[4 * CHUNK - 250..4 * CHUNK - 240].fill(2);
+        want[4 * CHUNK - 50..].fill(1);
+        assert!(local[3 * CHUNK + 100..] == want[3 * CHUNK + 100..], "zeros but for the two puts");
         client_fabric.shutdown();
         server_fabric.shutdown();
     }

@@ -54,7 +54,11 @@ impl Default for MdOptions {
 /// Shared state of a posted buffer.
 #[derive(Debug)]
 pub(crate) struct MdInner {
+    /// The filled prefix: what the owner supplied and puts wrote (see
+    /// [`put_at`]). Never longer than `extent`; the rest reads as zero.
     pub data: Mutex<Vec<u8>>,
+    /// The descriptor's length as posted.
+    extent: usize,
     pub options: MdOptions,
     /// Remaining remote operations before auto-unlink (`u32::MAX` if
     /// persistent). Guarded by the owning table's lock during decrement.
@@ -68,25 +72,31 @@ pub struct MemDesc {
 }
 
 impl MemDesc {
-    /// Create a descriptor over a fresh zeroed buffer of `len` bytes.
+    /// Create a descriptor of `len` bytes that read as zero until written.
+    /// Nothing is zeroed up front: puts fill the reserved room by appending,
+    /// and only a read of an unfilled tail zero-fills it.
     pub fn zeroed(len: usize, options: MdOptions) -> Self {
-        Self::from_vec(vec![0u8; len], options)
+        Self::with_extent(len, Vec::with_capacity(len), options)
     }
 
     /// Create a descriptor taking ownership of `data`.
     pub fn from_vec(data: Vec<u8>, options: MdOptions) -> Self {
-        let remaining = options.unlink_after.unwrap_or(u32::MAX);
+        Self::with_extent(data.len(), data, options)
+    }
+
+    fn with_extent(extent: usize, data: Vec<u8>, options: MdOptions) -> Self {
         Self {
             inner: Arc::new(MdInner {
                 data: Mutex::new(data),
+                extent,
                 options,
-                remaining_ops: Mutex::new(remaining),
+                remaining_ops: Mutex::new(options.unlink_after.unwrap_or(u32::MAX)),
             }),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.inner.data.lock().len()
+        self.inner.extent
     }
 
     pub fn is_empty(&self) -> bool {
@@ -97,62 +107,65 @@ impl MemDesc {
         self.inner.options
     }
 
-    /// Copy the buffer contents out (owner-side read).
+    /// Copy the buffer contents out (owner-side read): `len()` bytes.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.inner.data.lock().clone()
+        let mut copy = self.inner.data.lock().clone();
+        put_at(&mut copy, self.len(), &[]);
+        copy
     }
 
     /// Take the buffer out of a descriptor nothing else refers to any more
-    /// (the owner has unlinked it and every remote operation has returned):
-    /// no bytes move. If a clone of the handle is still alive — a put that
-    /// looked the descriptor up before the unlink and has not finished —
-    /// the contents are copied instead, as [`snapshot`](Self::snapshot) does.
+    /// (unlinked, every remote operation returned): no bytes move, and only
+    /// an unfilled tail is zero-filled. If a clone is still alive — a put
+    /// that looked the descriptor up before the unlink — it is copied.
     pub fn into_vec(self) -> Vec<u8> {
-        match Arc::try_unwrap(self.inner) {
+        let extent = self.len();
+        let mut data = match Arc::try_unwrap(self.inner) {
             Ok(inner) => inner.data.into_inner(),
             Err(shared) => shared.data.lock().clone(),
+        };
+        put_at(&mut data, extent, &[]);
+        data
+    }
+
+    /// The exclusive end of `[offset, offset + len)`, or `Malformed` when
+    /// it overflows or passes the descriptor's extent.
+    fn range_end(&self, op: &str, offset: u64, len: usize) -> Result<usize> {
+        let start =
+            usize::try_from(offset).map_err(|_| Error::Malformed("md offset overflow".into()))?;
+        let end =
+            start.checked_add(len).ok_or_else(|| Error::Malformed("md length overflow".into()))?;
+        if end > self.len() {
+            return Err(Error::Malformed(format!(
+                "remote {op} [{start}, {end}) exceeds md of {} bytes",
+                self.len()
+            )));
         }
+        Ok(end)
     }
 
     /// Remote read of `[offset, offset+len)`: `read` sees the range in
     /// place, after the bounds check, so the caller decides where the one
-    /// copy lands and a bad range costs no allocation. Enforced against
-    /// [`MdOptions::allow_get`] by the endpoint, bounds-checked here.
+    /// copy lands and a bad range costs no allocation. A range reaching
+    /// past the filled prefix zero-fills it up to its end first. Enforced
+    /// against [`MdOptions::allow_get`] by the endpoint, bounds-checked
+    /// here.
     pub(crate) fn remote_read<R>(
         &self,
         offset: u64,
         len: usize,
         read: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        let guard = self.inner.data.lock();
-        let start =
-            usize::try_from(offset).map_err(|_| Error::Malformed("md offset overflow".into()))?;
-        let end =
-            start.checked_add(len).ok_or_else(|| Error::Malformed("md length overflow".into()))?;
-        if end > guard.len() {
-            return Err(Error::Malformed(format!(
-                "remote get [{start}, {end}) exceeds md of {} bytes",
-                guard.len()
-            )));
-        }
-        Ok(read(&guard[start..end]))
+        let end = self.range_end("get", offset, len)?;
+        let mut guard = self.inner.data.lock();
+        put_at(&mut guard, end, &[]);
+        Ok(read(&guard[end - len..end]))
     }
 
-    /// Remote write of `data` at `offset`.
+    /// Remote write of `data` at `offset`: see [`put_at`].
     pub(crate) fn remote_write(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut guard = self.inner.data.lock();
-        let start =
-            usize::try_from(offset).map_err(|_| Error::Malformed("md offset overflow".into()))?;
-        let end = start
-            .checked_add(data.len())
-            .ok_or_else(|| Error::Malformed("md length overflow".into()))?;
-        if end > guard.len() {
-            return Err(Error::Malformed(format!(
-                "remote put [{start}, {end}) exceeds md of {} bytes",
-                guard.len()
-            )));
-        }
-        guard[start..end].copy_from_slice(data);
+        let end = self.range_end("put", offset, data.len())?;
+        put_at(&mut self.inner.data.lock(), end - data.len(), data);
         Ok(())
     }
 
@@ -168,15 +181,33 @@ impl MemDesc {
     }
 }
 
+/// Write `bytes` at `at` in `buf`, over the bytes there and past them by
+/// appending; only a real gap before `at` is zero-filled, so a buffer filled
+/// front to back is written once. With empty `bytes` it pads `buf` to `at`.
+pub fn put_at(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+    if buf.len() < at {
+        buf.resize(at, 0);
+    }
+    let (over, past) = bytes.split_at((buf.len() - at).min(bytes.len()));
+    buf[at..at + over.len()].copy_from_slice(over);
+    buf.extend_from_slice(past);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The filled prefix of `md`'s buffer.
+    fn filled(md: &MemDesc) -> usize {
+        md.inner.data.lock().len()
+    }
+
     #[test]
-    fn zeroed_has_requested_len() {
+    fn zeroed_has_requested_len_and_fills_nothing() {
         let md = MemDesc::zeroed(128, MdOptions::default());
-        assert_eq!(md.len(), 128);
-        assert!(md.snapshot().iter().all(|b| *b == 0));
+        assert_eq!((md.len(), filled(&md)), (128, 0));
+        assert!(md.inner.data.lock().capacity() >= 128, "room for every byte up front");
+        assert_eq!(md.snapshot(), [0u8; 128]);
     }
 
     #[test]
@@ -188,12 +219,62 @@ mod tests {
     }
 
     #[test]
+    fn puts_in_order_append_and_fill_nothing_else() {
+        let md = MemDesc::zeroed(12, MdOptions::default());
+        for (at, piece) in [(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")] {
+            md.remote_write(at, piece).unwrap();
+            assert_eq!(filled(&md), at as usize + 4, "a put in order only appends");
+        }
+        assert_eq!(md.into_vec(), b"abcdefghijkl");
+    }
+
+    #[test]
+    fn puts_out_of_order_with_a_gap_and_overlapping_land_where_addressed() {
+        let md = MemDesc::zeroed(16, MdOptions::default());
+        // A gap first: the bytes before it read as zero.
+        md.remote_write(8, b"IJKL").unwrap();
+        assert_eq!(filled(&md), 12);
+        // Out of order, into the zero-filled gap.
+        md.remote_write(2, b"cd").unwrap();
+        // Overlapping the filled end and running past it.
+        md.remote_write(10, b"xyz!").unwrap();
+        // Overlapping earlier puts entirely.
+        md.remote_write(3, b"DE").unwrap();
+        assert_eq!(filled(&md), 14);
+        assert_eq!(md.snapshot(), b"\0\0cDE\0\0\0IJxyz!\0\0");
+    }
+
+    #[test]
+    fn a_get_straddling_the_filled_end_reads_zeros_past_it() {
+        let md = MemDesc::zeroed(16, MdOptions::default());
+        md.remote_write(0, b"abcdef").unwrap();
+        let got = md.remote_read(4, 6, <[u8]>::to_vec).unwrap();
+        assert_eq!(got, b"ef\0\0\0\0");
+        // Past the filled end entirely, then a put over what the get read.
+        assert_eq!(md.remote_read(12, 4, <[u8]>::to_vec).unwrap(), [0u8; 4]);
+        md.remote_write(7, b"GH").unwrap();
+        assert_eq!(md.snapshot(), b"abcdef\0GH\0\0\0\0\0\0\0");
+    }
+
+    #[test]
+    fn a_partly_filled_descriptor_is_taken_out_with_a_zero_tail() {
+        let md = MemDesc::zeroed(10, MdOptions::default());
+        md.remote_write(0, b"abc").unwrap();
+        assert_eq!(md.snapshot(), b"abc\0\0\0\0\0\0\0");
+        let held = md.clone();
+        assert_eq!(md.into_vec(), b"abc\0\0\0\0\0\0\0", "shared: copied");
+        assert_eq!(held.into_vec(), b"abc\0\0\0\0\0\0\0", "unshared: moved");
+        assert_eq!(MemDesc::zeroed(5, MdOptions::default()).into_vec(), [0u8; 5]);
+    }
+
+    #[test]
     fn remote_read_out_of_bounds_rejected() {
         let md = MemDesc::zeroed(8, MdOptions::default());
         let mut ran = false;
         assert!(md.remote_read(4, 8, |_| ran = true).is_err());
         assert!(md.remote_read(u64::MAX, 1, |_| ran = true).is_err());
         assert!(!ran, "a rejected range must never reach the reader");
+        assert_eq!(filled(&md), 0, "a rejected get fills nothing");
     }
 
     #[test]
@@ -212,9 +293,14 @@ mod tests {
     #[test]
     fn remote_write_out_of_bounds_rejected() {
         let md = MemDesc::zeroed(8, MdOptions::default());
+        md.remote_write(0, b"ab").unwrap();
         assert!(md.remote_write(7, b"ab").is_err());
+        assert!(md.remote_write(u64::MAX, b"a").is_err());
+        assert!(md.remote_write(6, &[]).is_ok());
+        assert_eq!(md.snapshot(), b"ab\0\0\0\0\0\0", "a refused put writes nothing");
         // Boundary write is fine.
         assert!(md.remote_write(6, b"ab").is_ok());
+        assert_eq!(md.len(), 8);
     }
 
     #[test]

@@ -126,25 +126,26 @@ impl Endpoint {
         }
     }
 
-    /// Read `dst.len()` bytes at `offset` from the descriptor `target`
-    /// posted under `match_bits` straight into `dst` — the one copy of the
-    /// hop. On any error `dst` is untouched.
+    /// Append the `len` bytes at `offset` of the descriptor `target`
+    /// posted under `match_bits` to `dst` — the one copy of the hop, into
+    /// room `dst` may already hold. On any error `dst` is untouched.
     pub fn get_into(
         &self,
         target: ProcessId,
         match_bits: u64,
         offset: u64,
-        dst: &mut [u8],
+        len: usize,
+        dst: &mut Vec<u8>,
     ) -> Result<()> {
         match self.route(target)? {
-            None => self.net.local_get(self.id, target, match_bits, offset, dst.len(), |src| {
-                dst.copy_from_slice(src)
+            None => self.net.local_get(self.id, target, match_bits, offset, len, |src| {
+                dst.extend_from_slice(src)
             }),
-            Some(fabric) => fabric.get_into(self.id, target, match_bits, offset, dst),
+            Some(fabric) => fabric.get_into(self.id, target, match_bits, offset, len, dst),
         }
     }
 
-    /// Like [`get_into`](Self::get_into), into a fresh buffer of `len` bytes.
+    /// Like [`get_into`](Self::get_into), into a fresh buffer.
     pub fn get(
         &self,
         target: ProcessId,
@@ -152,14 +153,9 @@ impl Endpoint {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        match self.route(target)? {
-            None => self.net.local_get(self.id, target, match_bits, offset, len, <[u8]>::to_vec),
-            Some(fabric) => {
-                let mut data = vec![0u8; len];
-                fabric.get_into(self.id, target, match_bits, offset, &mut data)?;
-                Ok(data)
-            }
-        }
+        let mut data = Vec::new();
+        self.get_into(target, match_bits, offset, len, &mut data)?;
+        Ok(data)
     }
 
     // ------------------------------------------------------------------
@@ -268,20 +264,20 @@ mod tests {
     }
 
     #[test]
-    fn get_into_lands_in_the_callers_buffer_or_leaves_it_alone() {
+    fn get_into_appends_to_the_callers_buffer_or_leaves_it_alone() {
         let (_net, a, b) = pair();
         let md = MemDesc::from_vec(b"checkpoint-data".to_vec(), MdOptions::for_remote_get());
         b.post_md(9, md).unwrap();
-        let mut dst = [0xEEu8; 4];
-        a.get_into(b.id(), 9, 11, &mut dst).unwrap();
-        assert_eq!(&dst, b"data");
+        let mut dst = Vec::with_capacity(8);
+        dst.extend_from_slice(b"ab");
+        a.get_into(b.id(), 9, 11, 4, &mut dst).unwrap();
+        assert_eq!(&dst, b"abdata");
         // One byte past the descriptor, an overflowing offset, a missing
-        // descriptor: Malformed, and not one byte of `dst` written.
-        let mut dst = [0xEEu8; 4];
+        // descriptor: Malformed, and `dst` neither written nor grown.
         for (mb, offset) in [(9, 12), (9, u64::MAX), (999, 0)] {
-            let err = a.get_into(b.id(), mb, offset, &mut dst).unwrap_err();
+            let err = a.get_into(b.id(), mb, offset, 4, &mut dst).unwrap_err();
             assert!(matches!(err, Error::Malformed(_)), "{err:?}");
-            assert_eq!(dst, [0xEE; 4]);
+            assert_eq!((&dst[..], dst.capacity()), (&b"abdata"[..], 8));
         }
     }
 

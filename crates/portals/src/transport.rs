@@ -51,14 +51,15 @@ pub trait RemoteFabric: Send + Sync {
         data: &[u8],
     ) -> Result<()>;
 
-    /// One-sided read of `dst.len()` bytes from a descriptor posted on a
-    /// remote node, delivered into `dst`; on error `dst` is untouched.
+    /// One-sided read of `len` bytes from a descriptor posted on a remote
+    /// node, appended to `dst`; on error `dst` is untouched.
     fn get_into(
         &self,
         from: ProcessId,
         to: ProcessId,
         match_bits: u64,
         offset: u64,
-        dst: &mut [u8],
+        len: usize,
+        dst: &mut Vec<u8>,
     ) -> Result<()>;
 }

@@ -152,9 +152,9 @@ impl StorageServer {
             let at = offset + moved;
             let n = (len - moved).min(size - at % size) as usize;
             // One-sided pull from the client's posted descriptor, straight
-            // into the chunk.
+            // into the empty chunk.
             let mut chunk = self.store.chunk(n);
-            ep.get_into(req.reply_to, md.match_bits, moved, &mut chunk)?;
+            ep.get_into(req.reply_to, md.match_bits, moved, n, chunk.buf_mut())?;
             if let Some(t) = trace.as_deref_mut() {
                 t.stage("pull");
             }

@@ -25,11 +25,12 @@
 //! dirty-object accounting.
 
 use std::collections::HashMap;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lwfs_obs::{Counter, Gauge, Registry};
+use lwfs_portals::buffer::put_at;
 use lwfs_proto::{ContainerId, Error, ObjAttr, ObjId, Result};
 use parking_lot::Mutex;
 
@@ -68,8 +69,9 @@ impl Deref for Chunk {
     }
 }
 
-impl DerefMut for Chunk {
-    fn deref_mut(&mut self) -> &mut [u8] {
+impl Chunk {
+    /// The chunk's buffer, for a pull to append its bytes to.
+    pub fn buf_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
 }
@@ -103,34 +105,29 @@ struct FreeList {
 }
 
 impl ChunkPool {
-    /// A chunk of `len` bytes with unspecified contents: a full-size one
-    /// from the free list when it has one, a short one allocated exactly.
+    /// An empty chunk with room for `len` bytes, for its taker to fill by
+    /// appending — nothing is zeroed first: a full-size one from the free
+    /// list when it has one, a short one allocated exactly.
     fn take(self: &Arc<Self>, len: usize) -> Chunk {
         if len != self.size {
-            return Chunk { buf: vec![0; len], home: None };
+            return Chunk { buf: Vec::with_capacity(len), home: None };
         }
         let mut list = self.list.lock();
         list.live += 1;
         list.high_water = list.high_water.max(list.live);
-        let recycled = list.free.pop();
+        let recycled = list.free.pop().inspect(|_| self.free_chunks.dec());
         drop(list);
-        let buf = match recycled {
-            Some(mut buf) => {
-                self.free_chunks.dec();
-                buf.resize(len, 0);
-                buf
-            }
-            None => {
-                self.allocated.inc();
-                vec![0; len]
-            }
-        };
+        let mut buf = recycled.unwrap_or_else(|| {
+            self.allocated.inc();
+            Vec::with_capacity(len)
+        });
+        buf.clear();
         Chunk { buf, home: Some(Arc::clone(self)) }
     }
 
     fn copy_of(self: &Arc<Self>, bytes: &[u8]) -> Arc<Chunk> {
         let mut chunk = self.take(bytes.len());
-        chunk.copy_from_slice(bytes);
+        chunk.buf.extend_from_slice(bytes);
         Arc::new(chunk)
     }
 }
@@ -205,8 +202,9 @@ impl ObjectStore {
         }
     }
 
-    /// A chunk of `len` bytes, contents unspecified, for the caller to
-    /// fill and hand to [`write_chunk`](Self::write_chunk).
+    /// An empty chunk with room for `len` bytes, for the caller to fill
+    /// through [`Chunk::buf_mut`] and hand to
+    /// [`write_chunk`](Self::write_chunk).
     pub fn chunk(&self, len: usize) -> Chunk {
         self.chunks.take(len)
     }
@@ -397,11 +395,8 @@ impl ObjectStore {
                     }
                 }
             } else {
-                let had = bytes.chunks.get(idx).map_or(0, |c| c.len());
                 let target = (bytes.len.max(end) - idx * size).min(size);
-                let c = bytes.chunk_mut(idx, target, pool, &mut undo);
-                c[had.min(within)..within].fill(0);
-                c[within..end - idx * size].copy_from_slice(piece);
+                put_at(&mut bytes.chunk_mut(idx, target, pool, &mut undo).buf, within, piece);
             }
             bytes.len = bytes.len.max(end);
             (at, rest) = (end, tail);
@@ -435,7 +430,11 @@ impl ObjectStore {
         len: u64,
     ) -> Result<Vec<u8>> {
         let pieces = self.read_chunks(container, oid, offset, len)?;
-        Ok(pieces.iter().flat_map(|(c, r)| &c[r.clone()]).copied().collect())
+        let mut out = Vec::with_capacity(pieces.iter().map(|(_, r)| r.len()).sum());
+        for (chunk, range) in pieces {
+            out.extend_from_slice(&chunk[range]);
+        }
+        Ok(out)
     }
 
     /// The chunks holding up to `len` bytes at `offset`, in order, each
@@ -503,19 +502,8 @@ impl ObjectStore {
 
     /// Objects in a container, sorted for deterministic listings.
     pub fn list(&self, container: ContainerId) -> Vec<ObjId> {
-        let mut ids: Vec<ObjId> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .iter()
-                    .filter(|(_, o)| o.container == container)
-                    .map(|(id, _)| *id)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        ids.sort();
-        ids
+        let objs = self.all_objects().into_iter();
+        objs.filter(|(_, o)| o.container == container).map(|(id, _)| id).collect()
     }
 
     pub fn object_count(&self) -> usize {
@@ -533,9 +521,9 @@ impl ObjectStore {
 type Undo<'a> = Option<&'a mut Vec<(usize, Arc<Chunk>)>>;
 
 impl ObjectBytes {
-    /// The chunk at `idx`, `target` bytes long and owned by this write:
-    /// its old bytes first, the rest unspecified. A chunk past the end is
-    /// appended. An existing one is written in place only if nothing else
+    /// The chunk at `idx`, owned by this write, holding its old bytes and
+    /// room to grow to `target` bytes. A chunk past the end is appended
+    /// empty. An existing one is written in place only if nothing else
     /// holds it, no undo needs it, and it is short or a free-list chunk
     /// (so a chunk that grows full can go back to the list); otherwise a
     /// copy replaces it, and `undo` keeps the original.
@@ -553,7 +541,7 @@ impl ObjectBytes {
             let mine = undo.is_none() && (slot.home.is_some() || target < pool.size);
             if !(mine && Arc::get_mut(slot).is_some()) {
                 let mut copy = pool.take(target);
-                copy[..slot.len()].copy_from_slice(slot);
+                copy.buf.extend_from_slice(slot);
                 let old = std::mem::replace(slot, Arc::new(copy));
                 if let Some(undo) = undo.as_mut() {
                     undo.push((idx, old));
@@ -561,19 +549,16 @@ impl ObjectBytes {
             }
         }
         let chunk = Arc::get_mut(&mut self.chunks[idx]).expect("a chunk this write owns");
-        if chunk.buf.len() < target {
-            chunk.buf.reserve_exact(target - chunk.buf.len());
-            chunk.buf.resize(target, 0);
-        }
+        chunk.buf.reserve_exact(target.saturating_sub(chunk.buf.len()));
         chunk
     }
 
     /// Grow to `to` bytes with zeros.
     fn zero_fill(&mut self, to: usize, pool: &Arc<ChunkPool>, undo: &mut Undo) {
         while self.len < to {
-            let (idx, had) = (self.len / pool.size, self.len % pool.size);
+            let idx = self.len / pool.size;
             let target = (to - idx * pool.size).min(pool.size);
-            self.chunk_mut(idx, target, pool, undo)[had..].fill(0);
+            put_at(&mut self.chunk_mut(idx, target, pool, undo).buf, target, &[]);
             self.len = idx * pool.size + target;
         }
     }
@@ -752,9 +737,7 @@ mod tests {
         write_final(&s, C1, oid, 0, &[1u8; 2 * CS], 0).unwrap();
         let before: Vec<Arc<Chunk>> =
             s.read_chunks(C1, oid, 0, u64::MAX).unwrap().into_iter().map(|(c, _)| c).collect();
-        let mut fresh = s.chunk(CS);
-        fresh.fill(2);
-        let fresh = Arc::new(fresh);
+        let fresh = s.chunk_of(&[2u8; CS]);
         let pre = s.write_chunk(C1, oid, CS as u64, &fresh, 0, true).unwrap();
         let now = s.read_chunks(C1, oid, 0, u64::MAX).unwrap();
         assert!(Arc::ptr_eq(&now[1].0, &fresh), "the chunk itself is installed, not copied");

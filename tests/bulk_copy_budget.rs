@@ -8,23 +8,33 @@
 //! nothing on the control path is that large — and holds the data path to
 //! a budget per user byte. No clocks: the count repeats exactly.
 //!
-//! | large bytes allocated per user byte | budget | this commit | parent (`c3b183e`) |
-//! |---|---|---|---|
-//! | write, 16 × 1 MiB into fresh objects | ≤ 2.25 | 1.94 | 2.00 |
-//! | read, 16 × 1 MiB                     | ≤ 1.25 | 1.00 | 1.00 |
-//! | warm epoch: remove 16 × 1 MiB objects, write 16 × 1 MiB fresh | ≤ 1.25 | 1.00 | 2.00 |
-//! | transactional remove of 4 MiB (bytes) | < 64 KiB | 0 | 0 |
-//! | aligned transactional overwrite of 4 MiB, bytes beyond the client's descriptor | < 64 KiB | 0 | 4 MiB |
+//! | large bytes allocated per user byte | budget | this commit | parent (`c3b183e`) | zero-filled, this commit | zero-filled, parent (`96fec0e`) |
+//! |---|---|---|---|---|---|
+//! | write, 16 × 1 MiB into fresh objects | ≤ 2.25 | 1.94 | 2.00 | 0 | 0.94 |
+//! | read, 16 × 1 MiB                     | ≤ 1.25 | 1.00 | 1.00 | 0 | 1.00 |
+//! | warm epoch: remove 16 × 1 MiB objects, write 16 × 1 MiB fresh | ≤ 1.25 | 1.00 | 2.00 | 0 | 0 |
+//! | transactional remove of 4 MiB (bytes) | < 64 KiB | 0 | 0 | 0 | 0 |
+//! | aligned transactional overwrite of 4 MiB, bytes beyond the client's descriptor | < 64 KiB | 0 | 4 MiB | 0 | 0 |
 //!
 //! and, at `replication: 2` with the host's default worker count unless
 //! a row says otherwise, counted across primary and backup:
 //!
-//! | | budget | this commit | parent (`c3b183e`) |
-//! |---|---|---|---|
-//! | write, 16 × 1 MiB into fresh objects, large bytes allocated per user byte | ≤ 5.0 | 4.99 | 5.77 |
-//! | 64 × 256 KiB overwrites, warm workers, large bytes allocated per user byte | ≤ 1.25 | 1.02 (1.00–1.03) | 1.02 |
-//! | the same with eight workers | ≤ 1.25 | 1.00 (1.03) | 1.00 |
-//! | 64 × 1 MiB overwrites of one object, growth in *live* large bytes | ≤ 4 MiB | 584 KiB | 72 KiB |
+//! | | budget | this commit | parent (`c3b183e`) | zero-filled, this commit | zero-filled, parent (`96fec0e`) |
+//! |---|---|---|---|---|---|
+//! | write, 16 × 1 MiB into fresh objects, large bytes allocated per user byte | ≤ 5.0 | 4.99 | 5.77 | 0 | 1.97 |
+//! | 64 × 256 KiB overwrites, warm workers, large bytes allocated per user byte | ≤ 1.25 | 1.02 (1.00–1.03) | 1.02 | 0 | 0 |
+//! | the same with eight workers | ≤ 1.25 | 1.00 (1.03) | 1.00 | 0 | 0 |
+//! | 64 × 1 MiB overwrites of one object, growth in *live* large bytes | ≤ 4 MiB | 584 KiB | 72 KiB | 0 | 0.008 |
+//!
+//! The zero-filled columns count, per user byte, the bulk-sized
+//! allocations the allocator was asked to zero (`alloc_zeroed`), and must
+//! read 0: a receive buffer — the client's read descriptor, a chunk a pull
+//! or a backup's copy fills — starts empty with room for its bytes and
+//! takes them by appending, so each byte is written once. At `96fec0e`
+//! the read descriptor was zeroed and then overwritten by the push
+//! (1.00), and every freshly allocated chunk was zeroed and then
+//! overwritten by the pull (0.94 on the fresh write, where the warm-up's
+//! chunks are reused; 1.97 at R=2, primary and backup).
 //!
 //! What is left is what the hops stand for: the client's registered
 //! descriptor (1.0 on either side — on Portals hardware that is pinning
@@ -83,12 +93,13 @@ const LARGE: usize = 64 * 1024;
 const MIB: usize = 1 << 20;
 
 static LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
+static ZEROED_LARGE_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_LARGE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// The system allocator, plus a running total of the bulk-sized bytes it
-/// was asked for and a tally of those not yet freed. A `realloc` counts
-/// its whole new size as allocated: growing a block may move every byte
-/// of it.
+/// was asked for, of those it was asked to zero, and a tally of those not
+/// yet freed. A `realloc` counts its whole new size as allocated: growing
+/// a block may move every byte of it.
 struct CountLarge;
 
 fn note(size: usize) {
@@ -116,6 +127,9 @@ unsafe impl GlobalAlloc for CountLarge {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        if layout.size() >= LARGE {
+            ZEROED_LARGE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -137,11 +151,13 @@ unsafe impl GlobalAlloc for CountLarge {
 #[global_allocator]
 static ALLOC: CountLarge = CountLarge;
 
-/// Bulk-sized bytes allocated, process-wide, while `f` ran.
-fn large_bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = LARGE_BYTES.load(Ordering::Relaxed);
+/// Bulk-sized bytes allocated, process-wide, while `f` ran, and how many
+/// of them were zero-filled allocations.
+fn large_bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (LARGE_BYTES.load(Ordering::Relaxed), ZEROED_LARGE_BYTES.load(Ordering::Relaxed));
     let out = f();
-    (out, LARGE_BYTES.load(Ordering::Relaxed) - before)
+    let bytes = LARGE_BYTES.load(Ordering::Relaxed) - before.0;
+    (out, bytes, ZEROED_LARGE_BYTES.load(Ordering::Relaxed) - before.1)
 }
 
 /// One storage group of `replication` members running `workers` storage
@@ -171,9 +187,11 @@ fn each_hop_of_the_bulk_path_copies_once() {
     let (cluster, client, caps) = boot(1, workers);
     let storage = vec![cluster.addrs().storage[0]];
     let payload: Vec<u8> = (0..MIB).map(|i| (i * 31 % 251) as u8).collect();
+    // Zero-filled bulk bytes per user byte, by ledger row.
+    let mut zero_fills: Vec<(&str, f64)> = Vec::new();
 
     // Create, write, read back, then remove under a transaction that
-    // commits; returns the bulk-sized bytes the remove allocated.
+    // commits; returns the bulk-sized bytes the remove allocated and zeroed.
     let cycle = |len: usize| {
         let obj = client.create_obj(0, &caps, None, None).unwrap();
         for at in (0..len).step_by(MIB) {
@@ -181,10 +199,10 @@ fn each_hop_of_the_bulk_path_copies_once() {
         }
         assert_eq!(client.read(0, &caps, obj, (len - MIB) as u64, MIB).unwrap(), payload);
         let txn = client.txn_begin().unwrap();
-        let ((), removed) =
+        let ((), removed, zeroed) =
             large_bytes_during(|| client.remove_obj(0, &caps, Some(txn), obj).unwrap());
         client.txn_commit(txn, storage.clone()).unwrap();
-        removed
+        (removed, zeroed)
     };
     // Warm-up: lazy set-up (pools, rings, caches) allocates before the count.
     cycle(MIB);
@@ -193,11 +211,12 @@ fn each_hop_of_the_bulk_path_copies_once() {
         (0..OBJECTS).map(|_| client.create_obj(0, &caps, None, None).unwrap()).collect();
     let user_bytes = (OBJECTS * MIB) as f64;
 
-    let ((), written) = large_bytes_during(|| {
+    let ((), written, zeroed) = large_bytes_during(|| {
         for obj in &objs {
             assert_eq!(client.write(0, &caps, None, *obj, 0, &payload).unwrap(), MIB as u64);
         }
     });
+    zero_fills.push(("write", zeroed as f64 / user_bytes));
     let per_byte = written as f64 / user_bytes;
     assert!(
         per_byte <= 2.25,
@@ -205,11 +224,12 @@ fn each_hop_of_the_bulk_path_copies_once() {
          descriptor plus the object's extent"
     );
 
-    let ((), read) = large_bytes_during(|| {
+    let ((), read, zeroed) = large_bytes_during(|| {
         for obj in &objs {
             assert_eq!(client.read(0, &caps, *obj, 0, MIB).unwrap(), payload);
         }
     });
+    zero_fills.push(("read", zeroed as f64 / user_bytes));
     let per_byte = read as f64 / user_bytes;
     assert!(
         per_byte <= 1.25,
@@ -223,11 +243,12 @@ fn each_hop_of_the_bulk_path_copies_once() {
     }
     let objs: Vec<ObjId> =
         (0..OBJECTS).map(|_| client.create_obj(0, &caps, None, None).unwrap()).collect();
-    let ((), epoch) = large_bytes_during(|| {
+    let ((), epoch, zeroed) = large_bytes_during(|| {
         for obj in &objs {
             assert_eq!(client.write(0, &caps, None, *obj, 0, &payload).unwrap(), MIB as u64);
         }
     });
+    zero_fills.push(("warm epoch", zeroed as f64 / user_bytes));
     let per_byte = epoch as f64 / user_bytes;
     assert!(
         per_byte <= 1.25,
@@ -235,7 +256,8 @@ fn each_hop_of_the_bulk_path_copies_once() {
          client's descriptor: the removed epoch's chunks hold the next one"
     );
 
-    let removed = cycle(4 * MIB);
+    let (removed, zeroed) = cycle(4 * MIB);
+    zero_fills.push(("transactional remove", zeroed as f64 / (4 * MIB) as f64));
     assert!(
         removed < LARGE as u64,
         "a transactional remove of a 4 MiB object allocated {removed} bulk bytes; its bytes \
@@ -252,9 +274,10 @@ fn each_hop_of_the_bulk_path_copies_once() {
     }
     client.remove_obj(0, &caps, None, spare).unwrap();
     let txn = client.txn_begin().unwrap();
-    let ((), overwritten) = large_bytes_during(|| {
+    let ((), overwritten, zeroed) = large_bytes_during(|| {
         client.write(0, &caps, Some(txn), kept, 0, &big).unwrap();
     });
+    zero_fills.push(("transactional overwrite", zeroed as f64 / big.len() as f64));
     client.txn_commit(txn, storage.clone()).unwrap();
     let preimage = overwritten.saturating_sub(big.len() as u64);
     assert!(
@@ -276,10 +299,13 @@ fn each_hop_of_the_bulk_path_copies_once() {
 
     // A ship is garbage once it is acked: nothing may keep it alive.
     let live_before = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
-    for _ in 0..64 {
-        client.write(0, &caps, None, obj, 0, &payload).unwrap();
-    }
+    let ((), _, zeroed) = large_bytes_during(|| {
+        for _ in 0..64 {
+            client.write(0, &caps, None, obj, 0, &payload).unwrap();
+        }
+    });
     let retained = LIVE_LARGE_BYTES.load(Ordering::Relaxed) - live_before;
+    zero_fills.push(("64 shipped overwrites", zeroed as f64 / (64 * MIB) as f64));
     assert!(
         retained.abs() <= 4 * MIB as i64,
         "64 overwrites of one 1 MiB object left {retained} more bulk bytes live; something \
@@ -288,11 +314,12 @@ fn each_hop_of_the_bulk_path_copies_once() {
 
     let objs: Vec<ObjId> =
         (0..OBJECTS).map(|_| client.create_obj(0, &caps, None, None).unwrap()).collect();
-    let ((), shipped) = large_bytes_during(|| {
+    let ((), shipped, zeroed) = large_bytes_during(|| {
         for obj in &objs {
             assert_eq!(client.write(0, &caps, None, *obj, 0, &payload).unwrap(), MIB as u64);
         }
     });
+    zero_fills.push(("write at R=2", zeroed as f64 / user_bytes));
     let per_byte = shipped as f64 / user_bytes;
     assert!(
         per_byte <= 5.0,
@@ -307,6 +334,9 @@ fn each_hop_of_the_bulk_path_copies_once() {
     // worker count and with eight workers, whose even share of the pinned
     // pool (256 KiB) is less than one chunk's frame and ship.
     let warm = [workers, 8].map(warm_overwrite_per_byte);
+    zero_fills.push(("warm 256 KiB overwrite at R=2", warm[0].1));
+    zero_fills.push(("the same with eight workers", warm[1].1));
+    let warm = warm.map(|(per_byte, _)| per_byte);
     for (n, small_per_byte) in [workers, 8].into_iter().zip(warm) {
         assert!(
             small_per_byte <= 1.25,
@@ -326,12 +356,22 @@ fn each_hop_of_the_bulk_path_copies_once() {
         warm[0],
         warm[1],
     );
+    // A receive buffer takes its bytes by appending: no row pays a zero
+    // pass before the one pass that fills it.
+    eprintln!("zero-filled bulk bytes per user byte: {zero_fills:?}");
+    for (row, per_byte) in zero_fills {
+        assert!(
+            per_byte == 0.0,
+            "{row}: {per_byte:.3} zero-filled bulk bytes per user byte; a buffer the data path \
+             fills must not be zeroed first"
+        );
+    }
 }
 
-/// Bulk bytes allocated per user byte by 64 replicated 256 KiB overwrites
-/// once every one of `workers` workers has framed and shipped one — as
-/// far as the scheduler lets the warm-up reach them all.
-fn warm_overwrite_per_byte(workers: usize) -> f64 {
+/// Bulk bytes allocated, and zero-filled, per user byte by 64 replicated
+/// 256 KiB overwrites once every one of `workers` workers has framed and
+/// shipped one — as far as the scheduler lets the warm-up reach them all.
+fn warm_overwrite_per_byte(workers: usize) -> (f64, f64) {
     const OBJECTS: usize = 16;
     const SMALL: usize = 256 * 1024;
     const OVERWRITES: usize = 64;
@@ -342,11 +382,12 @@ fn warm_overwrite_per_byte(workers: usize) -> f64 {
     for round in 0..32 * workers {
         client.write(0, &caps, None, objs[round % OBJECTS], 0, &small).unwrap();
     }
-    let ((), overwritten) = large_bytes_during(|| {
+    let ((), overwritten, zeroed) = large_bytes_during(|| {
         for round in 0..OVERWRITES {
             let obj = objs[round % OBJECTS];
             assert_eq!(client.write(0, &caps, None, obj, 0, &small).unwrap(), SMALL as u64);
         }
     });
-    overwritten as f64 / (OVERWRITES * SMALL) as f64
+    let user_bytes = (OVERWRITES * SMALL) as f64;
+    (overwritten as f64 / user_bytes, zeroed as f64 / user_bytes)
 }
