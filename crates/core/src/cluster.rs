@@ -57,12 +57,6 @@ const KDC_SEED: u64 = 0xFEED_F00D;
 /// *public* half — verifies, with no key-exchange step at boot).
 const CAP_SEED: u64 = 0xCAB1_51D5;
 
-/// Clock-skew tolerance for signed-token start times. OS processes of one
-/// deployment start seconds apart; without tolerance a fresh token minted
-/// on a slightly-ahead clock is rejected as not-yet-valid. Widens
-/// `not_before` only — expiry is never extended.
-const CLOCK_SKEW: Duration = Duration::from_secs(1);
-
 /// The compute side's fabric identity under tcp: the top of the compute
 /// partition, used only for the connection handshake.
 const COMPUTE_NID: u32 = 999;
@@ -293,11 +287,8 @@ impl ClusterConfig {
                 let claims = CapClaims::repl_group(group, addrs.storage[i].nid.0);
                 bytes::Bytes::from(issuer.mint(claims))
             });
-            config.signed = Some(SignedCapConfig {
-                public_key: *issuer.public().as_bytes(),
-                ship_token,
-                clock_skew: CLOCK_SKEW,
-            });
+            config.signed =
+                Some(SignedCapConfig { public_key: *issuer.public().as_bytes(), ship_token });
         }
         config
     }

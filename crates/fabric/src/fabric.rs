@@ -47,22 +47,20 @@ pub struct FabricConfig {
     /// Frames a connection's write queue holds before senders are refused
     /// with [`Error::ServerBusy`] — per-connection write backpressure.
     pub write_queue_depth: usize,
-    /// Deadline for one-sided put/get round trips (a lost peer surfaces
-    /// as [`Error::Timeout`], which every caller treats as transient).
-    pub io_timeout: Duration,
-    /// Deadline for establishing a connection to a manifest peer.
-    pub dial_timeout: Duration,
 }
 
 impl Default for FabricConfig {
     fn default() -> Self {
-        Self {
-            write_queue_depth: 4096,
-            io_timeout: Duration::from_secs(2),
-            dial_timeout: Duration::from_secs(1),
-        }
+        Self { write_queue_depth: 4096 }
     }
 }
+
+/// Deadline for one-sided put/get round trips (a lost peer surfaces as
+/// [`Error::Timeout`], which every caller treats as transient).
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Deadline for establishing a connection to a manifest peer.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
 struct WriteQueue {
     frames: std::collections::VecDeque<Bytes>,
@@ -302,8 +300,8 @@ impl Inner {
             return Err(Error::Internal(format!("fabric routing loop: {nid:?} is this node")));
         }
         let addr = self.manifest.addr_of(nid).ok_or(Error::Unreachable)?;
-        let stream = TcpStream::connect_timeout(&addr, self.config.dial_timeout)
-            .map_err(|_| Error::Unreachable)?;
+        let stream =
+            TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).map_err(|_| Error::Unreachable)?;
         let conn = self.start_conn(stream)?;
         // Open with Hello so the peer can route replies before any
         // addressed frame arrives.
@@ -362,7 +360,7 @@ impl Inner {
             return Err(Error::ServerBusy);
         }
         self.frames_sent.inc();
-        match rx.recv_timeout(self.config.io_timeout) {
+        match rx.recv_timeout(IO_TIMEOUT) {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
                 self.pending.lock().remove(&token);
@@ -724,13 +722,9 @@ mod tests {
         let mut manifest = Manifest::new();
         manifest.insert(NodeId(1100), addr);
         let net = Network::default();
-        let fabric = SocketFabric::attach(
-            &net,
-            NodeId(3),
-            manifest,
-            FabricConfig { write_queue_depth: 4, ..Default::default() },
-        )
-        .unwrap();
+        let fabric =
+            SocketFabric::attach(&net, NodeId(3), manifest, FabricConfig { write_queue_depth: 4 })
+                .unwrap();
         let ep = net.register(ProcessId::new(3, 0));
         // Accept the dial but never read: the kernel buffers a little,
         // then the writer thread blocks and the queue fills. The holder

@@ -1,11 +1,11 @@
-//! What bounds a storage server's transfers and what it reuses: the
-//! transfer budget of Figure 6, and each worker's log and ship buffers.
+//! What a storage worker reuses: its log and ship buffers.
 //!
 //! Figure 6 stages one-sided transfers through a *fixed* set of pinned
 //! buffers, so a burst of tens of thousands of requests cannot grow the
-//! server's memory: requests that cannot get one wait or are rejected.
-//! Our store is memory, so a pull lands straight in the chunk the object
-//! keeps (see [`crate::store`]); the pool keeps the bound as a count.
+//! server's memory. Our store is memory, so a pull lands straight in the
+//! chunk the object keeps (see [`crate::store`]), and a request moves
+//! bytes only on the worker that received it: the `workers` threads are
+//! the bound.
 //!
 //! Each worker frames a request's WAL records into a `FrameBatch` and
 //! encodes its ship into one request buffer, and keeps both across
@@ -13,61 +13,11 @@
 //! to the kernel, and the next operation faults its pages in again.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use lwfs_obs::Gauge;
 use lwfs_proto::{frame, Encode, Error, Result};
 
-/// Figure 6's bound on transfers in flight: `capacity` requests may move
-/// bytes at once. A request takes its place before its first pull or
-/// push and keeps it to its end, so a refusal (`ServerBusy`) only ever
-/// comes before a byte has moved.
-pub struct PinnedBufferPool {
-    free: AtomicUsize,
-    total: usize,
-    /// Places taken (`storage.pool_in_use`). Updates are additive
-    /// (inc/dec, never set) so several pools sharing one fabric-level
-    /// gauge aggregate correctly.
-    gauge: Arc<Gauge>,
-}
-
-impl PinnedBufferPool {
-    /// A budget of `count` places, counted in `gauge`.
-    pub fn new(count: usize, gauge: Arc<Gauge>) -> Self {
-        assert!(count > 0, "the budget must admit a request");
-        Self { free: AtomicUsize::new(count), total: count, gauge }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.total
-    }
-
-    pub fn available(&self) -> usize {
-        self.free.load(Ordering::Acquire)
-    }
-
-    /// Try to take a place; `None` when all are taken (the server counts
-    /// that as `storage.busy_rejects`).
-    pub fn try_acquire(&self) -> Option<PoolSlot<'_>> {
-        self.free.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1)).ok()?;
-        self.gauge.inc();
-        Some(PoolSlot { pool: self })
-    }
-}
-
-/// A place in the budget; given back on drop.
-pub struct PoolSlot<'a> {
-    pool: &'a PinnedBufferPool,
-}
-
-impl Drop for PoolSlot<'_> {
-    fn drop(&mut self) {
-        self.pool.free.fetch_add(1, Ordering::AcqRel);
-        self.pool.gauge.dec();
-    }
-}
+use crate::store::CHUNK_SIZE;
 
 /// The WAL frames one request produced, in append order: one buffer
 /// holding them back to back, and the range of each frame in it.
@@ -138,26 +88,19 @@ const CHUNK_ENVELOPE: usize = 4096;
 /// ack when no other handle remains (a re-sent ship still queued at the
 /// backup keeps its buffer, and a fresh one is allocated).
 ///
-/// Between requests a worker keeps its share of `pool_buffers ×
-/// chunk_size` (the bytes Figure 6's pool would pin), but never less than
-/// one full chunk's frame and ship; larger buffers are freed. With the
-/// defaults a server retains 2 MiB up to three workers and 520 KiB per
-/// worker from four on.
-#[derive(Debug)]
+/// Between requests a worker keeps one full chunk's frame and ship
+/// ([`KEEP`]); larger buffers are freed.
+#[derive(Debug, Default)]
 pub(crate) struct WorkerBuffers {
     pub frames: FrameBatch,
     ship: BytesMut,
-    keep: usize,
 }
 
-impl WorkerBuffers {
-    /// Buffers that keep `share` bytes between requests, or one
-    /// `chunk_size` chunk's frame and ship if those need more.
-    pub fn new(share: usize, chunk_size: usize) -> Self {
-        let keep = share.max(2 * (chunk_size + CHUNK_ENVELOPE));
-        Self { frames: FrameBatch::default(), ship: BytesMut::new(), keep }
-    }
+/// Bytes a worker's frame and ship buffers may hold between requests:
+/// 520 KiB.
+const KEEP: usize = 2 * (CHUNK_SIZE + CHUNK_ENVELOPE);
 
+impl WorkerBuffers {
     /// Lend the batch out for shipping: the whole buffer, which goes back
     /// through [`return_frames`](Self::return_frames), and a view of each
     /// frame.
@@ -189,10 +132,10 @@ impl WorkerBuffers {
     }
 
     /// Close a request: empty the batch, and free both buffers if
-    /// together they hold more than this worker may keep.
+    /// together they hold more than [`KEEP`].
     pub fn end_request(&mut self) {
         self.frames.clear();
-        if self.frames.buf.capacity() + self.ship.capacity() > self.keep {
+        if self.frames.buf.capacity() + self.ship.capacity() > KEEP {
             self.frames = FrameBatch::default();
             self.ship = BytesMut::new();
         }
@@ -216,31 +159,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acquire_release_cycle() {
-        let pool = PinnedBufferPool::new(2, Arc::new(Gauge::new()));
-        assert_eq!(pool.available(), 2);
-        let b1 = pool.try_acquire().unwrap();
-        let b2 = pool.try_acquire().unwrap();
-        assert_eq!(pool.available(), 0);
-        assert!(pool.try_acquire().is_none());
-        drop(b1);
-        assert_eq!(pool.available(), 1);
-        let b3 = pool.try_acquire().unwrap();
-        drop(b2);
-        drop(b3);
-        assert_eq!(pool.available(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_rejected() {
-        let _ = PinnedBufferPool::new(0, Arc::new(Gauge::new()));
-    }
-
-    #[test]
     fn worker_buffers_are_reused_only_when_unshared_and_within_budget() {
-        // Keeps 2 × (1000 + CHUNK_ENVELOPE) bytes: more than the share.
-        let mut bufs = WorkerBuffers::new(4096, 1000);
+        let mut bufs = WorkerBuffers::default();
         let payload = vec![5u8; 1000];
         bufs.frames.reserve(2 * (frame::HEADER_LEN + 4 + 1000)).unwrap();
         let first = bufs.frames.push(&payload).unwrap().to_vec();
@@ -269,7 +189,7 @@ mod tests {
         drop((held, frames));
         bufs.return_frames(whole);
         // Over budget: both are freed at the end of the request.
-        bufs.frames.push(&vec![0u8; 2 * CHUNK_ENVELOPE + 3000]).unwrap();
+        bufs.frames.push(&vec![0u8; KEEP]).unwrap();
         bufs.end_request();
         assert_eq!(bufs.frames.buf.capacity() + bufs.ship.capacity(), 0);
     }
@@ -300,19 +220,5 @@ mod tests {
         assert!(batch.is_empty());
         batch.reserve(4096).unwrap();
         assert_eq!(batch.buf.capacity(), 4096);
-    }
-
-    #[test]
-    fn gauge_tracks_occupancy() {
-        let g = Arc::new(Gauge::new());
-        let pool = PinnedBufferPool::new(2, Arc::clone(&g));
-        let b1 = pool.try_acquire().unwrap();
-        assert_eq!(g.get(), 1);
-        let b2 = pool.try_acquire().unwrap();
-        assert_eq!(g.get(), 2);
-        drop(b1);
-        assert_eq!(g.get(), 1);
-        drop(b2);
-        assert_eq!(g.get(), 0);
     }
 }

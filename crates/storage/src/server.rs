@@ -13,36 +13,34 @@
 //! order. The endpoint's intake answers telemetry scrapes where they are
 //! delivered, so a scrape never waits for a worker. Each data request
 //! moves its bulk payload with one-sided operations against the
-//! *client's* pinned memory descriptor, admitted by the server's bounded
-//! [`PinnedBufferPool`] and landing straight in the object store's
-//! chunks — the complete Figure 6 pipeline:
+//! *client's* pinned memory descriptor, landing straight in the object
+//! store's chunks — the complete Figure 6 pipeline:
 //!
 //! ```text
 //! client:     post MD, send small request ─▶ server queue
 //! worker i:   in its receive turn: receive, ticket in arrival order
 //!             wait for conflicting earlier tickets (usually none)
 //!             authorize (cap cache / verify-through)
-//!             take a place in the pool, or refuse ServerBusy (nothing moved)
 //!             for each chunk: GET from client MD into a recycled chunk,
 //!                             install it in the object, frame the record
 //!                             from the chunk, log it
 //!             ship the frames to the backups (a group primary), await acks
-//!             give the place back, reply WriteDone
+//!             reply WriteDone
 //! ```
 //!
-//! A read takes its place the same way and `PUT`s straight from the
-//! object's chunks. Each record is framed once, from its chunk, into the
-//! worker's own reused `FrameBatch`; the log appends those frames and the
-//! ship carries them, encoded once (`buffers::WorkerBuffers`). A frame
-//! the log failed to append leaves the batch.
+//! A read `PUT`s straight from the object's chunks. Each record is framed
+//! once, from its chunk, into the worker's own reused `FrameBatch`; the
+//! log appends those frames and the ship carries them, encoded once
+//! (`buffers::WorkerBuffers`). A frame the log failed to append leaves
+//! the batch.
 //!
 //! With `workers = 1` the pipeline is the serial paper-faithful loop. On a
 //! memory-only store no order beats arrival order, so §3.2's reordering of
-//! independent requests is not applied. More workers than pool places
-//! just means more `ServerBusy` rejections, and while every worker is
-//! busy requests wait in the transport's bounded eager queue, so it (and
-//! ultimately the §3.2 client back-off loop) provides end-to-end flow
-//! control.
+//! independent requests is not applied. Figure 6's bound on transfers in
+//! flight is the worker count: a request moves bytes only on the worker
+//! that received it. While every worker is busy, requests wait in the
+//! transport's bounded eager queue, so it (and ultimately the §3.2 client
+//! back-off loop) provides end-to-end flow control.
 //!
 //! The request path is split along its seams: the loop and the request
 //! dispatch (`dispatch`), the data operations (`data`), ship-before-ack
@@ -67,7 +65,7 @@ use lwfs_replica::{ReplicaConfig, ReplicaState};
 use lwfs_txn::{JournalState, JournalStore};
 use lwfs_wal::{AppendTiming, Wal, WalConfig, WalRecord};
 
-use crate::buffers::{FrameBatch, PinnedBufferPool};
+use crate::buffers::FrameBatch;
 use crate::store::{ObjectStore, StoreConfig, CHUNK_SIZE};
 
 pub(crate) use data::{remove_staged, write_staged};
@@ -76,15 +74,10 @@ pub(crate) use txn::UndoOp;
 /// Storage-server configuration.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    /// Bytes per chunk: the unit an object is cut into and a one-sided
-    /// transfer moves.
-    pub chunk_size: usize,
-    /// Requests that may move bytes at once (Figure 6's pinned buffers,
-    /// kept as a count).
-    pub pool_buffers: usize,
     /// Worker threads running the authorize → transfer → store → reply
-    /// path. `1` reproduces the serial paper-faithful loop exactly;
-    /// the default matches the host's available parallelism.
+    /// path, and so the requests that may move bytes at once (Figure 6's
+    /// bound). `1` reproduces the serial paper-faithful loop exactly; the
+    /// default matches the host's available parallelism.
     pub workers: usize,
     /// Object-store configuration.
     pub store: StoreConfig,
@@ -115,16 +108,17 @@ pub struct SignedCapConfig {
     /// Group-scoped, holder-bound token this server presents on outbound
     /// `ReplShip`s (primaries of replicated groups only).
     pub ship_token: Option<Bytes>,
-    /// Tolerance for tokens minted by a process whose clock runs slightly
-    /// ahead of ours (widens `not_before` only, never expiry).
-    pub clock_skew: Duration,
 }
+
+/// Clock-skew tolerance for signed-token start times. OS processes of one
+/// deployment start seconds apart; without tolerance a fresh token minted
+/// on a slightly-ahead clock is rejected as not-yet-valid. Widens
+/// `not_before` only — expiry is never extended.
+const CLOCK_SKEW: Duration = Duration::from_secs(1);
 
 impl Default for StorageConfig {
     fn default() -> Self {
         Self {
-            chunk_size: CHUNK_SIZE,
-            pool_buffers: 8,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             store: StoreConfig::default(),
             wal: None,
@@ -157,7 +151,6 @@ pub struct StorageStats {
     pub syncs: Arc<Counter>,
     pub bytes_pulled: Arc<Counter>,
     pub bytes_pushed: Arc<Counter>,
-    pub busy_rejects: Arc<Counter>,
     pub txn_commits: Arc<Counter>,
     pub txn_aborts: Arc<Counter>,
     /// Times a worker had to wait for an earlier conflicting in-flight
@@ -193,7 +186,6 @@ impl StorageStats {
             syncs: registry.counter("storage.syncs"),
             bytes_pulled: registry.counter("storage.bytes_pulled"),
             bytes_pushed: registry.counter("storage.bytes_pushed"),
-            busy_rejects: registry.counter("storage.busy_rejects"),
             txn_commits: registry.counter("storage.txn_commits"),
             txn_aborts: registry.counter("storage.txn_aborts"),
             conflict_defers: registry.counter("storage.conflict_defer"),
@@ -229,7 +221,6 @@ pub struct StorageServer {
 
     config: StorageConfig,
     store: ObjectStore,
-    pool: PinnedBufferPool,
     /// Verify-through capability cache bound to the authorization
     /// service: the legacy mode's capability path.
     verifier: CachedCapVerifier,
@@ -280,7 +271,7 @@ impl StorageServer {
         clock: Arc<dyn Clock>,
     ) -> (ServiceHandle, Arc<StorageServer>) {
         let obs = Arc::clone(net.obs());
-        let store = ObjectStore::with_chunks(config.store.clone(), config.chunk_size, &obs);
+        let store = ObjectStore::with_chunks(config.store.clone(), CHUNK_SIZE, &obs);
         let journal = JournalStore::new();
         let wal = config.wal.as_ref().map(|wal_cfg| {
             let start = std::time::Instant::now();
@@ -317,7 +308,7 @@ impl StorageServer {
             SignedCaps {
                 verifier: LocalCapVerifier::with_registry(
                     public,
-                    sc.clock_skew.as_nanos().min(u128::from(u64::MAX)) as u64,
+                    CLOCK_SKEW.as_nanos() as u64,
                     &obs,
                 ),
                 ship_token: sc.ship_token.clone().unwrap_or_default(),
@@ -326,7 +317,6 @@ impl StorageServer {
         let server = Arc::new(StorageServer {
             site: id,
             store,
-            pool: PinnedBufferPool::new(config.pool_buffers, obs.gauge("storage.pool_in_use")),
             verifier,
             signed,
             clock,
@@ -360,10 +350,6 @@ impl StorageServer {
 
     pub fn cap_cache_stats(&self) -> lwfs_authz::CapCacheStats {
         self.verifier.stats()
-    }
-
-    pub fn pool(&self) -> &PinnedBufferPool {
-        &self.pool
     }
 
     /// Prepared transactions held **in doubt**, sorted by id — after a

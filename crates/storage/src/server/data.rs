@@ -14,7 +14,7 @@ use lwfs_wal::{WalRecord, WriteRef};
 
 use super::{wal_spans, StorageServer, UndoOp};
 use crate::buffers::FrameBatch;
-use crate::store::{Chunk, ObjectStore};
+use crate::store::{Chunk, ObjectStore, CHUNK_SIZE};
 
 /// Apply one piece of a write, keeping what it displaced for undo only
 /// under a transaction (otherwise it goes back to the free list). Shared
@@ -114,9 +114,9 @@ impl StorageServer {
     /// Server-directed write: pull `len` bytes from the client's MD in
     /// pieces cut at chunk boundaries, each into a chunk from the store's
     /// free list that the object then installs (an unaligned first or last
-    /// piece is copied into the chunk it lands in). The request is
-    /// admitted before the first pull and holds its place to the end, so
-    /// a `ServerBusy` refusal never leaves part of a write behind.
+    /// piece is copied into the chunk it lands in). Everything that can
+    /// refuse the whole write (the capability, the object, the extent) is
+    /// judged before the first pull.
     ///
     /// The per-request `trace` (when present) is decomposed into the
     /// Figure 6 stages: `authorize`, then `pull`, `store_write` and
@@ -144,9 +144,8 @@ impl StorageServer {
         // The whole extent is judged before the first byte moves: a length
         // this server would refuse at the last piece is refused now.
         let end = self.store.check_extent(offset, len)?;
-        let _admitted = self.admit()?;
         let now = self.clock.now();
-        let size = self.config.chunk_size as u64;
+        let size = CHUNK_SIZE as u64;
         let mut moved: u64 = 0;
         while moved < len {
             let at = offset + moved;
@@ -208,7 +207,6 @@ impl StorageServer {
             unreachable!("caller matched Read");
         };
         self.authorize(client, &req.token, cap, OpMask::READ, oid.0)?;
-        let _admitted = self.admit()?;
         let mut moved: u64 = 0;
         for (chunk, range) in self.store.read_chunks(cap.container(), oid, offset, len)? {
             let n = range.len() as u64;
@@ -218,15 +216,5 @@ impl StorageServer {
         }
         self.stats.reads.inc();
         Ok(moved)
-    }
-
-    /// Take a place in the transfer budget for one request, or refuse it
-    /// with `ServerBusy` (the client backs off and re-sends: the flow
-    /// control of §3.2). Held until the request's last byte has moved.
-    fn admit(&self) -> Result<crate::buffers::PoolSlot<'_>> {
-        self.pool.try_acquire().ok_or_else(|| {
-            self.stats.busy_rejects.inc();
-            Error::ServerBusy
-        })
     }
 }

@@ -134,8 +134,7 @@ impl StorageServer {
         let worker_dispatch = self.obs.histogram(&format!("storage.worker{idx}.dispatch_ns"));
         let in_flight = self.obs.gauge("storage.in_flight");
         let srv_in_flight = self.obs.gauge(&format!("storage.srv{}.in_flight", self.site.nid.0));
-        let share = self.config.pool_buffers * self.config.chunk_size / self.config.workers.max(1);
-        let mut bufs = WorkerBuffers::new(share, self.config.chunk_size);
+        let mut bufs = WorkerBuffers::default();
         while let Some((ticket, req, mut trace)) = self.receive(ep, turn, tracker, stop) {
             if tracker.wait_turn(ticket) {
                 self.stats.conflict_defers.inc();

@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 /// share a shard lock (and never hold one across a byte copy).
 const SHARD_COUNT: usize = 16;
 
-/// The chunk size of [`ObjectStore::new`] and the server's default.
+/// The chunk size of [`ObjectStore::new`] and of every storage server.
 pub const CHUNK_SIZE: usize = 256 * 1024;
 
 /// Store-level configuration.

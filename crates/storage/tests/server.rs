@@ -479,7 +479,7 @@ fn enforcement_with_live_authorization_service() {
 fn boot_workers(
     workers: usize,
 ) -> (Network, lwfs_portals::ServiceHandle, Arc<StorageServer>, Authz) {
-    boot(StorageConfig { workers, pool_buffers: 16, ..StorageConfig::default() })
+    boot(StorageConfig { workers, ..StorageConfig::default() })
 }
 
 /// Fire a write request *without* waiting for the reply — several of these

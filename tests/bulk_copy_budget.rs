@@ -59,13 +59,12 @@
 //! straight from the chunk, into the worker's frame batch (1.0), and the
 //! ship request is encoded once, at its exact size, into the worker's
 //! ship buffer (1.0). A worker keeps both buffers across requests while
-//! together they fit its share of `pool_buffers × chunk_size` (1 MiB at
-//! two workers) or, when that share is smaller, one 256 KiB chunk's frame
-//! and ship (520 KiB). So a 1 MiB write, whose two buffers need 2 MiB,
-//! allocates them afresh, and a 256 KiB overwrite — `repl_write`'s shape
-//! — allocates nothing but the client's descriptor however many workers
-//! there are: the eight-worker row is a many-core host's default, where
-//! the even share alone (256 KiB) read 3.00.
+//! together they fit one 256 KiB chunk's frame and ship (520 KiB). So a
+//! 1 MiB write, whose two buffers need 2 MiB, allocates them afresh, and
+//! a 256 KiB overwrite — `repl_write`'s shape — allocates nothing but the
+//! client's descriptor however many workers there are: the eight-worker
+//! row is a many-core host's default, where an even split of a fixed
+//! 2 MiB among the workers (256 KiB each) read 3.00.
 //! Before `3fb4ac7` the replicated path paid, per 256 KiB chunk, a record
 //! copy and a frame that doubled to 512 KiB, and per request a doubling
 //! ship buffer (8.00 on the warm overwrite row), all freed after the ack
@@ -331,8 +330,8 @@ fn each_hop_of_the_bulk_path_copies_once() {
     drop((client, cluster));
 
     // `repl_write`'s shape, 256 KiB overwrites, with this host's default
-    // worker count and with eight workers, whose even share of the pinned
-    // pool (256 KiB) is less than one chunk's frame and ship.
+    // worker count and with eight workers, each keeping one chunk's frame
+    // and ship.
     let warm = [workers, 8].map(warm_overwrite_per_byte);
     zero_fills.push(("warm 256 KiB overwrite at R=2", warm[0].1));
     zero_fills.push(("the same with eight workers", warm[1].1));

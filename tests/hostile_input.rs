@@ -322,9 +322,8 @@ fn refuse_lying_writes(replication: usize) {
             "resident set jumped from {before} to {after} bytes"
         );
     }
-    // Still serving, pool intact.
+    // Still serving.
     assert_eq!(client.call(srv, RequestBody::Ping).unwrap(), ReplyBody::Pong);
-    assert_eq!(server.pool().available(), server.pool().capacity());
 }
 
 /// A request id as the RPC layer mints them, too wide for an `f64`.

@@ -13,6 +13,7 @@ use lwfs::prelude::*;
 use lwfs::proto::{
     Decode as _, Encode as _, MdHandle, OpNum, Reply, ReplyBody, Request, RequestBody,
 };
+use lwfs::storage::store::CHUNK_SIZE;
 use lwfs::storage::StorageConfig;
 use lwfs::wal::{read_log, WalRecord};
 use rand::{Rng, SeedableRng};
@@ -188,8 +189,6 @@ fn worker_pool_keeps_objects_exact_under_parallel_clients() {
     // disjoint-object traffic (must overlap freely) with whole-range
     // overlapping writes to one shared object (must serialize — a torn
     // multi-chunk write would leave mixed fill bytes).
-    use lwfs::storage::StorageConfig;
-
     let cluster = Arc::new(LwfsCluster::boot(ClusterConfig {
         storage_servers: 1,
         storage: StorageConfig { workers: 4, ..Default::default() },
@@ -258,22 +257,20 @@ fn worker_pool_keeps_objects_exact_under_parallel_clients() {
     assert_eq!(server.stats().writes.get(), expected_writes);
 }
 
-/// A budget of one request moving bytes, two workers, a log and a backup:
-/// concurrent multi-chunk writes to distinct objects each either complete
-/// or are refused with `ServerBusy` — and a refused write moved nothing.
-/// Its object is untouched on the primary and on the backup, and neither
-/// log holds a record of it.
+/// Two workers, a log and a backup: concurrent multi-chunk writes to
+/// distinct objects, all in front of the workers at once, each complete
+/// exactly once. Every object holds the payload on the primary and on the
+/// backup, and each log holds one record per chunk of it.
 #[test]
-fn a_busy_refusal_moves_nothing() {
+fn pipelined_replicated_writes_all_land_once() {
     const WRITES: usize = 16;
     const LEN: usize = 1 << 20;
-    let root = std::env::temp_dir().join(format!("lwfs-stress-busy-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("lwfs-stress-pipelined-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let cluster = LwfsCluster::boot(ClusterConfig {
         storage_servers: 1,
         replication: 2,
         storage: StorageConfig {
-            pool_buffers: 1,
             workers: 2,
             wal: Some(WalConfig::new(root.clone())),
             ..Default::default()
@@ -290,7 +287,6 @@ fn a_busy_refusal_moves_nothing() {
     let ep = cluster.network().register(ProcessId::new(7, 0));
     let payload: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
 
-    let mut refused = 0;
     for round in 0..10 {
         let objs: Vec<ObjId> =
             (0..WRITES).map(|_| app.create_obj(0, &caps, None, None).unwrap()).collect();
@@ -314,8 +310,7 @@ fn a_busy_refusal_moves_nothing() {
                 (req.opnum, mb)
             })
             .collect();
-        let mut busy = Vec::new();
-        for ((opnum, mb), obj) in sent.into_iter().zip(&objs) {
+        for (opnum, mb) in sent {
             let want = reply_match(opnum.0);
             let ev = ep
                 .recv_match(
@@ -323,11 +318,12 @@ fn a_busy_refusal_moves_nothing() {
                     |e| matches!(e, Event::Message { match_bits, .. } if *match_bits == want),
                 )
                 .unwrap();
-            match Reply::from_bytes(ev.message_data().unwrap().clone()).unwrap().into_result() {
-                Ok(ReplyBody::WriteDone { len }) => assert_eq!(len, LEN as u64),
-                Err(Error::ServerBusy) => busy.push(*obj),
-                other => panic!("round {round}: a write either completes or is busy: {other:?}"),
-            }
+            let reply = Reply::from_bytes(ev.message_data().unwrap().clone()).unwrap();
+            assert_eq!(
+                reply.into_result(),
+                Ok(ReplyBody::WriteDone { len: LEN as u64 }),
+                "round {round}"
+            );
             ep.unlink_md(mb);
         }
         let logs = [primary, backup].map(|s| read_log(s.wal_dir().unwrap()).unwrap().records);
@@ -341,18 +337,10 @@ fn a_busy_refusal_moves_nothing() {
                     .filter(|r| matches!(r, WalRecord::Write { obj: o, .. } if o == obj))
                     .count()
             });
-            if busy.contains(obj) {
-                assert!(on_primary.is_empty() && on_backup.is_empty(), "round {round}: {obj}");
-                assert_eq!(records, [0, 0], "round {round}: a log holds part of refused {obj}");
-            } else {
-                assert!(on_primary == payload && on_backup == payload, "round {round}: {obj}");
-                let chunks = LEN.div_ceil(StorageConfig::default().chunk_size);
-                assert_eq!(records, [chunks; 2], "round {round}: {obj}");
-            }
+            assert!(on_primary == payload && on_backup == payload, "round {round}: {obj}");
+            assert_eq!(records, [LEN.div_ceil(CHUNK_SIZE); 2], "round {round}: {obj}");
         }
-        refused += busy.len();
     }
-    assert!(refused > 0, "one place for two workers never refused a write");
     drop(cluster);
     let _ = std::fs::remove_dir_all(&root);
 }
