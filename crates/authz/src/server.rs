@@ -133,16 +133,6 @@ impl Service for AuthzServer {
                     Err(e) => ReplyBody::Err(e),
                 }
             }
-            RequestBody::BumpEpochs { cap, containers } => {
-                match self.service.bump_epochs(cap, containers) {
-                    Ok(epochs) => {
-                        let bumped = epochs.len() as u64;
-                        self.push_epochs(ep, epochs);
-                        ReplyBody::EpochsBumped { bumped }
-                    }
-                    Err(e) => ReplyBody::Err(e),
-                }
-            }
             RequestBody::RevokeCred { cred } => {
                 self.service.forget_credential(cred);
                 ReplyBody::CredRevoked

@@ -8,8 +8,8 @@ use lwfs_auth::{AuthService, Clock};
 use lwfs_cap::{CapClaims, CapIssuer};
 use lwfs_proto::security::siphash::MacKey;
 use lwfs_proto::{
-    Capability, CapabilityBody, CapabilityKey, ContainerId, Credential, EpochBump, Error, Lifetime,
-    OpMask, PrincipalId, ProcessId, Result,
+    Capability, CapabilityBody, CapabilityKey, ContainerId, Credential, Error, Lifetime, OpMask,
+    PrincipalId, ProcessId, Result,
 };
 use parking_lot::Mutex;
 
@@ -246,29 +246,6 @@ impl AuthzService {
         *slot += 1;
         st.stats.epoch_bumps += 1;
         *slot
-    }
-
-    /// Bulk-bump revocation epochs — the revocation-storm path. The caller
-    /// must hold a valid ADMIN capability, and its principal must have
-    /// ADMIN rights on *every* listed container (all-or-nothing: a storm
-    /// that silently skipped containers would report revocation it did not
-    /// perform).
-    pub fn bump_epochs(
-        &self,
-        cap: &Capability,
-        containers: &[ContainerId],
-    ) -> Result<Vec<EpochBump>> {
-        self.check_capability(cap, OpMask::ADMIN)?;
-        let mut st = self.state.lock();
-        for &c in containers {
-            if !st.policy.allowed_ops(c, cap.body.principal)?.contains(OpMask::ADMIN) {
-                return Err(Error::AccessDenied);
-            }
-        }
-        Ok(containers
-            .iter()
-            .map(|&c| EpochBump { container: c, epoch: Self::bump_epoch_locked(&mut st, c) })
-            .collect())
     }
 
     /// Issue capabilities for `ops` on `container` (Figure 4-a, step 1).

@@ -39,21 +39,19 @@ pub struct SpanRecord {
 }
 
 /// Ring state guarded by one mutex: the records themselves plus the
-/// indexes that keep [`SpanLog::for_req`]/[`SpanLog::completed_reqs`]
-/// from scanning the whole ring under the lock.
+/// index that keeps [`SpanLog::for_req`] from scanning the whole ring
+/// under the lock.
 ///
 /// Every record gets a monotonically increasing sequence number;
 /// `base_seq` is the seq of `q[0]`, so `q[seq - base_seq]` addresses any
 /// retained record in O(1). `by_req` maps a request id to its retained
 /// seqs (ascending — eviction always removes the globally smallest seq,
-/// which is necessarily the front of its request's deque), and
-/// `completed` lists the seqs of retained [`TOTAL_STAGE`] records.
+/// which is necessarily the front of its request's deque).
 #[derive(Default)]
 struct Ring {
     q: VecDeque<SpanRecord>,
     base_seq: u64,
     by_req: HashMap<u64, VecDeque<u64>>,
-    completed: VecDeque<(u64, u64)>,
 }
 
 /// Spans a registry's log retains before the oldest is overwritten.
@@ -103,15 +101,9 @@ impl SpanLog {
                     r.by_req.remove(&evicted.req_id);
                 }
             }
-            if r.completed.front().is_some_and(|(s, _)| *s == evicted_seq) {
-                r.completed.pop_front();
-            }
         }
         let seq = r.base_seq + r.q.len() as u64;
         r.by_req.entry(record.req_id).or_default().push_back(seq);
-        if record.stage == TOTAL_STAGE {
-            r.completed.push_back((seq, record.req_id));
-        }
         r.q.push_back(record);
     }
 
@@ -162,17 +154,7 @@ impl SpanLog {
         let next = r.base_seq + r.q.len() as u64;
         r.q.clear();
         r.by_req.clear();
-        r.completed.clear();
         r.base_seq = next;
-    }
-
-    /// Request ids that have a [`TOTAL_STAGE`] span retained, in
-    /// recording order. Maintained incrementally — no ring scan.
-    pub fn completed_reqs(&self) -> Vec<u64> {
-        let r = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = Vec::with_capacity(r.completed.len());
-        out.extend(r.completed.iter().map(|(_, req_id)| *req_id));
-        out
     }
 }
 
@@ -240,7 +222,6 @@ mod tests {
         let one = log.for_req(1);
         assert_eq!(one.len(), 3);
         assert!(one.iter().all(|s| s.req_id == 1));
-        assert_eq!(log.completed_reqs(), vec![1]);
         assert!(log.for_req(99).is_empty());
     }
 
@@ -270,7 +251,6 @@ mod tests {
         // Only the last 4 records survive: reqs 0,1,0(total),1(total).
         assert_eq!(log.for_req(0).len(), 2);
         assert_eq!(log.for_req(1).len(), 2);
-        assert_eq!(log.completed_reqs(), vec![0, 1]);
         // Index answers agree with a brute-force scan of `recent`.
         let all = log.recent(usize::MAX);
         for req in [0u64, 1] {
@@ -283,13 +263,11 @@ mod tests {
         }
         assert!(log.for_req(0).is_empty());
         assert!(log.for_req(1).is_empty());
-        assert!(log.completed_reqs().is_empty());
         log.clear();
         assert!(log.for_req(7).is_empty());
         // Recording after clear keeps seq accounting consistent.
         log.record(rec(8, TOTAL_STAGE, 200, 1));
         assert_eq!(log.for_req(8).len(), 1);
-        assert_eq!(log.completed_reqs(), vec![8]);
     }
 
     #[test]
@@ -345,8 +323,7 @@ mod tests {
                             assert!(spans.iter().all(|s| s.req_id == req));
                             lookups += 1;
                         }
-                        let done = log.completed_reqs();
-                        assert!(done.len() <= 256);
+                        assert!(log.len() <= 256);
                     }
                     lookups
                 })

@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_with_server_busy() {
-        let net = Network::new(NetworkConfig { eager_queue_depth: 2, ..Default::default() });
+        let net = Network::new(NetworkConfig { eager_queue_depth: 2 });
         let a = net.register(ProcessId::new(0, 0));
         let b = net.register(ProcessId::new(1, 0));
         a.send(b.id(), 1, Bytes::new()).unwrap();

@@ -8,9 +8,8 @@ use std::time::Instant;
 use bytes::Bytes;
 use lwfs_obs::{Gauge, Registry};
 use parking_lot::{Condvar, Mutex, RwLock};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
+use lwfs_proto::rng::ChaCha8;
 use lwfs_proto::{Decode as _, Encode as _, Error, NodeId, ProcessId, Reply, Request, Result};
 
 use crate::buffer::MemDesc;
@@ -27,15 +26,16 @@ pub struct NetworkConfig {
     /// the sender with [`Error::ServerBusy`] — the transport-level analogue
     /// of an I/O node's buffers filling under a request burst (§3.2).
     pub eager_queue_depth: usize,
-    /// Seed for the fault-injection RNG; deterministic across runs.
-    pub fault_seed: u64,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        Self { eager_queue_depth: 64 * 1024, fault_seed: 0x5EED }
+        Self { eager_queue_depth: 64 * 1024 }
     }
 }
+
+/// Seed of every fabric's drop roll, so a seeded fault run replays.
+const FAULT_SEED: u64 = 0x5EED;
 
 /// Injectable failures, applied on the initiator side of each operation.
 #[derive(Debug, Clone, Default)]
@@ -138,7 +138,7 @@ pub(crate) struct NetworkInner {
     /// counter plane the way the historical single network did.
     pub stats: Arc<NetStats>,
     pub faults: Arc<RwLock<FaultPlan>>,
-    pub rng: Mutex<ChaCha8Rng>,
+    pub rng: Mutex<ChaCha8>,
     pub match_alloc: Arc<AtomicU64>,
     /// Transport for processes the local registry does not know. `None`
     /// (the default) keeps the historical in-process behavior: unknown
@@ -323,7 +323,6 @@ pub struct Network {
 
 impl Network {
     pub fn new(config: NetworkConfig) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(config.fault_seed);
         let obs = Arc::new(Registry::new());
         let stats = Arc::new(NetStats::with_registry(&obs));
         Self {
@@ -333,7 +332,7 @@ impl Network {
                 obs,
                 stats,
                 faults: Arc::new(RwLock::new(FaultPlan::default())),
-                rng: Mutex::new(rng),
+                rng: Mutex::new(ChaCha8::seed_from_u64(FAULT_SEED)),
                 match_alloc: Arc::new(AtomicU64::new(1)),
                 remote: RwLock::new(None),
             }),
@@ -351,16 +350,14 @@ impl Network {
     /// it: one `set_faults` partitions every node, one registry snapshot
     /// sees every service.
     pub fn sibling(&self) -> Network {
-        let config = self.inner.config.clone();
-        let rng = ChaCha8Rng::seed_from_u64(config.fault_seed);
         Self {
             inner: Arc::new(NetworkInner {
-                config,
+                config: self.inner.config.clone(),
                 endpoints: RwLock::new(HashMap::new()),
                 obs: Arc::clone(&self.inner.obs),
                 stats: Arc::clone(&self.inner.stats),
                 faults: Arc::clone(&self.inner.faults),
-                rng: Mutex::new(rng),
+                rng: Mutex::new(ChaCha8::seed_from_u64(FAULT_SEED)),
                 match_alloc: Arc::clone(&self.inner.match_alloc),
                 remote: RwLock::new(None),
             }),
@@ -547,8 +544,7 @@ mod tests {
 
     #[test]
     fn drop_roll_deterministic_per_seed() {
-        let a = Network::new(NetworkConfig { fault_seed: 7, ..Default::default() });
-        let b = Network::new(NetworkConfig { fault_seed: 7, ..Default::default() });
+        let (a, b) = (Network::default(), Network::default());
         a.set_faults(FaultPlan { drop_rate: 0.5, ..Default::default() });
         b.set_faults(FaultPlan { drop_rate: 0.5, ..Default::default() });
         let rolls_a: Vec<bool> = (0..64).map(|_| a.inner.roll_drop()).collect();

@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn busy_transport_triggers_resend_loop() {
         // Queue depth 1: the first unconsumed message blocks the second.
-        let net = Network::new(NetworkConfig { eager_queue_depth: 1, ..Default::default() });
+        let net = Network::new(NetworkConfig { eager_queue_depth: 1 });
         let client_ep = net.register(ProcessId::new(0, 0));
         let server_ep = net.register(ProcessId::new(1, 0));
         let server_id = server_ep.id();

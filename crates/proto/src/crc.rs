@@ -221,10 +221,8 @@ mod clmul {
 
 #[cfg(test)]
 mod tests {
-    use rand::{RngCore as _, SeedableRng as _};
-    use rand_chacha::ChaCha8Rng;
-
     use super::*;
+    use crate::rng::ChaCha8;
 
     /// The definition, one bit at a time.
     fn oracle(data: &[u8]) -> u32 {
@@ -240,7 +238,7 @@ mod tests {
 
     fn seeded(seed: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0; len];
-        ChaCha8Rng::seed_from_u64(seed).fill_bytes(&mut buf);
+        ChaCha8::seed_from_u64(seed).fill_bytes(&mut buf);
         buf
     }
 

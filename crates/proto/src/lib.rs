@@ -30,6 +30,7 @@ pub mod frame;
 pub mod ids;
 pub mod message;
 pub mod ops;
+pub mod rng;
 pub mod security;
 
 pub use codec::{Decode, Encode};

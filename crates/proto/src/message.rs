@@ -262,7 +262,7 @@ pub struct FlightTrace {
 impl_codec_struct!(FlightTrace { trace_id, total_ns, spans });
 
 /// One container's new revocation epoch, pushed issuer → enforcement point
-/// after a policy change or a bulk bump.
+/// after a revoking policy change or a container's removal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochBump {
     pub container: ContainerId,
@@ -309,13 +309,6 @@ pub enum RequestBody {
         grant: OpMask,
         revoke: OpMask,
     },
-    /// Bulk-bump the revocation epoch of many containers at once: the
-    /// revocation-storm path. Every signed token minted for these
-    /// containers before the bump becomes stale at every enforcement point
-    /// as soon as the new epochs are pushed — no per-token bookkeeping.
-    /// Requires ADMIN on each container, presented as a legacy capability
-    /// (revocation is a control-plane op; it stays on the issuer).
-    BumpEpochs { cap: Capability, containers: Vec<ContainerId> },
     /// Issuer → enforcement point: the current revocation epochs for
     /// recently bumped containers. Fire-and-forget semantics: enforcement
     /// points apply the maximum epoch they have seen, so reordered or
@@ -470,10 +463,6 @@ pub enum ReplyBody {
     /// The subset of submitted capabilities that verified, by cache key.
     CapsVerified {
         valid: Vec<CapabilityKey>,
-    },
-    /// `BumpEpochs` ack: how many containers had their epoch advanced.
-    EpochsBumped {
-        bumped: u64,
     },
     /// `PushEpochs` ack.
     EpochsPushed,
@@ -705,7 +694,6 @@ impl_codec_enum!(RequestBody {
     12 => GetCaps { cred, container, ops },
     13 => VerifyCaps { caps, cache_site },
     14 => ModPolicy { cap, container, principal, grant, revoke },
-    15 => BumpEpochs { cap, containers },
     16 => PushEpochs { epochs },
     20 => CreateObj { txn, cap, obj },
     21 => RemoveObj { txn, cap, obj },
@@ -747,7 +735,6 @@ impl_codec_enum!(ReplyBody {
     12 => Caps { caps, tokens },
     13 => CapsVerified { valid },
     14 => PolicyChanged { new_caps },
-    15 => EpochsBumped { bumped },
     16 => EpochsPushed,
     20 => ObjCreated(o),
     21 => ObjRemoved,
@@ -878,7 +865,6 @@ mod tests {
             Sync { cap: sample_cap(), obj: Some(ObjId(12)) },
             ListObjs { cap: sample_cap() },
             InvalidateCaps { authz_epoch: 3, keys: vec![sample_cap().cache_key()] },
-            BumpEpochs { cap: sample_cap(), containers: vec![ContainerId(9), ContainerId(10)] },
             PushEpochs {
                 epochs: vec![
                     EpochBump { container: ContainerId(9), epoch: 4 },
@@ -1003,7 +989,6 @@ mod tests {
             },
             CapsVerified { valid: vec![sample_cap().cache_key()] },
             PolicyChanged { new_caps: vec![sample_cap()] },
-            EpochsBumped { bumped: 3 },
             EpochsPushed,
             ObjCreated(ObjId(12)),
             ObjRemoved,

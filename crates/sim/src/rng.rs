@@ -3,20 +3,18 @@
 //! Every experiment point runs ≥5 trials; each trial seeds its own RNG so
 //! that re-running any single trial in isolation reproduces it exactly.
 
-use rand::distributions::{Distribution, Uniform};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use lwfs_proto::rng::ChaCha8;
 
 use crate::time::SimDuration;
 
 /// A deterministic simulation RNG.
 pub struct SimRng {
-    inner: ChaCha8Rng,
+    inner: ChaCha8,
 }
 
 impl SimRng {
     pub fn new(seed: u64) -> Self {
-        Self { inner: ChaCha8Rng::seed_from_u64(seed) }
+        Self { inner: ChaCha8::seed_from_u64(seed) }
     }
 
     /// Uniform jitter in `[lo, hi)` nanoseconds — used for compute-phase
@@ -26,8 +24,7 @@ impl SimRng {
         if lo == hi {
             return lo;
         }
-        let dist = Uniform::new(lo.0, hi.0);
-        SimDuration(dist.sample(&mut self.inner))
+        SimDuration(lo.0 + self.inner.below(hi.0 - lo.0))
     }
 }
 

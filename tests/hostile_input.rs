@@ -20,6 +20,7 @@ use lwfs::obs::{parse_chrome_spans, Registry, SpanRecord, TraceCollector};
 use lwfs::portals::{MdOptions, MemDesc, RpcClient, BULK_SPACE};
 use lwfs::proto::frame::{self, Split};
 use lwfs::proto::message::derive_req_id;
+use lwfs::proto::rng::ChaCha8;
 use lwfs::proto::{
     ContainerId, Decode as _, Encode as _, Error, Lifetime, MdHandle, ObjId, OpMask, OpNum,
     ProcessId, Reply, ReplyBody, Request, RequestBody, TraceContext, TxnId,
@@ -27,8 +28,6 @@ use lwfs::proto::{
 use lwfs::storage::{StorageConfig, StoreConfig};
 use lwfs::wal::{frame_record, read_log, unframe_record, Wal, WalConfig, WalRecord};
 use lwfs_fabric::frame::{FabricMsg, FrameReader};
-use rand::{Rng as _, RngCore as _, SeedableRng as _};
-use rand_chacha::ChaCha8Rng;
 
 /// Feed `bytes` to every untrusted-bytes decoder; reaching the end of
 /// this function without a panic is the property.
@@ -132,7 +131,7 @@ fn a_damaged_bulk_frame_never_splits() {
     // 256 KiB chunks, which the CRC takes 64 bytes at a time. A block or a
     // tail dropped there would leave bytes no checksum covers.
     for len in [64 * 1024, 256 * 1024] {
-        let mut rng = ChaCha8Rng::seed_from_u64(len as u64);
+        let mut rng = ChaCha8::seed_from_u64(len as u64);
         let mut data = vec![0u8; len];
         rng.fill_bytes(&mut data);
         let rec = WalRecord::Write {
@@ -153,8 +152,9 @@ fn a_damaged_bulk_frame_never_splits() {
         // bytes, and a seeded sample of the bits between.
         let header = frame::HEADER_LEN * 8;
         let (first, last) = (header..header + 512, whole * 8 - 512..whole * 8);
+        let span = (last.start - first.end) as u64;
         let interior: Vec<usize> =
-            (0..4096).map(|_| rng.gen_range(first.end..last.start)).collect();
+            (0..4096).map(|_| first.end + rng.below(span) as usize).collect();
         for bit in (0..header).chain(first).chain(last).chain(interior) {
             wire[bit / 8] ^= 1 << (bit % 8);
             match frame::split(&wire) {
@@ -167,7 +167,7 @@ fn a_damaged_bulk_frame_never_splits() {
         }
 
         let edges = [0, 1, frame::HEADER_LEN - 1, frame::HEADER_LEN, whole - 1];
-        let sample = (0..256).map(|_| rng.gen_range(0..whole));
+        let sample = (0..256).map(|_| rng.below(whole as u64) as usize);
         for keep in edges.into_iter().chain(sample) {
             assert_eq!(frame::split(&wire[..keep]), Split::Incomplete, "cut to {keep} bytes");
         }

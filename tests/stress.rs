@@ -10,14 +10,13 @@ use std::time::Duration;
 
 use lwfs::portals::{reply_match, Event, MdOptions, MemDesc, BULK_SPACE, REQUEST_MATCH};
 use lwfs::prelude::*;
+use lwfs::proto::rng::ChaCha8;
 use lwfs::proto::{
     Decode as _, Encode as _, MdHandle, OpNum, Reply, ReplyBody, Request, RequestBody,
 };
 use lwfs::storage::store::CHUNK_SIZE;
 use lwfs::storage::StorageConfig;
 use lwfs::wal::{read_log, WalRecord};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 200;
@@ -40,25 +39,25 @@ fn randomized_object_ops_match_shadow_model() {
             std::thread::spawn(move || {
                 let client = cluster.client(t as u32, 0);
                 let caps = CapSet::from_wire(wire).unwrap();
-                let mut rng = ChaCha8Rng::seed_from_u64(0x57E55 ^ t as u64);
+                let mut rng = ChaCha8::seed_from_u64(0x57E55 ^ t as u64);
                 // Shadow: my objects and their expected contents.
                 let mut shadow: HashMap<(usize, ObjId), Vec<u8>> = HashMap::new();
                 let mut live: Vec<(usize, ObjId)> = Vec::new();
 
                 for op in 0..OPS_PER_THREAD {
-                    match rng.gen_range(0..100) {
+                    match rng.below(100) {
                         // Create (30%).
                         0..=29 => {
-                            let server = rng.gen_range(0..3);
+                            let server = rng.below(3) as usize;
                             let obj = client.create_obj(server, &caps, None, None).unwrap();
                             shadow.insert((server, obj), Vec::new());
                             live.push((server, obj));
                         }
                         // Write at random offset (35%).
                         30..=64 if !live.is_empty() => {
-                            let key = live[rng.gen_range(0..live.len())];
-                            let offset = rng.gen_range(0..2048u64);
-                            let len = rng.gen_range(1..512usize);
+                            let key = live[rng.below(live.len() as u64) as usize];
+                            let offset = rng.below(2048);
+                            let len = 1 + rng.below(511) as usize;
                             let data: Vec<u8> =
                                 (0..len).map(|i| ((op * 31 + i) % 251) as u8).collect();
                             client.write(key.0, &caps, None, key.1, offset, &data).unwrap();
@@ -71,7 +70,7 @@ fn randomized_object_ops_match_shadow_model() {
                         }
                         // Read and compare (25%).
                         65..=89 if !live.is_empty() => {
-                            let key = live[rng.gen_range(0..live.len())];
+                            let key = live[rng.below(live.len() as u64) as usize];
                             let expect = &shadow[&key];
                             let got =
                                 client.read(key.0, &caps, key.1, 0, expect.len().max(1)).unwrap();
@@ -79,7 +78,7 @@ fn randomized_object_ops_match_shadow_model() {
                         }
                         // Remove (10%).
                         90..=99 if !live.is_empty() => {
-                            let idx = rng.gen_range(0..live.len());
+                            let idx = rng.below(live.len() as u64) as usize;
                             let key = live.swap_remove(idx);
                             client.remove_obj(key.0, &caps, None, key.1).unwrap();
                             shadow.remove(&key);
@@ -141,13 +140,13 @@ fn randomized_concurrent_transactions_are_atomic() {
                 let mut client = cluster.client(t as u32, 0);
                 client.adopt_cred(cred);
                 let caps = CapSet::from_wire(wire).unwrap();
-                let mut rng = ChaCha8Rng::seed_from_u64(0x7A5 ^ t as u64);
+                let mut rng = ChaCha8::seed_from_u64(0x7A5 ^ t as u64);
                 let mut committed = Vec::new();
                 let mut aborted = Vec::new();
 
                 for i in 0..40 {
                     let txn = client.txn_begin().unwrap();
-                    let server = rng.gen_range(0..2);
+                    let server = rng.below(2) as usize;
                     let obj = client.create_obj(server, &caps, Some(txn), None).unwrap();
                     let payload = format!("t{t}-i{i}");
                     client.write(server, &caps, Some(txn), obj, 0, payload.as_bytes()).unwrap();
