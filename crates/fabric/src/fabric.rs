@@ -2,10 +2,16 @@
 //!
 //! One [`SocketFabric`] serves one [`Network`] (one node): an acceptor
 //! thread on the node's listening socket, and per connection a reader
-//! thread (frames in → local delivery) and a writer thread draining a
-//! **bounded** frame queue — the transport-level analogue of the eager
-//! queue, so a peer that cannot drain its socket back-pressures senders
-//! with the same [`Error::ServerBusy`] the in-process fabric produces.
+//! thread (frames in → local delivery) and a writer thread. A thread that
+//! issues a frame — an eager send, a put, a get, the dial's `Hello` —
+//! writes it itself, whole, under the connection's write lock, with
+//! `IO_TIMEOUT` as the socket's write timeout. Only the frames a reader
+//! produces (put acks, get replies, and a scrape answered at delivery) go
+//! through a **bounded** queue to the writer thread, so a reader never
+//! blocks in `write(2)` on a peer that may itself be blocked writing to
+//! it. A full queue, or a write that fails or times out (which closes the
+//! connection: frame alignment is lost), refuses the sender with the same
+//! [`Error::ServerBusy`] the in-process eager queue produces.
 //!
 //! Connections are established two ways, mirroring the paper's
 //! connectionless addressing discipline:
@@ -24,8 +30,9 @@
 //! timeout). One-sided put/get block on a token-matched ack frame with a
 //! deadline, because their in-process counterparts are synchronous.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
@@ -35,17 +42,19 @@ use std::time::Duration;
 use bytes::Bytes;
 use lwfs_obs::Counter;
 use lwfs_portals::{Network, RemoteFabric};
-use lwfs_proto::{Error, NodeId, ProcessId, Result};
+use lwfs_proto::{frame, Error, NodeId, ProcessId, Result};
 use parking_lot::{Condvar, Mutex};
 
-use crate::frame::{FabricMsg, FrameReader};
+use crate::frame::{FabricMsg, FrameReader, GetReplyRef, PutRef};
 use crate::manifest::Manifest;
 
 /// Tunables for one node's socket fabric.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Frames a connection's write queue holds before senders are refused
-    /// with [`Error::ServerBusy`] — per-connection write backpressure.
+    /// Frames a connection's reader-side queue (put acks, get replies,
+    /// scrape answers) holds before more are refused with
+    /// [`Error::ServerBusy`]. Frames a caller issues are written by the
+    /// caller and never queue.
     pub write_queue_depth: usize,
 }
 
@@ -56,20 +65,28 @@ impl Default for FabricConfig {
 }
 
 /// Deadline for one-sided put/get round trips (a lost peer surfaces as
-/// [`Error::Timeout`], which every caller treats as transient).
+/// [`Error::Timeout`], which every caller treats as transient), and the
+/// sockets' write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Deadline for establishing a connection to a manifest peer.
 const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
+thread_local! {
+    /// Set on reader threads: what they send takes the writer's queue.
+    static ON_READER: Cell<bool> = const { Cell::new(false) };
+}
+
 struct WriteQueue {
-    frames: std::collections::VecDeque<Bytes>,
+    frames: VecDeque<Bytes>,
     closed: bool,
 }
 
-/// One live connection: the writer side. The reader thread owns its own
+/// One live connection: the writing side. The reader thread owns its own
 /// clone of the stream.
 struct Conn {
+    /// Held across each whole frame written, by a caller or the writer.
+    write: Mutex<()>,
     queue: Mutex<WriteQueue>,
     cond: Condvar,
     capacity: usize,
@@ -79,14 +96,35 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream, capacity: usize) -> Arc<Self> {
         Arc::new(Self {
-            queue: Mutex::new(WriteQueue {
-                frames: std::collections::VecDeque::new(),
-                closed: false,
-            }),
+            write: Mutex::new(()),
+            queue: Mutex::new(WriteQueue { frames: VecDeque::new(), closed: false }),
             cond: Condvar::new(),
             capacity: capacity.max(1),
             stream,
         })
+    }
+
+    /// Write `frame` from the calling thread; `false` when the connection
+    /// is gone or the write fails or times out, which closes it.
+    fn write(&self, frame: &[u8]) -> bool {
+        let written = {
+            let _turn = self.write.lock();
+            !self.closed() && (&self.stream).write_all(frame).is_ok()
+        };
+        if !written {
+            self.close();
+        }
+        written
+    }
+
+    /// Write `frame` now, or — on a reader thread — queue it for the
+    /// writer thread; `false` when it cannot go.
+    fn send(&self, frame: Bytes) -> bool {
+        if ON_READER.get() {
+            self.enqueue(frame)
+        } else {
+            self.write(&frame)
+        }
     }
 
     /// Queue a frame for the writer thread; `false` when the bounded
@@ -234,9 +272,8 @@ impl Drop for SocketFabric {
 
 impl RemoteFabric for SocketFabric {
     fn send(&self, from: ProcessId, to: ProcessId, match_bits: u64, data: Bytes) -> Result<()> {
-        let msg = FabricMsg::Send { from, to, match_bits, data };
         let conn = self.inner.route(to.nid)?;
-        if conn.enqueue(msg.to_frame()) {
+        if conn.send(FabricMsg::Send { from, to, match_bits, data }.to_frame()) {
             self.inner.frames_sent.inc();
             Ok(())
         } else {
@@ -254,15 +291,8 @@ impl RemoteFabric for SocketFabric {
         offset: u64,
         data: &[u8],
     ) -> Result<()> {
-        let msg = FabricMsg::Put {
-            token: 0, // patched below
-            from,
-            to,
-            match_bits,
-            offset,
-            data: Bytes::copy_from_slice(data),
-        };
-        self.inner.roundtrip(to.nid, msg).map(|_| ())
+        let frame = |token| frame::encode(&PutRef { token, from, to, match_bits, offset, data });
+        self.inner.roundtrip(to.nid, frame).map(|_| ())
     }
 
     fn get_into(
@@ -274,8 +304,10 @@ impl RemoteFabric for SocketFabric {
         len: usize,
         dst: &mut Vec<u8>,
     ) -> Result<()> {
-        let msg = FabricMsg::Get { token: 0, from, to, match_bits, offset, len: len as u64 };
-        let data = self.inner.roundtrip(to.nid, msg)?;
+        let frame = |token| {
+            FabricMsg::Get { token, from, to, match_bits, offset, len: len as u64 }.to_frame()
+        };
+        let data = self.inner.roundtrip(to.nid, frame)?;
         if data.len() != len {
             return Err(Error::Malformed(format!(
                 "get reply carries {} bytes for a {len}-byte request",
@@ -303,9 +335,11 @@ impl Inner {
         let stream =
             TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).map_err(|_| Error::Unreachable)?;
         let conn = self.start_conn(stream)?;
-        // Open with Hello so the peer can route replies before any
-        // addressed frame arrives.
-        conn.enqueue(FabricMsg::Hello { nid: self.nid }.to_frame());
+        // Open with Hello, before anyone else can write, so the peer can
+        // route replies before any addressed frame arrives.
+        if !conn.write(&FabricMsg::Hello { nid: self.nid }.to_frame()) {
+            return Err(Error::Unreachable);
+        }
         let mut routes = self.routes.lock();
         match routes.get(&nid.0) {
             // A concurrent dial (or an inbound connection from the same
@@ -326,6 +360,7 @@ impl Inner {
     /// Spawn reader + writer threads for `stream`.
     fn start_conn(self: &Arc<Self>, stream: TcpStream) -> Result<Arc<Conn>> {
         stream.set_nodelay(true).ok();
+        stream.set_write_timeout(Some(IO_TIMEOUT)).ok();
         let reader_stream = stream
             .try_clone()
             .map_err(|e| Error::StorageIo(format!("fabric stream clone: {e}")))?;
@@ -344,17 +379,14 @@ impl Inner {
         Ok(conn)
     }
 
-    /// Issue a token-matched put/get and wait for its ack.
-    fn roundtrip(self: &Arc<Self>, nid: NodeId, mut msg: FabricMsg) -> Result<Bytes> {
+    /// Issue a token-matched put/get, framed by `frame` for its token, and
+    /// wait for its ack.
+    fn roundtrip(self: &Arc<Self>, nid: NodeId, frame: impl FnOnce(u64) -> Bytes) -> Result<Bytes> {
         let conn = self.route(nid)?;
         let token = self.tokens.fetch_add(1, Ordering::Relaxed);
-        match &mut msg {
-            FabricMsg::Put { token: t, .. } | FabricMsg::Get { token: t, .. } => *t = token,
-            _ => unreachable!("roundtrip is only for put/get"),
-        }
         let (tx, rx) = sync_channel(1);
         self.pending.lock().insert(token, tx);
-        if !conn.enqueue(msg.to_frame()) {
+        if !conn.send(frame(token)) {
             self.pending.lock().remove(&token);
             self.send_rejects.inc();
             return Err(Error::ServerBusy);
@@ -408,11 +440,14 @@ impl Inner {
             }
             FabricMsg::Get { token, from, to, match_bits, offset, len } => {
                 self.learn_route(from.nid, conn);
-                let reply = match self.net.deliver_get(from, to, match_bits, offset, len as usize) {
-                    Ok(data) => FabricMsg::GetReply { token, err: None, data: Bytes::from(data) },
-                    Err(e) => FabricMsg::GetReply { token, err: Some(e), data: Bytes::new() },
-                };
-                let _ = conn.enqueue(reply.to_frame());
+                let read = |data: &[u8]| frame::encode(&GetReplyRef { token, data });
+                let reply = self
+                    .net
+                    .deliver_get(from, to, match_bits, offset, len as usize, read)
+                    .unwrap_or_else(|e| {
+                        FabricMsg::GetReply { token, err: Some(e), data: Bytes::new() }.to_frame()
+                    });
+                let _ = conn.enqueue(reply);
             }
             FabricMsg::PutAck { token, err } => {
                 self.complete(token, err.map_or(Ok(Bytes::new()), Err));
@@ -446,8 +481,8 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     }
 }
 
+/// Drain the reader's queue onto the socket.
 fn write_loop(conn: Arc<Conn>) {
-    let mut stream = &conn.stream;
     loop {
         let frame = {
             let mut q = conn.queue.lock();
@@ -461,45 +496,41 @@ fn write_loop(conn: Arc<Conn>) {
                 conn.cond.wait(&mut q);
             }
         };
-        if stream.write_all(&frame).is_err() {
-            conn.close();
+        if !conn.write(&frame) {
             return;
         }
     }
 }
 
 fn read_loop(inner: Arc<Inner>, conn: Arc<Conn>, mut stream: TcpStream) {
+    ON_READER.set(true);
     stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
     let mut frames = FrameReader::new();
-    let mut buf = [0u8; 64 * 1024];
     loop {
         if inner.shutdown.load(Ordering::SeqCst) || conn.closed() {
             conn.close();
             return;
         }
-        match stream.read(&mut buf) {
+        match frames.read_from(&mut stream) {
             Ok(0) => {
                 conn.close();
                 return;
             }
-            Ok(n) => {
-                frames.feed(&buf[..n]);
-                loop {
-                    match frames.next_msg() {
-                        Ok(Some(msg)) => inner.dispatch(msg, &conn),
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Poisoned stream (CRC mismatch / garbage):
-                            // frame alignment is unrecoverable, drop the
-                            // connection. Peers re-dial and retries cover
-                            // the lost in-flight operations.
-                            inner.stream_errors.inc();
-                            conn.close();
-                            return;
-                        }
+            Ok(_) => loop {
+                match frames.next_msg() {
+                    Ok(Some(msg)) => inner.dispatch(msg, &conn),
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Poisoned stream (CRC mismatch / garbage):
+                        // frame alignment is unrecoverable, drop the
+                        // connection. Peers re-dial and retries cover
+                        // the lost in-flight operations.
+                        inner.stream_errors.inc();
+                        conn.close();
+                        return;
                     }
                 }
-            }
+            },
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -710,6 +741,151 @@ mod tests {
         assert_eq!(err, Error::Unreachable);
         client_fabric.shutdown();
         server_fabric.shutdown();
+    }
+
+    #[test]
+    fn the_first_frame_on_a_dialed_connection_is_hello() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut manifest = Manifest::new();
+        manifest.insert(NodeId(1100), listener.local_addr().unwrap());
+        let net = Network::default();
+        let fabric =
+            SocketFabric::attach(&net, NodeId(3), manifest, FabricConfig::default()).unwrap();
+        let ep = net.register(ProcessId::new(3, 0));
+        ep.send(ProcessId::new(1100, 0), 1, Bytes::from_static(b"first")).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut frames = FrameReader::new();
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            assert!(frames.read_from(&mut peer).unwrap() > 0, "connection closed early");
+            while let Some(msg) = frames.next_msg().unwrap() {
+                got.push(msg);
+            }
+        }
+        assert_eq!(got[0], FabricMsg::Hello { nid: NodeId(3) });
+        assert!(matches!(&got[1], FabricMsg::Send { data, .. } if data == b"first"));
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn two_way_saturation_moves_every_byte_and_finishes() {
+        // Both nodes dial each other, and threads on each issue 256 KiB
+        // puts and gets and RPCs at the other at once, so both directions
+        // of both connections carry bulk frames from callers and replies
+        // from readers together. Readers only queue what they send, so
+        // neither side can end up blocked writing to a peer blocked
+        // writing back.
+        const NODES: [u32; 2] = [1100, 1101];
+        const THREADS: u32 = 3;
+        const ROUNDS: usize = 12;
+        let nets = [Network::default(), Network::default()];
+        let listeners = NODES.map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
+        let mut manifest = Manifest::new();
+        for (nid, l) in NODES.iter().zip(&listeners) {
+            manifest.insert(NodeId(*nid), l.local_addr().unwrap());
+        }
+        let fabrics: Vec<Arc<SocketFabric>> = nets
+            .iter()
+            .zip(NODES)
+            .zip(listeners)
+            .map(|((net, nid), l)| {
+                let (m, c) = (manifest.clone(), FabricConfig::default());
+                SocketFabric::attach_with_listener(net, NodeId(nid), l, m, c).unwrap()
+            })
+            .collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut servers = Vec::new();
+        for (net, nid) in nets.iter().zip(NODES) {
+            let ep = net.register(ProcessId::new(nid, 0));
+            let stop = Arc::clone(&stop);
+            servers.push(std::thread::spawn(move || {
+                let srv = RpcServer::new(&ep);
+                while !stop.load(Ordering::SeqCst) {
+                    if let Ok(req) = srv.next_request(Duration::from_millis(50)) {
+                        srv.reply(&req, ReplyBody::Pong).unwrap();
+                    }
+                }
+            }));
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (mut holders, mut workers) = (Vec::new(), Vec::new());
+        for (side, net) in nets.iter().enumerate() {
+            let peer = NODES[1 - side];
+            for t in 1..=THREADS {
+                // This thread's target descriptor, posted on the peer.
+                let holder = nets[1 - side].register(ProcessId::new(peer, 100 + t));
+                let opts = MdOptions { deliver_events: false, ..MdOptions::read_write_events() };
+                holder.post_md(7, MemDesc::zeroed(CHUNK, opts)).unwrap();
+                let target = holder.id();
+                holders.push(holder);
+                let ep = net.register(ProcessId::new(NODES[side], 10 + t));
+                let done_tx = done_tx.clone();
+                workers.push(std::thread::spawn(move || {
+                    let client = RpcClient::new(&ep);
+                    for round in 0..ROUNDS {
+                        let salt = (round as u32 * 31 + t * 7 + side as u32) as usize;
+                        let data: Vec<u8> = (0..CHUNK).map(|i| (i * 13 + salt) as u8).collect();
+                        ep.put(target, 7, 0, &data).unwrap();
+                        let mut back = Vec::with_capacity(CHUNK);
+                        ep.get_into(target, 7, 0, CHUNK, &mut back).unwrap();
+                        assert!(back == data, "round {round} came back different");
+                        let server = ProcessId::new(peer, 0);
+                        assert_eq!(
+                            client.call(server, RequestBody::Ping).unwrap(),
+                            ReplyBody::Pong
+                        );
+                    }
+                    done_tx.send(()).unwrap();
+                }));
+            }
+        }
+        for _ in 0..2 * THREADS {
+            done_rx.recv_timeout(Duration::from_secs(60)).expect("a worker stalled or failed");
+        }
+        stop.store(true, Ordering::SeqCst);
+        for thread in workers.into_iter().chain(servers) {
+            thread.join().unwrap();
+        }
+        for net in &nets {
+            for name in ["fabric.send_rejects", "fabric.stream_errors"] {
+                assert_eq!(net.obs().counter(name).get(), 0, "{name}");
+            }
+        }
+        for fabric in &fabrics {
+            fabric.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_reader_keeps_delivering_while_its_peer_reads_nothing() {
+        // A peer asks for more get replies than the sockets between them
+        // hold and never reads one: the replies wait in the queue behind
+        // the blocked writer, and the reader goes on delivering what the
+        // peer sends next.
+        let net = Network::default();
+        let fabric =
+            SocketFabric::attach(&net, NodeId(1100), Manifest::new(), FabricConfig::default())
+                .unwrap();
+        let holder = net.register(ProcessId::new(1100, 1));
+        let md = MemDesc::from_vec(vec![9; CHUNK], MdOptions::for_remote_get());
+        holder.post_md(0x5, md).unwrap();
+        let inbox = net.register(ProcessId::new(1100, 2));
+        let from = ProcessId::new(3, 0);
+        let mut wire = FabricMsg::Hello { nid: from.nid }.to_frame().to_vec();
+        for token in 0..64 {
+            let (to, len) = (holder.id(), CHUNK as u64);
+            let get = FabricMsg::Get { token, from, to, match_bits: 0x5, offset: 0, len };
+            wire.extend_from_slice(&get.to_frame());
+        }
+        let note = Bytes::from_static(b"still here");
+        let send = FabricMsg::Send { from, to: inbox.id(), match_bits: 1, data: note };
+        wire.extend_from_slice(&send.to_frame());
+        let mut peer = TcpStream::connect(fabric.local_addr()).unwrap();
+        peer.write_all(&wire).unwrap();
+        let ev = inbox.recv(Duration::from_secs(1)).expect("the reader stopped delivering");
+        assert_eq!(ev.match_bits(), 1);
+        fabric.shutdown();
     }
 
     #[test]

@@ -7,13 +7,20 @@
 //! produced it must be dropped, because byte alignment can no longer be
 //! trusted.
 //!
-//! [`FrameReader`] is the incremental decoder: feed it whatever chunks
-//! `read(2)` produces (split frames, coalesced frames, single bytes) and
-//! pull complete messages out as they materialize.
+//! [`FrameReader`] is the incremental decoder: [`read_from`] a stream (or
+//! [`feed`] it whatever chunks arrive — split frames, coalesced frames,
+//! single bytes) and pull complete messages out as they materialize. A
+//! bulk frame read from a stream lands in a buffer of its own, which the
+//! decoded message keeps: its payload is never copied out of the frame.
+//!
+//! [`read_from`]: FrameReader::read_from
+//! [`feed`]: FrameReader::feed
 
-use bytes::{Buf, Bytes, BytesMut};
-use lwfs_proto::frame::{self, Split};
-use lwfs_proto::{impl_codec_enum, Decode, Error, NodeId, ProcessId, Result};
+use std::io::{self, Read};
+
+use bytes::{BufMut, Bytes, BytesMut};
+use lwfs_proto::frame::{self, Split, HEADER_LEN, MAX_PAYLOAD};
+use lwfs_proto::{impl_codec_enum, Decode, Encode, Error, NodeId, ProcessId, Result};
 
 /// One message on a fabric connection.
 ///
@@ -54,10 +61,85 @@ impl FabricMsg {
     }
 }
 
+/// A [`FabricMsg::Put`] whose data is borrowed: it encodes byte for byte
+/// as the `Put` holding a copy, so a put is framed straight from the
+/// caller's slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PutRef<'a> {
+    pub token: u64,
+    pub from: ProcessId,
+    pub to: ProcessId,
+    pub match_bits: u64,
+    pub offset: u64,
+    pub data: &'a [u8],
+}
+
+impl Encode for PutRef<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
+        // `FabricMsg::Put`'s tag and field order, from the table above.
+        buf.put_u8(FabricMsg::TAGS[2]);
+        self.token.encode(buf);
+        self.from.encode(buf);
+        self.to.encode(buf);
+        self.match_bits.encode(buf);
+        self.offset.encode(buf);
+        self.data.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.token.encoded_len()
+            + self.from.encoded_len()
+            + self.to.encoded_len()
+            + self.match_bits.encoded_len()
+            + self.offset.encoded_len()
+            + self.data.encoded_len()
+    }
+}
+
+/// A successful [`FabricMsg::GetReply`] whose data is borrowed: it encodes
+/// byte for byte as the owned reply, so a get is answered straight from
+/// the descriptor, under its lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GetReplyRef<'a> {
+    pub token: u64,
+    pub data: &'a [u8],
+}
+
+impl Encode for GetReplyRef<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
+        // `FabricMsg::GetReply`'s tag and field order, `err` being `None`.
+        buf.put_u8(FabricMsg::TAGS[5]);
+        self.token.encode(buf);
+        None::<Error>.encode(buf);
+        self.data.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.token.encoded_len() + None::<Error>.encoded_len() + self.data.encoded_len()
+    }
+}
+
+/// A frame whose payload is at least this long is bulk: read from a
+/// stream, it lands in a buffer of its own instead of the shared one.
+const BULK_PAYLOAD: usize = 64 * 1024;
+
+/// Most a frame header, which nothing has checked yet, makes the reader
+/// reserve beyond the bytes already received: a header that lies about
+/// its length costs this much memory, not [`MAX_PAYLOAD`].
+pub const RESERVE_STEP: usize = 1024 * 1024;
+
+/// Bytes one small read asks for: what arrives is batched into the
+/// shared buffer, several frames at a time.
+const SMALL_READ: usize = 64 * 1024;
+
 /// Incremental frame decoder for one connection's byte stream.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: BytesMut,
+    /// Received bytes; those before `pos` are consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    /// Landing area of small reads, allocated by the first one.
+    scratch: Vec<u8>,
 }
 
 impl FrameReader {
@@ -70,9 +152,53 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Read once from `src` and buffer what arrives; `Ok(0)` is the end of
+    /// the stream. While the buffered head of a bulk frame announces more
+    /// bytes, they are read straight into the buffer's spare room (no
+    /// staging copy, no zero pass), at most [`RESERVE_STEP`] per call and
+    /// never past that frame, so the complete frame is the whole buffer
+    /// and [`next_msg`](Self::next_msg) hands it over without a copy. An
+    /// error after some bytes arrived is not returned: the bytes are kept
+    /// and counted, and a lasting error shows on the next call.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        let Some(missing) = self.bulk_missing() else {
+            if self.scratch.is_empty() {
+                self.scratch = vec![0; SMALL_READ];
+            }
+            let n = src.read(&mut self.scratch)?;
+            self.buf.extend_from_slice(&self.scratch[..n]);
+            return Ok(n);
+        };
+        // Only the bulk frame's head is unread: start the frame at 0.
+        self.buf.drain(..std::mem::take(&mut self.pos));
+        let step = missing.min(RESERVE_STEP);
+        self.buf.reserve_exact(step);
+        let before = self.buf.len();
+        let read = src.take(step as u64).read_to_end(&mut self.buf);
+        match (read, self.buf.len() - before) {
+            (Err(e), 0) => Err(e),
+            (_, n) => Ok(n),
+        }
+    }
+
+    /// The bytes a buffered bulk frame head still lacks, if that is what
+    /// the unread bytes hold.
+    fn bulk_missing(&self) -> Option<usize> {
+        let unread = &self.buf[self.pos..];
+        let (len, _) = unread.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*len) as usize;
+        let missing = (HEADER_LEN + len).checked_sub(unread.len())?;
+        ((BULK_PAYLOAD..=MAX_PAYLOAD).contains(&len) && missing > 0).then_some(missing)
+    }
+
     /// Bytes buffered but not yet consumed as frames (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
+    }
+
+    /// Bytes the buffer has room for, used or not (diagnostics).
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Pull the next complete message, if one has fully arrived.
@@ -82,20 +208,40 @@ impl FrameReader {
     /// mismatch, undecodable payload): the caller must drop the
     /// connection, since frame alignment is unrecoverable.
     pub fn next_msg(&mut self) -> Result<Option<FabricMsg>> {
-        let (payload, consumed) = match frame::split(&self.buf) {
-            Split::Complete { payload, consumed } => (Bytes::copy_from_slice(payload), consumed),
+        let unread = &self.buf[self.pos..];
+        let consumed = match frame::split(unread) {
+            Split::Complete { consumed, .. } => consumed,
             Split::Incomplete => return Ok(None),
             Split::Corrupt(e) => return Err(e),
         };
-        self.buf.advance(consumed);
+        let payload = if consumed == unread.len() && consumed - HEADER_LEN >= BULK_PAYLOAD {
+            // A bulk frame is all that is left: the message takes the
+            // buffer, and the next bytes start a fresh one.
+            let start = std::mem::take(&mut self.pos) + HEADER_LEN;
+            Bytes::from(std::mem::take(&mut self.buf)).slice(start..)
+        } else {
+            let payload = Bytes::copy_from_slice(&unread[HEADER_LEN..consumed]);
+            self.consume(consumed);
+            payload
+        };
         FabricMsg::from_bytes(payload).map(Some)
+    }
+
+    /// Move past `cnt` bytes, and give their room back once the consumed
+    /// prefix is at least as long as the unread rest, so compacting moves
+    /// no more bytes than were consumed since it last ran.
+    fn consume(&mut self, cnt: usize) {
+        self.pos += cnt;
+        if self.pos >= self.buf.len() - self.pos {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwfs_proto::frame::{HEADER_LEN, MAX_PAYLOAD};
 
     fn msgs() -> Vec<FabricMsg> {
         vec![
@@ -221,12 +367,95 @@ mod tests {
             }
             assert_eq!(r.next_msg().unwrap().as_ref(), Some(&msg));
             assert_eq!(r.next_msg().unwrap(), None);
-            assert!(r.buf.capacity() <= 4 * frame.len(), "round {round}: {}", r.buf.capacity());
+            assert!(r.capacity() <= 4 * frame.len(), "round {round}: {}", r.capacity());
         }
         assert_eq!(r.buffered(), 0);
     }
 
+    /// A stream that hands out `wire` in pieces of 1..=`max` bytes, then
+    /// ends.
+    struct Trickle<'a> {
+        wire: &'a [u8],
+        rng: lwfs_proto::rng::ChaCha8,
+        max: u64,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = (1 + self.rng.below(self.max) as usize).min(out.len()).min(self.wire.len());
+            out[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
+        }
+    }
+
+    fn put_of(len: usize, token: u64) -> FabricMsg {
+        FabricMsg::Put {
+            token,
+            from: ProcessId::new(3, 0),
+            to: ProcessId::new(1100, 0),
+            match_bits: 2,
+            offset: 0,
+            data: Bytes::from((0..len).map(|i| (i % 251) as u8 ^ token as u8).collect::<Vec<_>>()),
+        }
+    }
+
+    #[test]
+    fn a_stream_of_small_and_bulk_frames_reads_back_whole() {
+        // Bulk frames between, behind and ahead of small ones, at every
+        // size class the reader tells apart, read in pieces of random
+        // size: batched small reads and direct bulk reads interleave.
+        let sizes = [0, 10, BULK_PAYLOAD - 40, BULK_PAYLOAD, 3, 256 * 1024, 1, BULK_PAYLOAD + 1];
+        let msgs: Vec<FabricMsg> =
+            sizes.iter().enumerate().map(|(i, &len)| put_of(len, i as u64)).collect();
+        let wire: Vec<u8> = msgs.iter().flat_map(|m| m.to_frame().to_vec()).collect();
+        for (seed, max) in [(1, 1), (2, 7), (3, 5000), (4, 70_000), (5, 1 << 20)] {
+            let rng = lwfs_proto::rng::ChaCha8::seed_from_u64(seed);
+            let mut src = Trickle { wire: &wire, rng, max };
+            let mut r = FrameReader::new();
+            let mut got = Vec::new();
+            while r.read_from(&mut src).unwrap() > 0 {
+                while let Some(m) = r.next_msg().unwrap() {
+                    got.push(m);
+                }
+            }
+            assert!(got == msgs, "pieces of up to {max} bytes");
+            assert_eq!(r.buffered(), 0);
+        }
+    }
+
+    #[test]
+    fn a_bulk_frame_read_from_a_stream_is_handed_over_in_its_own_buffer() {
+        let msg = put_of(256 * 1024, 1);
+        let frame = msg.to_frame();
+        let mut src = &frame[..];
+        let mut r = FrameReader::new();
+        while r.next_msg().unwrap().is_none() {
+            assert!(r.read_from(&mut src).unwrap() > 0);
+            assert!(r.capacity() <= frame.len() + SMALL_READ, "{}", r.capacity());
+        }
+        // The message took the buffer the frame was read into.
+        assert_eq!((r.buffered(), r.capacity()), (0, 0));
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_borrowed_messages_frame_as_the_owned_ones(
+            token: u64, from_nid: u32, to_nid: u32, match_bits: u64, offset: u64,
+            data in proptest::collection::vec(proptest::num::u8::ANY, 0..512),
+        ) {
+            let (from, to) = (ProcessId::new(from_nid, 1), ProcessId::new(to_nid, 2));
+            let borrowed = PutRef { token, from, to, match_bits, offset, data: &data };
+            let owned =
+                FabricMsg::Put { token, from, to, match_bits, offset, data: Bytes::from(data.clone()) };
+            proptest::prop_assert_eq!(frame::encode(&borrowed), owned.to_frame());
+            proptest::prop_assert_eq!(borrowed.encoded_len(), owned.encoded_len());
+            let borrowed = GetReplyRef { token, data: &data };
+            let owned = FabricMsg::GetReply { token, err: None, data: Bytes::from(data.clone()) };
+            proptest::prop_assert_eq!(frame::encode(&borrowed), owned.to_frame());
+            proptest::prop_assert_eq!(borrowed.encoded_len(), owned.encoded_len());
+        }
+
         #[test]
         fn prop_send_roundtrips(
             from_nid: u32, from_pid: u32, to_nid: u32, to_pid: u32,

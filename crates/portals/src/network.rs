@@ -9,6 +9,7 @@ use bytes::Bytes;
 use lwfs_obs::{Gauge, Registry};
 use parking_lot::{Condvar, Mutex, RwLock};
 
+use lwfs_proto::message::body_tag;
 use lwfs_proto::rng::ChaCha8;
 use lwfs_proto::{Decode as _, Encode as _, Error, NodeId, ProcessId, Reply, Request, Result};
 
@@ -278,7 +279,12 @@ impl NetworkInner {
 
     /// Answer `data` on `server`'s behalf, from this network's registry,
     /// if it is a monitoring scrape; returns whether it was one.
+    /// Only a scrape is decoded here: any other request is decoded once,
+    /// by the receiver that takes it.
     fn answer_scrape(&self, from: ProcessId, server: ProcessId, data: &Bytes) -> bool {
+        if !body_tag(data).is_ok_and(crate::telemetry::is_scrape) {
+            return false;
+        }
         let Ok(req) = Request::from_bytes(data.clone()) else { return false };
         let Some(body) = crate::telemetry::answer(&self.obs, &req.body) else { return false };
         self.stats.record_send(from, data.len());
@@ -478,17 +484,20 @@ impl Network {
         self.inner.local_put(from, to, match_bits, offset, data)
     }
 
-    /// Execute a one-sided read that arrived over the remote transport.
-    pub fn deliver_get(
+    /// Execute a one-sided read that arrived over the remote transport:
+    /// `read` receives the requested range in place, under the
+    /// descriptor's lock, and frames its reply from it.
+    pub fn deliver_get<R>(
         &self,
         from: ProcessId,
         to: ProcessId,
         match_bits: u64,
         offset: u64,
         len: usize,
-    ) -> Result<Vec<u8>> {
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         self.inner.check_reachable(from, to)?;
-        self.inner.local_get(from, to, match_bits, offset, len, <[u8]>::to_vec)
+        self.inner.local_get(from, to, match_bits, offset, len, read)
     }
 
     /// Number of registered endpoints.

@@ -39,6 +39,13 @@ pub fn answer(reg: &Registry, body: &RequestBody) -> Option<ReplyBody> {
     }
 }
 
+/// Whether a request body with discriminant `tag` is one [`answer`]
+/// serves, so that a delivery decodes no other request.
+pub(crate) fn is_scrape(tag: u8) -> bool {
+    tag == RequestBody::GetFlightTraces.tag()
+        || tag == RequestBody::GetTelemetry { events_from: 0 }.tag()
+}
+
 /// Serialize `reg` for a `GetTelemetry` reply: cumulative counters and
 /// gauges, bucket-level histograms, and the event-journal tail with
 /// `seq >= events_from` (the scraper's cursor, so a polling monitor

@@ -310,6 +310,14 @@ macro_rules! impl_codec_enum {
         impl $ty {
             /// Every discriminant byte of this enum's wire encoding.
             pub const TAGS: &'static [u8] = &[$($tag),+];
+
+            /// The discriminant byte this value encodes with.
+            #[allow(unused_variables)]
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( $ty::$variant $( { $($field),* } )? $( ( $($elem),* ) )? => $tag, )+
+                }
+            }
         }
         impl $crate::codec::Encode for $ty {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {

@@ -575,6 +575,24 @@ impl Request {
     }
 }
 
+/// The discriminant byte of the body an encoded request carries, read
+/// past the envelope without decoding the body or copying the token: an
+/// intake tests each delivery for a scrape with it.
+pub fn body_tag(mut bytes: &[u8]) -> Result<u8> {
+    let buf = &mut bytes;
+    decode_version(buf)?;
+    // `Request`'s envelope fields, in its codec's order below.
+    OpNum::decode(buf)?;
+    ProcessId::decode(buf)?;
+    u64::decode(buf)?;
+    u64::decode(buf)?;
+    TraceContext::decode(buf)?;
+    let token = u32::decode(buf)? as usize;
+    crate::codec::need(buf, token, "token")?;
+    buf.advance(token);
+    u8::decode(buf)
+}
+
 /// Mix `(reply_to, opnum)` into a well-spread 64-bit trace id
 /// (splitmix64 finalizer).
 ///
@@ -1028,6 +1046,12 @@ mod tests {
             let req = Request::new(OpNum(i as u64), ProcessId::new(1, 2), body);
             let back = Request::from_bytes(req.to_bytes()).expect("decode");
             assert_eq!(back, req, "variant {i}");
+            let signed = req.with_token(Bytes::from_static(b"signed token"));
+            assert_eq!(body_tag(&signed.to_bytes()), Ok(signed.body.tag()), "variant {i}");
+        }
+        let ping = Request::new(OpNum(1), ProcessId::new(1, 2), RequestBody::Ping).to_bytes();
+        for cut in 0..ping.len() {
+            assert!(body_tag(&ping[..cut]).is_err(), "a request cut at {cut} has no body tag");
         }
     }
 

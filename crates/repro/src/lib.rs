@@ -1,6 +1,7 @@
 //! The paper, regenerated: every table, figure and attribution study of
 //! the evaluation behind the one `lwfs-repro` binary, plus the two
-//! observability acceptance probes.
+//! observability acceptance probes and the paired benchmark comparison
+//! ([`pairs`]).
 //!
 //! Every study follows the same protocol:
 //!
@@ -23,6 +24,7 @@ pub mod ablation;
 pub mod figures;
 pub mod functional;
 mod metrics;
+pub mod pairs;
 pub mod petaflop;
 pub mod tables;
 mod telemetry;

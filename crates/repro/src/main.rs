@@ -9,13 +9,14 @@ use std::process::ExitCode;
 
 use lwfs_core::TransportKind;
 use lwfs_repro::{
-    ablation, figures, functional, petaflop, run_metrics_probe, run_telemetry_probe, tables,
+    ablation, figures, functional, pairs, petaflop, run_metrics_probe, run_telemetry_probe, tables,
 };
 
 const USAGE: &str = "\
 usage: lwfs-repro <tables|petaflop|ablation|functional>
        lwfs-repro <figure9|figure10> [--smoke]
-       lwfs-repro probe <metrics|telemetry> [--transport inprocess|tcp] [--out PATH] [--trace-out PATH]";
+       lwfs-repro probe <metrics|telemetry> [--transport inprocess|tcp] [--out PATH] [--trace-out PATH]
+       lwfs-repro pairs <parent-bin> <change-bin> --workload W [--pairs N] [--seconds S]";
 
 /// Run what `args` names and report whether it passed. `Err` says what is
 /// not in the usage line; nothing has run by then.
@@ -62,6 +63,25 @@ fn run(args: &[&str]) -> Result<bool, String> {
                     false
                 }
             }
+        }
+        ["pairs", parent, change, flags @ ..] => {
+            let (mut workload, mut count, mut seconds) = (None, 10, 10);
+            for pair in flags.chunks(2) {
+                let &[flag, value] = pair else { return Err(format!("{} needs a value", pair[0])) };
+                let number =
+                    || value.parse().map_err(|_| format!("{flag} {value:?} is not a count"));
+                match flag {
+                    "--workload" => workload = Some(value),
+                    "--pairs" => count = number()?,
+                    "--seconds" => seconds = number()? as u64,
+                    _ => return Err(format!("unknown flag {flag:?}")),
+                }
+            }
+            let workload = workload.ok_or("pairs needs --workload")?;
+            if count == 0 || seconds == 0 {
+                return Err("--pairs and --seconds must be at least 1".into());
+            }
+            pairs::run(Path::new(parent), Path::new(change), workload, count, seconds)
         }
         _ => return Err(format!("unrecognised arguments {args:?}")),
     })

@@ -14,13 +14,16 @@ use lwfs::proto::{
     Signature, TraceContext, TxnId,
 };
 use lwfs::wal::{frame_record, unframe_record, WalRecord};
-use lwfs_fabric::frame::{FabricMsg, FrameReader};
+use lwfs_fabric::frame::{FabricMsg, FrameReader, GetReplyRef, PutRef};
 
 const REQUEST: &str = "050007000000000000000300000001000000d97b2d498a892ace0900000000000000efbeadde000000002a000000000000000c000000676f6c64656e2d746f6b656e160105000000000000000900000000000000960000002a0000000000000001000000000000000a0000000000000088130000000000000800000000000000040404040404040404040404040404040c0000000000000000100000000000000000010000000000edfe000000000000";
 const REPLY_CAPS: &str = "050007000000000000000c010000000900000000000000960000002a0000000000000001000000000000000a0000000000000088130000000000000800000000000000040404040404040404040404040404040100000003000000746f6b";
 const REPLY_ERR: &str = "0500080000000000000000080c00000000000000";
 const WAL_WRITE: &str = "36000000b5dbe4df020003000000000000000900000000000000001000000000000010000000636865636b706f696e742073746174650c00000000000000";
 const FABRIC_PUT: &str = "31000000139908150207000000000000004c040000000000000300000000000000010000000000002040000000000000000400000062756c6b";
+// Added later than the vectors above, with the same layout: it pins the
+// reply a borrowed `GetReplyRef` frames straight from a descriptor.
+const FABRIC_GET_REPLY: &str = "15000000f43487a705080000000000000000070000007061796c6f6164";
 const CAP_TOKEN: &str = "3143574c002a000000000000000000000000000000ffffffffffffffff030000000a00000000000000881300000000000003000000000000004d0000000900000000000000d20400000000000052f44bad0277b7516eaecb381b8d93a0117d146ba60a615db3ef473425f0c4ec12c2810012d61d23fa71fd2bfd29e52fc889919be13a3b2feecbaf4d22eced05053de517";
 
 fn hex(bytes: &[u8]) -> String {
@@ -108,6 +111,26 @@ fn fabric_put_frame() {
     let mut reader = FrameReader::new();
     reader.feed(&unhex(FABRIC_PUT));
     assert_eq!(reader.next_msg().unwrap(), Some(put));
+}
+
+#[test]
+fn fabric_borrowed_frames() {
+    let put = PutRef {
+        token: 7,
+        from: ProcessId::new(1100, 0),
+        to: ProcessId::new(3, 0),
+        match_bits: 0x2000_0000_0000_0001,
+        offset: 64,
+        data: b"bulk",
+    };
+    assert_eq!(hex(&lwfs::proto::frame::encode(&put)), FABRIC_PUT);
+    let reply = FabricMsg::GetReply { token: 8, err: None, data: Bytes::from_static(b"payload") };
+    assert_eq!(hex(&reply.to_frame()), FABRIC_GET_REPLY);
+    let borrowed = GetReplyRef { token: 8, data: b"payload" };
+    assert_eq!(hex(&lwfs::proto::frame::encode(&borrowed)), FABRIC_GET_REPLY);
+    let mut reader = FrameReader::new();
+    reader.feed(&unhex(FABRIC_GET_REPLY));
+    assert_eq!(reader.next_msg().unwrap(), Some(reply));
 }
 
 #[test]

@@ -174,6 +174,107 @@ fn a_damaged_bulk_frame_never_splits() {
     }
 }
 
+/// A socket's view of `wire`: pieces of 1..=`max` bytes, then either the
+/// end of the stream or, with `silent`, a peer that never sends again.
+struct Trickle<'a> {
+    wire: &'a [u8],
+    rng: ChaCha8,
+    max: u64,
+    silent: bool,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.wire.is_empty() && self.silent {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = (1 + self.rng.below(self.max) as usize).min(out.len()).min(self.wire.len());
+        out[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// What a connection's reader makes of `wire` arriving in random pieces:
+/// the messages before the end of the stream, or the poisoning error.
+fn read_stream(wire: &[u8], seed: u64) -> lwfs::proto::Result<Vec<FabricMsg>> {
+    let mut src = Trickle { wire, rng: ChaCha8::seed_from_u64(seed), max: 9000, silent: false };
+    let mut reader = FrameReader::new();
+    let mut got = Vec::new();
+    while reader.read_from(&mut src).unwrap() > 0 {
+        while let Some(msg) = reader.next_msg()? {
+            got.push(msg);
+        }
+    }
+    Ok(got)
+}
+
+#[test]
+fn a_damaged_bulk_frame_read_off_a_stream_never_decodes() {
+    // The stream reader reads a bulk frame's payload straight into a
+    // buffer of its own; that path must be as strict as `split`.
+    for len in [64 * 1024, 256 * 1024] {
+        let mut rng = ChaCha8::seed_from_u64(len as u64);
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        let msg = FabricMsg::Put {
+            token: 1,
+            from: ProcessId::new(3, 0),
+            to: ProcessId::new(1100, 0),
+            match_bits: 2,
+            offset: 0,
+            data: data.into(),
+        };
+        let mut wire = msg.to_frame().to_vec();
+        let whole = wire.len();
+        assert_eq!(read_stream(&wire, 0).unwrap(), [msg]);
+
+        // Every bit of the header and of the first and last 64 payload
+        // bytes, and a seeded sample of the bits between.
+        let header = frame::HEADER_LEN * 8;
+        let (first, last) = (header..header + 512, whole * 8 - 512..whole * 8);
+        let span = (last.start - first.end) as u64;
+        let interior: Vec<usize> = (0..256).map(|_| first.end + rng.below(span) as usize).collect();
+        for bit in (0..header).chain(first).chain(last).chain(interior) {
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let got = read_stream(&wire, bit as u64);
+            assert!(
+                got.is_err() || got == Ok(vec![]),
+                "{len}-byte frame decoded with bit {bit} flipped"
+            );
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+        let edges = [0, 1, frame::HEADER_LEN - 1, frame::HEADER_LEN, whole - 1];
+        let sample = (0..64).map(|_| rng.below(whole as u64) as usize);
+        for keep in edges.into_iter().chain(sample) {
+            assert_eq!(read_stream(&wire[..keep], keep as u64), Ok(vec![]), "cut to {keep} bytes");
+        }
+    }
+}
+
+#[test]
+fn a_header_claiming_the_largest_frame_reserves_one_step_at_a_time() {
+    // Eight unchecked bytes claim a 64 MiB payload; the peer then sends a
+    // little of it and falls silent. The reader may reserve a step ahead
+    // of what arrived, never the claim.
+    use lwfs_fabric::frame::RESERVE_STEP;
+    let mut wire = (frame::MAX_PAYLOAD as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&[0u8; 4]);
+    wire.extend_from_slice(&[7u8; 3000]);
+    let mut src = Trickle { wire: &wire, rng: ChaCha8::seed_from_u64(5), max: 700, silent: true };
+    let mut reader = FrameReader::new();
+    for call in 0..64 {
+        match reader.read_from(&mut src) {
+            Ok(n) => assert!(n > 0, "call {call}: the stream did not end"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock, "call {call}"),
+        }
+        assert!(matches!(reader.next_msg(), Ok(None)), "call {call}");
+        let reserved = reader.capacity();
+        assert!(reserved <= reader.buffered() + RESERVE_STEP, "call {call}: {reserved} reserved");
+    }
+    assert_eq!(reader.buffered(), wire.len());
+}
+
 #[test]
 fn wal_torn_tail_at_every_byte_offset_lands_on_the_previous_boundary() {
     let root = std::env::temp_dir().join(format!("lwfs-hostile-wal-{}", std::process::id()));
