@@ -30,8 +30,7 @@
 //!    eviction it predicts.
 //! 4. **Exports.** Every completed window appends one JSONL value
 //!    (`lwfs_obs::export::window_json`, carrying the scraped journal
-//!    tail), and the latest scraped frame renders on demand as a
-//!    Prometheus text exposition ([`ClusterMonitor::prometheus`]).
+//!    tail) to the series [`ClusterMonitor::jsonl`] returns.
 //!
 //! ### One registry, many endpoints
 //!
@@ -42,8 +41,8 @@
 //! N-multiply every counter — and uses the remaining per-target scrapes
 //! purely as liveness probes. Per-node attribution still works because
 //! node-scoped series carry the node in the metric name
-//! (`storage.srv1100.in_flight`), which the exporters turn into a
-//! `nid` label.
+//! (`storage.srv1100.in_flight`), which the JSONL window keys turn into
+//! a `nid` label.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -533,13 +532,6 @@ impl ClusterMonitor {
         self.inner.state.lock().jsonl.clone()
     }
 
-    /// Prometheus text exposition of the latest scraped cluster frame
-    /// (empty string before the first successful scrape).
-    pub fn prometheus(&self) -> String {
-        let state = self.inner.state.lock();
-        state.tracker.last_frame().map(lwfs_obs::export::to_prometheus).unwrap_or_default()
-    }
-
     /// Critical-path attributions of the latest flight scrape's traces,
     /// slowest first (empty before any pinned trace was scraped).
     pub fn attributions(&self) -> Vec<Attribution> {
@@ -622,8 +614,6 @@ mod tests {
         assert!(!health.is_empty());
         assert!(health.iter().all(|h| !h.stale), "all targets live: {health:?}");
 
-        let prom = monitor.prometheus();
-        assert!(prom.contains("# TYPE"), "{prom}");
         let jsonl = monitor.jsonl();
         assert!(!jsonl.is_empty());
         assert!(jsonl[0].get("ts_ns").and_then(Json::as_u64).is_some(), "{}", jsonl[0]);

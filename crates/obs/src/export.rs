@@ -1,62 +1,44 @@
-//! Export-side naming and the exporters: Prometheus text and the metrics
-//! JSON render a [`MetricFrame`], the JSONL series renders a
-//! [`WindowDelta`], and every histogram reaches JSON through the one
-//! [`histogram_json`] of its [`HistogramInterval`].
+//! Export-side naming and the exporters: the metrics JSON renders a
+//! [`MetricFrame`], the JSONL series renders a [`WindowDelta`], and every
+//! histogram reaches JSON through the one [`histogram_json`] of its
+//! [`HistogramInterval`].
 //!
 //! Registry names are dotted (`component.op.stat`) and sometimes encode a
-//! node inline (`storage.srv1100.in_flight`) — neither survives contact
-//! with Prometheus, whose metric names are `[a-zA-Z_:][a-zA-Z0-9_:]*` and
-//! whose per-node dimension belongs in a *label*. [`metric_key`] is the
-//! single shared translation: every exporter (Prometheus text exposition,
-//! JSONL time series) goes through it, so the same registry renders to
-//! the same keys in every view and a dashboard query written against one
-//! export works against the others.
+//! node inline (`storage.srv1100.in_flight`). A time series wants that
+//! per-node dimension as a *label* beside a stable metric name, so
+//! dashboards and `lwfs-inspect` can group one metric across nodes.
+//! [`metric_key`] is the single shared translation: the JSONL window keys
+//! go through it, so the same registry renders to the same keys in every
+//! window and a query written against one window works against the next.
 
 use crate::event::Event;
 use crate::json::Json;
 use crate::span::SpanRecord;
 use crate::window::{HistogramInterval, MetricFrame, WindowDelta};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// An export-ready metric identity: a sanitized base name plus the
 /// labels extracted from the raw registry name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricKey {
-    /// Sanitized to the Prometheus name charset `[a-zA-Z0-9_:]`, never
-    /// starting with a digit.
+    /// Sanitized to the charset `[a-zA-Z0-9_:]`, never starting with a
+    /// digit.
     pub name: String,
     /// `(label, value)` pairs, e.g. `("nid", "1100")` extracted from a
-    /// `srv1100` name segment.
+    /// `srv1100` name segment. Every value is ASCII digits.
     pub labels: Vec<(String, String)>,
 }
 
 impl MetricKey {
-    /// Canonical rendering: `name` or `name{k="v",...}` — identical in
-    /// the Prometheus exposition and as a JSONL object key.
+    /// Canonical rendering, the JSONL object key: `name` or
+    /// `name{k="v",...}`. A label value is the digits of a
+    /// `srv<digits>`/`worker<digits>` segment, so nothing in it needs
+    /// escaping.
     pub fn render(&self) -> String {
-        self.render_with(&[])
-    }
-
-    /// Rendering with extra labels appended (the summary exporter adds
-    /// `quantile="..."` this way).
-    pub fn render_with(&self, extra: &[(&str, &str)]) -> String {
-        if self.labels.is_empty() && extra.is_empty() {
+        if self.labels.is_empty() {
             return self.name.clone();
         }
-        let mut out = format!("{}{{", self.name);
-        let mut first = true;
-        for (k, v) in
-            self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra.iter().copied())
-        {
-            if !first {
-                out.push(',');
-            }
-            let _ = write!(out, "{k}=\"{}\"", prometheus_escape_label(v));
-            first = false;
-        }
-        out.push('}');
-        out
+        let labels: Vec<String> = self.labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+        format!("{}{{{}}}", self.name, labels.join(","))
     }
 }
 
@@ -68,8 +50,8 @@ impl MetricKey {
 /// - a `worker<digits>` segment becomes a `worker` label:
 ///   `storage.worker3.dispatch_ns` → `storage_dispatch_ns{worker="3"}`;
 /// - any character outside `[a-zA-Z0-9_:]` is replaced by `_`, and a
-///   leading digit gets a `_` prefix, so the result is always a valid
-///   Prometheus metric name.
+///   leading digit gets a `_` prefix, so the name always matches
+///   `[a-zA-Z_:][a-zA-Z0-9_:]*`.
 pub fn metric_key(raw: &str) -> MetricKey {
     let mut parts = Vec::new();
     let mut labels = Vec::new();
@@ -102,82 +84,6 @@ fn sanitize_segment(segment: &str) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
         .collect()
-}
-
-/// Escape a label value per the Prometheus text exposition format:
-/// backslash, double quote, and newline.
-pub fn prometheus_escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a frame in the Prometheus text exposition format (version
-/// 0.0.4): one `# TYPE` line per metric family, counters and gauges as
-/// single samples, histograms as summaries (`{quantile="…"}` series plus
-/// `_sum` and `_count`).
-pub fn to_prometheus(frame: &MetricFrame) -> String {
-    let mut out = String::new();
-
-    // Group per family: label-bearing series (storage.srv1100.* and
-    // storage.srv1101.*) share one name and must share one TYPE line.
-    let mut counters: BTreeMap<String, Vec<(MetricKey, u64)>> = BTreeMap::new();
-    for (raw, v) in &frame.counters {
-        let key = metric_key(raw);
-        counters.entry(key.name.clone()).or_default().push((key, *v));
-    }
-    for (family, series) in &counters {
-        let _ = writeln!(out, "# TYPE {family} counter");
-        for (key, v) in series {
-            let _ = writeln!(out, "{} {v}", key.render());
-        }
-    }
-
-    let mut gauges: BTreeMap<String, Vec<(MetricKey, i64)>> = BTreeMap::new();
-    for (raw, v) in &frame.gauges {
-        let key = metric_key(raw);
-        gauges.entry(key.name.clone()).or_default().push((key, *v));
-    }
-    for (family, series) in &gauges {
-        let _ = writeln!(out, "# TYPE {family} gauge");
-        for (key, v) in series {
-            let _ = writeln!(out, "{} {v}", key.render());
-        }
-    }
-
-    let mut summaries: BTreeMap<String, Vec<(MetricKey, &HistogramInterval)>> = BTreeMap::new();
-    for (raw, h) in &frame.histograms {
-        let key = metric_key(raw);
-        summaries.entry(key.name.clone()).or_default().push((key, h));
-    }
-    for (family, series) in &summaries {
-        let _ = writeln!(out, "# TYPE {family} summary");
-        for (key, h) in series {
-            for (label, q) in [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)] {
-                let v = h.quantile(q);
-                let _ = writeln!(out, "{} {v}", key.render_with(&[("quantile", label)]));
-            }
-            let _ = writeln!(out, "{}_sum{} {}", key.name, suffix_labels(key), h.sum);
-            let _ = writeln!(out, "{}_count{} {}", key.name, suffix_labels(key), h.count);
-        }
-    }
-    out
-}
-
-fn suffix_labels(key: &MetricKey) -> String {
-    if key.labels.is_empty() {
-        String::new()
-    } else {
-        let rendered = key.render();
-        rendered[key.name.len()..].to_string()
-    }
 }
 
 /// One journal event, as the metrics JSON and the JSONL window both carry
@@ -244,10 +150,10 @@ pub fn metrics_json(
 
 /// One completed window as one JSONL value: end timestamp, window length,
 /// counter deltas and per-second rates, gauge levels, and histogram
-/// interval summaries — all keyed by the same [`metric_key`] rendering the
-/// Prometheus exposition uses — plus, when the scrape brought any, the
-/// journal `events` ([`event_json`]), so the series carries the causal
-/// story (alerts, evictions, failovers) next to the deltas that explain it.
+/// interval summaries — all keyed by the [`metric_key`] rendering — plus,
+/// when the scrape brought any, the journal `events` ([`event_json`]), so
+/// the series carries the causal story (alerts, evictions, failovers) next
+/// to the deltas that explain it.
 pub fn window_json(w: &WindowDelta, events: Vec<Json>) -> Json {
     let key = |raw: &str| metric_key(raw).render();
     let counters = w.counters.iter().map(|(raw, delta)| {
@@ -302,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_valid_prometheus_names() {
+    fn keys_use_the_metric_name_charset() {
         for raw in ["storage.write.total_ns", "storage.srv1100.in_flight", "x.y-z", "1.2.3", "..."]
         {
             let key = metric_key(raw);
@@ -313,33 +219,58 @@ mod tests {
         }
     }
 
+    /// Whatever a raw name holds, every label value [`metric_key`] emits
+    /// is ASCII digits, so [`MetricKey::render`] never has a byte to
+    /// escape. Names are built from segments a hostile registry or scrape
+    /// could carry: quotes, backslashes, newlines, and `srv`/`worker`
+    /// prefixes whose tails are empty, non-digit, non-ASCII digits, or
+    /// digits followed by more.
     #[test]
-    fn label_escaping() {
-        assert_eq!(prometheus_escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn hostile_names_yield_only_digit_label_values() {
+        const SEGMENTS: [&str; 18] = [
+            "srv1100",
+            "worker3",
+            "srv007",
+            "srv",
+            "worker",
+            "srvX",
+            "workerX",
+            "srv1x",
+            "srv12\n",
+            "srv1 ",
+            "srv\u{663}",
+            "srv\"1\"",
+            "worker\\3",
+            "worker3\\n",
+            "a\"b",
+            "c\\d",
+            "e\nf",
+            "",
+        ];
+        let check = |raw: &str| {
+            let key = metric_key(raw);
+            for (_, v) in &key.labels {
+                assert!(
+                    !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()),
+                    "{raw:?} -> {key:?}"
+                );
+            }
+        };
+        for a in SEGMENTS {
+            for b in SEGMENTS {
+                check(&format!("{a}{b}"));
+                for c in SEGMENTS {
+                    check(&format!("storage.{a}.{b}.{c}"));
+                }
+            }
+        }
+        let key = metric_key("storage.srv\"1\".worker3\\n.srv007.x");
+        assert_eq!(key.labels, [("nid".to_string(), "007".to_string())]);
+        assert_eq!(key.render(), "storage_srv_1__worker3_n_x{nid=\"007\"}");
     }
 
     #[test]
-    fn prometheus_exposition_shape() {
-        let reg = Registry::new();
-        reg.counter("storage.writes").add(42);
-        reg.gauge("storage.srv1100.in_flight").set(3);
-        reg.gauge("storage.srv1101.in_flight").set(5);
-        reg.histogram("storage.write.total_ns").record(1000);
-        let text = to_prometheus(&reg.frame(0));
-
-        assert!(text.contains("# TYPE storage_writes counter\nstorage_writes 42\n"));
-        // One TYPE line for the whole labeled family, then both series.
-        assert_eq!(text.matches("# TYPE storage_in_flight gauge").count(), 1);
-        assert!(text.contains("storage_in_flight{nid=\"1100\"} 3"));
-        assert!(text.contains("storage_in_flight{nid=\"1101\"} 5"));
-        assert!(text.contains("# TYPE storage_write_total_ns summary"));
-        assert!(text.contains("storage_write_total_ns{quantile=\"0.5\"}"));
-        assert!(text.contains("storage_write_total_ns_sum 1000"));
-        assert!(text.contains("storage_write_total_ns_count 1"));
-    }
-
-    #[test]
-    fn jsonl_and_prometheus_agree_on_keys() {
+    fn window_keys_read_back_field_by_field() {
         let reg = Registry::new();
         reg.counter("storage.srv1100.writes").add(7);
         reg.gauge("storage.repl_lag").set(2);
@@ -350,11 +281,10 @@ mod tests {
         let w = tracker.observe(reg.frame(1_000_000)).unwrap();
         let event = event_json(7, 5, 1100, "alert.fire", "rule=x: \"p99\"\nhigh");
         let line = window_json(w, vec![event.clone()]).to_string();
-        let prom = to_prometheus(&reg.frame(0));
         assert!(!line.contains('\n'), "{line}");
         assert!(window_json(w, Vec::new()).get("events").is_none());
 
-        // The line reads back field by field, under the keys Prometheus uses.
+        // The line reads back field by field, under the `metric_key` keys.
         let back = Json::parse(&line).unwrap();
         assert_eq!(back.get("ts_ns").and_then(Json::as_u64), Some(w.ts_ns));
         assert_eq!(back.get("dur_ns").and_then(Json::as_u64), Some(w.dur_ns));
@@ -369,10 +299,6 @@ mod tests {
         let hist = back.get("histograms").and_then(|h| h.get("wal_append_ns"));
         assert_eq!(hist, Some(&histogram_json(w.histogram("wal.append_ns").unwrap())));
         assert_eq!(back.get("events").map(Json::as_arr), Some(&[event][..]));
-        for key in ["storage_writes{nid=\"1100\"}", "storage_repl_lag", "wal_append_ns"] {
-            assert!(prom.contains(key), "{prom}");
-        }
-        assert!(prom.contains("# TYPE wal_append_ns summary"));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   request id threaded through `lwfs_proto::Request`, decomposing an
 //!   operation into its stages (queue-wait → authorize → pull →
 //!   store-write → reply);
-//! - export from the frame: Prometheus text ([`export::to_prometheus`])
-//!   and the metrics JSON ([`export::metrics_json`], what
-//!   `lwfs-repro probe metrics --out` writes), every JSON artifact built
-//!   and read back through the one [`json::Json`].
+//! - export as JSON only: the metrics JSON of a frame
+//!   ([`export::metrics_json`], what `lwfs-repro probe metrics --out`
+//!   writes) and the JSONL window of a delta ([`export::window_json`]),
+//!   keyed by [`metric_key`], every artifact built and read back through
+//!   the one [`json::Json`].
 //!
 //! Histograms observe dimensionless `u64`s, so they work equally over
 //! wall-clock nanoseconds (`record_duration`) and simulated-time
@@ -39,7 +40,7 @@ pub mod window;
 
 pub use critpath::{attribute, attribute_with_claims, Attribution, BlameStage, TailReport};
 pub use event::{Event, EventLog};
-pub use export::{metric_key, prometheus_escape_label, MetricKey};
+pub use export::{metric_key, MetricKey};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{OpTrace, Registry};
 pub use span::{intern, SpanLog, SpanRecord, TOTAL_STAGE};

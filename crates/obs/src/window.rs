@@ -309,11 +309,6 @@ impl WindowTracker {
         self.windows.back()
     }
 
-    /// The most recently observed cumulative frame.
-    pub fn last_frame(&self) -> Option<&MetricFrame> {
-        self.last.as_ref()
-    }
-
     /// The most recently completed window.
     pub fn latest(&self) -> Option<&WindowDelta> {
         self.windows.back()

@@ -1,10 +1,9 @@
-//! The exported bytes, pinned: a fixed registry's Prometheus exposition,
-//! metrics JSON and JSONL window line, byte for byte. Dashboards, CI's
-//! validators and `lwfs-inspect` read these artifacts, so any change to a
-//! key, a label, a quantile, a mean, a max or a number's formatting must
-//! show up here as a deliberate edit.
+//! The exported bytes, pinned: a fixed registry's metrics JSON and JSONL
+//! window line, byte for byte. CI's validators and `lwfs-inspect` read
+//! these artifacts, so any change to a key, a label, a quantile, a mean, a
+//! max or a number's formatting must show up here as a deliberate edit.
 
-use lwfs_obs::export::{event_json, metrics_json, to_prometheus, window_json};
+use lwfs_obs::export::{event_json, metrics_json, window_json};
 use lwfs_obs::json::Json;
 use lwfs_obs::{Event, MetricFrame, Registry, SpanRecord, WindowTracker};
 
@@ -75,11 +74,6 @@ fn fixed_events() -> Vec<Event> {
 }
 
 #[test]
-fn prometheus_exposition_is_byte_stable() {
-    assert_eq!(to_prometheus(&fixed_registry().frame(0)), PROMETHEUS);
-}
-
-#[test]
 fn metrics_json_is_byte_stable() {
     let reg = fixed_registry();
     let spans = reg.spans().recent(usize::MAX);
@@ -98,52 +92,6 @@ fn window_line_is_byte_stable() {
         .collect();
     assert_eq!(window_json(w, events).to_string(), WINDOW_LINE);
 }
-
-const PROMETHEUS: &str = r##"# TYPE authz_cache_hits counter
-authz_cache_hits 5
-# TYPE portals_messages counter
-portals_messages 123456789
-# TYPE storage_busy_rejects counter
-storage_busy_rejects{worker="3"} 18446744073709551615
-# TYPE storage_writes counter
-storage_writes{nid="1100"} 7
-storage_writes{nid="1101"} 9
-# TYPE storage_in_flight gauge
-storage_in_flight{nid="1100"} -2
-storage_in_flight{nid="1101"} -9223372036854775808
-# TYPE storage_queue_depth gauge
-storage_queue_depth 3
-# TYPE storage_dispatch_ns summary
-storage_dispatch_ns{worker="3",quantile="0.5"} 68
-storage_dispatch_ns{worker="3",quantile="0.95"} 1000000
-storage_dispatch_ns{worker="3",quantile="0.99"} 1000000
-storage_dispatch_ns_sum{worker="3"} 2001072
-storage_dispatch_ns_count{worker="3"} 6
-# TYPE storage_ship_ns summary
-storage_ship_ns{nid="1100",quantile="0.5"} 1168231104512
-storage_ship_ns{nid="1100",quantile="0.95"} 3298534883333
-storage_ship_ns{nid="1100",quantile="0.99"} 3298534883333
-storage_ship_ns_sum{nid="1100"} 4398046511126
-storage_ship_ns_count{nid="1100"} 3
-# TYPE storage_write_total_ns summary
-storage_write_total_ns{quantile="0.5"} 0
-storage_write_total_ns{quantile="0.95"} 0
-storage_write_total_ns{quantile="0.99"} 0
-storage_write_total_ns_sum 0
-storage_write_total_ns_count 0
-# TYPE txn_prepare_ns summary
-txn_prepare_ns{quantile="0.5"} 496
-txn_prepare_ns{quantile="0.95"} 928
-txn_prepare_ns{quantile="0.99"} 992
-txn_prepare_ns_sum 500500
-txn_prepare_ns_count 1000
-# TYPE wal_append_ns summary
-wal_append_ns{quantile="0.5"} 0
-wal_append_ns{quantile="0.95"} 1
-wal_append_ns{quantile="0.99"} 1
-wal_append_ns_sum 1
-wal_append_ns_count 3
-"##;
 
 const METRICS_JSON: &str = r##"{"meta": null, "counters": {"authz.cache.hits": 5, "portals.messages": 123456789, "storage.srv1100.writes": 7, "storage.srv1101.writes": 9, "storage.worker3.busy_rejects": 18446744073709551615}, "gauges": {"storage.queue_depth": 3, "storage.srv1100.in_flight": -2, "storage.srv1101.in_flight": -9223372036854775808}, "histograms": {"storage.srv1100.ship_ns": {"count": 3, "sum": 4398046511126, "mean": 1466015503708.6667, "p50": 1168231104512, "p95": 3298534883333, "p99": 3298534883333, "max": 3298534883333}, "storage.worker3.dispatch_ns": {"count": 6, "sum": 2001072, "mean": 333512.0, "p50": 68, "p95": 1000000, "p99": 1000000, "max": 1000000}, "storage.write.total_ns": {"count": 0, "sum": 0, "mean": 0.0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "txn.prepare_ns": {"count": 1000, "sum": 500500, "mean": 500.5, "p50": 496, "p95": 928, "p99": 992, "max": 1000}, "wal.append_ns": {"count": 3, "sum": 1, "mean": 0.3333333333333333, "p50": 0, "p95": 1, "p99": 1, "max": 1}}, "spans": [{"req_id": 18446744073709551614, "trace_id": 11400714819323198485, "nid": 1100, "op": "storage.write", "stage": "total", "start_ns": 14123, "dur_ns": 7}, {"req_id": 9, "trace_id": 9, "nid": 1101, "op": "repl", "stage": "ship", "start_ns": 20000, "dur_ns": 1500}], "events": [{"seq": 0, "ts_ns": 10, "nid": 1100, "kind": "repl.evict_backup", "detail": "backup 1101"}, {"seq": 1, "ts_ns": 25, "nid": 1005, "kind": "alert.fire", "detail": "rule=x: \"p99\"\n\u0001é"}]}"##;
 

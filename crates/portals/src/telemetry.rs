@@ -173,6 +173,49 @@ mod tests {
         }
     }
 
+    /// A scraped snapshot's names are whatever the peer sent. Through
+    /// [`frame_of`] and `metric_key`, every label value is still ASCII
+    /// digits, so a window key needs no escaping beyond its JSON string's.
+    #[test]
+    fn hostile_scraped_names_key_with_digit_labels_only() {
+        let names = [
+            "storage.srv\"1\".x",
+            "storage.srv1\n.x",
+            "storage.worker\\3.x",
+            "storage.workerX.srv.x",
+            "srv\u{663}.worker3 .y",
+            "a\"b.c\\d.e\nf.srv1100.worker7",
+        ];
+        let snap = TelemetrySnapshot {
+            counters: names.iter().map(|n| (n.to_string(), 1)).collect(),
+            gauges: names.iter().map(|n| (n.to_string(), -1)).collect(),
+            histograms: names
+                .iter()
+                .map(|n| {
+                    let h = TelemetryHistogram { count: 1, sum: 5, max: 5, buckets: vec![(5, 1)] };
+                    (n.to_string(), h)
+                })
+                .collect(),
+            events: Vec::new(),
+        };
+        let frame = frame_of(&snap, 0);
+        let raw: Vec<&String> = (frame.counters.iter().map(|(n, _)| n))
+            .chain(frame.gauges.iter().map(|(n, _)| n))
+            .chain(frame.histograms.iter().map(|(n, _)| n))
+            .collect();
+        assert_eq!(raw.len(), 3 * names.len());
+        let mut labelled = 0;
+        for name in raw {
+            let key = lwfs_obs::metric_key(name);
+            for (_, v) in &key.labels {
+                assert!(v.bytes().all(|b| b.is_ascii_digit()) && !v.is_empty(), "{name:?}");
+                labelled += 1;
+            }
+        }
+        // Only the last name's `srv1100` and `worker7` segments are labels.
+        assert_eq!(labelled, 3 * 2);
+    }
+
     #[test]
     fn snapshot_carries_metrics_and_journal_tail() {
         let reg = Registry::new();

@@ -44,16 +44,14 @@ fn run(args: &[&str]) -> Result<bool, String> {
                     _ => return Err(format!("unknown flag {flag:?}")),
                 }
             }
-            // The telemetry probe also leaves a `.prom` beside `--out`.
             let written = if *which == "telemetry" {
-                run_telemetry_probe(transport, out, trace)
-                    .map(|_| out.map(|p| p.with_extension("prom")))
+                run_telemetry_probe(transport, out, trace).map(drop)
             } else {
-                run_metrics_probe(transport, out, trace).map(|_| None)
+                run_metrics_probe(transport, out, trace).map(drop)
             };
             match written {
-                Ok(prom) => {
-                    for path in out.iter().chain(&trace).copied().chain(prom.as_deref()) {
+                Ok(()) => {
+                    for path in out.iter().chain(&trace) {
                         println!("wrote {}", path.display());
                     }
                     true

@@ -15,13 +15,12 @@
 //! * the write-p99 SLO rule fired too, and its journaled `alert.fire`
 //!   carries a **blame** naming ship RTT as the dominant stage — the
 //!   monitor's flight scrape attributed the stalled write's critical
-//!   path to the retries against the partitioned backup, and
-//! * the Prometheus exposition of the final scrape is well-formed.
+//!   path to the retries against the partitioned backup.
 //!
-//! With an output path the JSONL time series lands there and the
-//! Prometheus text beside it under the `.prom` extension; with a trace
+//! With an output path the JSONL time series lands there; with a trace
 //! path the scraped slow traces land as Chrome `trace_event` JSON, so
-//! `lwfs-inspect` can reproduce the attribution offline.
+//! `lwfs-inspect` can reproduce the attribution offline from those two
+//! files alone.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,14 +42,10 @@ pub struct TelemetryReport {
     pub windows: u64,
     /// One value per window (the `--out` payload, one line each).
     pub jsonl: Vec<Json>,
-    /// Prometheus text exposition of the final scrape.
-    pub prometheus: String,
     /// Journal seq of the lag rule's `alert.fire`.
     pub lag_alert_seq: u64,
     /// Journal seq of the induced `repl.evict_backup`.
     pub evict_seq: u64,
-    /// Journal seq of the write-p99 rule's blame-carrying `alert.fire`.
-    pub p99_alert_seq: u64,
     /// Full detail of that alert (contains `blame=ship_rtt`).
     pub p99_alert_detail: String,
     /// Chrome trace JSON of the monitor's scraped slow traces.
@@ -204,16 +199,12 @@ pub fn run_telemetry_probe(
         "no window recorded nonzero storage.repl_lag; lines: {}",
         jsonl.len()
     );
-    let prometheus = monitor.prometheus();
-    assert!(prometheus.contains("# TYPE"), "empty Prometheus exposition");
 
     let report = TelemetryReport {
         windows: monitor.windows(),
         jsonl,
-        prometheus,
         lag_alert_seq: lag_alert.seq,
         evict_seq: evict.seq,
-        p99_alert_seq: p99_alert.seq,
         p99_alert_detail: p99_alert.detail.clone(),
         trace_json,
     };
@@ -221,12 +212,8 @@ pub fn run_telemetry_probe(
     if let Some(path) = out {
         // First JSONL line is the run's meta stamp; every later line is
         // one aggregation window.
-        let meta = artifact_meta(&[("storage_servers", (SERVERS * 2) as u64)]);
-        write_file(
-            &path.with_extension("prom"),
-            &format!("# meta: {meta}\n{}", report.prometheus),
-        )?;
-        let meta = Json::obj([("meta", meta)]);
+        let meta =
+            Json::obj([("meta", artifact_meta(&[("storage_servers", (SERVERS * 2) as u64)]))]);
         let lines = std::iter::once(&meta).chain(&report.jsonl);
         write_file(path, &lines.map(|line| format!("{line}\n")).collect::<String>())?;
     }
